@@ -24,9 +24,10 @@ import os
 import sys
 import tempfile
 
-from .errors import ExpwaveError, InvalidParamsError
+from .errors import ExpwaveError, FrameDegenerateError, InvalidParamsError
 from .reduction import (
     CUBIC_FAMILIES,
+    GORDON_FAMILIES,
     CaseLabel,
     EquationParams,
     FamilyLabel,
@@ -36,6 +37,7 @@ from .reduction import (
     elliptic_data,
     family_params,
     first_integral,
+    traveling_ode,
 )
 from .solutions import Solution, construct, implicit_relation
 from .verify import (
@@ -46,7 +48,9 @@ from .verify import (
     DEFAULT_SHOOT_TOL,
     Grid,
     first_integral_residual,
+    grid_points,
     implicit_residual_check,
+    ode_point_residual,
     ode_residual,
     pde_residual,
     shoot_and_compare,
@@ -202,6 +206,11 @@ def _load_config(ns: argparse.Namespace) -> JobConfig:
         raise ConfigError(
             f"config requests {cfg.command!r} but command line says {ns.command!r}")
     cfg.command = command
+    if cfg.c1 is not None and not math.isfinite(cfg.c1):
+        raise ConfigError("c1 must be finite")
+    if not (math.isfinite(cfg.xi_min) and math.isfinite(cfg.xi_max)
+            and cfg.xi_min < cfg.xi_max):
+        raise ConfigError("need finite xi_min < xi_max")
     return cfg
 
 
@@ -230,14 +239,19 @@ def _resolve_family(cfg: JobConfig) -> tuple[FamilyLabel, EquationParams]:
 
 
 def _resolve_frame(cfg: JobConfig, required: bool = True) -> FrameParams | None:
-    if cfg.lambda_gamma is not None:
-        if cfg.lam is not None or cfg.k is not None or cfg.omega is not None:
-            raise ConfigError("--lambda-gamma replaces lambda/k/omega")
-        return FrameParams.from_lambda_gamma(cfg.lambda_gamma, xi0=cfg.xi0)
-    if cfg.lam is not None:
-        return FrameParams(lam=cfg.lam, k=cfg.k or 0.0,
-                           omega=1.0 if cfg.omega is None else cfg.omega,
-                           xi0=cfg.xi0)
+    try:
+        if cfg.lambda_gamma is not None:
+            if cfg.lam is not None or cfg.k is not None or cfg.omega is not None:
+                raise ConfigError("--lambda-gamma replaces lambda/k/omega")
+            return FrameParams.from_lambda_gamma(cfg.lambda_gamma, xi0=cfg.xi0)
+        if cfg.lam is not None:
+            return FrameParams(lam=cfg.lam, k=cfg.k or 0.0,
+                               omega=1.0 if cfg.omega is None else cfg.omega,
+                               xi0=cfg.xi0)
+    except FrameDegenerateError:
+        raise  # lambda = 0 or k = +/-omega stays a domain error (exit 3)
+    except InvalidParamsError as e:
+        raise ConfigError(str(e))
     if required:
         raise ConfigError("need --lambda-gamma or --lambda [--k --omega]")
     return None
@@ -262,8 +276,7 @@ def cmd_classify(cfg: JobConfig) -> int:
     out: dict = {"family": fam.name}
     frame = _resolve_frame(cfg, required=False)
     if cfg.c1 is not None and frame is not None:
-        if fam in CUBIC_FAMILIES or fam in (FamilyLabel.SineGordon,
-                                            FamilyLabel.SinhGordon):
+        if fam in CUBIC_FAMILIES or fam in GORDON_FAMILIES:
             out["case"] = classify_case(fam, frame, cfg.c1).name
         if fam in CUBIC_FAMILIES:
             out["elliptic_data"] = elliptic_data(fam, frame, cfg.c1).to_json()
@@ -278,23 +291,15 @@ def cmd_solve(cfg: JobConfig) -> int:
 
 
 def _sample_rows(sol: Solution, points: list[float]) -> list[str]:
-    from .reduction import traveling_ode
-    from .verify import FD_BASE_STEP, _d1, _d2, _step_at
     ode = traveling_ode(family_params(sol.family), sol.frame)
     rows = ["xi,h,psi,ode_residual"]
     for xi in points:
-        h = sol.evaluate_h(xi)
-        psi = sol.evaluate_psi(xi)
-        s = _step_at(xi, sol.singularities, FD_BASE_STEP)
         if sol.psi_native:
-            d2 = _d2(sol.evaluate_psi, xi, s)
-            rhs = ode.rhs_psi(psi)
-            res = abs(d2 - rhs) / max(1.0, abs(rhs))
+            h = sol.evaluate_h(xi)
+            psi, res = ode_point_residual(sol, ode, xi)
         else:
-            d1 = _d1(sol.evaluate_h, xi, s)
-            d2 = _d2(sol.evaluate_h, xi, s)
-            fh = ode.f(h)
-            res = abs(h * d2 - d1 * d1 - fh) / max(1.0, abs(fh))
+            psi = sol.evaluate_psi(xi)
+            h, res = ode_point_residual(sol, ode, xi)
         psi_txt = "" if (isinstance(psi, float) and math.isnan(psi)) else _fmt(psi)
         rows.append(f"{_fmt(xi)},{_fmt(h)},{psi_txt},{_fmt(res)}")
     return rows
@@ -304,15 +309,9 @@ def cmd_sample(cfg: JobConfig) -> int:
     sol = _construct(cfg)
     if cfg.n < 2:
         raise ConfigError("sample needs n >= 2")
-    pad = sol.singularities.default_pad()
-    excl = sol.singularities.exclusions(cfg.xi_min, cfg.xi_max, pad)
-    step = (cfg.xi_max - cfg.xi_min) / (cfg.n - 1)
-    points = []
-    for i in range(cfg.n):
-        x = cfg.xi_min + i * step
-        if all(abs(x - c) > r for c, r in excl):
-            points.append(x)
-    rows = _sample_rows(sol, points)
+    sing = sol.singularities
+    excl = sing.exclusions(cfg.xi_min, cfg.xi_max, sing.default_pad())
+    rows = _sample_rows(sol, grid_points(cfg.xi_min, cfg.xi_max, cfg.n, excl))
     _emit("\n".join(rows) + "\n", cfg.output)
     return EXIT_OK
 

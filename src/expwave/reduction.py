@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (
-    CaseMismatchError,
     DomainError,
     FrameDegenerateError,
     InvalidParamsError,
@@ -183,6 +182,8 @@ class FrameParams:
     r: float = field(init=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lam, self.k, self.omega, self.xi0))):
+            raise InvalidParamsError("lambda, k, omega and xi0 must be finite")
         if self.lam == 0.0:
             raise FrameDegenerateError("lambda must be nonzero")
         gamma = self.omega ** 2 - self.k ** 2
@@ -256,9 +257,6 @@ class OdeDescriptor:
     def rhs_psi(self, psi: float) -> float:
         return self.r * self.source_psi(psi)
 
-    def residual_psi(self, psi: float, d2psi: float) -> float:
-        return d2psi - self.rhs_psi(psi)
-
 
 class QuadratureDescriptor:
     """First integral (h')^2 = (2/(lambda gamma)) h^2 G(h), with
@@ -311,21 +309,11 @@ class QuadratureDescriptor:
             total += (p.beta / p.b) * math.exp(p.b * psi)
         return total
 
-    def g_psi_prime(self, psi: float) -> float:
-        # dG_psi/dpsi equals the ODE source written in psi
-        p = self.params
-        if p.imaginary_pair:
-            return -p.alpha * math.sin(p.a * psi) - p.beta * math.sin(p.b * psi)
-        total = p.alpha * math.exp(p.a * psi)
-        if p.beta != 0.0:
-            total += p.beta * math.exp(p.b * psi)
-        return total
+    # dG_psi/dpsi equals the ODE source written in psi
+    g_psi_prime = OdeDescriptor.source_psi
 
     def residual(self, h: float, dh: float) -> float:
         return dh * dh - 2.0 * self.r * h * h * self.g(h)
-
-    def residual_psi(self, psi: float, dpsi: float) -> float:
-        return dpsi * dpsi - 2.0 * self.r * self.g_psi(psi)
 
 
 def traveling_ode(params: EquationParams, frame: FrameParams) -> OdeDescriptor:
@@ -477,8 +465,3 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float,
         return CaseLabel.AmplitudeC1Zero
     return CaseLabel.AmplitudeGeneric
 
-
-def require_case(expected: CaseLabel, actual: CaseLabel):
-    if expected is not actual:
-        raise CaseMismatchError(
-            f"requested case {expected.name} but parameters give {actual.name}")

@@ -344,8 +344,7 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
     """
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = classify_case(FamilyLabel.SineGordon, frame, c1) if case is None \
-        else _check_gordon_case(FamilyLabel.SineGordon, frame, c1, case)
+    case = _resolve_case(FamilyLabel.SineGordon, frame, c1, case)
     if branch not in (1, -1):
         raise DomainError("branch must be +1 or -1")
     bounded = None
@@ -413,8 +412,7 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
     """
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = classify_case(FamilyLabel.SinhGordon, frame, c1) if case is None \
-        else _check_gordon_case(FamilyLabel.SinhGordon, frame, c1, case)
+    case = _resolve_case(FamilyLabel.SinhGordon, frame, c1, case)
     if branch not in (1, -1):
         raise DomainError("branch must be +1 or -1")
     bounded = None
@@ -478,15 +476,6 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
     )
 
 
-def _check_gordon_case(family: FamilyLabel, frame: FrameParams, c1: float,
-                       case: CaseLabel) -> CaseLabel:
-    auto = classify_case(family, frame, c1)
-    if case is not auto:
-        raise CaseMismatchError(
-            f"c1={c1} classifies as {auto.name}, not {case.name}")
-    return case
-
-
 # ---------------------------------------------------------------------------
 # implicit hypergeometric relations (c1 = 0)
 # ---------------------------------------------------------------------------
@@ -525,17 +514,13 @@ def implicit_relation(family: FamilyLabel, frame: FrameParams) -> ImplicitRelati
     single-exponential family has no beta-term and admits no such form.
     """
     lg = frame.lambda_gamma
-    if family is FamilyLabel.Tzitzeica:
-        if lg <= 0.0:
-            raise SignDomainError("this implicit form needs lambda gamma > 0")
-        denom = math.sqrt(lg)
-        def lhs(h: float) -> float:
-            return h * gauss_2f1(0.5, 1.0 / 3.0, 4.0 / 3.0, -2.0 * h ** 3)
-        return ImplicitRelation(family, frame, denom, lhs, lambda h: 2.0 * h ** 3)
-    if family is FamilyLabel.DoddBullough:
-        if lg >= 0.0:
-            raise SignDomainError("this implicit form needs lambda gamma < 0")
-        denom = math.sqrt(-lg)
+    if family in (FamilyLabel.Tzitzeica, FamilyLabel.DoddBullough):
+        # Dodd-Bullough is the base relation at -lambda gamma
+        sign = 1.0 if family is FamilyLabel.Tzitzeica else -1.0
+        if sign * lg <= 0.0:
+            raise SignDomainError("this implicit form needs lambda gamma "
+                                  f"{'>' if sign > 0.0 else '<'} 0")
+        denom = math.sqrt(sign * lg)
         def lhs(h: float) -> float:
             return h * gauss_2f1(0.5, 1.0 / 3.0, 4.0 / 3.0, -2.0 * h ** 3)
         return ImplicitRelation(family, frame, denom, lhs, lambda h: 2.0 * h ** 3)
@@ -571,4 +556,5 @@ def construct(family: FamilyLabel, c1: float, frame: FrameParams,
     if family is FamilyLabel.SinhGordon:
         return sinh_gordon(c1, frame, branch=branch, case=case)
     raise UnsupportedFamilyError(
-        f"{family.name} has no closed-form constructor; use the shooting oracle")
+        f"{family.name} has no closed-form constructor; generic equations "
+        "get classify and first_integral only")

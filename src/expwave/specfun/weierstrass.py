@@ -196,17 +196,7 @@ def prepare_weierstrass(inv: WeierstrassInvariants,
     """
     g2, g3 = inv.g2, inv.g3
     roots = solve_weierstrass_cubic(g2, g3)
-    if force_general and len(roots.real) == 3:
-        e1, e2, e3 = roots.real
-        span = e1 - e3
-        m = (e2 - e3) / span
-        scale = math.sqrt(span)
-        period = (2.0 * carlson_rf(0.0, 1.0 - m, 1.0) / scale
-                  if m < 1.0 else math.inf)
-        return _PreparedWeierstrass(
-            inv, "sn", roots, scale, m, e3, span,
-            period, period if math.isfinite(period) else 1.0)
-    if inv.is_degenerate:
+    if inv.is_degenerate and not force_general:
         if g2 == 0.0 and g3 == 0.0:
             return _PreparedWeierstrass(
                 inv, "rational", roots, 0.0, 0.0, 0.0, 0.0,
@@ -222,7 +212,7 @@ def prepare_weierstrass(inv: WeierstrassInvariants,
         return _PreparedWeierstrass(
             inv, "trigonometric", roots, a, 0.0, e, 0.0,
             math.pi / a, math.pi / a)
-    if inv.delta > 0.0:
+    if len(roots.real) == 3:
         e1, e2, e3 = roots.real
         span = e1 - e3
         m = (e2 - e3) / span

@@ -22,6 +22,7 @@ truncation error of the h ~ 1/(xi - xi_s)^2 blow-up profiles below the
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -58,6 +59,19 @@ DEFAULT_PDE_TOL = 1.0e-6
 DEFAULT_IMPLICIT_TOL = 1.0e-8
 
 
+def grid_points(xi_min: float, xi_max: float, n: int,
+                excluded: Sequence[tuple[float, float]]) -> list[float]:
+    """The n equispaced points of [xi_min, xi_max] outside every
+    (center, radius) exclusion."""
+    step = (xi_max - xi_min) / (n - 1)
+    pts = []
+    for i in range(n):
+        x = xi_min + i * step
+        if all(abs(x - c) > r for c, r in excluded):
+            pts.append(x)
+    return pts
+
+
 @dataclass(frozen=True)
 class Grid:
     """Sampling grid with singularity exclusions.
@@ -78,13 +92,7 @@ class Grid:
             raise ValueError("grid needs xi_min < xi_max")
 
     def points(self) -> list[float]:
-        step = (self.xi_max - self.xi_min) / (self.n - 1)
-        pts = []
-        for i in range(self.n):
-            x = self.xi_min + i * step
-            if all(abs(x - c) > r for c, r in self.excluded):
-                pts.append(x)
-        return pts
+        return grid_points(self.xi_min, self.xi_max, self.n, self.excluded)
 
     @classmethod
     def for_solution(cls, sol: Solution, xi_min: float, xi_max: float, n: int,
@@ -134,45 +142,50 @@ def _step_at(xi: float, sing: Singularities, base: float) -> float:
     return max(s, FD_MIN_STEP)
 
 
-def _d1(f, x: float, s: float) -> float:
-    coarse = (f(x + s) - f(x - s)) / (2.0 * s)
-    fine = (f(x + 0.5 * s) - f(x - 0.5 * s)) / s
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _d2(f, x: float, s: float) -> float:
+def _stencil(f, x: float, s: float) -> tuple[float, float, float]:
+    """(f(x), f'(x), f''(x)) from Richardson-extrapolated central
+    differences at steps s and s/2, each abscissa evaluated once."""
     fx = f(x)
-    coarse = (f(x + s) - 2.0 * fx + f(x - s)) / (s * s)
-    fine = (f(x + 0.5 * s) - 2.0 * fx + f(x - 0.5 * s)) / (0.25 * s * s)
-    return (4.0 * fine - coarse) / 3.0
+    fp, fm = f(x + s), f(x - s)
+    hp, hm = f(x + 0.5 * s), f(x - 0.5 * s)
+    d1 = (4.0 * ((hp - hm) / s) - (fp - fm) / (2.0 * s)) / 3.0
+    d2 = (4.0 * ((hp - 2.0 * fx + hm) / (0.25 * s * s))
+          - (fp - 2.0 * fx + fm) / (s * s)) / 3.0
+    return fx, d1, d2
+
+
+def _native_evaluator(sol: Solution):
+    return sol.evaluate_psi if sol.psi_native else sol.evaluate_h
+
+
+def ode_point_residual(sol: Solution, desc: OdeDescriptor, xi: float,
+                       fd_step: float = FD_BASE_STEP) -> tuple[float, float]:
+    """(value, residual) of the traveling ODE at xi.
+
+    The value is psi(xi) for the psi-native families and h(xi) otherwise.
+    h-native: |h h'' - (h')^2 - f(h)| / max(1, |f(h)|); psi-native, the
+    identical equation written in psi:
+    |psi'' - source(psi)/(lambda gamma)| / max(1, |source/(lambda gamma)|).
+    Derivatives come from the Richardson stencil with the
+    singularity-aware step.
+    """
+    s = _step_at(xi, sol.singularities, fd_step)
+    val, d1, d2 = _stencil(_native_evaluator(sol), xi, s)
+    if sol.psi_native:
+        rhs = desc.rhs_psi(val)
+        return val, abs(d2 - rhs) / max(1.0, abs(rhs))
+    fh = desc.f(val)
+    return val, abs(val * d2 - d1 * d1 - fh) / max(1.0, abs(fh))
 
 
 def ode_residual(sol: Solution, frame: FrameParams, grid: Grid,
                  tol: float = DEFAULT_ODE_TOL,
                  fd_step: float = FD_BASE_STEP) -> VerificationReport:
-    """Residual of the traveling ODE along the solution.
-
-    h-native families: |h h'' - (h')^2 - f(h)| / max(1, |f(h)|).
-    psi-native families use the identical equation written in psi:
-    |psi'' - source(psi)/(lambda gamma)| / max(1, |source/(lambda gamma)|).
-    Derivatives come from Richardson-extrapolated central differences
-    with the singularity-aware step.
-    """
+    """Residual of the traveling ODE along the solution (see
+    :func:`ode_point_residual`)."""
     desc = traveling_ode(family_params(sol.family), frame)
-    residuals = []
-    for xi in grid.points():
-        s = _step_at(xi, sol.singularities, fd_step)
-        if sol.psi_native:
-            val = sol.evaluate_psi(xi)
-            d2 = _d2(sol.evaluate_psi, xi, s)
-            rhs = desc.rhs_psi(val)
-            residuals.append(abs(d2 - rhs) / max(1.0, abs(rhs)))
-        else:
-            h = sol.evaluate_h(xi)
-            d1 = _d1(sol.evaluate_h, xi, s)
-            d2 = _d2(sol.evaluate_h, xi, s)
-            fh = desc.f(h)
-            residuals.append(abs(h * d2 - d1 * d1 - fh) / max(1.0, abs(fh)))
+    residuals = [ode_point_residual(sol, desc, xi, fd_step)[1]
+                 for xi in grid.points()]
     return _report("ode_residual", residuals, tol)
 
 
@@ -184,19 +197,15 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
     of 1 and the two sides."""
     quad = first_integral(family_params(sol.family), frame, c1)
     residuals = []
+    evaluate = _native_evaluator(sol)
     for xi in grid.points():
         s = _step_at(xi, sol.singularities, fd_step)
+        val, d1, _ = _stencil(evaluate, xi, s)
         if sol.psi_native:
-            val = sol.evaluate_psi(xi)
-            d1 = _d1(sol.evaluate_psi, xi, s)
             rhs = 2.0 * frame.r * quad.g_psi(val)
-            res = d1 * d1 - rhs
         else:
-            h = sol.evaluate_h(xi)
-            d1 = _d1(sol.evaluate_h, xi, s)
-            rhs = 2.0 * frame.r * h * h * quad.g(h)
-            res = d1 * d1 - rhs
-        residuals.append(abs(res) / max(1.0, d1 * d1, abs(rhs)))
+            rhs = 2.0 * frame.r * val * val * quad.g(val)
+        residuals.append(abs(d1 * d1 - rhs) / max(1.0, d1 * d1, abs(rhs)))
     return _report("first_integral_residual", residuals, tol)
 
 
@@ -346,9 +355,9 @@ def shoot_and_compare(desc, sol: Solution, xi_start: float, span: float,
     h = 0), an OdeDescriptor the raw second-order form.  The initial
     slope comes from a Richardson stencil on the evaluator.
     """
-    evaluate = sol.evaluate_psi if sol.psi_native else sol.evaluate_h
+    evaluate = _native_evaluator(sol)
     s = _step_at(xi_start, sol.singularities, FD_BASE_STEP)
-    y0 = [evaluate(xi_start), _d1(evaluate, xi_start, s)]
+    y0 = list(_stencil(evaluate, xi_start, s)[:2])
     f = _second_order_rhs(desc, sol.psi_native)
     times = [xi_start + span * i / (n_samples - 1) for i in range(1, n_samples)]
     path = rk_integrate(f, xi_start, y0, xi_start + span,

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from expwave.cli import main
-from expwave.solutions import from_descriptor
+from expwave.reduction import FamilyLabel, FrameParams
+from expwave.solutions import construct, from_descriptor
+from expwave.verify import Grid, ode_residual
 
 
 def run_cli(*args):
@@ -93,6 +95,25 @@ def test_sample_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("family,c1,lg", [("tzitzeica", 1.0, 1.0),
+                                          ("sinh-gordon", 0.0, 1.0)])
+def test_sample_residual_column_is_ode_residual(tmp_path, family, c1, lg):
+    out_file = tmp_path / "s.csv"
+    assert main(["sample", "--family", family, "--c1", repr(c1),
+                 "--lambda-gamma", repr(lg), "--n", "101",
+                 "--output", str(out_file)]) == 0
+    column = [float(line.split(",")[3])
+              for line in out_file.read_text().splitlines()[1:]]
+    sol = construct(FamilyLabel.parse(family), c1,
+                    FrameParams.from_lambda_gamma(lg))
+    report = ode_residual(sol, sol.frame,
+                          Grid.for_solution(sol, -10.0, 10.0, 101))
+    assert len(column) == report.points_used
+    assert max(column) == report.max_residual
+    assert math.sqrt(math.fsum(r * r for r in column) / len(column)) \
+        == report.rms_residual
+
+
 def test_solve_roundtrip():
     code, out, _ = run_cli("solve", "--family", "sinh-gordon", "--c1", "-1",
                            "--lambda-gamma", "-1", "--branch", "-1")
@@ -129,6 +150,29 @@ def test_exit_codes():
     code, _, _ = run_cli("solve", "--family", "sine-gordon", "--c1", "1",
                          "--lambda-gamma", "-1")
     assert code == 3  # wrong sign of lambda gamma for the kink
+
+
+SG_KINK = ["--family", "sine-gordon", "--c1", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--family", "liouville", "--c1", "1", "--lambda-gamma", "nan"],
+    ["verify", "--family", "tzitzeica", "--c1", "1", "--lambda", "1",
+     "--k", "inf", "--omega", "1"],
+    ["solve", "--family", "sine-gordon", "--c1", "inf", "--lambda-gamma", "1"],
+    ["solve", "--family", "tzitzeica", "--c1", "-1.5", "--lambda-gamma", "inf"],
+    ["verify", *SG_KINK, "--lambda-gamma", "1", "--xi-min", "5",
+     "--xi-max", "-5"],
+    ["sample", *SG_KINK, "--lambda-gamma", "1", "--xi-min", "5",
+     "--xi-max", "-5"],
+    ["sample", *SG_KINK, "--lambda-gamma", "1", "--xi-min", "1",
+     "--xi-max", "1"],
+])
+def test_bad_numeric_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_figures(tmp_path):
