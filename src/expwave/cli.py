@@ -95,7 +95,19 @@ class JobConfig:
     tol_implicit: float = DEFAULT_IMPLICIT_TOL
 
 
-_FIELDS = {f.name for f in dataclasses.fields(JobConfig)}
+_FIELDS = {f.name: f.type for f in dataclasses.fields(JobConfig)}
+#: JSON values accepted for each JobConfig annotation (bools never are)
+_JSON_TYPES = {"str": str, "float": (int, float), "int": int}
+
+
+def _check_config_value(key: str, val) -> None:
+    kind = _FIELDS[key]  # an annotation string such as "float | None"
+    if val is None and kind.endswith("| None"):
+        return
+    types = _JSON_TYPES[kind.split(" |")[0]]
+    if isinstance(val, bool) or not isinstance(val, types):
+        raise ConfigError(
+            f"config field {key!r} must be {kind}, not {json.dumps(val)}")
 
 
 def _fmt(x: float) -> str:
@@ -190,10 +202,11 @@ def _load_config(ns: argparse.Namespace) -> JobConfig:
             raise ConfigError(f"cannot read config {path}: {e}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - _FIELDS
+        unknown = set(data) - _FIELDS.keys()
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         for key, val in data.items():
+            _check_config_value(key, val)
             setattr(cfg, key, val)
     for key in _FIELDS:
         val = getattr(ns, key, None)
@@ -294,12 +307,8 @@ def _sample_rows(sol: Solution, points: list[float]) -> list[str]:
     ode = traveling_ode(family_params(sol.family), sol.frame)
     rows = ["xi,h,psi,ode_residual"]
     for xi in points:
-        if sol.psi_native:
-            h = sol.evaluate_h(xi)
-            psi, res = ode_point_residual(sol, ode, xi)
-        else:
-            psi = sol.evaluate_psi(xi)
-            h, res = ode_point_residual(sol, ode, xi)
+        value, res = ode_point_residual(sol, ode, xi)
+        h, psi = sol.h_psi(value)
         psi_txt = "" if (isinstance(psi, float) and math.isnan(psi)) else _fmt(psi)
         rows.append(f"{_fmt(xi)},{_fmt(h)},{psi_txt},{_fmt(res)}")
     return rows
@@ -318,8 +327,10 @@ def cmd_sample(cfg: JobConfig) -> int:
 
 def cmd_verify(cfg: JobConfig) -> int:
     sol = _construct(cfg)
+    if cfg.n < 16:
+        raise ConfigError("verify needs n >= 16")
     frame = sol.frame
-    grid = Grid.for_solution(sol, cfg.xi_min, cfg.xi_max, max(cfg.n, 16))
+    grid = Grid.for_solution(sol, cfg.xi_min, cfg.xi_max, cfg.n)
     reports = [
         ode_residual(sol, frame, grid, tol=cfg.tol_ode),
         first_integral_residual(sol, frame, sol.c1, grid,
@@ -430,8 +441,10 @@ _FIGURES = [
 
 
 def cmd_figures(cfg: JobConfig) -> int:
+    n = cfg.n
+    if n < 2:
+        raise ConfigError("figures needs n >= 2")
     outdir = cfg.output or "figures"
-    n = cfg.n if cfg.n and cfg.n >= 16 else 801
     os.makedirs(outdir, exist_ok=True)
     sidecar: dict = {}
     for name, fam, curves in _FIGURES:

@@ -186,11 +186,19 @@ class FrameParams:
             raise InvalidParamsError("lambda, k, omega and xi0 must be finite")
         if self.lam == 0.0:
             raise FrameDegenerateError("lambda must be nonzero")
-        gamma = self.omega ** 2 - self.k ** 2
+        try:
+            gamma = self.omega ** 2 - self.k ** 2
+        except OverflowError:
+            gamma = math.inf
         if gamma == 0.0:
             raise FrameDegenerateError("k = +/-omega makes gamma vanish")
+        lg = self.lam * gamma
+        if not (math.isfinite(lg) and lg != 0.0 and math.isfinite(1.0 / lg)):
+            raise InvalidParamsError(
+                f"lambda*gamma = {lg!r} leaves r = 1/(lambda gamma) outside "
+                "the floating-point range")
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "r", 1.0 / (self.lam * gamma))
+        object.__setattr__(self, "r", 1.0 / lg)
 
     @classmethod
     def from_lambda_gamma(cls, lambda_gamma: float, xi0: float = 0.0) -> "FrameParams":
@@ -226,11 +234,9 @@ class OdeDescriptor:
     equation written in psi = log h, where it stays real).
     """
 
-    def __init__(self, params: EquationParams, frame: FrameParams,
-                 family: FamilyLabel | None = None):
+    def __init__(self, params: EquationParams, frame: FrameParams):
         self.params = params
         self.frame = frame
-        self.family = family if family is not None else classify_family(params)
         self.r = frame.r
 
     def source(self, h: float) -> float:
@@ -269,14 +275,12 @@ class QuadratureDescriptor:
     (sine) or c1 + cosh(2 psi)/2 (sinh).
     """
 
-    def __init__(self, params: EquationParams, frame: FrameParams, c1: float,
-                 family: FamilyLabel | None = None):
+    def __init__(self, params: EquationParams, frame: FrameParams, c1: float):
         if params.beta != 0.0 and params.b == 0.0:
             raise InvalidParamsError("exponent b must be nonzero when beta != 0")
         self.params = params
         self.frame = frame
         self.c1 = c1
-        self.family = family if family is not None else classify_family(params)
         self.r = frame.r
 
     def g(self, h: float) -> float:
@@ -311,9 +315,6 @@ class QuadratureDescriptor:
 
     # dG_psi/dpsi equals the ODE source written in psi
     g_psi_prime = OdeDescriptor.source_psi
-
-    def residual(self, h: float, dh: float) -> float:
-        return dh * dh - 2.0 * self.r * h * h * self.g(h)
 
 
 def traveling_ode(params: EquationParams, frame: FrameParams) -> OdeDescriptor:
@@ -380,19 +381,6 @@ class EllipticData:
         return d
 
 
-def effective_cubic_params(family: FamilyLabel, frame: FrameParams,
-                           c1: float) -> tuple[float, float]:
-    """(r_eff, c1_eff) mapping a variant family onto the base cubic.
-
-    The Dodd-Bullough route flips both r -> -r and c1 -> -c1 relative to
-    the base family; the two reflection variants (h -> -h, xi -> -xi)
-    leave (r, c1) untouched relative to their parent.
-    """
-    if family in (FamilyLabel.DoddBullough, FamilyLabel.TzitzeicaDoddBullough):
-        return -frame.r, -c1
-    return frame.r, c1
-
-
 def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> EllipticData:
     """Coefficients, germs g2/g3, discriminant and cubic roots for the
     cubic families.
@@ -424,15 +412,12 @@ def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> Ellipti
     )
 
 
-def classify_case(family: FamilyLabel, frame: FrameParams, c1: float,
-                  data: EllipticData | None = None) -> CaseLabel:
+def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLabel:
     """Deterministic case label for (family, frame, c1).
 
     Cubic families dispatch on the scaled-discriminant test and the signs
     of g3 / g2; Gordon families dispatch on c1 hitting its special values
-    within 1e-12.  ``data`` may be supplied to reuse an elliptic_data
-    result; it is computed on demand otherwise (and is meaningless for the
-    Gordon families, which never touch it).
+    within 1e-12.
     """
     if family is FamilyLabel.Liouville:
         if abs(c1) <= C1_MATCH_TOL:
@@ -441,9 +426,11 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float,
                 if c1 / (2.0 * frame.lambda_gamma) > 0.0
                 else CaseLabel.LiouvillePeriodic)
     if family in CUBIC_FAMILIES:
-        if data is None:
-            data = elliptic_data(family, frame, c1)
-        _, c1_eff = effective_cubic_params(family, frame, c1)
+        data = elliptic_data(family, frame, c1)
+        # the Dodd-Bullough route maps c1 -> -c1 onto the base family; the
+        # reflection variants (h -> -h, xi -> -xi) keep their parent's c1
+        c1_eff = -c1 if family in (FamilyLabel.DoddBullough,
+                                   FamilyLabel.TzitzeicaDoddBullough) else c1
         if data.is_degenerate:
             return CaseLabel.Degenerate1a if data.g3 < 0.0 else CaseLabel.Degenerate1b
         if abs(c1_eff) <= C1_MATCH_TOL:

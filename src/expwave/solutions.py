@@ -12,6 +12,7 @@ h(xi) = -h_parent(-xi), so the catalogued dualities hold bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -43,8 +44,10 @@ SQRT3 = math.sqrt(3.0)
 class Solution:
     """Immutable closed-form solution descriptor.
 
-    ``evaluate_h`` and ``evaluate_psi`` are pure; ``psi`` equals log(h)
-    wherever h > 0 and is NaN where h <= 0 for the h-native families.
+    ``evaluate_h`` and ``evaluate_psi`` are pure.  The one evaluator
+    computes psi for the psi-native families and h otherwise; the other
+    variable follows as h = e^psi, or psi = log(h) wherever h > 0 (NaN
+    where h <= 0).
     ``singularities`` covers every non-finite or undefined point of the
     evaluator.  ``bounded`` is set for the amplitude cases (None when the
     notion does not apply).
@@ -59,25 +62,28 @@ class Solution:
     singularities: Singularities
     params: dict = field(default_factory=dict)
     bounded: bool | None = None
-    _h_fn: Callable[[float], float] = field(repr=False, default=None)
-    _psi_fn: Callable[[float], float] | None = field(repr=False, default=None)
+    _fn: Callable[[float], float] = field(repr=False, default=None)
 
     @property
     def lambda_gamma(self) -> float:
         return self.frame.lambda_gamma
 
-    @property
-    def xi0(self) -> float:
-        return self.frame.xi0
-
     def evaluate_h(self, xi: float) -> float:
-        return self._h_fn(xi)
+        v = self._fn(xi)
+        return math.exp(v) if self.psi_native else v
 
     def evaluate_psi(self, xi: float) -> float:
-        if self._psi_fn is not None:
-            return self._psi_fn(xi)
-        h = self._h_fn(xi)
-        return math.log(h) if h > 0.0 else math.nan
+        v = self._fn(xi)
+        if self.psi_native:
+            return v
+        return math.log(v) if v > 0.0 else math.nan
+
+    def h_psi(self, value: float) -> tuple[float, float]:
+        """(h, psi) from a value of the native evaluator, by the same rule
+        as ``evaluate_h`` and ``evaluate_psi``."""
+        if self.psi_native:
+            return math.exp(value), value
+        return value, (math.log(value) if value > 0.0 else math.nan)
 
     def descriptor(self) -> dict:
         d = {
@@ -117,20 +123,20 @@ def from_descriptor(d: dict) -> Solution:
 
 
 def _resolve_case(family: FamilyLabel, frame: FrameParams, c1: float,
-                  case: CaseLabel | None) -> CaseLabel:
+                  case: CaseLabel | None, branch: int) -> CaseLabel:
+    """The requested case (the classified one when None), checked
+    against the classification, with the branch checked to be +-1."""
     auto = classify_case(family, frame, c1)
-    if case is None:
-        return auto
-    # the general Weierstrass form is a valid construction at any c1
-    if case is CaseLabel.GeneralWeierstrass and auto in (
-            CaseLabel.Degenerate1a, CaseLabel.Degenerate1b,
-            CaseLabel.Equianharmonic, CaseLabel.Lemniscatic,
-            CaseLabel.GeneralWeierstrass):
-        return case
-    if case is not auto:
+    # the general Weierstrass form is a valid construction at any cubic c1
+    if case is not None and case is not auto and not (
+            case is CaseLabel.GeneralWeierstrass and auto in (
+                CaseLabel.Degenerate1a, CaseLabel.Degenerate1b,
+                CaseLabel.Equianharmonic, CaseLabel.Lemniscatic)):
         raise CaseMismatchError(
             f"c1={c1} classifies as {auto.name}, not {case.name}")
-    return case
+    if branch not in (1, -1):
+        raise DomainError("branch must be +1 or -1")
+    return auto if case is None else case
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +176,7 @@ def liouville(c1: float, frame: FrameParams) -> Solution:
         params = {"kappa": kappa, "period": math.pi / kappa}
     return Solution(
         family=FamilyLabel.Liouville, case=case, branch=1, c1=c1, frame=frame,
-        psi_native=False, singularities=sing, params=params, _h_fn=h_fn,
+        psi_native=False, singularities=sing, params=params, _fn=h_fn,
     )
 
 
@@ -194,9 +200,7 @@ def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
     """
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = _resolve_case(FamilyLabel.Tzitzeica, frame, c1, case)
-    if branch not in (1, -1):
-        raise DomainError("branch must be +1 or -1")
+    case = _resolve_case(FamilyLabel.Tzitzeica, frame, c1, case, branch)
     params: dict = {}
     bounded = None
 
@@ -280,7 +284,7 @@ def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
     return Solution(
         family=FamilyLabel.Tzitzeica, case=case, branch=branch, c1=c1,
         frame=frame, psi_native=False, singularities=sing, params=params,
-        bounded=bounded, _h_fn=h_fn,
+        bounded=bounded, _fn=h_fn,
     )
 
 
@@ -288,15 +292,11 @@ def dodd_bullough(c1: float, frame: FrameParams, branch: int = 1,
                   case: CaseLabel | None = None) -> Solution:
     """Solutions of the -h + 1/h^2 source, obtained pointwise from the
     base cubic family under (c1, lambda gamma) -> (-c1, -lambda gamma)."""
-    case = _resolve_case(FamilyLabel.DoddBullough, frame, c1, case)
+    case = _resolve_case(FamilyLabel.DoddBullough, frame, c1, case, branch)
     delegate = tzitzeica(-c1, frame.with_lambda_gamma(-frame.lambda_gamma),
                          branch=branch, case=case)
-    return Solution(
-        family=FamilyLabel.DoddBullough, case=case, branch=branch, c1=c1,
-        frame=frame, psi_native=False,
-        singularities=delegate.singularities, params=delegate.params,
-        bounded=delegate.bounded, _h_fn=delegate._h_fn,
-    )
+    return dataclasses.replace(delegate, family=FamilyLabel.DoddBullough,
+                               c1=c1, frame=frame)
 
 
 def tdb_dbm(family: FamilyLabel, c1: float, frame: FrameParams,
@@ -316,14 +316,12 @@ def tdb_dbm(family: FamilyLabel, c1: float, frame: FrameParams,
         parent = dodd_bullough(c1, reflected, branch=branch, case=case)
     else:
         parent = tzitzeica(c1, reflected, branch=branch, case=case)
-    parent_h = parent._h_fn
+    parent_h = parent._fn  # the cubic parents are h-native
     def h_fn(xi: float) -> float:
         return -parent_h(-xi)
-    return Solution(
-        family=family, case=parent.case, branch=branch, c1=c1, frame=frame,
-        psi_native=False, singularities=parent.singularities.reflected(),
-        params=parent.params, bounded=parent.bounded, _h_fn=h_fn,
-    )
+    return dataclasses.replace(
+        parent, family=family, c1=c1, frame=frame,
+        singularities=parent.singularities.reflected(), _fn=h_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +342,7 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
     """
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = _resolve_case(FamilyLabel.SineGordon, frame, c1, case)
-    if branch not in (1, -1):
-        raise DomainError("branch must be +1 or -1")
+    case = _resolve_case(FamilyLabel.SineGordon, frame, c1, case, branch)
     bounded = None
     params: dict = {}
 
@@ -381,13 +377,10 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
         bounded = m > 1.0
         params = {"kappa": kappa, "modulus_parameter": m}
 
-    def h_fn(xi: float) -> float:
-        return math.exp(psi_fn(xi))
-
     return Solution(
         family=FamilyLabel.SineGordon, case=case, branch=branch, c1=c1,
         frame=frame, psi_native=True, singularities=Singularities.none(),
-        params=params, bounded=bounded, _h_fn=h_fn, _psi_fn=psi_fn,
+        params=params, bounded=bounded, _fn=psi_fn,
     )
 
 
@@ -412,9 +405,7 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
     """
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = _resolve_case(FamilyLabel.SinhGordon, frame, c1, case)
-    if branch not in (1, -1):
-        raise DomainError("branch must be +1 or -1")
+    case = _resolve_case(FamilyLabel.SinhGordon, frame, c1, case, branch)
     bounded = None
     params: dict = {}
 
@@ -466,13 +457,10 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
             sing = Singularities.none()
             bounded = True
 
-    def h_fn(xi: float) -> float:
-        return math.exp(psi_fn(xi))
-
     return Solution(
         family=FamilyLabel.SinhGordon, case=case, branch=branch, c1=c1,
         frame=frame, psi_native=True, singularities=sing,
-        params=params, bounded=bounded, _h_fn=h_fn, _psi_fn=psi_fn,
+        params=params, bounded=bounded, _fn=psi_fn,
     )
 
 

@@ -117,23 +117,17 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
 class _PreparedWeierstrass:
     """Invariant-dependent data hoisted out of the per-point evaluation."""
 
-    __slots__ = (
-        "inv", "kind", "roots", "scale", "m", "e_off", "coeff",
-        "real_period", "pole_scale", "eps_pole",
-    )
+    __slots__ = ("kind", "scale", "m", "e_off", "coeff", "real_period",
+                 "eps_pole")
 
-    def __init__(self, inv: WeierstrassInvariants, kind: str, roots: CubicRoots,
-                 scale: float, m: float, e_off: float, coeff: float,
-                 real_period: float, pole_scale: float):
-        self.inv = inv
+    def __init__(self, kind: str, scale: float, m: float, e_off: float,
+                 coeff: float, real_period: float, pole_scale: float):
         self.kind = kind
-        self.roots = roots
         self.scale = scale
         self.m = m
         self.e_off = e_off
         self.coeff = coeff
         self.real_period = real_period
-        self.pole_scale = pole_scale
         self.eps_pole = _POLE_FRACTION * pole_scale
 
     def pole_distance(self, z: float) -> float:
@@ -199,19 +193,16 @@ def prepare_weierstrass(inv: WeierstrassInvariants,
     if inv.is_degenerate and not force_general:
         if g2 == 0.0 and g3 == 0.0:
             return _PreparedWeierstrass(
-                inv, "rational", roots, 0.0, 0.0, 0.0, 0.0,
-                math.inf, 1.0)
+                "rational", 0.0, 0.0, 0.0, 0.0, math.inf, 1.0)
         e = abs(_cbrt(g3)) / 2.0
         a = math.sqrt(3.0 * e)
         if g3 < 0.0:
             # poles only at z = 0; the companion trigonometric scale pi/a
             # still sets a sensible exclusion radius
             return _PreparedWeierstrass(
-                inv, "hyperbolic", roots, a, 0.0, e, 0.0,
-                math.inf, math.pi / a)
+                "hyperbolic", a, 0.0, e, 0.0, math.inf, math.pi / a)
         return _PreparedWeierstrass(
-            inv, "trigonometric", roots, a, 0.0, e, 0.0,
-            math.pi / a, math.pi / a)
+            "trigonometric", a, 0.0, e, 0.0, math.pi / a, math.pi / a)
     if len(roots.real) == 3:
         e1, e2, e3 = roots.real
         span = e1 - e3
@@ -219,8 +210,8 @@ def prepare_weierstrass(inv: WeierstrassInvariants,
         scale = math.sqrt(span)
         period = 2.0 * carlson_rf(0.0, 1.0 - m, 1.0) / scale if m < 1.0 else math.inf
         return _PreparedWeierstrass(
-            inv, "sn", roots, scale, m, e3, span,
-            period, period if math.isfinite(period) else 1.0)
+            "sn", scale, m, e3, span, period,
+            period if math.isfinite(period) else 1.0)
     e2s = roots.real[0]
     h2 = 3.0 * e2s * e2s - g2 / 4.0
     h = math.sqrt(h2)
@@ -228,8 +219,8 @@ def prepare_weierstrass(inv: WeierstrassInvariants,
     scale = 2.0 * math.sqrt(h)
     period = 4.0 * carlson_rf(0.0, 1.0 - m, 1.0) / scale if m < 1.0 else math.inf
     return _PreparedWeierstrass(
-        inv, "cn", roots, scale, m, e2s, h,
-        period, period if math.isfinite(period) else 1.0)
+        "cn", scale, m, e2s, h, period,
+        period if math.isfinite(period) else 1.0)
 
 
 def weierstrass_p(z: float, inv: WeierstrassInvariants) -> tuple[float, float]:

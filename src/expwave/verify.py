@@ -95,12 +95,12 @@ class Grid:
         return grid_points(self.xi_min, self.xi_max, self.n, self.excluded)
 
     @classmethod
-    def for_solution(cls, sol: Solution, xi_min: float, xi_max: float, n: int,
-                     pad: float | None = None) -> "Grid":
+    def for_solution(cls, sol: Solution, xi_min: float, xi_max: float,
+                     n: int) -> "Grid":
         """Grid whose exclusions cover the solution's singular set."""
-        p = sol.singularities.default_pad() if pad is None else pad
+        sing = sol.singularities
         return cls(xi_min, xi_max, n,
-                   tuple(sol.singularities.exclusions(xi_min, xi_max, p)))
+                   tuple(sing.exclusions(xi_min, xi_max, sing.default_pad())))
 
 
 @dataclass(frozen=True)
@@ -222,16 +222,17 @@ def weierstrass_ode_residual(inv: WeierstrassInvariants, grid: Grid,
 
 
 def weierstrass_grid(inv: WeierstrassInvariants, z_min: float, z_max: float,
-                     n: int = 128, pad_fraction: float = 0.05) -> Grid:
-    """Grid over [z_min, z_max] excluding the pole lattice of p."""
+                     n: int = 128) -> Grid:
+    """Grid over [z_min, z_max] excluding the pole lattice of p, padded by
+    5% of the real period (by 0.05 around an isolated pole)."""
     prep = prepare_weierstrass(inv)
     period = prep.real_period
     if math.isfinite(period):
         sing = Singularities.lattice(0.0, period)
-        pad = pad_fraction * period
+        pad = 0.05 * period
     else:
         sing = Singularities.isolated(0.0)
-        pad = max(pad_fraction, 10.0 * prep.eps_pole)
+        pad = max(0.05, 10.0 * prep.eps_pole)
     return Grid(z_min, z_max, n, tuple(sing.exclusions(z_min, z_max, pad)))
 
 
@@ -344,24 +345,23 @@ def _second_order_rhs(desc, psi_native: bool):
 
 
 def shoot_and_compare(desc, sol: Solution, xi_start: float, span: float,
-                      tol: float = DEFAULT_SHOOT_TOL,
-                      local_tol: float = 1.0e-10,
-                      n_samples: int = 51) -> VerificationReport:
+                      tol: float = DEFAULT_SHOOT_TOL) -> VerificationReport:
     """Integrate the reduced equation from initial conditions read off the
     closed form and report the maximum trajectory deviation.
 
     ``desc`` selects the equation: a QuadratureDescriptor integrates the
     differentiated first integral (polynomial in h, regular through
     h = 0), an OdeDescriptor the raw second-order form.  The initial
-    slope comes from a Richardson stencil on the evaluator.
+    slope comes from a Richardson stencil on the evaluator; the trajectory
+    is compared at 50 equispaced points, integrated to 1e-10 local error.
     """
     evaluate = _native_evaluator(sol)
     s = _step_at(xi_start, sol.singularities, FD_BASE_STEP)
     y0 = list(_stencil(evaluate, xi_start, s)[:2])
     f = _second_order_rhs(desc, sol.psi_native)
-    times = [xi_start + span * i / (n_samples - 1) for i in range(1, n_samples)]
+    times = [xi_start + span * i / 50 for i in range(1, 51)]
     path = rk_integrate(f, xi_start, y0, xi_start + span,
-                        rtol=local_tol, atol=local_tol, sample_times=times)
+                        rtol=1.0e-10, atol=1.0e-10, sample_times=times)
     residuals = [abs(y[0] - evaluate(t)) for t, y in path]
     return _report("shoot_and_compare", residuals, tol)
 
@@ -375,7 +375,6 @@ def pde_residual(sol: Solution, frame: FrameParams,
                  t_range: tuple[float, float] = (0.0, 2.0),
                  nz: int = 200, nt: int = 200,
                  tol: float = DEFAULT_PDE_TOL,
-                 stencil: float = 5.0e-4,
                  form: str = "auto") -> VerificationReport:
     """Residual of the wave equation on an (z, t) grid, with the solution
     embedded through xi = k z - omega t.
@@ -385,10 +384,10 @@ def pde_residual(sol: Solution, frame: FrameParams,
     equivalent quadratic form h (h_tt - h_zz) - (h_t^2 - h_z^2) =
     (h^2/lambda) source(h), which stays regular where h crosses zero.
     ``"auto"`` picks psi for the psi-native families and h otherwise.
-    Plain second-order central stencils are applied at each sample point
-    (step independent of the sample spacing, shrinking near the singular
-    set); points whose stencil touches the singular set are skipped.
-    Normalized by max(1, |source term|).
+    Plain second-order central stencils of step 5e-4 are applied at each
+    sample point (independent of the sample spacing, shrinking near the
+    singular set); points whose stencil touches the singular set are
+    skipped.  Normalized by max(1, |source term|).
     """
     if form == "auto":
         form = "psi" if sol.psi_native else "h"
@@ -409,6 +408,7 @@ def pde_residual(sol: Solution, frame: FrameParams,
     value_of = psi_of_xi if form == "psi" else sol.evaluate_h
     # the quadratic form amplifies near-pole truncation harder
     dist_frac = 1.0e-3 if form == "psi" else 2.0e-4
+    stencil = 5.0e-4
     reach = stencil * max(abs(k), abs(omega))
     pad = max(10.0 * reach, sol.singularities.default_pad())
     residuals = []

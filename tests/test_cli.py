@@ -167,8 +167,30 @@ SG_KINK = ["--family", "sine-gordon", "--c1", "1"]
      "--xi-max", "-5"],
     ["sample", *SG_KINK, "--lambda-gamma", "1", "--xi-min", "1",
      "--xi-max", "1"],
+    # lambda*gamma outside the float range: r = 1/(lambda gamma) unusable
+    ["solve", "--family", "liouville", "--c1", "1", "--lambda", "1",
+     "--k", "0", "--omega", "1e200"],
+    ["solve", "--family", "liouville", "--c1", "1", "--lambda", "1e300",
+     "--k", "0", "--omega", "1e10"],
+    ["sample", "--family", "liouville", "--c1", "1", "--lambda-gamma",
+     "1e-320", "--n", "3"],
+    # below verify's minimum grid size, no longer raised silently to 16
+    ["verify", *SG_KINK, "--lambda-gamma", "1", "--n", "3"],
+    # config values of the wrong JSON type
+    [{"command": "solve", "family": "sine-gordon", "c1": "1",
+      "lambda_gamma": 1}],
+    [{"command": "sample", "family": "sine-gordon", "c1": 1,
+      "lambda_gamma": 1, "n": "5"}],
+    [{"command": "solve", "family": "sine-gordon", "c1": True,
+      "lambda_gamma": 1}],
+    [{"command": "solve", "family": "sine-gordon", "c1": 1,
+      "lambda_gamma": 1, "branch": 1.0}],
 ])
-def test_bad_numeric_input_exits_2(capsys, argv):
+def test_bad_numeric_input_exits_2(capsys, tmp_path, argv):
+    if isinstance(argv[0], dict):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(argv[0]))
+        argv = ["--config", str(cfg)]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -201,3 +223,14 @@ def test_figures(tmp_path):
     idx = header.index("dark_soliton")
     last = lines[-1].split(",")
     assert float(last[idx]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_figures_honours_n(tmp_path):
+    outdir = tmp_path / "figs"
+    assert main(["figures", "--output", str(outdir), "--n", "3"]) == 0
+    csvs = sorted(outdir.glob("*.csv"))
+    assert len(csvs) == 7
+    for path in csvs:
+        assert len(path.read_text().splitlines()) == 4
+    assert main(["figures", "--output", str(tmp_path / "none"), "--n", "1"]) == 2
+    assert not (tmp_path / "none").exists()

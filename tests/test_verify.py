@@ -64,7 +64,7 @@ def test_ode_oracle_constant_fixed_point():
         family=FamilyLabel.Tzitzeica, case=CaseLabel.GeneralWeierstrass,
         branch=1, c1=0.0, frame=FR1, psi_native=False,
         singularities=Singularities.none(),
-        _h_fn=lambda xi: 1.0,
+        _fn=lambda xi: 1.0,
     )
     rep = ode_residual(fake, FR1, Grid(-5.0, 5.0, 64))
     assert rep.passed and rep.max_residual <= 1e-12
