@@ -165,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda-gamma", dest="lambda_gamma", type=float,
                        help="shortcut: sets lam=value, k=0, omega=1")
         p.add_argument("--xi0", type=float)
-        p.add_argument("--branch", type=int, choices=(1, -1))
+        p.add_argument("--branch", type=int)
         p.add_argument("--case", help="case label override")
         p.add_argument("--output", "-o")
         if grid:
@@ -221,6 +221,8 @@ def _load_config(ns: argparse.Namespace) -> JobConfig:
     cfg.command = command
     if cfg.c1 is not None and not math.isfinite(cfg.c1):
         raise ConfigError("c1 must be finite")
+    if cfg.branch not in (1, -1):
+        raise ConfigError("branch must be +1 or -1")
     if not (math.isfinite(cfg.xi_min) and math.isfinite(cfg.xi_max)
             and cfg.xi_min < cfg.xi_max):
         raise ConfigError("need finite xi_min < xi_max")
@@ -341,14 +343,16 @@ def cmd_verify(cfg: JobConfig) -> int:
         reports.append(pde_residual(sol, frame, nz=80, nt=80, tol=cfg.tol_pde))
     except ExpwaveError:
         pass  # psi = log h not real on this frame; the xi-space oracles stand
-    if abs(sol.c1) == 0.0 and sol.family in (FamilyLabel.Tzitzeica,
-                                             FamilyLabel.DoddBullough,
-                                             FamilyLabel.SinhGordon):
-        rel = implicit_relation(sol.family, frame)
-        g = _implicit_grid(sol, rel)
-        if g is not None:
-            reports.append(implicit_residual_check(rel, sol, g,
-                                                   tol=cfg.tol_implicit))
+    if sol.c1 == 0.0:
+        try:
+            rel = implicit_relation(sol.family, frame)
+        except ExpwaveError:
+            pass  # no real 2F1 form for this family and sign
+        else:
+            g = _implicit_grid(sol, rel)
+            if g is not None:
+                reports.append(implicit_residual_check(rel, sol, g,
+                                                       tol=cfg.tol_implicit))
     _emit(_json_dumps([r.to_json() for r in reports]), cfg.output)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
 
@@ -380,13 +384,12 @@ def _shoot_window(sol: Solution) -> tuple[float, float]:
 
 
 def _implicit_grid(sol: Solution, rel) -> Grid | None:
-    """Scan for a window where the hypergeometric argument stays <= 0.9."""
+    """Scan one period of the pole lattice (every c1 = 0 solution with a
+    real implicit form has one) for a window where the hypergeometric
+    argument stays <= 0.9."""
     sing = sol.singularities
-    if sing.kind == "lattice":
-        lo = sing.offset + 0.02 * sing.period
-        hi = sing.offset + 0.98 * sing.period
-    else:
-        lo, hi = sol.frame.xi0 + 0.05, sol.frame.xi0 + 5.0
+    lo = sing.offset + 0.02 * sing.period
+    hi = sing.offset + 0.98 * sing.period
     xs = [lo + (hi - lo) * i / 400 for i in range(401)]
     good = []
     for x in xs:

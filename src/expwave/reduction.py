@@ -186,12 +186,12 @@ class FrameParams:
             raise InvalidParamsError("lambda, k, omega and xi0 must be finite")
         if self.lam == 0.0:
             raise FrameDegenerateError("lambda must be nonzero")
+        if abs(self.k) == abs(self.omega):
+            raise FrameDegenerateError("k = +/-omega makes gamma vanish")
         try:
             gamma = self.omega ** 2 - self.k ** 2
         except OverflowError:
             gamma = math.inf
-        if gamma == 0.0:
-            raise FrameDegenerateError("k = +/-omega makes gamma vanish")
         lg = self.lam * gamma
         if not (math.isfinite(lg) and lg != 0.0 and math.isfinite(1.0 / lg)):
             raise InvalidParamsError(

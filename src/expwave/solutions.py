@@ -143,13 +143,15 @@ def _resolve_case(family: FamilyLabel, frame: FrameParams, c1: float,
 # Liouville
 # ---------------------------------------------------------------------------
 
-def liouville(c1: float, frame: FrameParams) -> Solution:
+def liouville(c1: float, frame: FrameParams, branch: int = 1,
+              case: CaseLabel | None = None) -> Solution:
     """Single-exponential solutions: sech^2 pulse for c1/(2 lambda gamma)
     positive, sec^2 wave for negative, and the double-pole rational
-    solution at c1 = 0."""
+    solution at c1 = 0.  Every form is even in xi - xi0, so both branches
+    give the same values."""
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = classify_case(FamilyLabel.Liouville, frame, c1)
+    case = _resolve_case(FamilyLabel.Liouville, frame, c1, case, branch)
     if case is CaseLabel.LiouvilleRational:
         def h_fn(xi: float) -> float:
             d = xi - xi0
@@ -175,8 +177,9 @@ def liouville(c1: float, frame: FrameParams) -> Solution:
                                      math.pi / kappa)
         params = {"kappa": kappa, "period": math.pi / kappa}
     return Solution(
-        family=FamilyLabel.Liouville, case=case, branch=1, c1=c1, frame=frame,
-        psi_native=False, singularities=sing, params=params, _fn=h_fn,
+        family=FamilyLabel.Liouville, case=case, branch=branch, c1=c1,
+        frame=frame, psi_native=False, singularities=sing, params=params,
+        _fn=h_fn,
     )
 
 
@@ -531,7 +534,7 @@ def construct(family: FamilyLabel, c1: float, frame: FrameParams,
               branch: int = 1, case: CaseLabel | None = None) -> Solution:
     """Build the catalogued solution for any closed-form family."""
     if family is FamilyLabel.Liouville:
-        return liouville(c1, frame)
+        return liouville(c1, frame, branch=branch, case=case)
     if family is FamilyLabel.Tzitzeica:
         return tzitzeica(c1, frame, branch=branch, case=case)
     if family is FamilyLabel.DoddBullough:

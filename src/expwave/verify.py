@@ -4,9 +4,9 @@ Two deliberately separate routes check every closed form:
 
 * residual oracles differentiate the evaluator with Richardson-extrapolated
   central differences and plug into the governing equation;
-* the shooting oracle integrates the governing equation with an adaptive
-  embedded Runge-Kutta pair from matched initial conditions and compares
-  trajectories.
+* the shooting oracle integrates the differentiated first integral with
+  an adaptive embedded Runge-Kutta pair from matched initial conditions
+  and compares trajectories.
 
 The routes share nothing but the Solution object itself, so a defect in
 the special-function kernels cannot hide from both at once.
@@ -315,50 +315,38 @@ def rk_integrate(f, t0: float, y0: list[float], t_end: float,
     return out
 
 
-def _second_order_rhs(desc, psi_native: bool):
-    """y = (value, slope) -> derivatives, for either descriptor kind."""
-    if isinstance(desc, QuadratureDescriptor):
-        if psi_native:
-            r = desc.r
-            def f(t, y):
-                return [y[1], r * desc.g_psi_prime(y[0])]
-        else:
-            r = desc.r
-            def f(t, y):
-                h = y[0]
-                return [y[1], r * (2.0 * h * desc.g(h) + h * h * desc.g_prime(h))]
-        return f
-    if isinstance(desc, OdeDescriptor):
-        if psi_native:
-            def f(t, y):
-                return [y[1], desc.rhs_psi(y[0])]
-        else:
-            def f(t, y):
-                h = y[0]
-                if abs(h) < 1e-12:
-                    raise DomainError(
-                        "explicit second-order form is singular at h = 0; "
-                        "shoot the first-integral descriptor instead")
-                return [y[1], (desc.f(h) + y[1] * y[1]) / h]
-        return f
-    raise TypeError("descriptor must be OdeDescriptor or QuadratureDescriptor")
+def _second_order_rhs(quad: QuadratureDescriptor, psi_native: bool):
+    """y = (value, slope) -> derivatives of the differentiated first
+    integral: psi'' = r G_psi'(psi), or h'' = r (2 h G(h) + h^2 G'(h))."""
+    r = quad.r
+    if psi_native:
+        def f(t, y):
+            return [y[1], r * quad.g_psi_prime(y[0])]
+    else:
+        def f(t, y):
+            h = y[0]
+            return [y[1], r * (2.0 * h * quad.g(h) + h * h * quad.g_prime(h))]
+    return f
 
 
-def shoot_and_compare(desc, sol: Solution, xi_start: float, span: float,
+def shoot_and_compare(quad: QuadratureDescriptor, sol: Solution,
+                      xi_start: float, span: float,
                       tol: float = DEFAULT_SHOOT_TOL) -> VerificationReport:
-    """Integrate the reduced equation from initial conditions read off the
-    closed form and report the maximum trajectory deviation.
+    """Integrate the differentiated first integral (polynomial in h,
+    regular through h = 0) from initial conditions read off the closed
+    form and report the maximum trajectory deviation.
 
-    ``desc`` selects the equation: a QuadratureDescriptor integrates the
-    differentiated first integral (polynomial in h, regular through
-    h = 0), an OdeDescriptor the raw second-order form.  The initial
-    slope comes from a Richardson stencil on the evaluator; the trajectory
-    is compared at 50 equispaced points, integrated to 1e-10 local error.
+    The initial slope comes from a Richardson stencil on the evaluator;
+    the trajectory is compared at 50 equispaced points, integrated to
+    1e-10 local error.
     """
+    if not isinstance(quad, QuadratureDescriptor):
+        raise TypeError("shoot_and_compare integrates the first integral; "
+                        "pass a QuadratureDescriptor")
     evaluate = _native_evaluator(sol)
     s = _step_at(xi_start, sol.singularities, FD_BASE_STEP)
     y0 = list(_stencil(evaluate, xi_start, s)[:2])
-    f = _second_order_rhs(desc, sol.psi_native)
+    f = _second_order_rhs(quad, sol.psi_native)
     times = [xi_start + span * i / 50 for i in range(1, 51)]
     path = rk_integrate(f, xi_start, y0, xi_start + span,
                         rtol=1.0e-10, atol=1.0e-10, sample_times=times)
@@ -371,13 +359,12 @@ def shoot_and_compare(desc, sol: Solution, xi_start: float, span: float,
 # ---------------------------------------------------------------------------
 
 def pde_residual(sol: Solution, frame: FrameParams,
-                 z_range: tuple[float, float] = (-5.0, 5.0),
-                 t_range: tuple[float, float] = (0.0, 2.0),
                  nz: int = 200, nt: int = 200,
                  tol: float = DEFAULT_PDE_TOL,
                  form: str = "auto") -> VerificationReport:
-    """Residual of the wave equation on an (z, t) grid, with the solution
-    embedded through xi = k z - omega t.
+    """Residual of the wave equation on an nz x nt grid of the (z, t)
+    rectangle [-5, 5] x [0, 2], with the solution embedded through
+    xi = k z - omega t.
 
     ``form="psi"`` checks psi_tt - psi_zz = source(psi)/lambda (requires
     psi = log h real everywhere sampled); ``form="h"`` checks the
@@ -412,8 +399,8 @@ def pde_residual(sol: Solution, frame: FrameParams,
     reach = stencil * max(abs(k), abs(omega))
     pad = max(10.0 * reach, sol.singularities.default_pad())
     residuals = []
-    z0, z1 = z_range
-    t0, t1 = t_range
+    z0, z1 = -5.0, 5.0
+    t0, t1 = 0.0, 2.0
     for i in range(nz):
         z = z0 + (z1 - z0) * i / (nz - 1)
         for j in range(nt):

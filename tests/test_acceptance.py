@@ -275,13 +275,11 @@ def test_criterion_8_pde_residual():
     t0 = time.perf_counter()
     frame_k = FrameParams(lam=1.0 / 3.0, k=1.0, omega=2.0)
     kink = sine_gordon(1.0, frame_k)
-    rep1 = pde_residual(kink, frame_k, z_range=(-5.0, 5.0), t_range=(0.0, 2.0),
-                        nz=200, nt=200, tol=1e-6, form="psi")
+    rep1 = pde_residual(kink, frame_k, nz=200, nt=200, tol=1e-6, form="psi")
     assert rep1.passed, rep1.max_residual
     frame_l = FrameParams(lam=-1.0 / 3.0, k=1.0, omega=2.0)
     pulse = liouville(-1.0, frame_l)  # positive pulse, psi = log h real
-    rep2 = pde_residual(pulse, frame_l, z_range=(-5.0, 5.0), t_range=(0.0, 2.0),
-                        nz=200, nt=200, tol=1e-6, form="psi")
+    rep2 = pde_residual(pulse, frame_l, nz=200, nt=200, tol=1e-6, form="psi")
     assert rep2.passed, rep2.max_residual
     elapsed = time.perf_counter() - t0
     report(8, "2-D wave-equation residual at (k, omega) = (1, 2)", True,

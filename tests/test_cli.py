@@ -155,6 +155,14 @@ def test_exit_codes():
 SG_KINK = ["--family", "sine-gordon", "--c1", "1"]
 
 
+def _main_with_config(argv, tmp_path):
+    if isinstance(argv[0], dict):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(argv[0]))
+        argv = ["--config", str(cfg)]
+    return main(argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--family", "liouville", "--c1", "1", "--lambda-gamma", "nan"],
     ["verify", "--family", "tzitzeica", "--c1", "1", "--lambda", "1",
@@ -174,6 +182,9 @@ SG_KINK = ["--family", "sine-gordon", "--c1", "1"]
      "--k", "0", "--omega", "1e10"],
     ["sample", "--family", "liouville", "--c1", "1", "--lambda-gamma",
      "1e-320", "--n", "3"],
+    # omega^2 underflows: gamma = 0 although k != +/-omega
+    ["solve", "--family", "liouville", "--c1", "1", "--lambda", "1",
+     "--k", "0", "--omega", "1e-200"],
     # below verify's minimum grid size, no longer raised silently to 16
     ["verify", *SG_KINK, "--lambda-gamma", "1", "--n", "3"],
     # config values of the wrong JSON type
@@ -187,14 +198,73 @@ SG_KINK = ["--family", "sine-gordon", "--c1", "1"]
       "lambda_gamma": 1, "branch": 1.0}],
 ])
 def test_bad_numeric_input_exits_2(capsys, tmp_path, argv):
-    if isinstance(argv[0], dict):
-        cfg = tmp_path / "job.json"
-        cfg.write_text(json.dumps(argv[0]))
-        argv = ["--config", str(cfg)]
-    assert main(argv) == 2
+    assert _main_with_config(argv, tmp_path) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    # Liouville checks its case like every other family
+    (["solve", "--family", "liouville", "--c1", "1", "--lambda-gamma", "1",
+      "--case", "lemniscatic"], 3,
+     "error: c1=1.0 classifies as LiouvilleSoliton, not Lemniscatic"),
+    # the branch range is checked once, after flags and file are merged
+    (["solve", "--family", "tzitzeica", "--c1", "1", "--lambda-gamma", "1",
+      "--branch", "2"], 2, "config error: branch must be +1 or -1"),
+    ([{"command": "solve", "family": "tzitzeica", "c1": 1,
+       "lambda_gamma": 1, "branch": 2}], 2,
+     "config error: branch must be +1 or -1"),
+])
+def test_exit_code_and_message(capsys, tmp_path, argv, code, message):
+    assert _main_with_config(argv, tmp_path) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("family,lg", [("tzitzeica", "-1"),
+                                       ("dodd-bullough", "1")])
+def test_verify_c1_zero_without_real_implicit_form(capsys, family, lg):
+    # implicit_relation decides that no real 2F1 form exists at this sign;
+    # the other four oracles still run
+    assert main(["verify", "--family", family, "--c1", "0",
+                 "--lambda-gamma", lg, "--n", "101"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["oracle"] for r in reports] == [
+        "ode_residual", "first_integral_residual", "shoot_and_compare",
+        "pde_residual"]
+    assert all(r["pass"] for r in reports)
+
+
+@pytest.mark.parametrize("kind,args", [
+    ("isolated", ["--family", "liouville", "--c1", "0"]),
+    ("isolated", ["--family", "tzitzeica", "--c1", "-1.5", "--branch", "-1"]),
+    ("half_line", ["--family", "sinh-gordon", "--c1", "-0.5"]),
+    ("lattice_windows", ["--family", "sinh-gordon", "--c1", "0.5"]),
+    ("none", ["--family", "sine-gordon", "--c1", "1"]),
+])
+def test_verify_shoots_each_singular_kind(capsys, kind, args):
+    args = [*args, "--lambda-gamma", "1"]
+    assert main(["solve", *args]) == 0
+    desc = json.loads(capsys.readouterr().out)
+    assert desc["singularities"]["kind"] == kind
+    assert main(["verify", *args, "--n", "101"]) == 0
+    reports = {r["oracle"]: r for r in json.loads(capsys.readouterr().out)}
+    assert reports["shoot_and_compare"]["pass"]
+
+
+def test_liouville_branch_minus_one(capsys):
+    base = ["--family", "liouville", "--c1", "1", "--lambda-gamma", "1"]
+    assert main(["solve", *base, "--branch", "-1"]) == 0
+    desc = json.loads(capsys.readouterr().out)
+    assert desc["branch"] == -1
+    assert from_descriptor(desc).descriptor() == desc
+    samples = []
+    for branch in ("1", "-1"):
+        assert main(["sample", *base, "--branch", branch, "--n", "101"]) == 0
+        samples.append(capsys.readouterr().out)
+    assert samples[0] == samples[1]
 
 
 def test_figures(tmp_path):

@@ -132,11 +132,12 @@ def test_shoot_oracle():
     qa = first_integral(EquationParams.sine_gordon(), FR1, 3.0)
     rep = shoot_and_compare(qa, amp, 0.0, 5.0)
     assert rep.passed
-    # the raw second-order descriptor works away from h = 0
+    # shooting integrates the first integral only, never the raw
+    # second-order form (singular at h = 0)
     sing = tzitzeica(-1.5, FR1, branch=-1)
     ode = traveling_ode(family_params(FamilyLabel.Tzitzeica), FR1)
-    rep = shoot_and_compare(ode, sing, 1.0, 3.0)
-    assert rep.passed
+    with pytest.raises(TypeError):
+        shoot_and_compare(ode, sing, 1.0, 3.0)
 
 
 def test_shoot_blowup_underflow():
