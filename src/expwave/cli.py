@@ -150,8 +150,14 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--config", help="JSON file mirroring JobConfig fields")
     sub = top.add_subparsers(dest="command")
 
+    def add_config(p):
+        # SUPPRESS keeps a path given before the subcommand from being
+        # overwritten by the subparser's default
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="JSON file mirroring JobConfig fields")
+
     def add_common(p, grid=False):
-        p.add_argument("--config", help="JSON file mirroring JobConfig fields")
+        add_config(p)
         p.add_argument("--family", help="family name, e.g. tzitzeica, sine-gordon")
         p.add_argument("--alpha", type=float)
         p.add_argument("--beta", type=float)
@@ -185,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-pde", dest="tol_pde", type=float)
     p.add_argument("--tol-implicit", dest="tol_implicit", type=float)
     p = sub.add_parser("figures", help="write the figure-family CSVs")
-    p.add_argument("--config", help="JSON file mirroring JobConfig fields")
+    add_config(p)
     p.add_argument("--output", "-o", help="output directory (default ./figures)")
     p.add_argument("--n", type=int)
     return top
@@ -340,7 +346,7 @@ def cmd_verify(cfg: JobConfig) -> int:
     ]
     reports.append(_shoot_report(sol, cfg))
     try:
-        reports.append(pde_residual(sol, frame, nz=80, nt=80, tol=cfg.tol_pde))
+        reports.append(pde_residual(sol, frame, nz=56, nt=56, tol=cfg.tol_pde))
     except ExpwaveError:
         pass  # psi = log h not real on this frame; the xi-space oracles stand
     if sol.c1 == 0.0:

@@ -190,8 +190,7 @@ def ode_residual(sol: Solution, frame: FrameParams, grid: Grid,
 
 
 def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
-                            grid: Grid, tol: float = DEFAULT_FI_TOL,
-                            fd_step: float = FD_BASE_STEP) -> VerificationReport:
+                            grid: Grid, tol: float = DEFAULT_FI_TOL) -> VerificationReport:
     """Residual of (h')^2 = (2/(lambda gamma)) h^2 G(h) along the solution
     (psi-space analogue for the Gordon families), normalized by the larger
     of 1 and the two sides."""
@@ -199,7 +198,7 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
     residuals = []
     evaluate = _native_evaluator(sol)
     for xi in grid.points():
-        s = _step_at(xi, sol.singularities, fd_step)
+        s = _step_at(xi, sol.singularities, FD_BASE_STEP)
         val, d1, _ = _stencil(evaluate, xi, s)
         if sol.psi_native:
             rhs = 2.0 * frame.r * quad.g_psi(val)
@@ -223,16 +222,14 @@ def weierstrass_ode_residual(inv: WeierstrassInvariants, grid: Grid,
 
 def weierstrass_grid(inv: WeierstrassInvariants, z_min: float, z_max: float,
                      n: int = 128) -> Grid:
-    """Grid over [z_min, z_max] excluding the pole lattice of p, padded by
-    5% of the real period (by 0.05 around an isolated pole)."""
+    """Grid over [z_min, z_max] excluding the pole lattice of p (an isolated
+    pole when the real period is infinite), padded by the singular set's
+    default pad or by 10 pole-expansion radii, whichever is larger."""
     prep = prepare_weierstrass(inv)
     period = prep.real_period
-    if math.isfinite(period):
-        sing = Singularities.lattice(0.0, period)
-        pad = 0.05 * period
-    else:
-        sing = Singularities.isolated(0.0)
-        pad = max(0.05, 10.0 * prep.eps_pole)
+    sing = (Singularities.lattice(0.0, period) if math.isfinite(period)
+            else Singularities.isolated(0.0))
+    pad = max(sing.default_pad(), 10.0 * prep.eps_pole)
     return Grid(z_min, z_max, n, tuple(sing.exclusions(z_min, z_max, pad)))
 
 
@@ -371,10 +368,11 @@ def pde_residual(sol: Solution, frame: FrameParams,
     equivalent quadratic form h (h_tt - h_zz) - (h_t^2 - h_z^2) =
     (h^2/lambda) source(h), which stays regular where h crosses zero.
     ``"auto"`` picks psi for the psi-native families and h otherwise.
-    Plain second-order central stencils of step 5e-4 are applied at each
-    sample point (independent of the sample spacing, shrinking near the
-    singular set); points whose stencil touches the singular set are
-    skipped.  Normalized by max(1, |source term|).
+    Derivatives along z and t come from the Richardson stencil of the ODE
+    oracle, with step _step_at(xi) / max(|k|, |omega|), so the xi offsets
+    never exceed the ODE oracle's step at that xi; points within the
+    solution's default pad of the singular set are skipped.  Normalized by
+    max(1, |source term|).
     """
     if form == "auto":
         form = "psi" if sol.psi_native else "h"
@@ -393,11 +391,9 @@ def pde_residual(sol: Solution, frame: FrameParams,
         return val
 
     value_of = psi_of_xi if form == "psi" else sol.evaluate_h
-    # the quadratic form amplifies near-pole truncation harder
-    dist_frac = 1.0e-3 if form == "psi" else 2.0e-4
-    stencil = 5.0e-4
-    reach = stencil * max(abs(k), abs(omega))
-    pad = max(10.0 * reach, sol.singularities.default_pad())
+    sing = sol.singularities
+    pad = sing.default_pad()
+    speed = max(abs(k), abs(omega))
     residuals = []
     z0, z1 = -5.0, 5.0
     t0, t1 = 0.0, 2.0
@@ -406,24 +402,16 @@ def pde_residual(sol: Solution, frame: FrameParams,
         for j in range(nt):
             t = t0 + (t1 - t0) * j / (nt - 1)
             xi = k * z - omega * t
-            dist = sol.singularities.distance(xi)
-            if dist < pad or not sol.singularities.is_valid(xi):
+            if sing.distance(xi) < pad or not sing.is_valid(xi):
                 continue
-            # second-order stencils keep their truncation flat near the
-            # blow-up profiles when the step scales with pole distance
-            s = min(stencil, dist_frac * dist) if math.isfinite(dist) else stencil
-            center = value_of(xi)
-            # xi(z +/- s) = xi +/- k s ; xi(t +/- s) = xi -/+ omega s
-            vzp, vzm = value_of(xi + k * s), value_of(xi - k * s)
-            vtp, vtm = value_of(xi - omega * s), value_of(xi + omega * s)
-            d_zz = (vzp - 2.0 * center + vzm) / (s * s)
-            d_tt = (vtp - 2.0 * center + vtm) / (s * s)
+            s = _step_at(xi, sing, FD_BASE_STEP) / speed
+            # xi(z + d) = xi + k d ; xi(t + d) = xi - omega d
+            center, d_z, d_zz = _stencil(lambda d: value_of(xi + k * d), 0.0, s)
+            _, d_t, d_tt = _stencil(lambda d: value_of(xi - omega * d), 0.0, s)
             if form == "psi":
                 src = desc.source_psi(center) / lam
                 residuals.append(abs(d_tt - d_zz - src) / max(1.0, abs(src)))
             else:
-                d_z = (vzp - vzm) / (2.0 * s)
-                d_t = (vtp - vtm) / (2.0 * s)
                 src = center * center * desc.source(center) / lam
                 res = center * (d_tt - d_zz) - (d_t * d_t - d_z * d_z) - src
                 residuals.append(abs(res) / max(1.0, abs(src)))

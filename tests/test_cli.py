@@ -142,6 +142,20 @@ def test_config_file(tmp_path):
     assert code == 2
 
 
+def test_config_before_or_after_subcommand(capsys, tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "command": "solve", "family": "tzitzeica", "c1": 1.0,
+        "lambda_gamma": 1.0}))
+    outs = []
+    for argv in (["--config", str(cfg), "solve"],
+                 ["solve", "--config", str(cfg)]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["family"] == "Tzitzeica"
+
+
 def test_exit_codes():
     code, _, _ = run_cli("classify", "--family", "nosuch")
     assert code == 2

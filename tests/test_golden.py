@@ -9,6 +9,9 @@ images of the Tzitzeica curves, each on a ``--lambda-gamma`` frame
 intended, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the argv of every record, and the name of every figure
+file, whose bytes changed.
 """
 
 from __future__ import annotations
@@ -102,7 +105,18 @@ def test_figures_match_golden(tmp_path):
             (FIGURES_GOLDEN / name).read_bytes(), name
 
 
-def write_golden():
+def _read_dir(path: Path) -> dict[str, bytes]:
+    return ({p.name: p.read_bytes() for p in path.iterdir()}
+            if path.is_dir() else {})
+
+
+def write_golden() -> list[str]:
+    """Rewrite the goldens; return the argv of every record and the name
+    of every figure file whose bytes changed (added and removed ones
+    included)."""
+    old = json.loads(CLI_GOLDEN.read_text()) if CLI_GOLDEN.exists() else []
+    old_records = {tuple(r["argv"]): r for r in old}
+    old_figures = _read_dir(FIGURES_GOLDEN)
     GOLDEN.mkdir(exist_ok=True)
     records = [run_main(argv) for argv in golden_argvs()]
     CLI_GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
@@ -110,8 +124,19 @@ def write_golden():
         run_main(FIGURES_ARGV + ["--output", tmp])
         shutil.rmtree(FIGURES_GOLDEN, ignore_errors=True)
         shutil.copytree(tmp, FIGURES_GOLDEN)
+    new_figures = _read_dir(FIGURES_GOLDEN)
+    changed = [" ".join(r["argv"]) for r in records
+               if old_records.pop(tuple(r["argv"]), None) != r]
+    changed += [" ".join(argv) for argv in old_records]  # records dropped
+    changed += [f"{FIGURES_GOLDEN.name}/{name}"
+                for name in sorted(old_figures.keys() | new_figures.keys())
+                if old_figures.get(name) != new_figures.get(name)]
+    return changed
 
 
 if __name__ == "__main__":
-    write_golden()
-    sys.stdout.write(f"wrote {CLI_GOLDEN} and {FIGURES_GOLDEN}\n")
+    changed = write_golden()
+    sys.stdout.write(f"wrote {CLI_GOLDEN} and {FIGURES_GOLDEN}; "
+                     f"{len(changed)} changed\n")
+    for item in changed:
+        sys.stdout.write(f"changed: {item}\n")
