@@ -218,6 +218,21 @@ def test_bad_numeric_input_exits_2(capsys, tmp_path, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("args,flag,value,plain", [
+    (["solve", "--family", "sine-gordon", "--lambda-gamma", "-1"],
+     "--c1", "-1e-1", "-0.1"),
+    (["sample", *SG_KINK, "--lambda-gamma", "1", "--n", "11"],
+     "--xi-min", "-2E+0", "-2"),
+])
+def test_negative_value_in_exponent_form(capsys, args, flag, value, plain):
+    # argparse alone takes '-1e-1' for an option and exits 2
+    outs = []
+    for v in (value, plain):
+        assert main([*args, flag, v]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("argv,code,message", [
     # Liouville checks its case like every other family
     (["solve", "--family", "liouville", "--c1", "1", "--lambda-gamma", "1",
@@ -249,6 +264,21 @@ def test_verify_c1_zero_without_real_implicit_form(capsys, family, lg):
         "ode_residual", "first_integral_residual", "shoot_and_compare",
         "pde_residual"]
     assert all(r["pass"] for r in reports)
+
+
+def test_verify_notes_skipped_pde_oracle(capsys):
+    # the branch -1 exp kink is valid only for xi > 0, which the k = 0
+    # (z, t) grid (xi = -t <= 0) never reaches
+    assert main(["verify", "--family", "sinh-gordon", "--c1", "-0.5",
+                 "--lambda-gamma", "1", "--branch", "-1"]) == 0
+    out, err = capsys.readouterr()
+    assert [r["oracle"] for r in json.loads(out)] == [
+        "ode_residual", "first_integral_residual", "shoot_and_compare"]
+    assert err.splitlines() == [
+        "note: pde_residual skipped: pde_residual: exclusions removed "
+        "every grid point"]
+    assert main(["verify", *SG_KINK, "--lambda-gamma", "1", "--n", "101"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("kind,args", [

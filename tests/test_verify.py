@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -191,12 +192,38 @@ K1_W25 = FrameParams(lam=0.5 / 5.25, k=1.0, omega=2.5)
     (FamilyLabel.SinhGordon, 0.0, K1_W2),
     (FamilyLabel.Tzitzeica, 0.7, K1_W25),
     (FamilyLabel.DoddBulloughMikhailov, 1.3, K1_W25),
+    (FamilyLabel.SineGordon, 1.0, FR1),
+    (FamilyLabel.Tzitzeica, 1.0, FR1),
 ], ids=["sine-kink", "tzitzeica-weierstrass", "sinh-c1-zero",
-        "tzitzeica-corner", "dbm-corner"])
+        "tzitzeica-corner", "dbm-corner", "sine-kink-k0", "tzitzeica-k0"])
 def test_pde_oracle(family, c1, frame):
     # the grid verify runs, at the default tolerance
     rep = pde_residual(construct(family, c1, frame), frame, nz=56, nt=56)
     assert rep.passed, rep.max_residual
+
+
+@pytest.mark.parametrize("family, c1", [(FamilyLabel.SineGordon, 1.0),
+                                        (FamilyLabel.Tzitzeica, 1.0)],
+                         ids=["sine-kink", "tzitzeica-weierstrass"])
+def test_pde_oracle_k0_evaluates_one_column(family, c1):
+    # on a k = 0 frame xi = -omega t, so the 56 z rows share one t column
+    # and each of its 56 xi costs one z and one t stencil: 10 evaluations
+    sol = construct(family, c1, FR1)
+    calls = []
+
+    def counted(xi):
+        calls.append(xi)
+        return sol._fn(xi)
+
+    rep = pde_residual(dataclasses.replace(sol, _fn=counted), FR1,
+                       nz=56, nt=56)
+    assert 0 < len(calls) <= 10 * 56
+    assert rep == pde_residual(sol, FR1, nz=56, nt=56)
+    sing = sol.singularities
+    kept = [t for t in (2.0 * j / 55 for j in range(56))
+            if sing.distance(-t) >= sing.default_pad() and sing.is_valid(-t)]
+    assert kept
+    assert rep.points_used == 56 * len(kept)
 
 
 def test_implicit_checks_pass():
