@@ -33,9 +33,13 @@ from .reduction import (
     classify_case,
 )
 from .singular import Singularities
-from .specfun.elliptic import ellint_k, jacobi_am, jacobi_sn_cn_dn
+from .specfun.elliptic import _PreparedJacobi, ellint_k, jacobi_am, jacobi_sn_cn_dn
 from .specfun.hypergeometric import gauss_2f1
 from .specfun.weierstrass import WeierstrassInvariants, prepare_weierstrass
+
+# ellint_k, jacobi_am and jacobi_sn_cn_dn are no longer called here (each
+# evaluator holds a _PreparedJacobi); they stay bound only because
+# perfbench/tracer.py wraps them by these names.
 
 SQRT3 = math.sqrt(3.0)
 
@@ -254,13 +258,14 @@ def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
         # cn parameter 1/2 = (sqrt(2)/2)^2: modulus-convention sources
         # quote sqrt(2)/2, squared here per the package-wide convention
         amp = 1.0 / (4.0 ** (1.0 / 3.0))
-        def h_fn(xi: float, s=scale, a=amp) -> float:
-            _, cn, _ = jacobi_sn_cn_dn(s * (xi - xi0), 0.5)
+        jac = _PreparedJacobi(0.5)
+        def h_fn(xi: float, s=scale, a=amp, sncndn=jac.sn_cn_dn) -> float:
+            _, cn, _ = sncndn(s * (xi - xi0))
             return a * (1.0 - SQRT3 * cn * cn)
         sing = Singularities.none()
         bounded = True
         params = {"scale": scale, "modulus_parameter": 0.5,
-                  "period": 2.0 * ellint_k(0.5) / scale}
+                  "period": 2.0 * jac.k / scale}
 
     else:
         if case is CaseLabel.Equianharmonic:
@@ -375,8 +380,9 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
         # solves the first integral identically (the residual oracles
         # would expose a squared-modulus misreading instantly)
         m = 2.0 / (1.0 - c1)
-        def psi_fn(xi: float, k=kappa, s=branch, mm=m) -> float:
-            return 2.0 * jacobi_am(s * k * (xi - xi0), mm)
+        def psi_fn(xi: float, k=kappa, s=branch,
+                   am=_PreparedJacobi(m).am) -> float:
+            return 2.0 * am(s * k * (xi - xi0))
         bounded = m > 1.0
         params = {"kappa": kappa, "modulus_parameter": m}
 
@@ -443,8 +449,9 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
                 "amplitude form needs (2 c1 + 1)/lambda gamma > 0")
         kappa = math.sqrt(ratio)
         m1 = (2.0 * c1 - 1.0) / (2.0 * c1 + 1.0)
-        def psi_fn(xi: float, k=kappa, s=branch, mm=m1) -> float:
-            sn, cn, _ = jacobi_sn_cn_dn(k * (xi - xi0), mm)
+        jac = _PreparedJacobi(m1)
+        def psi_fn(xi: float, k=kappa, s=branch, sncndn=jac.sn_cn_dn) -> float:
+            sn, cn, _ = sncndn(k * (xi - xi0))
             if cn == 0.0:
                 raise DomainError("sc pole")
             return -s * math.asinh(sn / cn)
@@ -452,7 +459,7 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
                   "sc_parameter": m1}
         if lg > 0.0:
             # m1 < 1: cn vanishes at odd multiples of K, psi blows up there
-            k_quarter = ellint_k(m1) / kappa
+            k_quarter = jac.k / kappa
             sing = Singularities.lattice(xi0 + k_quarter, 2.0 * k_quarter)
             params["period"] = 2.0 * k_quarter
             bounded = False

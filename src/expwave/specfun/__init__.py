@@ -8,7 +8,6 @@ hypergeometric series 2F1.  All functions are pure and thread-safe.
 
 from .carlson import carlson_rf
 from .elliptic import (
-    EllipticModulus,
     ellint_f,
     ellint_k,
     jacobi_am,
@@ -25,7 +24,6 @@ from .weierstrass import (
 
 __all__ = [
     "carlson_rf",
-    "EllipticModulus",
     "ellint_f",
     "ellint_k",
     "jacobi_am",

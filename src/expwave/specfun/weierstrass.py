@@ -30,7 +30,11 @@ from dataclasses import dataclass, field
 
 from ..errors import DomainError, PoleProximityError
 from .carlson import carlson_rf
-from .elliptic import jacobi_sn_cn_dn
+from .elliptic import _PreparedJacobi, jacobi_sn_cn_dn
+
+# carlson_rf and jacobi_sn_cn_dn are no longer called here (K and the
+# Landen ladder live in _PreparedJacobi); they stay bound only because
+# perfbench/tracer.py wraps them by these names.
 
 # |delta| below this times max(|g2|^3, 27 g3^2) classifies as degenerate;
 # the case split is discontinuous, so a scaled tolerance is required.
@@ -117,14 +121,15 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
 class _PreparedWeierstrass:
     """Invariant-dependent data hoisted out of the per-point evaluation."""
 
-    __slots__ = ("kind", "scale", "m", "e_off", "coeff", "real_period",
+    __slots__ = ("kind", "scale", "jacobi", "e_off", "coeff", "real_period",
                  "eps_pole")
 
-    def __init__(self, kind: str, scale: float, m: float, e_off: float,
-                 coeff: float, real_period: float, pole_scale: float):
+    def __init__(self, kind: str, scale: float, jacobi: _PreparedJacobi | None,
+                 e_off: float, coeff: float, real_period: float,
+                 pole_scale: float):
         self.kind = kind
         self.scale = scale
-        self.m = m
+        self.jacobi = jacobi  # the "sn" and "cn" kinds only
         self.e_off = e_off
         self.coeff = coeff
         self.real_period = real_period
@@ -166,12 +171,12 @@ class _PreparedWeierstrass:
             pp = -6.0 * e * a * csc2 * (math.cos(a * z) / s)
             return p, pp
         if self.kind == "sn":
-            sn, cn, dn = jacobi_sn_cn_dn(self.scale * z, self.m)
+            sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
             p = self.e_off + self.coeff / (sn * sn)
             pp = -2.0 * self.coeff * self.scale * cn * dn / (sn ** 3)
             return p, pp
         # "cn": H-form for one real root
-        sn, cn, dn = jacobi_sn_cn_dn(self.scale * z, self.m)
+        sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
         h = self.coeff
         one_m_cn = 1.0 - cn
         p = self.e_off + h * (1.0 + cn) / one_m_cn
@@ -193,33 +198,33 @@ def prepare_weierstrass(inv: WeierstrassInvariants,
     if inv.is_degenerate and not force_general:
         if g2 == 0.0 and g3 == 0.0:
             return _PreparedWeierstrass(
-                "rational", 0.0, 0.0, 0.0, 0.0, math.inf, 1.0)
+                "rational", 0.0, None, 0.0, 0.0, math.inf, 1.0)
         e = abs(_cbrt(g3)) / 2.0
         a = math.sqrt(3.0 * e)
         if g3 < 0.0:
             # poles only at z = 0; the companion trigonometric scale pi/a
             # still sets a sensible exclusion radius
             return _PreparedWeierstrass(
-                "hyperbolic", a, 0.0, e, 0.0, math.inf, math.pi / a)
+                "hyperbolic", a, None, e, 0.0, math.inf, math.pi / a)
         return _PreparedWeierstrass(
-            "trigonometric", a, 0.0, e, 0.0, math.pi / a, math.pi / a)
+            "trigonometric", a, None, e, 0.0, math.pi / a, math.pi / a)
     if len(roots.real) == 3:
         e1, e2, e3 = roots.real
         span = e1 - e3
-        m = (e2 - e3) / span
+        jac = _PreparedJacobi((e2 - e3) / span)
         scale = math.sqrt(span)
-        period = 2.0 * carlson_rf(0.0, 1.0 - m, 1.0) / scale if m < 1.0 else math.inf
+        period = 2.0 * jac.k / scale if jac.m < 1.0 else math.inf
         return _PreparedWeierstrass(
-            "sn", scale, m, e3, span, period,
+            "sn", scale, jac, e3, span, period,
             period if math.isfinite(period) else 1.0)
     e2s = roots.real[0]
     h2 = 3.0 * e2s * e2s - g2 / 4.0
     h = math.sqrt(h2)
-    m = 0.5 - 3.0 * e2s / (4.0 * h)
+    jac = _PreparedJacobi(0.5 - 3.0 * e2s / (4.0 * h))
     scale = 2.0 * math.sqrt(h)
-    period = 4.0 * carlson_rf(0.0, 1.0 - m, 1.0) / scale if m < 1.0 else math.inf
+    period = 4.0 * jac.k / scale if jac.m < 1.0 else math.inf
     return _PreparedWeierstrass(
-        "cn", scale, m, e2s, h, period,
+        "cn", scale, jac, e2s, h, period,
         period if math.isfinite(period) else 1.0)
 
 

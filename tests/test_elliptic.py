@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from expwave.errors import DomainError
 from expwave.specfun import (
-    EllipticModulus,
     ellint_f,
     ellint_k,
     jacobi_am,
@@ -122,10 +121,3 @@ def test_am_superunitary_bounded():
     vals = [jacobi_am(-20.0 + 0.25 * i, m) for i in range(161)]
     assert max(abs(v) for v in vals) <= cap + 1e-12
 
-
-def test_modulus_conversion():
-    em = EllipticModulus.from_modulus(math.sqrt(2.0) / 2.0)
-    assert em.m == pytest.approx(0.5, abs=1e-15)
-    assert EllipticModulus(0.25).modulus == 0.5
-    with pytest.raises(DomainError):
-        EllipticModulus(-1.0).modulus
