@@ -48,7 +48,6 @@ from .verify import (
     DEFAULT_SHOOT_TOL,
     Grid,
     first_integral_residual,
-    grid_points,
     implicit_residual_check,
     ode_point_residual,
     ode_residual,
@@ -120,17 +119,21 @@ def _json_dumps(obj) -> str:
 
 
 def _atomic_write(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-expwave-")
+    """Write through a temporary file beside path; a path that cannot be
+    written is a config error."""
+    tmp = None
     try:
+        d = os.path.dirname(os.path.abspath(path))
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-expwave-")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(text: str, output: str | None):
@@ -229,13 +232,13 @@ def _load_config(ns: argparse.Namespace) -> JobConfig:
         raise ConfigError("c1 must be finite")
     if cfg.branch not in (1, -1):
         raise ConfigError("branch must be +1 or -1")
-    if not (math.isfinite(cfg.xi_min) and math.isfinite(cfg.xi_max)
-            and cfg.xi_min < cfg.xi_max):
-        raise ConfigError("need finite xi_min < xi_max")
+    # a finite positive width also rules out a non-finite xi_min or xi_max
+    if not math.isfinite(cfg.xi_max - cfg.xi_min) or cfg.xi_min >= cfg.xi_max:
+        raise ConfigError("need xi_min < xi_max with a finite width")
     return cfg
 
 
-def _resolve_family(cfg: JobConfig) -> tuple[FamilyLabel, EquationParams]:
+def _resolve_family(cfg: JobConfig) -> FamilyLabel:
     raw = [cfg.alpha, cfg.beta, cfg.a, cfg.b]
     has_raw = any(v is not None for v in raw)
     if cfg.family and has_raw:
@@ -247,7 +250,7 @@ def _resolve_family(cfg: JobConfig) -> tuple[FamilyLabel, EquationParams]:
             raise ConfigError(str(e))
         if fam is FamilyLabel.GenericTwoExponential:
             raise ConfigError("generic family needs raw alpha/beta/a/b")
-        return fam, family_params(fam)
+        return fam
     if not has_raw:
         raise ConfigError("need --family or all of --alpha --beta --a --b")
     if any(v is None for v in raw):
@@ -256,7 +259,7 @@ def _resolve_family(cfg: JobConfig) -> tuple[FamilyLabel, EquationParams]:
         params = EquationParams(cfg.alpha, cfg.beta, cfg.a, cfg.b)
     except InvalidParamsError as e:
         raise ConfigError(str(e))
-    return classify_family(params), params
+    return classify_family(params)
 
 
 def _resolve_frame(cfg: JobConfig, required: bool = True) -> FrameParams | None:
@@ -279,7 +282,7 @@ def _resolve_frame(cfg: JobConfig, required: bool = True) -> FrameParams | None:
 
 
 def _construct(cfg: JobConfig) -> Solution:
-    fam, _ = _resolve_family(cfg)
+    fam = _resolve_family(cfg)
     frame = _resolve_frame(cfg)
     if cfg.c1 is None:
         raise ConfigError("need --c1")
@@ -293,7 +296,7 @@ def _construct(cfg: JobConfig) -> Solution:
 
 
 def cmd_classify(cfg: JobConfig) -> int:
-    fam, _ = _resolve_family(cfg)
+    fam = _resolve_family(cfg)
     out: dict = {"family": fam.name}
     frame = _resolve_frame(cfg, required=False)
     if cfg.c1 is not None and frame is not None:
@@ -326,9 +329,8 @@ def cmd_sample(cfg: JobConfig) -> int:
     sol = _construct(cfg)
     if cfg.n < 2:
         raise ConfigError("sample needs n >= 2")
-    sing = sol.singularities
-    excl = sing.exclusions(cfg.xi_min, cfg.xi_max, sing.default_pad())
-    rows = _sample_rows(sol, grid_points(cfg.xi_min, cfg.xi_max, cfg.n, excl))
+    grid = Grid.for_solution(sol, cfg.xi_min, cfg.xi_max, cfg.n)
+    rows = _sample_rows(sol, grid.points())
     _emit("\n".join(rows) + "\n", cfg.output)
     return EXIT_OK
 
@@ -348,8 +350,8 @@ def cmd_verify(cfg: JobConfig) -> int:
     try:
         reports.append(pde_residual(sol, frame, nz=56, nt=56, tol=cfg.tol_pde))
     except ExpwaveError as e:
-        # psi = log h not real on the frame, or the pad removed every (z, t)
-        # point; the xi-space oracles stand and the report says so
+        # no (z, t) point clear of the singular set (psi is checked only
+        # where it is native, so always real); the note says so
         print(f"note: pde_residual skipped: {e}", file=sys.stderr)
     if sol.c1 == 0.0:
         try:
@@ -456,11 +458,9 @@ def cmd_figures(cfg: JobConfig) -> int:
     if n < 2:
         raise ConfigError("figures needs n >= 2")
     outdir = cfg.output or "figures"
-    os.makedirs(outdir, exist_ok=True)
+    xs = Grid(-10.0, 10.0, n).points()
     sidecar: dict = {}
     for name, fam, curves in _FIGURES:
-        lo, hi = -10.0, 10.0
-        xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
         built = []
         meta = []
         for label, c1, lg, branch, case in curves:
@@ -474,9 +474,8 @@ def cmd_figures(cfg: JobConfig) -> int:
         for x in xs:
             cells = [_fmt(x)]
             for label, sol in built:
-                pad = sol.singularities.default_pad()
-                if (sol.singularities.distance(x) < pad
-                        or not sol.singularities.is_valid(x)):
+                sing = sol.singularities
+                if not sing.keeps(x, sing.default_pad()):
                     cells.append("")
                     continue
                 try:
@@ -544,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except ExpwaveError as e:
+    except (ExpwaveError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 

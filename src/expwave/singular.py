@@ -1,8 +1,9 @@
 """Deterministic descriptions of where a closed-form solution blows up
 or stops being real-valued.
 
-Every Solution carries one of these so verification grids and CSV
-emission can skip singular neighbourhoods without probing for overflow.
+Every Solution carries one of these, and ``keeps`` alone decides which xi
+may be sampled, so verification grids, CSV emission and figures skip
+singular neighbourhoods without probing for overflow.
 Kinds:
 
   none             finite everywhere
@@ -79,6 +80,12 @@ class Singularities:
             return local < self.half_width
         return True
 
+    def keeps(self, xi: float, pad: float) -> bool:
+        """True where xi may be sampled: on the valid side and farther than
+        ``pad`` from the singular set."""
+        return self.is_valid(xi) and self.distance(xi) > pad
+
+    # no caller in the package; perfbench/tracer.py wraps it by this name
     def exclusions(self, lo: float, hi: float, pad: float) -> list[tuple[float, float]]:
         """(center, radius) pairs covering everything a grid on [lo, hi]
         must avoid: singular points padded by ``pad`` plus any regions

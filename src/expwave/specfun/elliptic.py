@@ -132,8 +132,8 @@ class _PreparedJacobi:
             return math.asin(math.tanh(u))  # gudermannian
         if m > 1.0:
             rk = self._rk
-            sn, _, _ = self._inner.sn_cn_dn(u * rk)
-            return math.asin(min(1.0, max(-1.0, sn / rk)))
+            sn, _, dn = self._inner.sn_cn_dn(u * rk)
+            return math.atan2(sn / rk, dn)
         k = self.k
         n = round(u / (2.0 * k))
         ur = u - 2.0 * n * k
@@ -211,10 +211,8 @@ def jacobi_am(u: float, m: float) -> float:
 
     For m < 1 the continuous unwrapped branch is returned, using
     am(u + 2K) = am(u) + pi.  For m > 1 the amplitude is bounded and
-    periodic: am(u; m) = asin(m^(-1/2) sn(u sqrt(m); 1/m)).
+    periodic: am(u; m) = atan2(sn(u; m), cn(u; m)), where cn(u; m) > 0.
 
-    Accuracy as for sn and cn in jacobi_sn_cn_dn; for m > 1 divided by
-    cn(u; m), the conditioning of that asin near the turning points of am
-    (am(47; 1 + 1e-14) is good to about 1e-11).
+    Accuracy as for sn and cn in jacobi_sn_cn_dn.
     """
     return _PreparedJacobi(m).am(u)

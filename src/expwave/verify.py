@@ -22,7 +22,6 @@ truncation error of the h ~ 1/(xi - xi_s)^2 blow-up profiles below the
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -59,48 +58,35 @@ DEFAULT_PDE_TOL = 1.0e-6
 DEFAULT_IMPLICIT_TOL = 1.0e-8
 
 
-def grid_points(xi_min: float, xi_max: float, n: int,
-                excluded: Sequence[tuple[float, float]]) -> list[float]:
-    """The n equispaced points of [xi_min, xi_max] outside every
-    (center, radius) exclusion."""
-    step = (xi_max - xi_min) / (n - 1)
-    pts = []
-    for i in range(n):
-        x = xi_min + i * step
-        if all(abs(x - c) > r for c, r in excluded):
-            pts.append(x)
-    return pts
-
-
 @dataclass(frozen=True)
 class Grid:
-    """Sampling grid with singularity exclusions.
-
-    ``excluded`` holds (center, radius) pairs; points within any radius
-    are dropped.  The surviving points are strictly increasing.
-    """
+    """The n equispaced points of [xi_min, xi_max] that
+    ``singularities.keeps(xi, pad)`` accepts, strictly increasing."""
 
     xi_min: float
     xi_max: float
     n: int
-    excluded: tuple[tuple[float, float], ...] = ()
+    singularities: Singularities = Singularities()
+    pad: float = 0.0
 
     def __post_init__(self):
-        if self.n < 16:
-            raise ValueError("grid needs n >= 16")
+        if self.n < 2:
+            raise ValueError("grid needs n >= 2")
         if not self.xi_min < self.xi_max:
             raise ValueError("grid needs xi_min < xi_max")
 
     def points(self) -> list[float]:
-        return grid_points(self.xi_min, self.xi_max, self.n, self.excluded)
+        step = (self.xi_max - self.xi_min) / (self.n - 1)
+        keeps, pad = self.singularities.keeps, self.pad
+        return [x for x in (self.xi_min + i * step for i in range(self.n))
+                if keeps(x, pad)]
 
     @classmethod
     def for_solution(cls, sol: Solution, xi_min: float, xi_max: float,
                      n: int) -> "Grid":
-        """Grid whose exclusions cover the solution's singular set."""
+        """Grid clear of the solution's singular set by its default pad."""
         sing = sol.singularities
-        return cls(xi_min, xi_max, n,
-                   tuple(sing.exclusions(xi_min, xi_max, sing.default_pad())))
+        return cls(xi_min, xi_max, n, sing, sing.default_pad())
 
 
 @dataclass(frozen=True)
@@ -230,7 +216,7 @@ def weierstrass_grid(inv: WeierstrassInvariants, z_min: float, z_max: float,
     sing = (Singularities.lattice(0.0, period) if math.isfinite(period)
             else Singularities.isolated(0.0))
     pad = max(sing.default_pad(), 10.0 * prep.eps_pole)
-    return Grid(z_min, z_max, n, tuple(sing.exclusions(z_min, z_max, pad)))
+    return Grid(z_min, z_max, n, sing, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +269,6 @@ def rk_integrate(f, t0: float, y0: list[float], t_end: float,
     if any((tt - t0) * direction < -1e-12 for tt in targets):
         raise ValueError("sample times must lie between t0 and t_end")
     out = []
-    if targets and abs(targets[0] - t0) < 1e-300:
-        out.append((t0, list(y0)))
-        targets = targets[1:]
     t, y = t0, list(y0)
     h = direction * min(1e-2, abs(t_end - t0) / 10.0 + 1e-12)
     for target in targets:
@@ -370,9 +353,9 @@ def pde_residual(sol: Solution, frame: FrameParams,
     ``"auto"`` picks psi for the psi-native families and h otherwise.
     Derivatives along z and t come from the Richardson stencil of the ODE
     oracle, with step _step_at(xi) / max(|k|, |omega|), so the xi offsets
-    never exceed the ODE oracle's step at that xi; points within the
-    solution's default pad of the singular set are skipped.  Normalized by
-    max(1, |source term|).
+    never exceed the ODE oracle's step at that xi; points that
+    ``Singularities.keeps`` rejects at the solution's default pad are
+    skipped.  Normalized by max(1, |source term|).
     """
     if form == "auto":
         form = "psi" if sol.psi_native else "h"
@@ -396,7 +379,7 @@ def pde_residual(sol: Solution, frame: FrameParams,
     speed = max(abs(k), abs(omega))
 
     def residual_at(xi: float) -> float | None:
-        if sing.distance(xi) < pad or not sing.is_valid(xi):
+        if not sing.keeps(xi, pad):
             return None
         s = _step_at(xi, sing, FD_BASE_STEP) / speed
         # xi(z + d) = xi + k d ; xi(t + d) = xi - omega d

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from expwave import cli
 from expwave.cli import main
 from expwave.reduction import FamilyLabel, FrameParams
+from expwave.singular import Singularities
 from expwave.solutions import construct, from_descriptor
 from expwave.verify import Grid, ode_residual
 
@@ -201,6 +203,9 @@ def _main_with_config(argv, tmp_path):
      "--k", "0", "--omega", "1e-200"],
     # below verify's minimum grid size, no longer raised silently to 16
     ["verify", *SG_KINK, "--lambda-gamma", "1", "--n", "3"],
+    # finite ends whose width xi_max - xi_min overflows
+    ["sample", *SG_KINK, "--lambda-gamma", "1", "--n", "3",
+     "--xi-min", "-1e308", "--xi-max", "1e308"],
     # config values of the wrong JSON type
     [{"command": "solve", "family": "sine-gordon", "c1": "1",
       "lambda_gamma": 1}],
@@ -244,12 +249,31 @@ def test_negative_value_in_exponent_form(capsys, args, flag, value, plain):
     ([{"command": "solve", "family": "tzitzeica", "c1": 1,
        "lambda_gamma": 1, "branch": 2}], 2,
      "config error: branch must be +1 or -1"),
+    # the kink's exp overflows at xi = -1e300
+    (["sample", *SG_KINK, "--lambda-gamma", "1", "--n", "3",
+      "--xi-min", "-1e300", "--xi-max", "1e300"], 3, "error: math range error"),
 ])
 def test_exit_code_and_message(capsys, tmp_path, argv, code, message):
     assert _main_with_config(argv, tmp_path) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [message]
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert main(["figures", "--n", "3", "--output", str(afile)]) == 2
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    assert main(["sample", *SG_KINK, "--lambda-gamma", "1", "--n", "3",
+                 "--output", str(adir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        "config error", "config error"]
+    assert afile.read_text() == "kept\n"
+    assert list(adir.iterdir()) == []  # no temporary file left behind
 
 
 @pytest.mark.parametrize("family,lg", [("tzitzeica", "-1"),
@@ -348,3 +372,38 @@ def test_figures_honours_n(tmp_path):
         assert len(path.read_text().splitlines()) == 4
     assert main(["figures", "--output", str(tmp_path / "none"), "--n", "1"]) == 2
     assert not (tmp_path / "none").exists()
+
+
+def test_figures_and_sample_share_one_grid(capsys, tmp_path):
+    # each figure column is non-blank exactly at the xi that sample emits
+    assert main(["figures", "--n", "401", "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    curves = [(name, fam, curve) for name, fam, rows in cli._FIGURES
+              for curve in rows]
+    assert len(curves) == 19
+    for name, fam, (label, c1, lg, branch, _) in curves:
+        rows = (tmp_path / f"{name}.csv").read_text().splitlines()
+        col = rows[0].split(",").index(label)
+        drawn = [r.split(",")[0] for r in rows[1:] if r.split(",")[col]]
+        assert main(["sample", "--family", fam.value, "--c1", repr(c1),
+                     "--lambda-gamma", repr(lg), "--branch", str(branch),
+                     "--n", "401"]) == 0
+        sampled = [r.split(",")[0]
+                   for r in capsys.readouterr().out.splitlines()[1:]]
+        assert drawn == sampled, (name, label)
+
+
+def test_sampling_needs_no_exclusion_intervals(monkeypatch, capsys, tmp_path):
+    # Singularities.keeps is the one sampling rule: nothing that samples xi
+    # builds the interval list
+    def refuse(*args):
+        raise AssertionError("exclusions called")
+
+    monkeypatch.setattr(Singularities, "exclusions", refuse)
+    lattice = ["--family", "tzitzeica", "--c1", "1", "--lambda-gamma", "1"]
+    half_line = ["--family", "sinh-gordon", "--c1", "-0.5", "--lambda-gamma", "1"]
+    assert main(["sample", *lattice, "--n", "101"]) == 0
+    assert main(["sample", *half_line, "--n", "101"]) == 0
+    assert main(["verify", *lattice, "--n", "101"]) == 0
+    assert main(["verify", *half_line, "--n", "101"]) == 0
+    assert main(["figures", "--n", "101", "--output", str(tmp_path)]) == 0

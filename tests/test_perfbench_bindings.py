@@ -6,6 +6,8 @@ import contextlib
 import io
 from pathlib import Path
 
+from expwave.reduction import FamilyLabel, FrameParams
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -51,3 +53,44 @@ def test_traced_bindings_are_called(monkeypatch):
     # t column of distinct xi, 10 evaluations each (31,360 if per point)
     assert 0 < t.evals["pde_residual"] <= 10 * 56
     assert t.shoot_rhs > 0
+
+
+def _workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    return workloads
+
+
+def test_sample_dense_checker_passes_each_singular_kind(monkeypatch):
+    # the checker rebuilds the sample grid itself; a sampling change that
+    # it no longer agrees with fails here, not only as a lower pass_frac
+    workloads = _workloads(monkeypatch)
+    from expwave.solutions import construct
+
+    first = {}
+    for case in workloads.figure_cases():
+        sol = construct(case.family, case.c1, FrameParams.from_lambda_gamma(case.lg),
+                        branch=case.branch)
+        first.setdefault(sol.singularities.kind, case)
+    assert sorted(first) == ["half_line", "isolated", "lattice",
+                             "lattice_windows", "none"]
+    assert first["half_line"].label == "exp_kink"
+    wl = workloads.SampleDense()
+    for kind, case in first.items():
+        spec = wl._spec(case, case.c1, case.lg)
+        outcome = wl.check(spec, wl.run(spec))
+        assert outcome.passed and not outcome.wrong, (kind, outcome.note)
+
+
+def test_verify_mix_checker_passes_both_frames(monkeypatch):
+    workloads = _workloads(monkeypatch)
+    cases = {(c.family, c.label): c for c in workloads.catalogued_cases()}
+    kink = cases[(FamilyLabel.SinhGordon, "exp_kink")]
+    weierstrass = cases[(FamilyLabel.Tzitzeica, "weierstrass")]
+    wl = workloads.VerifyMix()
+    for spec in (wl._spec(kink, kink.c1, kink.lg),  # k = 0
+                 wl._spec(weierstrass, weierstrass.c1, weierstrass.lg / 3.0,
+                          1.0, 2.0)):
+        outcome = wl.check(spec, wl.run(spec))
+        assert outcome.passed and not outcome.wrong, (spec["argv"], outcome.note)

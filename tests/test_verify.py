@@ -46,14 +46,15 @@ FRN = FrameParams.from_lambda_gamma(-1.0)
 
 def test_grid_basics():
     with pytest.raises(ValueError):
-        Grid(0.0, 1.0, 8)
+        Grid(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         Grid(1.0, 0.0, 32)
-    g = Grid(0.0, 1.0, 101, excluded=((0.5, 0.2),))
+    g = Grid(0.0, 1.0, 101, Singularities.isolated(0.5), 0.2)
     pts = g.points()
     assert all(abs(p - 0.5) > 0.2 for p in pts)
     assert pts == sorted(pts)
-    g = Grid(0.0, 1.0, 32, excluded=((0.5, 2.0),))
+    assert Grid(0.0, 1.0, 2).points() == [0.0, 1.0]
+    g = Grid(0.0, 1.0, 32, Singularities.isolated(0.5), 2.0)
     sol = liouville(1.0, FR1)
     with pytest.raises(EmptyGridError):
         ode_residual(sol, FR1, g)
@@ -154,6 +155,33 @@ def test_shoot_blowup_underflow():
     assert 0.0 < err.value.span_reached < 2.0
 
 
+def test_rk_sample_time_at_start():
+    # a sample time at t0 returns the initial state untouched, in order
+    def f(t, y):
+        return [y[1], -y[0]]
+
+    path = rk_integrate(f, 0.0, [1.0, 0.0], 1.0, sample_times=[1.0, 0.0])
+    assert path[0] == (0.0, [1.0, 0.0])
+    assert path[1][0] == 1.0
+    assert path[1][1][0] == pytest.approx(math.cos(1.0), abs=1e-9)
+    back = rk_integrate(f, 1.0, [2.0, 3.0], 0.0, sample_times=[1.0])
+    assert back == [(1.0, [2.0, 3.0])]
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+def test_half_line_grid_pads_by_pad(branch):
+    # the exp kink is valid on one side of its boundary point; the grid
+    # keeps a point 1.5 pad inside that side (the padding is pad, not 2 pad)
+    sol = sinh_gordon(-0.5, FR1, branch=branch)
+    sing = sol.singularities
+    assert sing.kind == "half_line"
+    pad = sing.default_pad()
+    x = sing.points[0] + 1.5 * pad * sing.valid_side
+    pts = Grid.for_solution(sol, x - 1.0, x + 1.0, 17).points()
+    assert len(pts) == 9  # x and the eight points beyond it
+    assert any(abs(p - x) < 1e-12 for p in pts)
+
+
 def test_conservation_drift():
     from expwave.verify import _second_order_rhs
     # generic two-exponential trajectory: constant recovered from the
@@ -221,7 +249,7 @@ def test_pde_oracle_k0_evaluates_one_column(family, c1):
     assert rep == pde_residual(sol, FR1, nz=56, nt=56)
     sing = sol.singularities
     kept = [t for t in (2.0 * j / 55 for j in range(56))
-            if sing.distance(-t) >= sing.default_pad() and sing.is_valid(-t)]
+            if sing.keeps(-t, sing.default_pad())]
     assert kept
     assert rep.points_used == 56 * len(kept)
 
