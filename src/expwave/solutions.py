@@ -167,7 +167,10 @@ def liouville(c1: float, frame: FrameParams, branch: int = 1,
     elif case is CaseLabel.LiouvilleSoliton:
         kappa = math.sqrt(c1 / (2.0 * lg))
         def h_fn(xi: float, k=kappa) -> float:
-            return -c1 / math.cosh(k * (xi - xi0)) ** 2
+            try:
+                return -c1 / math.cosh(k * (xi - xi0)) ** 2
+            except OverflowError:  # cosh^2 past the largest float
+                return -c1 / math.inf
         sing = Singularities.none()
         params = {"kappa": kappa}
     else:
@@ -218,11 +221,17 @@ def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
             kappa = 0.5 * math.sqrt(3.0 / lg)
             if branch == 1:
                 def h_fn(xi: float, k=kappa) -> float:
-                    return 1.0 - 1.5 / math.cosh(k * (xi - xi0)) ** 2
+                    try:
+                        return 1.0 - 1.5 / math.cosh(k * (xi - xi0)) ** 2
+                    except OverflowError:  # cosh^2 past the largest float
+                        return 1.0
                 sing = Singularities.none()
             else:
                 def h_fn(xi: float, k=kappa) -> float:
-                    s = math.sinh(k * (xi - xi0))
+                    try:
+                        s = math.sinh(k * (xi - xi0))
+                    except OverflowError:  # sinh past the largest float
+                        return 1.0
                     if s == 0.0:
                         raise DomainError("csch^2 pole at xi0")
                     return 1.0 + 1.5 / (s * s)
@@ -359,7 +368,10 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
             raise SignDomainError("the c1 = 1 kink needs lambda gamma > 0")
         kappa = 1.0 / math.sqrt(lg)
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
-            return 4.0 * math.atan(math.exp(s * k * (xi - xi0)))
+            try:
+                return 4.0 * math.atan(math.exp(s * k * (xi - xi0)))
+            except OverflowError:  # exp past the largest float
+                return 4.0 * math.atan(math.inf)
         params = {"kappa": kappa}
         bounded = True
     elif case is CaseLabel.KinkC1Minus:
@@ -367,7 +379,10 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
             raise SignDomainError("the c1 = -1 kink needs lambda gamma < 0")
         kappa = 1.0 / math.sqrt(-lg)
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
-            return -math.pi + 4.0 * math.atan(math.exp(s * k * (xi - xi0)))
+            try:
+                return -math.pi + 4.0 * math.atan(math.exp(s * k * (xi - xi0)))
+            except OverflowError:  # exp past the largest float
+                return -math.pi + 4.0 * math.atan(math.inf)
         params = {"kappa": kappa}
         bounded = True
     else:

@@ -340,40 +340,24 @@ def shoot_and_compare(quad: QuadratureDescriptor, sol: Solution,
 
 def pde_residual(sol: Solution, frame: FrameParams,
                  nz: int = 200, nt: int = 200,
-                 tol: float = DEFAULT_PDE_TOL,
-                 form: str = "auto") -> VerificationReport:
+                 tol: float = DEFAULT_PDE_TOL) -> VerificationReport:
     """Residual of the wave equation on an nz x nt grid of the (z, t)
     rectangle [-5, 5] x [0, 2], with the solution embedded through
     xi = k z - omega t.
 
-    ``form="psi"`` checks psi_tt - psi_zz = source(psi)/lambda (requires
-    psi = log h real everywhere sampled); ``form="h"`` checks the
-    equivalent quadratic form h (h_tt - h_zz) - (h_t^2 - h_z^2) =
-    (h^2/lambda) source(h), which stays regular where h crosses zero.
-    ``"auto"`` picks psi for the psi-native families and h otherwise.
+    Like the other oracles it works in the solution's native variable:
+    psi_tt - psi_zz = source(psi)/lambda for the psi-native families, else
+    h (h_tt - h_zz) - (h_t^2 - h_z^2) = (h^2/lambda) source(h), regular
+    where h crosses zero.
     Derivatives along z and t come from the Richardson stencil of the ODE
     oracle, with step _step_at(xi) / max(|k|, |omega|), so the xi offsets
     never exceed the ODE oracle's step at that xi; points that
     ``Singularities.keeps`` rejects at the solution's default pad are
     skipped.  Normalized by max(1, |source term|).
     """
-    if form == "auto":
-        form = "psi" if sol.psi_native else "h"
-    if form not in ("psi", "h"):
-        raise ValueError("form must be 'auto', 'psi' or 'h'")
-    params = family_params(sol.family)
-    desc = traveling_ode(params, frame)
+    desc = traveling_ode(family_params(sol.family), frame)
     k, omega, lam = frame.k, frame.omega, frame.lam
-
-    def psi_of_xi(xi: float) -> float:
-        val = sol.evaluate_psi(xi)
-        if math.isnan(val):
-            raise DomainError(
-                "wave-equation residual in psi needs psi = log h real on "
-                "the sampled frame; use form='h' for sign-changing h")
-        return val
-
-    value_of = psi_of_xi if form == "psi" else sol.evaluate_h
+    value_of = _native_evaluator(sol)
     sing = sol.singularities
     pad = sing.default_pad()
     speed = max(abs(k), abs(omega))
@@ -385,7 +369,7 @@ def pde_residual(sol: Solution, frame: FrameParams,
         # xi(z + d) = xi + k d ; xi(t + d) = xi - omega d
         center, d_z, d_zz = _stencil(lambda d: value_of(xi + k * d), 0.0, s)
         _, d_t, d_tt = _stencil(lambda d: value_of(xi - omega * d), 0.0, s)
-        if form == "psi":
+        if sol.psi_native:
             src = desc.source_psi(center) / lam
             return abs(d_tt - d_zz - src) / max(1.0, abs(src))
         src = center * center * desc.source(center) / lam

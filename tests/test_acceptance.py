@@ -5,9 +5,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -275,11 +277,11 @@ def test_criterion_8_pde_residual():
     t0 = time.perf_counter()
     frame_k = FrameParams(lam=1.0 / 3.0, k=1.0, omega=2.0)
     kink = sine_gordon(1.0, frame_k)
-    rep1 = pde_residual(kink, frame_k, nz=200, nt=200, tol=1e-6, form="psi")
+    rep1 = pde_residual(kink, frame_k, nz=200, nt=200, tol=1e-6)
     assert rep1.passed, rep1.max_residual
     frame_l = FrameParams(lam=-1.0 / 3.0, k=1.0, omega=2.0)
-    pulse = liouville(-1.0, frame_l)  # positive pulse, psi = log h real
-    rep2 = pde_residual(pulse, frame_l, nz=200, nt=200, tol=1e-6, form="psi")
+    pulse = liouville(-1.0, frame_l)  # positive pulse, checked in h
+    rep2 = pde_residual(pulse, frame_l, nz=200, nt=200, tol=1e-6)
     assert rep2.passed, rep2.max_residual
     elapsed = time.perf_counter() - t0
     report(8, "2-D wave-equation residual at (k, omega) = (1, 2)", True,
@@ -291,9 +293,13 @@ def test_criterion_8_pde_residual():
 def test_criterion_9_cli_contract(tmp_path):
     t0 = time.perf_counter()
 
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
     def run(*args):
         proc = subprocess.run([sys.executable, "-m", "expwave", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         return proc.returncode, proc.stdout
 
     import json

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,14 @@ from expwave.solutions import construct, from_descriptor
 from expwave.verify import Grid, ode_residual
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "expwave", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -249,9 +255,10 @@ def test_negative_value_in_exponent_form(capsys, args, flag, value, plain):
     ([{"command": "solve", "family": "tzitzeica", "c1": 1,
        "lambda_gamma": 1, "branch": 2}], 2,
      "config error: branch must be +1 or -1"),
-    # the kink's exp overflows at xi = -1e300
-    (["sample", *SG_KINK, "--lambda-gamma", "1", "--n", "3",
-      "--xi-min", "-1e300", "--xi-max", "1e300"], 3, "error: math range error"),
+    # h = e^psi of the unbounded amplitude overflows at xi = 1e300
+    (["sample", "--family", "sine-gordon", "--c1", "3", "--lambda-gamma", "1",
+      "--n", "3", "--xi-min", "-1e300", "--xi-max", "1e300"], 3,
+     "error: math range error"),
 ])
 def test_exit_code_and_message(capsys, tmp_path, argv, code, message):
     assert _main_with_config(argv, tmp_path) == code

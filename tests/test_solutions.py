@@ -437,3 +437,24 @@ def test_case_mismatch_errors():
         tzitzeica(-1.5, FR1, branch=0)
     with pytest.raises(UnsupportedFamilyError):
         construct(FamilyLabel.GenericTwoExponential, 1.0, FR1)
+
+
+@pytest.mark.parametrize("family, c1, frame, branch, beyond, limit", [
+    # sech^2: cosh(x)^2 overflows past |x| ~ 355, cosh itself past ~ 710
+    (FamilyLabel.Liouville, 1.0, FR1, 1, (-1e4, -600.0, 600.0, 1100.0), -0.0),
+    (FamilyLabel.Tzitzeica, -1.5, FR1, 1, (-1e4, -420.0, 420.0, 1e300), 1.0),
+    # csch^2: sinh overflows past |x| ~ 710
+    (FamilyLabel.Tzitzeica, -1.5, FR1, -1, (-1e4, -900.0, 900.0, 1e300), 1.0),
+    # kinks: exp overflows past 709.78
+    (FamilyLabel.SineGordon, 1.0, FR1, 1, (720.0, 1e4, 1e300), 2.0 * math.pi),
+    (FamilyLabel.SineGordon, -1.0, FRN, 1, (720.0, 1e4, 1e300), math.pi),
+], ids=["liouville-sech2", "tzitzeica-dark-sech2", "tzitzeica-csch2",
+        "sine-kink-plus", "sine-kink-minus"])
+def test_tails_take_their_limit(family, c1, frame, branch, beyond, limit):
+    # a closed form with a finite limit returns it, signed zero included,
+    # where an intermediate overflows
+    sol = construct(family, c1, frame, branch=branch)
+    value = sol.evaluate_psi if sol.psi_native else sol.evaluate_h
+    for xi in beyond:
+        v = value(xi)
+        assert v == limit and math.copysign(1.0, v) == math.copysign(1.0, limit)

@@ -212,6 +212,9 @@ K1_W2 = FrameParams(lam=1.0 / 3.0, k=1.0, omega=2.0)
 # |lambda gamma| = 0.5 at omega = 2.5: the worst corner of the benchmark's
 # verify-mix jitter for the general Weierstrass cases
 K1_W25 = FrameParams(lam=0.5 / 5.25, k=1.0, omega=2.5)
+# lambda gamma = -1: the Liouville c1 = -1 pulse (h-native) and the
+# sine-Gordon c1 = 0 amplitude (psi-native) on one frame
+K1_W2_NEG = FrameParams(lam=-1.0 / 3.0, k=1.0, omega=2.0)
 
 
 @pytest.mark.parametrize("family, c1, frame", [
@@ -222,8 +225,11 @@ K1_W25 = FrameParams(lam=0.5 / 5.25, k=1.0, omega=2.5)
     (FamilyLabel.DoddBulloughMikhailov, 1.3, K1_W25),
     (FamilyLabel.SineGordon, 1.0, FR1),
     (FamilyLabel.Tzitzeica, 1.0, FR1),
+    (FamilyLabel.Liouville, -1.0, K1_W2_NEG),
+    (FamilyLabel.SineGordon, 0.0, K1_W2_NEG),
 ], ids=["sine-kink", "tzitzeica-weierstrass", "sinh-c1-zero",
-        "tzitzeica-corner", "dbm-corner", "sine-kink-k0", "tzitzeica-k0"])
+        "tzitzeica-corner", "dbm-corner", "sine-kink-k0", "tzitzeica-k0",
+        "liouville-pulse-h", "sine-amplitude-psi"])
 def test_pde_oracle(family, c1, frame):
     # the grid verify runs, at the default tolerance
     rep = pde_residual(construct(family, c1, frame), frame, nz=56, nt=56)
