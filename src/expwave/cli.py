@@ -47,9 +47,9 @@ from .verify import (
     DEFAULT_PDE_TOL,
     DEFAULT_SHOOT_TOL,
     Grid,
+    _ode_point_residual,
     first_integral_residual,
     implicit_residual_check,
-    ode_point_residual,
     ode_residual,
     pde_residual,
     shoot_and_compare,
@@ -314,11 +314,11 @@ def cmd_solve(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def _sample_rows(sol: Solution, points: list[float]) -> list[str]:
+def _sample_rows(sol: Solution, grid: Grid) -> list[str]:
     ode = traveling_ode(family_params(sol.family), sol.frame)
     rows = ["xi,h,psi,ode_residual"]
-    for xi in points:
-        value, res = ode_point_residual(sol, ode, xi)
+    for xi, value, d1, d2 in grid.jets(sol):
+        res = _ode_point_residual(ode, sol.psi_native, value, d1, d2)
         h, psi = sol.h_psi(value)
         psi_txt = "" if (isinstance(psi, float) and math.isnan(psi)) else _fmt(psi)
         rows.append(f"{_fmt(xi)},{_fmt(h)},{psi_txt},{_fmt(res)}")
@@ -330,7 +330,7 @@ def cmd_sample(cfg: JobConfig) -> int:
     if cfg.n < 2:
         raise ConfigError("sample needs n >= 2")
     grid = Grid.for_solution(sol, cfg.xi_min, cfg.xi_max, cfg.n)
-    rows = _sample_rows(sol, grid.points())
+    rows = _sample_rows(sol, grid)
     _emit("\n".join(rows) + "\n", cfg.output)
     return EXIT_OK
 

@@ -22,7 +22,7 @@ truncation error of the h ~ 1/(xi - xi_s)^2 blow-up profiles below the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DomainError,
@@ -68,6 +68,9 @@ class Grid:
     n: int
     singularities: Singularities = Singularities()
     pad: float = 0.0
+    # [solution, fd_step, table] of the last jets() call
+    _jets: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -80,6 +83,31 @@ class Grid:
         keeps, pad = self.singularities.keeps, self.pad
         return [x for x in (self.xi_min + i * step for i in range(self.n))
                 if keeps(x, pad)]
+
+    def jets(self, sol: Solution, fd_step: float = FD_BASE_STEP
+             ) -> list[tuple[float, float, float, float]]:
+        """(xi, value, d1, d2) at each of :meth:`points`, in the solution's
+        native variable, from the Richardson stencil at the
+        singularity-aware step ``_step_at(xi, ..., fd_step)``.
+
+        The grid keeps the last table, keyed by the solution's identity and
+        the step, so the oracles and ``sample`` that read one grid share one
+        stencil pass; another solution or step computes afresh.
+
+        The step is absolute in xi, so far from the origin the rounding of
+        xi +- s and of the evaluator's phase swamps d2: on [100, 101] the
+        ODE residual of correct closed forms reads 1e-8 to 3e-8, above its
+        1e-8 tolerance, and on [1e4, 1e4 + 1] about 1e-6 to 2e-6.
+        """
+        memo = self._jets
+        if memo and memo[0] is sol and memo[1] == fd_step:
+            return memo[2]
+        evaluate = _native_evaluator(sol)
+        sing = sol.singularities
+        table = [(xi, *_stencil(evaluate, xi, _step_at(xi, sing, fd_step)))
+                 for xi in self.points()]
+        memo[:] = [sol, fd_step, table]
+        return table
 
     @classmethod
     def for_solution(cls, sol: Solution, xi_min: float, xi_max: float,
@@ -128,10 +156,13 @@ def _step_at(xi: float, sing: Singularities, base: float) -> float:
     return max(s, FD_MIN_STEP)
 
 
-def _stencil(f, x: float, s: float) -> tuple[float, float, float]:
+def _stencil(f, x: float, s: float,
+             fx: float | None = None) -> tuple[float, float, float]:
     """(f(x), f'(x), f''(x)) from Richardson-extrapolated central
-    differences at steps s and s/2, each abscissa evaluated once."""
-    fx = f(x)
+    differences at steps s and s/2, each abscissa evaluated once (the
+    centre not at all when the caller passes f(x) as fx)."""
+    if fx is None:
+        fx = f(x)
     fp, fm = f(x + s), f(x - s)
     hp, hm = f(x + 0.5 * s), f(x - 0.5 * s)
     d1 = (4.0 * ((hp - hm) / s) - (fp - fm) / (2.0 * s)) / 3.0
@@ -144,34 +175,29 @@ def _native_evaluator(sol: Solution):
     return sol.evaluate_psi if sol.psi_native else sol.evaluate_h
 
 
-def ode_point_residual(sol: Solution, desc: OdeDescriptor, xi: float,
-                       fd_step: float = FD_BASE_STEP) -> tuple[float, float]:
-    """(value, residual) of the traveling ODE at xi.
+def _ode_point_residual(desc: OdeDescriptor, psi_native: bool, val: float,
+                        d1: float, d2: float) -> float:
+    """Residual of the traveling ODE at one (value, d1, d2) jet.
 
-    The value is psi(xi) for the psi-native families and h(xi) otherwise.
     h-native: |h h'' - (h')^2 - f(h)| / max(1, |f(h)|); psi-native, the
     identical equation written in psi:
     |psi'' - source(psi)/(lambda gamma)| / max(1, |source/(lambda gamma)|).
-    Derivatives come from the Richardson stencil with the
-    singularity-aware step.
     """
-    s = _step_at(xi, sol.singularities, fd_step)
-    val, d1, d2 = _stencil(_native_evaluator(sol), xi, s)
-    if sol.psi_native:
+    if psi_native:
         rhs = desc.rhs_psi(val)
-        return val, abs(d2 - rhs) / max(1.0, abs(rhs))
+        return abs(d2 - rhs) / max(1.0, abs(rhs))
     fh = desc.f(val)
-    return val, abs(val * d2 - d1 * d1 - fh) / max(1.0, abs(fh))
+    return abs(val * d2 - d1 * d1 - fh) / max(1.0, abs(fh))
 
 
 def ode_residual(sol: Solution, frame: FrameParams, grid: Grid,
                  tol: float = DEFAULT_ODE_TOL,
                  fd_step: float = FD_BASE_STEP) -> VerificationReport:
-    """Residual of the traveling ODE along the solution (see
-    :func:`ode_point_residual`)."""
+    """Residual of the traveling ODE (see :func:`_ode_point_residual`) at
+    the jets of :meth:`Grid.jets`."""
     desc = traveling_ode(family_params(sol.family), frame)
-    residuals = [ode_point_residual(sol, desc, xi, fd_step)[1]
-                 for xi in grid.points()]
+    residuals = [_ode_point_residual(desc, sol.psi_native, val, d1, d2)
+                 for _, val, d1, d2 in grid.jets(sol, fd_step)]
     return _report("ode_residual", residuals, tol)
 
 
@@ -179,13 +205,10 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
                             grid: Grid, tol: float = DEFAULT_FI_TOL) -> VerificationReport:
     """Residual of (h')^2 = (2/(lambda gamma)) h^2 G(h) along the solution
     (psi-space analogue for the Gordon families), normalized by the larger
-    of 1 and the two sides."""
+    of 1 and the two sides; it reads the jets of :meth:`Grid.jets`."""
     quad = first_integral(family_params(sol.family), frame, c1)
     residuals = []
-    evaluate = _native_evaluator(sol)
-    for xi in grid.points():
-        s = _step_at(xi, sol.singularities, FD_BASE_STEP)
-        val, d1, _ = _stencil(evaluate, xi, s)
+    for _, val, d1, _ in grid.jets(sol):
         if sol.psi_native:
             rhs = 2.0 * frame.r * quad.g_psi(val)
         else:
@@ -351,9 +374,10 @@ def pde_residual(sol: Solution, frame: FrameParams,
     where h crosses zero.
     Derivatives along z and t come from the Richardson stencil of the ODE
     oracle, with step _step_at(xi) / max(|k|, |omega|), so the xi offsets
-    never exceed the ODE oracle's step at that xi; points that
-    ``Singularities.keeps`` rejects at the solution's default pad are
-    skipped.  Normalized by max(1, |source term|).
+    never exceed the ODE oracle's step at that xi; the t stencil reuses
+    the z stencil's centre value, so each distinct xi costs 9 evaluations.
+    Points that ``Singularities.keeps`` rejects at the solution's default
+    pad are skipped.  Normalized by max(1, |source term|).
     """
     desc = traveling_ode(family_params(sol.family), frame)
     k, omega, lam = frame.k, frame.omega, frame.lam
@@ -368,7 +392,8 @@ def pde_residual(sol: Solution, frame: FrameParams,
         s = _step_at(xi, sing, FD_BASE_STEP) / speed
         # xi(z + d) = xi + k d ; xi(t + d) = xi - omega d
         center, d_z, d_zz = _stencil(lambda d: value_of(xi + k * d), 0.0, s)
-        _, d_t, d_tt = _stencil(lambda d: value_of(xi - omega * d), 0.0, s)
+        _, d_t, d_tt = _stencil(lambda d: value_of(xi - omega * d), 0.0, s,
+                                center)
         if sol.psi_native:
             src = desc.source_psi(center) / lam
             return abs(d_tt - d_zz - src) / max(1.0, abs(src))

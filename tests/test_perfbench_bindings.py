@@ -49,9 +49,13 @@ def test_traced_bindings_are_called(monkeypatch):
     for span in [f"verify.{o}" for o in ORACLES] + ["solutions.construct"]:
         assert t.stats[span][0] == 1, span
     assert t.evals["ode_residual"] > 0
+    # the first-integral oracle reads the grid's jets, which the ODE
+    # oracle computed
+    assert t.evals["first_integral_residual"] == 0
     # evaluation budget: on this k = 0 frame the 56 x 56 PDE grid has one
-    # t column of distinct xi, 10 evaluations each (31,360 if per point)
-    assert 0 < t.evals["pde_residual"] <= 10 * 56
+    # t column of distinct xi, 9 evaluations each (31,360 if per point at
+    # 10 each)
+    assert 0 < t.evals["pde_residual"] <= 9 * 56
     assert t.shoot_rhs > 0
 
 

@@ -31,6 +31,7 @@ from expwave.solutions import (
     tzitzeica,
 )
 from expwave.verify import (
+    FD_BASE_STEP,
     Grid,
     first_integral_residual,
     implicit_residual_check,
@@ -97,6 +98,41 @@ def test_first_integral_oracle():
     grid = Grid.for_solution(gw, -8.0, 8.0, 400)
     rep = first_integral_residual(gw, FR1, 1.0, grid)
     assert rep.passed
+
+
+def test_grid_jets_keyed_by_solution_and_step():
+    # one grid reused with a second solution and a second step reports
+    # what a fresh grid reports: the table it keeps is never stale
+    grid = Grid(-5.0, 5.0, 64)
+    dark = (tzitzeica(-1.5, FR1), -1.5)
+    kink = (sine_gordon(1.0, FR1), 1.0)
+    for (sol, c1), step in ((dark, FD_BASE_STEP), (kink, FD_BASE_STEP),
+                            (kink, 0.02), (dark, 0.02), (dark, FD_BASE_STEP)):
+        assert ode_residual(sol, FR1, grid, fd_step=step) == ode_residual(
+            sol, FR1, Grid(-5.0, 5.0, 64), fd_step=step)
+        # the step differs from the kept table's after fd_step=0.02
+        assert first_integral_residual(sol, FR1, c1, grid) == \
+            first_integral_residual(sol, FR1, c1, Grid(-5.0, 5.0, 64))
+    # the kept table takes no part in equality or hashing
+    assert grid == Grid(-5.0, 5.0, 64)
+    assert hash(grid) == hash(Grid(-5.0, 5.0, 64))
+
+
+def test_ode_and_first_integral_share_one_stencil_pass():
+    # 5 evaluations per kept point for both oracles together, not 10
+    sol = tzitzeica(-1.5, FR1, branch=-1)
+    calls = []
+
+    def counted(xi):
+        calls.append(xi)
+        return sol._fn(xi)
+
+    counted_sol = dataclasses.replace(sol, _fn=counted)
+    grid = Grid.for_solution(sol, -5.0, 5.0, 101)  # xi = 0 is a pole
+    rep = ode_residual(counted_sol, FR1, grid)
+    assert 0 < rep.points_used < 101
+    first_integral_residual(counted_sol, FR1, -1.5, grid)
+    assert len(calls) == 5 * rep.points_used
 
 
 def test_report_fields():
@@ -236,28 +272,37 @@ def test_pde_oracle(family, c1, frame):
     assert rep.passed, rep.max_residual
 
 
-@pytest.mark.parametrize("family, c1", [(FamilyLabel.SineGordon, 1.0),
-                                        (FamilyLabel.Tzitzeica, 1.0)],
-                         ids=["sine-kink", "tzitzeica-weierstrass"])
-def test_pde_oracle_k0_evaluates_one_column(family, c1):
-    # on a k = 0 frame xi = -omega t, so the 56 z rows share one t column
-    # and each of its 56 xi costs one z and one t stencil: 10 evaluations
-    sol = construct(family, c1, FR1)
+@pytest.mark.parametrize("family, c1, frame", [
+    (FamilyLabel.SineGordon, 1.0, FR1),
+    (FamilyLabel.Tzitzeica, 1.0, FR1),
+    (FamilyLabel.SineGordon, 1.0, K1_W2),
+    (FamilyLabel.Tzitzeica, 1.0, K1_W2),
+], ids=["sine-kink-k0", "tzitzeica-weierstrass-k0", "sine-kink-k1",
+        "tzitzeica-weierstrass-k1"])
+def test_pde_oracle_evaluates_nine_per_distinct_xi(family, c1, frame):
+    # the residual depends on (z, t) only through xi = k z - omega t; each
+    # distinct kept xi costs one z stencil (5 evaluations) and one t
+    # stencil that reuses its centre (4 more).  On a k = 0 frame the 56 z
+    # rows share one t column; on k != 0 nearly every xi is distinct.
+    sol = construct(family, c1, frame)
     calls = []
 
     def counted(xi):
         calls.append(xi)
         return sol._fn(xi)
 
-    rep = pde_residual(dataclasses.replace(sol, _fn=counted), FR1,
+    rep = pde_residual(dataclasses.replace(sol, _fn=counted), frame,
                        nz=56, nt=56)
-    assert 0 < len(calls) <= 10 * 56
-    assert rep == pde_residual(sol, FR1, nz=56, nt=56)
+    assert rep == pde_residual(sol, frame, nz=56, nt=56)
     sing = sol.singularities
-    kept = [t for t in (2.0 * j / 55 for j in range(56))
-            if sing.keeps(-t, sing.default_pad())]
+    xis = [frame.k * (-5.0 + 10.0 * i / 55) - frame.omega * (2.0 * j / 55)
+           for i in range(56) for j in range(56)]
+    kept = [xi for xi in xis if sing.keeps(xi, sing.default_pad())]
     assert kept
-    assert rep.points_used == 56 * len(kept)
+    assert rep.points_used == len(kept)
+    assert len(calls) == 9 * len(set(kept))
+    if frame.k == 0.0:
+        assert len(kept) == 56 * len(set(kept))
 
 
 def test_implicit_checks_pass():
