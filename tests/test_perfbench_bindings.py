@@ -52,10 +52,9 @@ def test_traced_bindings_are_called(monkeypatch):
     # the first-integral oracle reads the grid's jets, which the ODE
     # oracle computed
     assert t.evals["first_integral_residual"] == 0
-    # evaluation budget: on this k = 0 frame the 56 x 56 PDE grid has one
-    # t column of distinct xi, 9 evaluations each (31,360 if per point at
-    # 10 each)
-    assert 0 < t.evals["pde_residual"] <= 9 * 56
+    # evaluation budget: one Goursat window per kept point of the 16-point
+    # grid, 19 evaluations each
+    assert t.evals["pde_residual"] == 19 * 16
     assert t.shoot_rhs > 0
 
 

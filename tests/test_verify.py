@@ -31,7 +31,9 @@ from expwave.solutions import (
     tzitzeica,
 )
 from expwave.verify import (
+    _GL8,
     FD_BASE_STEP,
+    PDE_WINDOWS,
     Grid,
     first_integral_residual,
     implicit_residual_check,
@@ -268,22 +270,29 @@ K1_W2_NEG = FrameParams(lam=-1.0 / 3.0, k=1.0, omega=2.0)
         "liouville-pulse-h", "sine-amplitude-psi"])
 def test_pde_oracle(family, c1, frame):
     # the grid verify runs, at the default tolerance
-    rep = pde_residual(construct(family, c1, frame), frame, nz=56, nt=56)
+    sol = construct(family, c1, frame)
+    rep = pde_residual(sol, frame, Grid.for_solution(sol, -10.0, 10.0, 1001))
     assert rep.passed, rep.max_residual
 
 
-@pytest.mark.parametrize("family, c1, frame", [
-    (FamilyLabel.SineGordon, 1.0, FR1),
-    (FamilyLabel.Tzitzeica, 1.0, FR1),
-    (FamilyLabel.SineGordon, 1.0, K1_W2),
-    (FamilyLabel.Tzitzeica, 1.0, K1_W2),
+def test_gl8_is_exact_through_degree_15():
+    # sum w t^k = 1/(k + 1) for every k <= 2 * 8 - 1, and no further
+    for k in range(16):
+        assert abs(sum(w * t ** k for t, w in _GL8) - 1.0 / (k + 1)) <= 1e-15, k
+    assert abs(sum(w * t ** 16 for t, w in _GL8) - 1.0 / 17) > 1e-15
+
+
+@pytest.mark.parametrize("family, c1, frame, n", [
+    (FamilyLabel.SineGordon, 1.0, FR1, 1001),
+    (FamilyLabel.Tzitzeica, 1.0, FR1, 40),
+    (FamilyLabel.SineGordon, 1.0, K1_W2, 1001),
+    (FamilyLabel.Tzitzeica, 1.0, K1_W2, 40),
 ], ids=["sine-kink-k0", "tzitzeica-weierstrass-k0", "sine-kink-k1",
         "tzitzeica-weierstrass-k1"])
-def test_pde_oracle_evaluates_nine_per_distinct_xi(family, c1, frame):
-    # the residual depends on (z, t) only through xi = k z - omega t; each
-    # distinct kept xi costs one z stencil (5 evaluations) and one t
-    # stencil that reuses its centre (4 more).  On a k = 0 frame the 56 z
-    # rows share one t column; on k != 0 nearly every xi is distinct.
+def test_pde_oracle_evaluates_nineteen_per_window(family, c1, frame, n):
+    # each window evaluates x, x +- w and the 8 Gauss-Legendre nodes on
+    # each side; there are min(48, kept) windows on every frame, because
+    # the identity is one-dimensional in xi
     sol = construct(family, c1, frame)
     calls = []
 
@@ -291,18 +300,29 @@ def test_pde_oracle_evaluates_nine_per_distinct_xi(family, c1, frame):
         calls.append(xi)
         return sol._fn(xi)
 
-    rep = pde_residual(dataclasses.replace(sol, _fn=counted), frame,
-                       nz=56, nt=56)
-    assert rep == pde_residual(sol, frame, nz=56, nt=56)
-    sing = sol.singularities
-    xis = [frame.k * (-5.0 + 10.0 * i / 55) - frame.omega * (2.0 * j / 55)
-           for i in range(56) for j in range(56)]
-    kept = [xi for xi in xis if sing.keeps(xi, sing.default_pad())]
-    assert kept
-    assert rep.points_used == len(kept)
-    assert len(calls) == 9 * len(set(kept))
-    if frame.k == 0.0:
-        assert len(kept) == 56 * len(set(kept))
+    grid = Grid.for_solution(sol, -10.0, 10.0, n)
+    rep = pde_residual(dataclasses.replace(sol, _fn=counted), frame, grid)
+    assert rep == pde_residual(sol, frame, grid)
+    windows = min(PDE_WINDOWS, len(grid.points()))
+    assert len(calls) == 19 * windows
+    # h-native windows where h nears zero are skipped, at the same cost
+    assert rep.points_used == windows or not sol.psi_native
+
+
+@pytest.mark.parametrize("family, c1", [
+    (FamilyLabel.SinhGordon, -2.0),
+    (FamilyLabel.Tzitzeica, -1.5),
+    (FamilyLabel.SineGordon, 0.0),
+])
+@pytest.mark.parametrize("xi_min", [100.0, 1e4])
+def test_pde_oracle_holds_where_the_stencil_floor_does_not(family, c1, xi_min):
+    # the ODE oracle's fixed Richardson step reads correct closed forms as
+    # wrong far from the origin (1.4e-8 to 2.3e-6); the Goursat identity
+    # takes no derivative and still holds there
+    sol = construct(family, c1, FRN)
+    grid = Grid.for_solution(sol, xi_min, xi_min + 1.0, 101)
+    assert pde_residual(sol, FRN, grid).passed
+    assert not ode_residual(sol, FRN, grid).passed
 
 
 def test_implicit_checks_pass():
