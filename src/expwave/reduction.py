@@ -214,6 +214,8 @@ class FrameParams:
 
 
 def _real_pow(h: float, e: float) -> float:
+    if h > 0.0:  # the common case; h ** 0.0 == 1.0 like the branch below
+        return h ** e
     if e == 0.0:
         return 1.0
     if h == 0.0 and e < 0.0:

@@ -246,8 +246,8 @@ def weierstrass_grid(inv: WeierstrassInvariants, z_min: float, z_max: float,
 # adaptive embedded Runge-Kutta shooting
 # ---------------------------------------------------------------------------
 
-# Cash-Karp 5(4) embedded pair
-_CK_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0)
+# Cash-Karp 5(4) embedded pair (ACM TOMS 16, 1990); y'' = acc(y) is
+# autonomous, so the nodes c_i are never needed
 _CK_A = (
     (),
     (1.0 / 5.0,),
@@ -260,52 +260,82 @@ _CK_A = (
 _CK_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
 _CK_B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0,
           277.0 / 14336.0, 1.0 / 4.0)
+# error weights: fifth- minus fourth-order solution
+_CK_E = tuple(b5 - b4 for b5, b4 in zip(_CK_B5, _CK_B4))
 
 
-def _rk_step(f, t, y, h):
-    k = []
-    for i in range(6):
-        yi = list(y)
-        for j, a in enumerate(_CK_A[i]):
-            for c in range(len(y)):
-                yi[c] += h * a * k[j][c]
-        k.append(f(t + _CK_C[i] * h, yi))
-    y5 = [y[c] + h * sum(_CK_B5[i] * k[i][c] for i in range(6))
-          for c in range(len(y))]
-    err = [h * sum((_CK_B5[i] - _CK_B4[i]) * k[i][c] for i in range(6))
-           for c in range(len(y))]
-    return y5, err
-
-
-def rk_integrate(f, t0: float, y0: list[float], t_end: float,
+def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
                  rtol: float = 1.0e-10, atol: float = 1.0e-10,
                  sample_times: list[float] | None = None):
-    """Adaptive Cash-Karp integration of y' = f(t, y).
+    """Adaptive Cash-Karp integration of y'' = acc(y) with state
+    y0 = [y, y'] at t0.
 
-    Returns [(t, y)] at the requested sample times (t_end alone when none
-    given).  Raises StepSizeUnderflowError when the controller collapses,
-    typically against a blow-up; the exception carries the span reached.
+    Returns [(t, [y, y'])] at the requested sample times (t_end alone when
+    none given); every sample time must lie between t0 and t_end.  The
+    error norm is the RMS over both components of err / (atol + rtol |y|).
+    Raises StepSizeUnderflowError when the controller collapses, typically
+    against a blow-up; the exception carries the span reached.
+
+    The six stages are scalar locals, but every operation is the one a
+    generic stepper on a list state makes, in its order: products h * a * k,
+    each weighted sum a ``sum`` in stage order with its zero weights (not
+    written-out additions: from Python 3.12 ``sum`` of floats is
+    compensated).  So the unrolling changes no bit; ``tests/test_verify.py``
+    keeps that stepper as the reference.
     """
     direction = 1.0 if t_end >= t0 else -1.0
     targets = (sorted(sample_times, reverse=direction < 0.0)
                if sample_times else [t_end])
-    if any((tt - t0) * direction < -1e-12 for tt in targets):
+    if any((tt - t0) * direction < -1e-12 or (t_end - tt) * direction < -1e-12
+           for tt in targets):
         raise ValueError("sample times must lie between t0 and t_end")
+    ((), (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54)) = _CK_A
+    b0, b1, b2, b3, b4, b5 = _CK_B5
+    e0, e1, e2, e3, e4, e5 = _CK_E
     out = []
-    t, y = t0, list(y0)
+    t = t0
+    y, v = y0
     h = direction * min(1e-2, abs(t_end - t0) / 10.0 + 1e-12)
     for target in targets:
         while (target - t) * direction > 1e-14 * max(1.0, abs(target)):
             if abs(h) > abs(target - t):
                 h = target - t
-            y_new, err = _rk_step(f, t, y, h)
-            scale = [atol + rtol * max(abs(y[c]), abs(y_new[c]))
-                     for c in range(len(y))]
-            enorm = math.sqrt(sum((err[c] / scale[c]) ** 2 for c in range(len(y)))
-                              / len(y))
+            # stage i has value y_i, slope v_i and acceleration k_i
+            k0 = acc(y)
+            y1 = y + h * a10 * v
+            v1 = v + h * a10 * k0
+            k1 = acc(y1)
+            y2 = y + h * a20 * v + h * a21 * v1
+            v2 = v + h * a20 * k0 + h * a21 * k1
+            k2 = acc(y2)
+            y3 = y + h * a30 * v + h * a31 * v1 + h * a32 * v2
+            v3 = v + h * a30 * k0 + h * a31 * k1 + h * a32 * k2
+            k3 = acc(y3)
+            y4 = (y + h * a40 * v + h * a41 * v1 + h * a42 * v2
+                  + h * a43 * v3)
+            v4 = (v + h * a40 * k0 + h * a41 * k1 + h * a42 * k2
+                  + h * a43 * k3)
+            k4 = acc(y4)
+            y5 = (y + h * a50 * v + h * a51 * v1 + h * a52 * v2
+                  + h * a53 * v3 + h * a54 * v4)
+            v5 = (v + h * a50 * k0 + h * a51 * k1 + h * a52 * k2
+                  + h * a53 * k3 + h * a54 * k4)
+            k5 = acc(y5)
+            y_new = y + h * sum((b0 * v, b1 * v1, b2 * v2, b3 * v3, b4 * v4,
+                                 b5 * v5))
+            v_new = v + h * sum((b0 * k0, b1 * k1, b2 * k2, b3 * k3, b4 * k4,
+                                 b5 * k5))
+            err_y = h * sum((e0 * v, e1 * v1, e2 * v2, e3 * v3, e4 * v4,
+                             e5 * v5))
+            err_v = h * sum((e0 * k0, e1 * k1, e2 * k2, e3 * k3, e4 * k4,
+                             e5 * k5))
+            enorm = math.sqrt(sum((
+                (err_y / (atol + rtol * max(abs(y), abs(y_new)))) ** 2,
+                (err_v / (atol + rtol * max(abs(v), abs(v_new)))) ** 2)) / 2)
             if enorm <= 1.0:
                 t += h
-                y = y_new
+                y, v = y_new, v_new
                 grow = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
                 h *= grow
             else:
@@ -314,35 +344,36 @@ def rk_integrate(f, t0: float, y0: list[float], t_end: float,
                 raise StepSizeUnderflowError(
                     f"step underflow at t={t} (blow-up?)",
                     span_reached=t - t0)
-        out.append((t, list(y)))
+        out.append((t, [y, v]))
     return out
 
 
-def _second_order_rhs(quad: QuadratureDescriptor, psi_native: bool):
-    """y = (value, slope) -> derivatives of the differentiated first
+def _acceleration(quad: QuadratureDescriptor, psi_native: bool):
+    """value -> its second derivative by the differentiated first
     integral: psi'' = r G_psi'(psi), or h'' = r (2 h G(h) + h^2 G'(h))."""
     r = quad.r
     if psi_native:
-        def f(t, y):
-            return [y[1], r * quad.g_psi_prime(y[0])]
+        def acc(psi):
+            return r * quad.g_psi_prime(psi)
     else:
-        def f(t, y):
-            h = y[0]
-            return [y[1], r * (2.0 * h * quad.g(h) + h * h * quad.g_prime(h))]
-    return f
+        def acc(h):
+            return r * (2.0 * h * quad.g(h) + h * h * quad.g_prime(h))
+    return acc
 
 
 def shoot_and_compare(quad: QuadratureDescriptor, sol: Solution,
                       xi_start: float, span: float,
                       tol: float = DEFAULT_SHOOT_TOL) -> VerificationReport:
-    """Integrate the differentiated first integral (polynomial in h,
-    regular through h = 0) from initial conditions read off the closed
-    form and report the maximum trajectory deviation.
+    """Integrate the differentiated first integral y'' = acc(y) (polynomial
+    in h, regular through h = 0; see :func:`_acceleration`) by
+    :func:`rk_integrate` from the state (value, slope) read off the closed
+    form and report the maximum deviation of the value.
 
     The initial slope comes from a Richardson stencil on the evaluator;
     the trajectory is compared at 50 equispaced points, integrated to local
-    error 1e-6 x tol: the global error follows it (Hairer-Norsett-Wanner I,
-    II.4) by up to 1e4 (Tzitzeica dark soliton at lambda gamma = 0.5018).
+    error SHOOT_RK_TOL = 1e-6 x DEFAULT_SHOOT_TOL: the global error follows
+    it (Hairer-Norsett-Wanner I, II.4) by up to 1e4 (Tzitzeica dark soliton
+    at lambda gamma = 0.5018).
     """
     if not isinstance(quad, QuadratureDescriptor):
         raise TypeError("shoot_and_compare integrates the first integral; "
@@ -350,9 +381,9 @@ def shoot_and_compare(quad: QuadratureDescriptor, sol: Solution,
     evaluate = _native_evaluator(sol)
     s = _step_at(xi_start, sol.singularities, FD_BASE_STEP)
     y0 = list(_stencil(evaluate, xi_start, s)[:2])
-    f = _second_order_rhs(quad, sol.psi_native)
+    acc = _acceleration(quad, sol.psi_native)
     times = [xi_start + span * i / 50 for i in range(1, 51)]
-    path = rk_integrate(f, xi_start, y0, xi_start + span,
+    path = rk_integrate(acc, xi_start, y0, xi_start + span,
                         rtol=SHOOT_RK_TOL, atol=SHOOT_RK_TOL, sample_times=times)
     residuals = [abs(y[0] - evaluate(t)) for t, y in path]
     return _report("shoot_and_compare", residuals, tol)

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from expwave.reduction import (
     classify_case,
     classify_family,
     conserved_c1,
+    _real_pow,
     elliptic_data,
     family_params,
     first_integral,
@@ -113,6 +115,44 @@ def test_liouville_single_exponential_branch():
     with pytest.raises(InvalidParamsError):
         first_integral(EquationParams(1.0, 1.0, 1.0, 0.0), FR1, 0.0)
 
+
+
+def _reference_real_pow(h, e):
+    # the rule without the positive-base fast path
+    if e == 0.0:
+        return 1.0
+    if h == 0.0 and e < 0.0:
+        raise DomainError("h = 0 with a negative exponent")
+    if h < 0.0 and e != round(e):
+        raise DomainError("h <= 0 with a non-integer exponent")
+    if h < 0.0:
+        n = int(round(e))
+        return math.copysign(abs(h) ** n, 1.0 if n % 2 == 0 else h)
+    return h ** e
+
+
+def _pow_outcome(fn, h, e):
+    try:
+        return struct.pack("<d", fn(h, e))
+    except (ArithmeticError, ValueError) as err:
+        return type(err)
+
+
+def test_real_pow_fast_path_is_bit_identical():
+    nan, inf = math.nan, math.inf
+    bases = [0.0, -0.0, nan, inf, -inf, 1.0, -1.0, 2.5, -2.5, 0.3, -0.3,
+             1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 1.7e308]
+    exponents = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5, -0.5,
+                 1.0 / 3.0, -2.0 / 3.0, 7.0, -7.0, 400.0, -400.0, nan, inf]
+    for h in bases:
+        for e in exponents:
+            assert (_pow_outcome(_real_pow, h, e)
+                    == _pow_outcome(_reference_real_pow, h, e)), (h, e)
+    assert _real_pow(2.5, 0.0) == 1.0 and _real_pow(nan, 0.0) == 1.0
+    with pytest.raises(DomainError, match="negative exponent"):
+        _real_pow(0.0, -1.0)
+    with pytest.raises(DomainError, match="non-integer exponent"):
+        _real_pow(-2.0, 0.5)
 
 def test_elliptic_data_values():
     d = elliptic_data(FamilyLabel.Tzitzeica, FR1, -1.5)

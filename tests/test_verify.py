@@ -4,6 +4,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from expwave.cli import _shoot_window
 from expwave.errors import (
     EmptyGridError,
     StepSizeUnderflowError,
@@ -31,10 +32,14 @@ from expwave.solutions import (
     tzitzeica,
 )
 from expwave.verify import (
+    _CK_A,
+    _CK_B4,
+    _CK_B5,
     _GL8,
     FD_BASE_STEP,
     PDE_WINDOWS,
     Grid,
+    _acceleration,
     first_integral_residual,
     implicit_residual_check,
     ode_residual,
@@ -185,18 +190,17 @@ def test_shoot_blowup_underflow():
     # finite xi; the integrator reports the span it reached
     gen = EquationParams(1.0, 1.0, 2.0, -1.0)
     q = first_integral(gen, FR1, 1.0)
-    from expwave.verify import _second_order_rhs
-    f = _second_order_rhs(q, False)
     d0 = math.sqrt(2.0 * FR1.r * q.g(1.0))
     with pytest.raises(StepSizeUnderflowError) as err:
-        rk_integrate(f, 0.0, [1.0, d0], 10.0, sample_times=[10.0])
+        rk_integrate(_acceleration(q, False), 0.0, [1.0, d0], 10.0,
+                     sample_times=[10.0])
     assert 0.0 < err.value.span_reached < 2.0
 
 
 def test_rk_sample_time_at_start():
     # a sample time at t0 returns the initial state untouched, in order
-    def f(t, y):
-        return [y[1], -y[0]]
+    def f(y):
+        return -y
 
     path = rk_integrate(f, 0.0, [1.0, 0.0], 1.0, sample_times=[1.0, 0.0])
     assert path[0] == (0.0, [1.0, 0.0])
@@ -204,6 +208,135 @@ def test_rk_sample_time_at_start():
     assert path[1][1][0] == pytest.approx(math.cos(1.0), abs=1e-9)
     back = rk_integrate(f, 1.0, [2.0, 3.0], 0.0, sample_times=[1.0])
     assert back == [(1.0, [2.0, 3.0])]
+
+
+@pytest.mark.parametrize("t_end, times", [
+    (1.0, [0.5, 3.0]), (1.0, [-0.5]), (-1.0, [-0.5, -3.0]), (-1.0, [0.5])])
+def test_rk_rejects_sample_times_outside_the_span(t_end, times):
+    # on either side of [t0, t_end], in either direction
+    with pytest.raises(ValueError, match="between t0 and t_end"):
+        rk_integrate(lambda y: -y, 0.0, [1.0, 0.0], t_end, sample_times=times)
+    # within the 1e-12 allowance a time just past t_end is accepted
+    path = rk_integrate(lambda y: -y, 0.0, [1.0, 0.0], t_end,
+                        sample_times=[t_end * (1.0 + 1e-13)])
+    assert len(path) == 1
+
+
+def _reference_rk_step(f, y, h):
+    # the generic Cash-Karp step on a list state, f(y) -> y'
+    k = []
+    for i in range(6):
+        yi = list(y)
+        for j, a in enumerate(_CK_A[i]):
+            for c in range(len(y)):
+                yi[c] += h * a * k[j][c]
+        k.append(f(yi))
+    y5 = [y[c] + h * sum(_CK_B5[i] * k[i][c] for i in range(6))
+          for c in range(len(y))]
+    err = [h * sum((_CK_B5[i] - _CK_B4[i]) * k[i][c] for i in range(6))
+           for c in range(len(y))]
+    return y5, err
+
+
+def _reference_rk_integrate(acc, t0, y0, t_end, rtol=1.0e-10, atol=1.0e-10,
+                            sample_times=None):
+    # the generic driver around _reference_rk_step, for y' = (y[1], acc(y[0]))
+    def f(y):
+        return [y[1], acc(y[0])]
+
+    direction = 1.0 if t_end >= t0 else -1.0
+    targets = (sorted(sample_times, reverse=direction < 0.0)
+               if sample_times else [t_end])
+    out = []
+    t, y = t0, list(y0)
+    h = direction * min(1e-2, abs(t_end - t0) / 10.0 + 1e-12)
+    for target in targets:
+        while (target - t) * direction > 1e-14 * max(1.0, abs(target)):
+            if abs(h) > abs(target - t):
+                h = target - t
+            y_new, err = _reference_rk_step(f, y, h)
+            scale = [atol + rtol * max(abs(y[c]), abs(y_new[c]))
+                     for c in range(len(y))]
+            enorm = math.sqrt(sum((err[c] / scale[c]) ** 2 for c in range(len(y)))
+                              / len(y))
+            if enorm <= 1.0:
+                t += h
+                y = y_new
+                grow = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
+                h *= grow
+            else:
+                h *= max(0.1, 0.9 * enorm ** -0.25)
+            if abs(h) < 1e-14 * max(1.0, abs(t)):
+                raise StepSizeUnderflowError("step underflow",
+                                             span_reached=t - t0)
+        out.append((t, list(y)))
+    return out
+
+
+def _counted_run(integrate, acc, *args, **kwargs):
+    # (samples or the span reached at underflow, acceleration calls)
+    calls = [0]
+
+    def counted(y):
+        calls[0] += 1
+        return acc(y)
+
+    try:
+        return integrate(counted, *args, **kwargs), calls[0]
+    except StepSizeUnderflowError as err:
+        return ("underflow", err.span_reached), calls[0]
+
+
+def _shoot_calls(monkeypatch, family, c1, lg, branch):
+    # the rk_integrate call that shoot_and_compare makes on the CLI's window
+    import expwave.verify as verify
+
+    frame = FrameParams.from_lambda_gamma(lg)
+    sol = construct(family, c1, frame, branch=branch)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((args, kwargs))
+        return rk_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "rk_integrate", spy)
+    start, span = _shoot_window(sol)
+    shoot_and_compare(first_integral(family_params(family), frame, c1), sol,
+                      start, span)
+    (args, kwargs), = seen
+    return sol, span, args, kwargs
+
+
+@pytest.mark.parametrize("family, c1, lg, branch, psi_native, forward", [
+    (FamilyLabel.Tzitzeica, 1.0, 1.0, 1, False, True),  # Weierstrass
+    (FamilyLabel.SinhGordon, -0.5, 1.0, -1, True, False),  # half-line kink
+    (FamilyLabel.SineGordon, 0.0, -1.0, 1, True, True),  # amplitude
+])
+def test_two_state_kernel_matches_list_stepper_bit_for_bit(
+        monkeypatch, family, c1, lg, branch, psi_native, forward):
+    sol, span, args, kwargs = _shoot_calls(monkeypatch, family, c1, lg,
+                                           branch)
+    assert sol.psi_native is psi_native
+    assert (span > 0.0) is forward
+    if not forward:
+        assert span == -5.0
+    got = _counted_run(rk_integrate, *args, **kwargs)
+    want = _counted_run(_reference_rk_integrate, *args, **kwargs)
+    # same samples to the bit and the same accepted and rejected steps
+    assert got == want
+    assert len(got[0]) == 50 and got[1] > 600
+
+
+def test_two_state_kernel_matches_list_stepper_at_blowup():
+    gen = EquationParams(1.0, 1.0, 2.0, -1.0)
+    q = first_integral(gen, FR1, 1.0)
+    y0 = [1.0, math.sqrt(2.0 * FR1.r * q.g(1.0))]
+    got = _counted_run(rk_integrate, _acceleration(q, False), 0.0, y0, 10.0,
+                       sample_times=[10.0])
+    want = _counted_run(_reference_rk_integrate, _acceleration(q, False), 0.0,
+                        y0, 10.0, sample_times=[10.0])
+    assert got[0][0] == "underflow"
+    assert got == want
 
 
 @pytest.mark.parametrize("branch", [1, -1])
@@ -221,12 +354,11 @@ def test_half_line_grid_pads_by_pad(branch):
 
 
 def test_conservation_drift():
-    from expwave.verify import _second_order_rhs
     # generic two-exponential trajectory: constant recovered from the
     # trajectory drifts below 1e-8 over a regular span
     gen = EquationParams(1.0, 1.0, 2.0, -1.0)
     q = first_integral(gen, FR1, 1.0)
-    f = _second_order_rhs(q, False)
+    f = _acceleration(q, False)
     d0 = -math.sqrt(2.0 * FR1.r * q.g(1.0))
     path = rk_integrate(f, 0.0, [1.0, d0], 1.5, rtol=1e-12, atol=1e-12,
                         sample_times=[0.075 * i for i in range(1, 21)])
@@ -236,7 +368,7 @@ def test_conservation_drift():
     # algebraic state (h stays above 1, no zero crossing)
     params = family_params(FamilyLabel.Tzitzeica)
     qs = first_integral(params, FR1, -1.5)
-    fs = _second_order_rhs(qs, False)
+    fs = _acceleration(qs, False)
     h0 = 3.0
     d0 = -math.sqrt(2.0 * FR1.r * h0 * h0 * qs.g(h0))
     path = rk_integrate(fs, 0.0, [h0, d0], 10.0, rtol=1e-12, atol=1e-12,
