@@ -33,6 +33,7 @@ from .errors import (
     DomainError,
     FrameDegenerateError,
     InvalidParamsError,
+    SignDomainError,
     UnsupportedFamilyError,
 )
 from .specfun.weierstrass import (
@@ -220,10 +221,10 @@ def _real_pow(h: float, e: float) -> float:
         return 1.0
     if h == 0.0 and e < 0.0:
         raise DomainError("h = 0 with a negative exponent")
-    if h < 0.0 and e != round(e):
-        raise DomainError("h <= 0 with a non-integer exponent")
     if h < 0.0:
-        n = int(round(e))
+        n = round(e)
+        if e != n:
+            raise DomainError("h <= 0 with a non-integer exponent")
         return math.copysign(abs(h) ** n, 1.0 if n % 2 == 0 else h)
     return h ** e
 
@@ -415,12 +416,13 @@ def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> Ellipti
 
 
 def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLabel:
-    """Deterministic case label for (family, frame, c1).
-
-    Cubic families dispatch on the scaled-discriminant test and the signs
-    of g3 / g2; Gordon families dispatch on c1 hitting its special values
-    within 1e-12.
-    """
+    """Case label for (family, frame, c1), and the one owner of whether a
+    real solution exists: one does exactly when r G > 0 for some value of
+    the native variable, r = 1/(lambda gamma) in the family's own frame, so
+    always for Liouville and the cubic families.  c1 within C1_MATCH_TOL of
+    a special value counts as that value.  Raises SignDomainError where no
+    real solution exists, DomainError where none is catalogued (sinh-Gordon,
+    lambda gamma > 0, c1 < -1/2)."""
     if family is FamilyLabel.Liouville:
         if abs(c1) <= C1_MATCH_TOL:
             return CaseLabel.LiouvilleRational
@@ -429,23 +431,33 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLab
                 else CaseLabel.LiouvillePeriodic)
     if family in CUBIC_FAMILIES:
         data = elliptic_data(family, frame, c1)
-        # the Dodd-Bullough route maps c1 -> -c1 onto the base family; the
-        # reflection variants (h -> -h, xi -> -xi) keep their parent's c1
-        c1_eff = -c1 if family in (FamilyLabel.DoddBullough,
-                                   FamilyLabel.TzitzeicaDoddBullough) else c1
+        # Dodd-Bullough and its reflection solve the base family at (-c1,
+        # -lambda gamma); the cnoidal form needs the base lambda gamma > 0
+        flip = -1.0 if family in (FamilyLabel.DoddBullough,
+                                  FamilyLabel.TzitzeicaDoddBullough) else 1.0
         if data.is_degenerate:
             return CaseLabel.Degenerate1a if data.g3 < 0.0 else CaseLabel.Degenerate1b
-        if abs(c1_eff) <= C1_MATCH_TOL:
+        if abs(flip * c1) <= C1_MATCH_TOL:
             return CaseLabel.Equianharmonic
-        if abs(c1_eff - C1_LEMNISCATIC) <= C1_MATCH_TOL:
+        if (abs(flip * c1 - C1_LEMNISCATIC) <= C1_MATCH_TOL
+                and flip * frame.lambda_gamma > 0.0):
             return CaseLabel.Lemniscatic
         return CaseLabel.GeneralWeierstrass
+    # G spans [g_lo, g_hi] over psi; a bound within C1_MATCH_TOL of 0 is 0
     if family is FamilyLabel.SineGordon:
-        special = 1.0
+        special, g_lo, g_hi = 1.0, c1 - 1.0, c1 + 1.0
     elif family is FamilyLabel.SinhGordon:
-        special = 0.5
+        special, g_lo, g_hi = 0.5, c1 + 0.5, math.inf
     else:
         raise UnsupportedFamilyError(f"no case taxonomy for {family.name}")
+    if frame.lambda_gamma > 0.0:
+        if not g_hi > C1_MATCH_TOL:
+            raise SignDomainError("no real solution: r G <= 0 for every psi")
+        if g_lo < -C1_MATCH_TOL and family is FamilyLabel.SinhGordon:
+            raise DomainError("no catalogued closed form for sinh-Gordon with "
+                              "lambda gamma > 0 and c1 < -1/2")
+    elif not g_lo < -C1_MATCH_TOL:
+        raise SignDomainError("no real solution: r G <= 0 for every psi")
     if abs(c1 - special) <= C1_MATCH_TOL:
         return CaseLabel.KinkC1Plus
     if abs(c1 + special) <= C1_MATCH_TOL:

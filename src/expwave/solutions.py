@@ -24,8 +24,6 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .reduction import (
-    C1_DEGENERATE,
-    C1_LEMNISCATIC,
     CBRT2,
     CaseLabel,
     FamilyLabel,
@@ -216,8 +214,6 @@ def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
 
     if case in (CaseLabel.Degenerate1a, CaseLabel.Degenerate1b):
         if case is CaseLabel.Degenerate1a:
-            if lg <= 0.0:
-                raise SignDomainError("degenerate hyperbolic case needs lambda gamma > 0")
             kappa = 0.5 * math.sqrt(3.0 / lg)
             if branch == 1:
                 def h_fn(xi: float, k=kappa) -> float:
@@ -237,8 +233,6 @@ def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
                     return 1.0 + 1.5 / (s * s)
                 sing = Singularities.isolated(xi0)
         else:
-            if lg >= 0.0:
-                raise SignDomainError("degenerate trigonometric case needs lambda gamma < 0")
             kappa = 0.5 * math.sqrt(3.0 / -lg)
             period = math.pi / kappa
             if branch == 1:
@@ -259,10 +253,6 @@ def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
         params["kappa"] = kappa
 
     elif case is CaseLabel.Lemniscatic:
-        if lg <= 0.0:
-            raise SignDomainError(
-                "lemniscatic cnoidal form needs lambda gamma > 0 "
-                "(its sign-mapped variant covers the other sign)")
         scale = 3.0 ** 0.25 / (CBRT2 * math.sqrt(lg))
         # cn parameter 1/2 = (sqrt(2)/2)^2: modulus-convention sources
         # quote sqrt(2)/2, squared here per the package-wide convention
@@ -352,10 +342,10 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
     c1 = +1 gives the 4 arctan(exp(.)) kink (lambda gamma > 0 only);
     c1 = -1 the -pi-shifted kink (lambda gamma < 0 only); other c1 the
     Jacobi-amplitude form psi = 2 am(-+ sqrt((c1-1)/(2 lg)) (xi - xi0);
-    2/(1-c1)), which is real when (c1-1)/(2 lg) >= 0.  The amplitude
-    solution is bounded and periodic exactly when the parameter exceeds 1
-    (the superunitary regime, -1 < c1 < 1); otherwise it is monotone
-    unbounded.
+    2/(1-c1)), real when (c1-1)/(2 lg) >= 0 and otherwise pi plus the form
+    at (-c1, -lg).  The amplitude solution is bounded and periodic exactly
+    when the parameter exceeds 1 (the superunitary regime, -1 < c1 < 1);
+    otherwise it is monotone unbounded.
     """
     lg = frame.lambda_gamma
     xi0 = frame.xi0
@@ -364,8 +354,6 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
     params: dict = {}
 
     if case is CaseLabel.KinkC1Plus:
-        if lg <= 0.0:
-            raise SignDomainError("the c1 = 1 kink needs lambda gamma > 0")
         kappa = 1.0 / math.sqrt(lg)
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
             try:
@@ -375,8 +363,6 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
         params = {"kappa": kappa}
         bounded = True
     elif case is CaseLabel.KinkC1Minus:
-        if lg >= 0.0:
-            raise SignDomainError("the c1 = -1 kink needs lambda gamma < 0")
         kappa = 1.0 / math.sqrt(-lg)
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
             try:
@@ -385,12 +371,16 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
                 return -math.pi + 4.0 * math.atan(math.inf)
         params = {"kappa": kappa}
         bounded = True
+    elif lg > 0.0 and c1 < 1.0:
+        # sin(psi + pi) = -sin(psi), so psi(xi; c1, lg) = pi + psi(xi; -c1, -lg)
+        image = sine_gordon(-c1, frame.with_lambda_gamma(-lg), branch=branch,
+                            case=case)
+        image_psi = image._fn
+        def psi_fn(xi: float) -> float:
+            return math.pi + image_psi(xi)
+        return dataclasses.replace(image, c1=c1, frame=frame, _fn=psi_fn)
     else:
-        arg2 = (c1 - 1.0) / (2.0 * lg)
-        if arg2 < 0.0:
-            raise SignDomainError(
-                "amplitude form needs (c1 - 1)/(2 lambda gamma) >= 0")
-        kappa = math.sqrt(arg2)
+        kappa = math.sqrt((c1 - 1.0) / (2.0 * lg))
         # read in the F(phi; m) parameter convention; under it this form
         # solves the first integral identically (the residual oracles
         # would expose a squared-modulus misreading instantly)
@@ -434,8 +424,6 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
     params: dict = {}
 
     if case is CaseLabel.KinkC1Minus:
-        if lg <= 0.0:
-            raise SignDomainError("the c1 = -1/2 kink needs lambda gamma > 0")
         kappa = math.sqrt(2.0 / lg)
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
             e = math.exp(s * k * (xi - xi0))
@@ -446,8 +434,6 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
         sing = Singularities.half_line(xi0, valid_side=-branch)
         params = {"kappa": kappa}
     elif case is CaseLabel.KinkC1Plus:
-        if lg <= 0.0:
-            raise SignDomainError("the c1 = +1/2 kink needs lambda gamma > 0")
         kappa = 1.0 / math.sqrt(2.0 * lg)
         period = math.pi / kappa
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
@@ -458,11 +444,7 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
         sing = Singularities.lattice_windows(xi0, period, 0.25 * period)
         params = {"kappa": kappa, "period": period}
     else:
-        ratio = (2.0 * c1 + 1.0) / lg
-        if ratio <= 0.0:
-            raise SignDomainError(
-                "amplitude form needs (2 c1 + 1)/lambda gamma > 0")
-        kappa = math.sqrt(ratio)
+        kappa = math.sqrt((2.0 * c1 + 1.0) / lg)
         m1 = (2.0 * c1 - 1.0) / (2.0 * c1 + 1.0)
         jac = _PreparedJacobi(m1)
         def psi_fn(xi: float, k=kappa, s=branch, sncndn=jac.sn_cn_dn) -> float:

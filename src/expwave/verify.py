@@ -71,7 +71,7 @@ class Grid:
     n: int
     singularities: Singularities = Singularities()
     pad: float = 0.0
-    # [solution, fd_step, table] of the last jets() call
+    # [solution, table] of the last jets() call
     _jets: list = field(default_factory=list, init=False, repr=False,
                         compare=False)
 
@@ -87,15 +87,14 @@ class Grid:
         return [x for x in (self.xi_min + i * step for i in range(self.n))
                 if keeps(x, pad)]
 
-    def jets(self, sol: Solution, fd_step: float = FD_BASE_STEP
-             ) -> list[tuple[float, float, float, float]]:
+    def jets(self, sol: Solution) -> list[tuple[float, float, float, float]]:
         """(xi, value, d1, d2) at each of :meth:`points`, in the solution's
         native variable, from the Richardson stencil at the
-        singularity-aware step ``_step_at(xi, ..., fd_step)``.
+        singularity-aware step ``_step_at(xi, ..., FD_BASE_STEP)``.
 
-        The grid keeps the last table, keyed by the solution's identity and
-        the step, so the oracles and ``sample`` that read one grid share one
-        stencil pass; another solution or step computes afresh.
+        The grid keeps the last table, keyed by the solution's identity, so
+        the oracles and ``sample`` that read one grid share one stencil
+        pass; another solution computes afresh.
 
         The step is absolute in xi, so far from the origin the rounding of
         xi +- s and of the evaluator's phase swamps d2: on [100, 101] the
@@ -103,13 +102,13 @@ class Grid:
         1e-8 tolerance, and on [1e4, 1e4 + 1] about 1e-6 to 2e-6.
         """
         memo = self._jets
-        if memo and memo[0] is sol and memo[1] == fd_step:
-            return memo[2]
+        if memo and memo[0] is sol:
+            return memo[1]
         evaluate = _native_evaluator(sol)
         sing = sol.singularities
-        table = [(xi, *_stencil(evaluate, xi, _step_at(xi, sing, fd_step)))
+        table = [(xi, *_stencil(evaluate, xi, _step_at(xi, sing, FD_BASE_STEP)))
                  for xi in self.points()]
-        memo[:] = [sol, fd_step, table]
+        memo[:] = [sol, table]
         return table
 
     @classmethod
@@ -191,13 +190,12 @@ def _ode_point_residual(desc: OdeDescriptor, psi_native: bool, val: float,
 
 
 def ode_residual(sol: Solution, frame: FrameParams, grid: Grid,
-                 tol: float = DEFAULT_ODE_TOL,
-                 fd_step: float = FD_BASE_STEP) -> VerificationReport:
+                 tol: float = DEFAULT_ODE_TOL) -> VerificationReport:
     """Residual of the traveling ODE (see :func:`_ode_point_residual`) at
     the jets of :meth:`Grid.jets`."""
     desc = traveling_ode(family_params(sol.family), frame)
     residuals = [_ode_point_residual(desc, sol.psi_native, val, d1, d2)
-                 for _, val, d1, d2 in grid.jets(sol, fd_step)]
+                 for _, val, d1, d2 in grid.jets(sol)]
     return _report("ode_residual", residuals, tol)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from expwave import cli
 from expwave.cli import main
-from expwave.reduction import FamilyLabel, FrameParams
+from expwave.reduction import C1_LEMNISCATIC, FamilyLabel, FrameParams
 from expwave.singular import Singularities
 from expwave.solutions import construct, from_descriptor
 from expwave.verify import Grid, ode_residual
@@ -171,7 +171,7 @@ def test_exit_codes():
     assert code == 2  # missing frame
     code, _, _ = run_cli("solve", "--family", "sine-gordon", "--c1", "1",
                          "--lambda-gamma", "-1")
-    assert code == 3  # wrong sign of lambda gamma for the kink
+    assert code == 3  # no real solution at c1 = 1 with lambda gamma < 0
 
 
 SG_KINK = ["--family", "sine-gordon", "--c1", "1"]
@@ -259,12 +259,37 @@ def test_negative_value_in_exponent_form(capsys, args, flag, value, plain):
     (["sample", "--family", "sine-gordon", "--c1", "3", "--lambda-gamma", "1",
       "--n", "3", "--xi-min", "-1e300", "--xi-max", "1e300"], 3,
      "error: math range error"),
+    # classify itself refuses where c1 - cos psi <= 0 for every psi
+    (["classify", "--family", "sine-gordon", "--c1", "-3", "--lambda-gamma",
+      "1"], 3, "error: no real solution: r G <= 0 for every psi"),
+    # a real solution exists, but none is catalogued
+    (["solve", "--family", "sinh-gordon", "--c1", "-2", "--lambda-gamma",
+      "1"], 3, "error: no catalogued closed form for sinh-Gordon with "
+     "lambda gamma > 0 and c1 < -1/2"),
 ])
 def test_exit_code_and_message(capsys, tmp_path, argv, code, message):
     assert _main_with_config(argv, tmp_path) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("family,c1,lg", [
+    # pi plus the amplitude form at (-c1, -lambda gamma)
+    ("sine-gordon", "0.5", "1"), ("sine-gordon", "0", "1"),
+    ("sine-gordon", "-0.5", "1"), ("sine-gordon", "0.999", "1"),
+    # the lemniscatic c1 of each cubic image where its base lambda gamma
+    # is negative: the general Weierstrass form
+    ("tzitzeica", repr(C1_LEMNISCATIC), "-1"),
+    ("dodd-bullough-mikhailov", repr(C1_LEMNISCATIC), "-1"),
+    ("dodd-bullough", repr(-C1_LEMNISCATIC), "1"),
+    ("tzitzeica-dodd-bullough", repr(-C1_LEMNISCATIC), "1"),
+])
+def test_verify_pi_shift_and_lemniscatic_images(capsys, family, c1, lg):
+    assert main(["verify", "--family", family, "--c1", c1,
+                 "--lambda-gamma", lg]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 4 and all(r["pass"] for r in reports)
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):

@@ -3,16 +3,21 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from expwave.errors import (
     DomainError,
     FrameDegenerateError,
     InvalidParamsError,
+    SignDomainError,
     UnsupportedFamilyError,
 )
 from expwave.reduction import (
+    C1_DEGENERATE,
     C1_LEMNISCATIC,
+    C1_MATCH_TOL,
+    CUBIC_FAMILIES,
+    GORDON_FAMILIES,
     CaseLabel,
     EquationParams,
     FamilyLabel,
@@ -26,6 +31,7 @@ from expwave.reduction import (
     first_integral,
     traveling_ode,
 )
+from expwave.solutions import construct
 
 FR1 = FrameParams.from_lambda_gamma(1.0)
 FRN = FrameParams.from_lambda_gamma(-1.0)
@@ -243,6 +249,82 @@ def test_classify_case_taxonomy():
     assert classify_case(FamilyLabel.SinhGordon, FR1, -0.5) is CaseLabel.KinkC1Minus
     assert classify_case(FamilyLabel.SinhGordon, FR1, 0.0) is CaseLabel.AmplitudeC1Zero
     assert classify_case(FamilyLabel.SinhGordon, FRN, -2.0) is CaseLabel.AmplitudeGeneric
+    # the cnoidal form only where the base family's lambda gamma is positive
+    assert classify_case(FamilyLabel.Tzitzeica, FRN, C1_LEMNISCATIC) is \
+        CaseLabel.GeneralWeierstrass
+    assert classify_case(FamilyLabel.DoddBullough, FRN, -C1_LEMNISCATIC) is \
+        CaseLabel.Lemniscatic
+    assert classify_case(FamilyLabel.DoddBullough, FR1, -C1_LEMNISCATIC) is \
+        CaseLabel.GeneralWeierstrass
+    # sine-Gordon at lambda gamma > 0 with |c1| < 1 (the pi-shifted form)
+    assert classify_case(FamilyLabel.SineGordon, FR1, 0.5) is CaseLabel.AmplitudeGeneric
+    assert classify_case(FamilyLabel.SineGordon, FR1, 0.0) is CaseLabel.AmplitudeC1Zero
+    for fam, frame, c1 in [(FamilyLabel.SineGordon, FR1, -3.0),
+                           (FamilyLabel.SineGordon, FR1, -1.0),
+                           (FamilyLabel.SineGordon, FRN, 1.0),
+                           (FamilyLabel.SinhGordon, FRN, -0.5),
+                           (FamilyLabel.SinhGordon, FRN, 0.0),
+                           # inside the snap band: c1 at the special value
+                           (FamilyLabel.SineGordon, FR1, -1.0 + 5e-13),
+                           (FamilyLabel.SinhGordon, FRN, -0.5 - 5e-13)]:
+        with pytest.raises(SignDomainError, match="^no real solution"):
+            classify_case(fam, frame, c1)
+    with pytest.raises(DomainError, match="no catalogued closed form"):
+        classify_case(FamilyLabel.SinhGordon, FR1, -2.0)
+
+
+#: c1 where the case, or whether a real solution exists, changes
+CASE_BOUNDARIES = {
+    FamilyLabel.Liouville: (0.0,),
+    FamilyLabel.SineGordon: (-1.0, 1.0),
+    FamilyLabel.SinhGordon: (-0.5, 0.5),
+    **{fam: (C1_DEGENERATE, -C1_DEGENERATE, C1_LEMNISCATIC, -C1_LEMNISCATIC)
+       for fam in CUBIC_FAMILIES - {FamilyLabel.Liouville}},
+}
+
+
+def _r_g_positive_somewhere(family, frame, c1):
+    """r G > 0 at some sampled value of the native variable: psi in
+    [-pi, pi] (0 and pi included) or h in [-10, 10] without 0."""
+    q = first_integral(family_params(family), frame, c1)
+    if family in GORDON_FAMILIES:
+        return any(frame.r * q.g_psi(k * math.pi / 64) > 0.0
+                   for k in range(-64, 65))
+    return any(frame.r * h * h * q.g(h) > 0.0
+               for h in (k / 64.0 for k in range(-640, 641) if k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(CASE_BOUNDARIES, key=lambda f: f.value)),
+       st.data(),
+       st.floats(min_value=-11.0, max_value=-3.0),
+       st.sampled_from((-1.0, 1.0)),
+       st.floats(min_value=-3.0, max_value=3.0),
+       st.sampled_from((-1.0, 1.0)))
+def test_classify_and_construct_agree_near_case_boundaries(
+        family, data, off_exp, off_sign, lg_exp, lg_sign):
+    # classify names a case <=> construct builds <=> r G > 0 somewhere,
+    # apart from the uncatalogued sinh-Gordon gap where both refuse alike
+    boundary = data.draw(st.sampled_from(CASE_BOUNDARIES[family]))
+    c1 = boundary + off_sign * 10.0 ** off_exp
+    assert abs(c1 - boundary) > C1_MATCH_TOL
+    lg = lg_sign * 10.0 ** lg_exp
+    frame = FrameParams.from_lambda_gamma(lg)
+    exists = _r_g_positive_somewhere(family, frame, c1)
+    try:
+        case, refusal = classify_case(family, frame, c1), None
+    except DomainError as e:
+        case, refusal = None, str(e)
+    try:
+        sol, construct_refusal = construct(family, c1, frame), None
+    except DomainError as e:
+        sol, construct_refusal = None, str(e)
+    assert construct_refusal == refusal
+    if family is FamilyLabel.SinhGordon and lg > 0.0 and c1 < -0.5:
+        assert exists and refusal.startswith("no catalogued closed form")
+    else:
+        assert (case is not None) == exists
+        assert sol is None or sol.case is case
 
 
 @given(st.floats(min_value=0.1, max_value=5.0),

@@ -140,9 +140,9 @@ def test_lemniscatic_bounded_periodic():
     for x in XS:
         assert sol.evaluate_h(x + period) == pytest.approx(sol.evaluate_h(x),
                                                            abs=1e-12)
-    # lambda gamma < 0 is served by the sign-mapped variant instead
-    with pytest.raises(SignDomainError):
-        tzitzeica(C1_LEMNISCATIC, FRN)
+    # the cnoidal form needs lambda gamma > 0; at lambda gamma < 0 the
+    # same c1 builds as the general Weierstrass form
+    assert tzitzeica(C1_LEMNISCATIC, FRN).case is CaseLabel.GeneralWeierstrass
 
 
 def test_general_weierstrass_scale_shift():
@@ -317,6 +317,29 @@ def test_amplitude_boundedness():
     assert abs(neg.evaluate_psi(40.0) - neg.evaluate_psi(-40.0)) > 4.0 * math.pi
     with pytest.raises(SignDomainError):
         sine_gordon(3.0, FRN)  # (c1-1)/(2 lg) < 0
+
+
+def test_sine_amplitude_pi_shift():
+    # lambda gamma > 0, |c1| < 1: psi(xi; c1, lg) = pi + psi(xi; -c1, -lg)
+    for c1, lg in [(0.5, 1.0), (0.0, 1.0), (-0.5, 0.7)]:
+        frame = FrameParams.from_lambda_gamma(lg, xi0=0.3)
+        sol = sine_gordon(c1, frame, branch=-1)
+        image = sine_gordon(-c1, frame.with_lambda_gamma(-lg), branch=-1)
+        assert (sol.case, sol.bounded, sol.params) == \
+            (image.case, True, image.params)
+        assert (sol.c1, sol.frame) == (c1, frame)
+        for x in XS:
+            assert sol.evaluate_psi(x) == math.pi + image.evaluate_psi(x)
+        rebuilt = from_descriptor(json.loads(json.dumps(sol.descriptor())))
+        assert [rebuilt.evaluate_psi(x) for x in XS] == \
+            [sol.evaluate_psi(x) for x in XS]
+        # independent oracle: invert (psi')^2 = (2/lg)(c1 - cos psi)
+        q = first_integral(family_params(FamilyLabel.SineGordon), frame, c1)
+        x1, x2 = 0.35, 0.75
+        val, _ = quad(lambda p: 1.0 / math.sqrt(2.0 * frame.r * q.g_psi(p)),
+                      sol.evaluate_psi(x1), sol.evaluate_psi(x2),
+                      epsabs=1e-13, epsrel=1e-12)
+        assert abs(val) == pytest.approx(x2 - x1, abs=1e-10)
 
 
 def test_amplitude_c1zero_matches_generic():
