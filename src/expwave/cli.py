@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -145,6 +146,7 @@ def _emit(text: str, output: str | None):
             sys.stdout.write("\n")
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="expwave",
@@ -320,8 +322,11 @@ def _sample_rows(sol: Solution, grid: Grid) -> list[str]:
     for xi, value, d1, d2 in grid.jets(sol):
         res = _ode_point_residual(ode, sol.psi_native, value, d1, d2)
         h, psi = sol.h_psi(value)
-        psi_txt = "" if (isinstance(psi, float) and math.isnan(psi)) else _fmt(psi)
-        rows.append(f"{_fmt(xi)},{_fmt(h)},{psi_txt},{_fmt(res)}")
+        # one %.17g format per row gives _fmt's bytes
+        if psi != psi:  # NaN where h <= 0: an empty psi cell
+            rows.append("%.17g,%.17g,,%.17g" % (xi, h, res))
+        else:
+            rows.append("%.17g,%.17g,%.17g,%.17g" % (xi, h, psi, res))
     return rows
 
 

@@ -206,9 +206,14 @@ def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
       Lemniscatic    c1 = -3/cbrt(4), lambda gamma > 0: bounded cnoidal wave
       GeneralWeierstrass: h = lg (2 p(xi - xi0; g2, g3) - c1/(3 lg))
     """
+    return _tzitzeica(c1, frame, branch, _resolve_case(
+        FamilyLabel.Tzitzeica, frame, c1, case, branch))
+
+
+def _tzitzeica(c1: float, frame: FrameParams, branch: int,
+               case: CaseLabel) -> Solution:
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = _resolve_case(FamilyLabel.Tzitzeica, frame, c1, case, branch)
     params: dict = {}
     bounded = None
 
@@ -299,9 +304,14 @@ def dodd_bullough(c1: float, frame: FrameParams, branch: int = 1,
                   case: CaseLabel | None = None) -> Solution:
     """Solutions of the -h + 1/h^2 source, obtained pointwise from the
     base cubic family under (c1, lambda gamma) -> (-c1, -lambda gamma)."""
-    case = _resolve_case(FamilyLabel.DoddBullough, frame, c1, case, branch)
-    delegate = tzitzeica(-c1, frame.with_lambda_gamma(-frame.lambda_gamma),
-                         branch=branch, case=case)
+    return _dodd_bullough(c1, frame, branch, _resolve_case(
+        FamilyLabel.DoddBullough, frame, c1, case, branch))
+
+
+def _dodd_bullough(c1: float, frame: FrameParams, branch: int,
+                   case: CaseLabel) -> Solution:
+    delegate = _tzitzeica(-c1, frame.with_lambda_gamma(-frame.lambda_gamma),
+                          branch, case)
     return dataclasses.replace(delegate, family=FamilyLabel.DoddBullough,
                                c1=c1, frame=frame)
 
@@ -347,9 +357,14 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
     when the parameter exceeds 1 (the superunitary regime, -1 < c1 < 1);
     otherwise it is monotone unbounded.
     """
+    return _sine_gordon(c1, frame, branch, _resolve_case(
+        FamilyLabel.SineGordon, frame, c1, case, branch))
+
+
+def _sine_gordon(c1: float, frame: FrameParams, branch: int,
+                 case: CaseLabel) -> Solution:
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = _resolve_case(FamilyLabel.SineGordon, frame, c1, case, branch)
     bounded = None
     params: dict = {}
 
@@ -373,8 +388,7 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
         bounded = True
     elif lg > 0.0 and c1 < 1.0:
         # sin(psi + pi) = -sin(psi), so psi(xi; c1, lg) = pi + psi(xi; -c1, -lg)
-        image = sine_gordon(-c1, frame.with_lambda_gamma(-lg), branch=branch,
-                            case=case)
+        image = _sine_gordon(-c1, frame.with_lambda_gamma(-lg), branch, case)
         image_psi = image._fn
         def psi_fn(xi: float) -> float:
             return math.pi + image_psi(xi)

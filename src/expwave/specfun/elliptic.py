@@ -84,25 +84,9 @@ class _PreparedJacobi:
 
     def sn_cn_dn(self, u: float) -> tuple[float, float, float]:
         """jacobi_sn_cn_dn(u, m) for this m."""
-        m = self.m
-        if not (math.isfinite(u) and math.isfinite(m)):
-            raise DomainError("jacobi_sn_cn_dn requires finite arguments")
-        if abs(u) < 1e-120:
-            # below any representable quadratic correction; also keeps the
-            # backward recurrence's cn/sn ratio from overflowing
-            return u, 1.0, 1.0
-        if m == 0.0:
-            return math.sin(u), math.cos(u), 1.0
-        if m == 1.0:
-            try:
-                sech = 1.0 / math.cosh(u)
-            except OverflowError:  # |u| > 710: sech = 2 e^-|u| to rounding
-                sech = 2.0 * math.exp(-abs(u))
-            return math.tanh(u), sech, sech
-        if m > 1.0:
-            rk = self._rk
-            sn, cn, dn = self._inner.sn_cn_dn(u * rk)
-            return sn / rk, dn, cn
+        # the common case: finite m < 1, m != 0, finite u, |u| >= 1e-120
+        if not (self._ladder and u - u == 0.0 and abs(u) >= 1e-120):
+            return self._sn_cn_dn_special(u)
         c = self._c
         u = u * c
         sn = math.sin(u)
@@ -121,20 +105,41 @@ class _PreparedJacobi:
             cn = c * sn
         return sn, cn, dn
 
-    def am(self, u: float) -> float:
-        """jacobi_am(u, m) for this m."""
+    def _sn_cn_dn_special(self, u: float) -> tuple[float, float, float]:
+        # non-finite input, tiny u, m in {0, 1} and m > 1, in that order
         m = self.m
         if not (math.isfinite(u) and math.isfinite(m)):
-            raise DomainError("jacobi_am requires finite arguments")
+            raise DomainError("jacobi_sn_cn_dn requires finite arguments")
+        if abs(u) < 1e-120:
+            # below any representable quadratic correction; also keeps the
+            # backward recurrence's cn/sn ratio from overflowing
+            return u, 1.0, 1.0
         if m == 0.0:
-            return u
+            return math.sin(u), math.cos(u), 1.0
         if m == 1.0:
-            return math.asin(math.tanh(u))  # gudermannian
-        if m > 1.0:
-            rk = self._rk
+            try:
+                sech = 1.0 / math.cosh(u)
+            except OverflowError:  # |u| > 710: sech = 2 e^-|u| to rounding
+                sech = 2.0 * math.exp(-abs(u))
+            return math.tanh(u), sech, sech
+        rk = self._rk  # m > 1
+        sn, cn, dn = self._inner.sn_cn_dn(u * rk)
+        return sn / rk, dn, cn
+
+    def am(self, u: float) -> float:
+        """jacobi_am(u, m) for this m."""
+        if not (self._ladder and u - u == 0.0):
+            m = self.m
+            if not (math.isfinite(u) and math.isfinite(m)):
+                raise DomainError("jacobi_am requires finite arguments")
+            if m == 0.0:
+                return u
+            if m == 1.0:
+                return math.asin(math.tanh(u))  # gudermannian
+            rk = self._rk  # m > 1
             sn, _, dn = self._inner.sn_cn_dn(u * rk)
             return math.atan2(sn / rk, dn)
-        k = self.k
+        k = self._k or self.k  # K > 0; the property computes it once
         n = round(u / (2.0 * k))
         ur = u - 2.0 * n * k
         sn, cn, _ = self.sn_cn_dn(ur)

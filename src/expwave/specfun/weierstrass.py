@@ -135,13 +135,9 @@ class _PreparedWeierstrass:
         self.real_period = real_period
         self.eps_pole = _POLE_FRACTION * pole_scale
 
-    def pole_distance(self, z: float) -> float:
-        if math.isfinite(self.real_period):
-            return abs(z - self.real_period * round(z / self.real_period))
-        return abs(z)
-
-    def check_pole(self, z: float) -> None:
-        d = self.pole_distance(z)
+    def check_pole(self, d: float) -> None:
+        """Raise PoleProximityError for a distance d to the nearest pole
+        inside the exclusion radius."""
         if d < self.eps_pole:
             raise PoleProximityError(
                 f"z within {self.eps_pole:.3e} of a Weierstrass pole (distance {d:.3e})",
@@ -150,37 +146,40 @@ class _PreparedWeierstrass:
             )
 
     def eval(self, z: float) -> tuple[float, float]:
-        self.check_pole(z)
-        if self.kind == "rational":
+        d = abs(z)  # the distance to the nearest pole
+        period = self.real_period
+        if math.isfinite(period):
+            d = abs(z - period * round(z / period))
+        if d < self.eps_pole:
+            self.check_pole(d)
+        kind = self.kind
+        if kind == "sn":
+            sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
+            p = self.e_off + self.coeff / (sn * sn)
+            pp = -2.0 * self.coeff * self.scale * cn * dn / (sn ** 3)
+            return p, pp
+        if kind == "cn":  # H-form for one real root
+            sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
+            h = self.coeff
+            one_m_cn = 1.0 - cn
+            p = self.e_off + h * (1.0 + cn) / one_m_cn
+            pp = -2.0 * h * self.scale * sn * dn / (one_m_cn * one_m_cn)
+            return p, pp
+        if kind == "rational":
             p = 1.0 / (z * z)
             return p, -2.0 / (z * z * z)
-        if self.kind == "hyperbolic":
-            e = self.e_off
-            a = self.scale  # sqrt(3 e)
+        e = self.e_off
+        a = self.scale  # sqrt(3 e)
+        if kind == "hyperbolic":
             s = math.sinh(a * z)
             csch2 = 1.0 / (s * s)
             p = e + 3.0 * e * csch2
             pp = -6.0 * e * a * csch2 * (math.cosh(a * z) / s)
             return p, pp
-        if self.kind == "trigonometric":
-            e = self.e_off
-            a = self.scale
-            s = math.sin(a * z)
-            csc2 = 1.0 / (s * s)
-            p = -e + 3.0 * e * csc2
-            pp = -6.0 * e * a * csc2 * (math.cos(a * z) / s)
-            return p, pp
-        if self.kind == "sn":
-            sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
-            p = self.e_off + self.coeff / (sn * sn)
-            pp = -2.0 * self.coeff * self.scale * cn * dn / (sn ** 3)
-            return p, pp
-        # "cn": H-form for one real root
-        sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
-        h = self.coeff
-        one_m_cn = 1.0 - cn
-        p = self.e_off + h * (1.0 + cn) / one_m_cn
-        pp = -2.0 * h * self.scale * sn * dn / (one_m_cn * one_m_cn)
+        s = math.sin(a * z)  # "trigonometric"
+        csc2 = 1.0 / (s * s)
+        p = -e + 3.0 * e * csc2
+        pp = -6.0 * e * a * csc2 * (math.cos(a * z) / s)
         return p, pp
 
 

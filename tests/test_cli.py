@@ -164,6 +164,35 @@ def test_config_before_or_after_subcommand(capsys, tmp_path):
     assert json.loads(outs[0])["family"] == "Tzitzeica"
 
 
+def test_main_reuses_one_parser(capsys, tmp_path):
+    # one process, one parser: each call gives the exit code and output it
+    # gives alone in a fresh process, an argparse error included
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"family": "tzitzeica", "c1": 1.0,
+                               "lambda_gamma": 1.0}))
+    calls = [
+        ["solve", "--no-such-flag"],
+        ["--config", str(cfg), "solve"],
+        ["sample", "--family", "liouville", "--c1", "-1e-1",
+         "--lambda-gamma", "1", "--n", "5"],
+        ["verify", "--family", "sine-gordon", "--c1", "1",
+         "--lambda-gamma", "1", "--n", "16"],
+    ]
+    cli._build_parser.cache_clear()
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        results.append((code, out, err))
+    assert cli._build_parser.cache_info().misses == 1
+    assert [r[0] for r in results] == [2, 0, 0, 0]
+    for argv, result in zip(calls, results):
+        assert result == run_cli(*argv), argv
+
+
 def test_exit_codes():
     code, _, _ = run_cli("classify", "--family", "nosuch")
     assert code == 2

@@ -37,15 +37,27 @@ def test_traced_bindings_are_called(monkeypatch):
     import expwave.cli as cli
 
     t = Tracer()
-    try:
-        t.install_expwave()
+
+    def verify_counts(c1):
+        # (exit code, Weierstrass evals, evaluator calls) of one verify op
+        before = [t.stats[s][0] for s in ("specfun.weierstrass_eval",
+                                          "solutions.evaluate")]
         with contextlib.redirect_stdout(io.StringIO()):
             code, _ = t.op(cli.main, ["verify", "--family", "tzitzeica",
-                                      "--c1", "0", "--lambda-gamma", "1",
+                                      "--c1", c1, "--lambda-gamma", "1",
                                       "--n", "16"])
+        return (code, t.stats["specfun.weierstrass_eval"][0] - before[0],
+                t.stats["solutions.evaluate"][0] - before[1])
+
+    try:
+        t.install_expwave()
+        code, w_evals, evals = verify_counts("0")
     finally:
         t.detach()
     assert code == 0
+    # every evaluation of a Weierstrass case goes through the prepared
+    # eval, so its span counts each one
+    assert w_evals == evals > 0
     for span in [f"verify.{o}" for o in ORACLES] + ["solutions.construct"]:
         assert t.stats[span][0] == 1, span
     assert t.evals["ode_residual"] > 0
@@ -58,6 +70,14 @@ def test_traced_bindings_are_called(monkeypatch):
     # six right-hand-side calls per attempted step: a shooting kernel that
     # takes one step more or fewer fails here
     assert t.shoot_rhs == 1194
+    # the general Weierstrass case likewise
+    try:
+        t.attach()
+        code, w_evals, evals = verify_counts("1")
+    finally:
+        t.detach()
+    assert code == 0
+    assert w_evals == evals > 0
 
 
 def _workloads(monkeypatch):

@@ -481,3 +481,55 @@ def test_tails_take_their_limit(family, c1, frame, branch, beyond, limit):
     for xi in beyond:
         v = value(xi)
         assert v == limit and math.copysign(1.0, v) == math.copysign(1.0, limit)
+
+
+def test_construct_classifies_once(monkeypatch):
+    # the delegating builders (Dodd-Bullough through Tzitzeica, the two
+    # reflections through their parents, the sine-Gordon pi shift through
+    # its image) take the resolved case instead of classifying again
+    import expwave.solutions as solutions
+
+    calls = []
+    classify = solutions.classify_case
+
+    def counting(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(solutions, "classify_case", counting)
+    c1s = (0.0, 0.3, -0.3, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 3.0, -3.0,
+           C1_LEMNISCATIC, -C1_LEMNISCATIC)
+    built = set()
+    for family in (FamilyLabel.Liouville, FamilyLabel.Tzitzeica,
+                   FamilyLabel.DoddBullough, FamilyLabel.TzitzeicaDoddBullough,
+                   FamilyLabel.DoddBulloughMikhailov, FamilyLabel.SineGordon,
+                   FamilyLabel.SinhGordon):
+        for frame in (FR1, FRN):
+            for c1 in c1s:
+                for case in (None, CaseLabel.GeneralWeierstrass):
+                    calls.clear()
+                    try:
+                        sol = construct(family, c1, frame, case=case)
+                    except (CaseMismatchError, DomainError):
+                        assert len(calls) == 1
+                        continue
+                    assert len(calls) == 1, (family, c1, frame, case)
+                    built.add((family, sol.case))
+                    if (family is FamilyLabel.SineGordon and frame is FR1
+                            and abs(c1) < 1.0):
+                        built.add((family, "pi shift"))
+    cubic = {CaseLabel.Degenerate1a, CaseLabel.Degenerate1b,
+             CaseLabel.Equianharmonic, CaseLabel.Lemniscatic,
+             CaseLabel.GeneralWeierstrass}
+    gordon = {CaseLabel.KinkC1Plus, CaseLabel.KinkC1Minus,
+              CaseLabel.AmplitudeC1Zero, CaseLabel.AmplitudeGeneric}
+    expected = {(FamilyLabel.Liouville, case) for case in (
+        CaseLabel.LiouvilleRational, CaseLabel.LiouvilleSoliton,
+        CaseLabel.LiouvillePeriodic)}
+    expected |= {(family, case) for case in cubic for family in (
+        FamilyLabel.Tzitzeica, FamilyLabel.DoddBullough,
+        FamilyLabel.TzitzeicaDoddBullough, FamilyLabel.DoddBulloughMikhailov)}
+    expected |= {(family, case) for case in gordon for family in (
+        FamilyLabel.SineGordon, FamilyLabel.SinhGordon)}
+    expected.add((FamilyLabel.SineGordon, "pi shift"))
+    assert built == expected
