@@ -3,7 +3,7 @@
 ``golden/cli.json`` holds the exit code and stdout of ``sample`` and
 ``solve`` for every figure curve and six Dodd-Bullough, TDB and DBM
 images of the Tzitzeica curves, each on a ``--lambda-gamma`` frame
-(k = 0) and on a k != 0 frame with the same lambda*gamma, plus four
+(k = 0) and on a k != 0 frame with the same lambda*gamma, plus eleven
 ``verify`` runs.  ``golden/figures_n101`` holds the directory written by
 ``figures --n 101``.  Rewrite both, only when a change of output is
 intended, with
@@ -51,6 +51,19 @@ VERIFY = [
     ["--family", "dodd-bullough", "--c1", "0.0", "--lambda-gamma", "-1.0"],
     ["--family", "sine-gordon", "--c1", "0.0", "--lambda-gamma", "-1.0"],
     ["--family", "sinh-gordon", "--c1", "0.0", "--lambda", repr(1.0 / 3.0),
+     "--k", "1", "--omega", "2"],
+    # one record per singular kind, and two families whose h goes negative
+    ["--family", "liouville", "--c1", "1.0", "--lambda-gamma", "1.0"],
+    ["--family", "liouville", "--c1", "-1.0", "--lambda", repr(1.0 / 3.0),
+     "--k", "1", "--omega", "2"],
+    ["--family", "tzitzeica", "--c1", "-1.5", "--branch", "-1",
+     "--lambda-gamma", "1.0"],
+    ["--family", "tzitzeica-dodd-bullough", "--c1", "-1.0", "--lambda",
+     repr(-1.0 / 3.0), "--k", "1", "--omega", "2"],
+    ["--family", "dodd-bullough-mikhailov", "--c1", "-1.5", "--branch", "-1",
+     "--lambda-gamma", "1.0"],
+    ["--family", "sinh-gordon", "--c1", "-0.5", "--lambda-gamma", "1.0"],
+    ["--family", "sinh-gordon", "--c1", "0.5", "--lambda", repr(1.0 / 3.0),
      "--k", "1", "--omega", "2"],
 ]
 

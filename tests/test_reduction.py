@@ -159,6 +159,14 @@ def test_real_pow_fast_path_is_bit_identical():
         _real_pow(0.0, -1.0)
     with pytest.raises(DomainError, match="non-integer exponent"):
         _real_pow(-2.0, 0.5)
+    # seeded sweep: negative bases from subnormal to 1e300, integral exponents
+    rng = random.Random(20181010)
+    for _ in range(10_000):
+        h = -(10.0 ** rng.uniform(-323.0, 300.0))
+        for n in range(-7, 8):
+            e = float(n)
+            assert (_pow_outcome(_real_pow, h, e)
+                    == _pow_outcome(_reference_real_pow, h, e)), (h, e)
 
 def test_elliptic_data_values():
     d = elliptic_data(FamilyLabel.Tzitzeica, FR1, -1.5)
@@ -271,6 +279,62 @@ def test_classify_case_taxonomy():
             classify_case(fam, frame, c1)
     with pytest.raises(DomainError, match="no catalogued closed form"):
         classify_case(FamilyLabel.SinhGordon, FR1, -2.0)
+
+
+
+_OVERFLOW = "OverflowError: (34, 'Numerical result out of range')"
+_INFINITE = "DomainError: invariants must be finite"
+#: classify_case on the four Weierstrass-route families at each c1 of
+#: SWEEP_C1 for (family, lambda gamma): the case name, or the exception
+#: type and message; generated while classify_case solved the cubic
+SWEEP_C1 = (1e60, -1e60, 1e40, 3e102, 1e-320, -1.5, 0.0)
+SWEEP_CASES = {
+    ('Tzitzeica', 1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1a', _OVERFLOW,
+        'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
+    ('Tzitzeica', -1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1b', _OVERFLOW,
+        'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
+    ('Tzitzeica', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW, _OVERFLOW,
+        _INFINITE, _OVERFLOW, _INFINITE),
+    ('Tzitzeica', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW, _INFINITE,
+        _INFINITE, _OVERFLOW, _INFINITE),
+    ('DoddBullough', 1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1a', _OVERFLOW,
+        'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('DoddBullough', -1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1b', _OVERFLOW,
+        'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('DoddBullough', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW, _OVERFLOW,
+        _INFINITE, _OVERFLOW, _INFINITE),
+    ('DoddBullough', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW, _INFINITE,
+        _INFINITE, _OVERFLOW, _INFINITE),
+    ('TzitzeicaDoddBullough', 1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1a',
+        _OVERFLOW, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('TzitzeicaDoddBullough', -1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1b',
+        _OVERFLOW, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('TzitzeicaDoddBullough', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW,
+        _OVERFLOW, _INFINITE, _OVERFLOW, _INFINITE),
+    ('TzitzeicaDoddBullough', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW,
+        _INFINITE, _INFINITE, _OVERFLOW, _INFINITE),
+    ('DoddBulloughMikhailov', 1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1a',
+        _OVERFLOW, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
+    ('DoddBulloughMikhailov', -1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1b',
+        _OVERFLOW, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
+    ('DoddBulloughMikhailov', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW,
+        _OVERFLOW, _INFINITE, _OVERFLOW, _INFINITE),
+    ('DoddBulloughMikhailov', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW,
+        _INFINITE, _INFINITE, _OVERFLOW, _INFINITE),
+}
+
+
+def test_classify_case_sweep_of_cubic_families():
+    assert len(SWEEP_CASES) * len(SWEEP_C1) == 112
+    for (family, lg), expected in SWEEP_CASES.items():
+        frame = FrameParams.from_lambda_gamma(lg)
+        got = []
+        for c1 in SWEEP_C1:
+            try:
+                got.append(classify_case(FamilyLabel[family], frame, c1).name)
+            except (ArithmeticError, ValueError) as e:
+                got.append(f"{type(e).__name__}: {e}")
+        assert tuple(got) == expected, (family, lg)
 
 
 #: c1 where the case, or whether a real solution exists, changes
