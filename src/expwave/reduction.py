@@ -221,11 +221,9 @@ def _real_pow(h: float, e: float) -> float:
         return 1.0
     if h == 0.0 and e < 0.0:
         raise DomainError("h = 0 with a negative exponent")
-    if h < 0.0:
-        n = round(e)
-        if e != n:
-            raise DomainError("h <= 0 with a non-integer exponent")
-        return math.copysign(abs(h) ** n, 1.0 if n % 2 == 0 else h)
+    if h < 0.0 and e != round(e):
+        raise DomainError("h <= 0 with a non-integer exponent")
+    # float ** negates the odd integral powers of |h| itself
     return h ** e
 
 
@@ -241,21 +239,26 @@ class OdeDescriptor:
         self.params = params
         self.frame = frame
         self.r = frame.r
+        self.alpha, self.beta, self.a, self.b = (
+            params.alpha, params.beta, params.a, params.b)
+        self.imaginary_pair = params.imaginary_pair
 
     def source(self, h: float) -> float:
         """alpha h^a + beta h^b (equals sin(log h) for sine-Gordon)."""
-        p = self.params
-        if p.imaginary_pair:
-            psi = math.log(h)
-            return self.source_psi(psi)
-        return p.alpha * _real_pow(h, p.a) + p.beta * _real_pow(h, p.b)
+        if self.imaginary_pair:
+            return self.source_psi(math.log(h))
+        if h > 0.0:
+            return self.alpha * h ** self.a + self.beta * h ** self.b
+        return (self.alpha * _real_pow(h, self.a)
+                + self.beta * _real_pow(h, self.b))
 
     def source_psi(self, psi: float) -> float:
-        p = self.params
-        if p.imaginary_pair:
+        if self.imaginary_pair:
             # (alpha i) e^(i a psi) + (beta i) e^(i b psi), real by pairing
-            return -p.alpha * math.sin(p.a * psi) - p.beta * math.sin(p.b * psi)
-        return p.alpha * math.exp(p.a * psi) + p.beta * math.exp(p.b * psi)
+            return (-self.alpha * math.sin(self.a * psi)
+                    - self.beta * math.sin(self.b * psi))
+        return (self.alpha * math.exp(self.a * psi)
+                + self.beta * math.exp(self.b * psi))
 
     def f(self, h: float) -> float:
         return self.r * h * h * self.source(h)
@@ -281,39 +284,44 @@ class QuadratureDescriptor:
     def __init__(self, params: EquationParams, frame: FrameParams, c1: float):
         if params.beta != 0.0 and params.b == 0.0:
             raise InvalidParamsError("exponent b must be nonzero when beta != 0")
-        self.params = params
-        self.frame = frame
+        # g_psi_prime is OdeDescriptor.source_psi, so hold what it reads
+        OdeDescriptor.__init__(self, params, frame)
         self.c1 = c1
-        self.r = frame.r
+        self.a1, self.b1 = params.a - 1.0, params.b - 1.0
+        # a = 0 only with alpha = 0, b = 0 only with beta = 0: no term
+        self.alpha_a = params.alpha / params.a if params.a else 0.0
+        self.beta_b = params.beta / params.b if params.b else 0.0
 
     def g(self, h: float) -> float:
-        p = self.params
-        if p.imaginary_pair:
+        if self.imaginary_pair:
             return self.g_psi(math.log(h))
-        total = self.c1 + (p.alpha / p.a) * _real_pow(h, p.a)
-        if p.beta != 0.0:
-            total += (p.beta / p.b) * _real_pow(h, p.b)
+        pos = h > 0.0
+        total = self.c1 + self.alpha_a * (h ** self.a if pos
+                                          else _real_pow(h, self.a))
+        if self.beta != 0.0:
+            total += self.beta_b * (h ** self.b if pos
+                                    else _real_pow(h, self.b))
         return total
 
     def g_prime(self, h: float) -> float:
-        p = self.params
-        if p.imaginary_pair:
+        if self.imaginary_pair:
             raise UnsupportedFamilyError("g_prime is h-space only")
-        total = p.alpha * _real_pow(h, p.a - 1.0)
-        if p.beta != 0.0:
-            total += p.beta * _real_pow(h, p.b - 1.0)
+        pos = h > 0.0
+        total = self.alpha * (h ** self.a1 if pos else _real_pow(h, self.a1))
+        if self.beta != 0.0:
+            total += self.beta * (h ** self.b1 if pos
+                                  else _real_pow(h, self.b1))
         return total
 
     def g_psi(self, psi: float) -> float:
-        p = self.params
-        if p.imaginary_pair:
+        if self.imaginary_pair:
             # (alpha i)/(a i) e^(i a psi) + ... pairs up into cosines;
             # with the sine-Gordon tags this is c1 - cos(psi)
-            return self.c1 + (p.alpha / p.a) * math.cos(p.a * psi) \
-                + (p.beta / p.b) * math.cos(p.b * psi)
-        total = self.c1 + (p.alpha / p.a) * math.exp(p.a * psi)
-        if p.beta != 0.0:
-            total += (p.beta / p.b) * math.exp(p.b * psi)
+            return (self.c1 + self.alpha_a * math.cos(self.a * psi)
+                    + self.beta_b * math.cos(self.b * psi))
+        total = self.c1 + self.alpha_a * math.exp(self.a * psi)
+        if self.beta != 0.0:
+            total += self.beta_b * math.exp(self.b * psi)
         return total
 
     # dG_psi/dpsi equals the ODE source written in psi
@@ -384,24 +392,29 @@ class EllipticData:
         return d
 
 
+def _cubic(family: FamilyLabel, frame: FrameParams, c1: float) -> tuple:
+    """(a0, a1, a2, a3, g2, g3) of the cubic (h')^2 = a3 h^3 + ... + a0."""
+    if family not in CUBIC_FAMILIES:
+        raise UnsupportedFamilyError(
+            f"{family.name} does not reduce to the cubic elliptic equation")
+    params = family_params(family)
+    r = frame.r
+    a2 = 2.0 * c1 * r
+    a1 = 0.0
+    a3 = 2.0 * r * params.alpha  # all cubic families have a = 1
+    a0 = 0.0 if params.beta == 0.0 else 2.0 * r * params.beta / params.b
+    g2 = (a2 * a2 - 3.0 * a1 * a3) / 12.0
+    g3 = (9.0 * a1 * a2 * a3 - 27.0 * a0 * a3 * a3 - 2.0 * a2 ** 3) / 432.0
+    return a0, a1, a2, a3, g2, g3
+
+
 def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> EllipticData:
     """Coefficients, germs g2/g3, discriminant and cubic roots for the
     cubic families.
 
     The Gordon families bypass the cubic route entirely and are rejected.
     """
-    if family not in CUBIC_FAMILIES:
-        raise UnsupportedFamilyError(
-            f"{family.name} does not reduce to the cubic elliptic equation")
-    params = family_params(family)
-    r = frame.r
-    p = 2.0 * c1 * r
-    a2 = p
-    a1 = 0.0
-    a3 = 2.0 * r * params.alpha  # all cubic families have a = 1
-    a0 = 0.0 if params.beta == 0.0 else 2.0 * r * params.beta / params.b
-    g2 = (a2 * a2 - 3.0 * a1 * a3) / 12.0
-    g3 = (9.0 * a1 * a2 * a3 - 27.0 * a0 * a3 * a3 - 2.0 * a2 ** 3) / 432.0
+    a0, a1, a2, a3, g2, g3 = _cubic(family, frame, c1)
     delta = g2 ** 3 - 27.0 * g3 * g3
     roots = solve_weierstrass_cubic(g2, g3)
     repeated = None
@@ -409,8 +422,8 @@ def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> Ellipti
         # double root magnitude: e for (g3 < 0), with roots (e, e, -2e)
         repeated = abs(g3) ** (1.0 / 3.0) / 2.0
     return EllipticData(
-        family=family, c1=c1, r=r,
-        a0=a0, a1=a1, a2=a2, a3=a3, p=p,
+        family=family, c1=c1, r=frame.r,
+        a0=a0, a1=a1, a2=a2, a3=a3, p=a2,
         g2=g2, g3=g3, delta=delta, roots=roots, repeated_root=repeated,
     )
 
@@ -430,13 +443,13 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLab
                 if c1 / (2.0 * frame.lambda_gamma) > 0.0
                 else CaseLabel.LiouvillePeriodic)
     if family in CUBIC_FAMILIES:
-        data = elliptic_data(family, frame, c1)
+        *_, g2, g3 = _cubic(family, frame, c1)
         # Dodd-Bullough and its reflection solve the base family at (-c1,
         # -lambda gamma); the cnoidal form needs the base lambda gamma > 0
         flip = -1.0 if family in (FamilyLabel.DoddBullough,
                                   FamilyLabel.TzitzeicaDoddBullough) else 1.0
-        if data.is_degenerate:
-            return CaseLabel.Degenerate1a if data.g3 < 0.0 else CaseLabel.Degenerate1b
+        if WeierstrassInvariants(g2, g3).is_degenerate:
+            return CaseLabel.Degenerate1a if g3 < 0.0 else CaseLabel.Degenerate1b
         if abs(flip * c1) <= C1_MATCH_TOL:
             return CaseLabel.Equianharmonic
         if (abs(flip * c1 - C1_LEMNISCATIC) <= C1_MATCH_TOL

@@ -1,9 +1,10 @@
 """Deterministic descriptions of where a closed-form solution blows up
 or stops being real-valued.
 
-Every Solution carries one of these, and ``keeps`` alone decides which xi
-may be sampled, so verification grids, CSV emission and figures skip
-singular neighbourhoods without probing for overflow.
+Every Solution carries one of these, and ``clearance`` alone decides which
+xi may be sampled (``keeps`` compares it with a pad), so verification
+grids, CSV emission and figures skip singular neighbourhoods without
+probing for overflow.
 Kinds:
 
   none             finite everywhere
@@ -80,10 +81,14 @@ class Singularities:
             return local < self.half_width
         return True
 
+    def clearance(self, xi: float) -> float:
+        """Distance to the singular set where xi is valid, else -inf."""
+        return self.distance(xi) if self.is_valid(xi) else -math.inf
+
     def keeps(self, xi: float, pad: float) -> bool:
         """True where xi may be sampled: on the valid side and farther than
         ``pad`` from the singular set."""
-        return self.is_valid(xi) and self.distance(xi) > pad
+        return self.clearance(xi) > pad
 
     # no caller in the package; perfbench/tracer.py wraps it by this name
     def exclusions(self, lo: float, hi: float, pad: float) -> list[tuple[float, float]]:

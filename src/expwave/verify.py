@@ -74,6 +74,9 @@ class Grid:
     # [solution, table] of the last jets() call
     _jets: list = field(default_factory=list, init=False, repr=False,
                         compare=False)
+    # [kept (xi, clearance) pairs], measured once; steps and windows read it
+    _kept: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -81,16 +84,30 @@ class Grid:
         if not self.xi_min < self.xi_max:
             raise ValueError("grid needs xi_min < xi_max")
 
+    def _cleared(self) -> list[tuple[float, float]]:
+        memo = self._kept
+        if not memo:
+            step = (self.xi_max - self.xi_min) / (self.n - 1)
+            clearance, pad = self.singularities.clearance, self.pad
+            memo.append([(x, d) for x in (self.xi_min + i * step
+                                          for i in range(self.n))
+                         if (d := clearance(x)) > pad])
+        return memo[0]
+
+    def _distances(self, sing: Singularities) -> list[tuple[float, float]]:
+        """(xi, distance to ``sing``) at each kept point: the clearance kept
+        when ``sing`` is the grid's own set, as for :meth:`for_solution`."""
+        if sing == self.singularities:
+            return self._cleared()
+        return [(x, sing.distance(x)) for x, _ in self._cleared()]
+
     def points(self) -> list[float]:
-        step = (self.xi_max - self.xi_min) / (self.n - 1)
-        keeps, pad = self.singularities.keeps, self.pad
-        return [x for x in (self.xi_min + i * step for i in range(self.n))
-                if keeps(x, pad)]
+        return [x for x, _ in self._cleared()]
 
     def jets(self, sol: Solution) -> list[tuple[float, float, float, float]]:
         """(xi, value, d1, d2) at each of :meth:`points`, in the solution's
         native variable, from the Richardson stencil at the
-        singularity-aware step ``_step_at(xi, ..., FD_BASE_STEP)``.
+        singularity-aware step ``_step_at(distance, FD_BASE_STEP)``.
 
         The grid keeps the last table, keyed by the solution's identity, so
         the oracles and ``sample`` that read one grid share one stencil
@@ -105,9 +122,8 @@ class Grid:
         if memo and memo[0] is sol:
             return memo[1]
         evaluate = _native_evaluator(sol)
-        sing = sol.singularities
-        table = [(xi, *_stencil(evaluate, xi, _step_at(xi, sing, FD_BASE_STEP)))
-                 for xi in self.points()]
+        table = [(xi, *_stencil(evaluate, xi, _step_at(d, FD_BASE_STEP)))
+                 for xi, d in self._distances(sol.singularities)]
         memo[:] = [sol, table]
         return table
 
@@ -150,12 +166,9 @@ def _report(oracle: str, residuals: list[float], tol: float) -> VerificationRepo
     return VerificationReport(oracle, max(residuals), rms, len(residuals), tol)
 
 
-def _step_at(xi: float, sing: Singularities, base: float) -> float:
-    d = sing.distance(xi)
-    s = base
-    if math.isfinite(d):
-        s = min(s, FD_SINGULAR_FRACTION * d)
-    return max(s, FD_MIN_STEP)
+def _step_at(d: float, base: float) -> float:
+    """``base`` shrunk in proportion to the distance d to the singular set."""
+    return max(min(base, FD_SINGULAR_FRACTION * d), FD_MIN_STEP)
 
 
 def _stencil(f, x: float, s: float) -> tuple[float, float, float]:
@@ -205,12 +218,13 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
     (psi-space analogue for the Gordon families), normalized by the larger
     of 1 and the two sides; it reads the jets of :meth:`Grid.jets`."""
     quad = first_integral(family_params(sol.family), frame, c1)
+    two_r = 2.0 * frame.r
     residuals = []
     for _, val, d1, _ in grid.jets(sol):
         if sol.psi_native:
-            rhs = 2.0 * frame.r * quad.g_psi(val)
+            rhs = two_r * quad.g_psi(val)
         else:
-            rhs = 2.0 * frame.r * val * val * quad.g(val)
+            rhs = two_r * val * val * quad.g(val)
         residuals.append(abs(d1 * d1 - rhs) / max(1.0, d1 * d1, abs(rhs)))
     return _report("first_integral_residual", residuals, tol)
 
@@ -299,26 +313,28 @@ def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
         while (target - t) * direction > 1e-14 * max(1.0, abs(target)):
             if abs(h) > abs(target - t):
                 h = target - t
-            # stage i has value y_i, slope v_i and acceleration k_i
+            # stage i: value y_i, slope v_i, acceleration k_i; c_ij = h a_ij
             k0 = acc(y)
-            y1 = y + h * a10 * v
-            v1 = v + h * a10 * k0
+            c10 = h * a10
+            y1 = y + c10 * v
+            v1 = v + c10 * k0
             k1 = acc(y1)
-            y2 = y + h * a20 * v + h * a21 * v1
-            v2 = v + h * a20 * k0 + h * a21 * k1
+            c20, c21 = h * a20, h * a21
+            y2 = y + c20 * v + c21 * v1
+            v2 = v + c20 * k0 + c21 * k1
             k2 = acc(y2)
-            y3 = y + h * a30 * v + h * a31 * v1 + h * a32 * v2
-            v3 = v + h * a30 * k0 + h * a31 * k1 + h * a32 * k2
+            c30, c31, c32 = h * a30, h * a31, h * a32
+            y3 = y + c30 * v + c31 * v1 + c32 * v2
+            v3 = v + c30 * k0 + c31 * k1 + c32 * k2
             k3 = acc(y3)
-            y4 = (y + h * a40 * v + h * a41 * v1 + h * a42 * v2
-                  + h * a43 * v3)
-            v4 = (v + h * a40 * k0 + h * a41 * k1 + h * a42 * k2
-                  + h * a43 * k3)
+            c40, c41, c42, c43 = h * a40, h * a41, h * a42, h * a43
+            y4 = y + c40 * v + c41 * v1 + c42 * v2 + c43 * v3
+            v4 = v + c40 * k0 + c41 * k1 + c42 * k2 + c43 * k3
             k4 = acc(y4)
-            y5 = (y + h * a50 * v + h * a51 * v1 + h * a52 * v2
-                  + h * a53 * v3 + h * a54 * v4)
-            v5 = (v + h * a50 * k0 + h * a51 * k1 + h * a52 * k2
-                  + h * a53 * k3 + h * a54 * k4)
+            c50, c51, c52, c53, c54 = (h * a50, h * a51, h * a52, h * a53,
+                                       h * a54)
+            y5 = y + c50 * v + c51 * v1 + c52 * v2 + c53 * v3 + c54 * v4
+            v5 = v + c50 * k0 + c51 * k1 + c52 * k2 + c53 * k3 + c54 * k4
             k5 = acc(y5)
             y_new = y + h * sum((b0 * v, b1 * v1, b2 * v2, b3 * v3, b4 * v4,
                                  b5 * v5))
@@ -351,11 +367,15 @@ def _acceleration(quad: QuadratureDescriptor, psi_native: bool):
     integral: psi'' = r G_psi'(psi), or h'' = r (2 h G(h) + h^2 G'(h))."""
     r = quad.r
     if psi_native:
+        g_psi_prime = quad.g_psi_prime
+
         def acc(psi):
-            return r * quad.g_psi_prime(psi)
+            return r * g_psi_prime(psi)
     else:
+        g, g_prime = quad.g, quad.g_prime
+
         def acc(h):
-            return r * (2.0 * h * quad.g(h) + h * h * quad.g_prime(h))
+            return r * (2.0 * h * g(h) + h * h * g_prime(h))
     return acc
 
 
@@ -377,7 +397,7 @@ def shoot_and_compare(quad: QuadratureDescriptor, sol: Solution,
         raise TypeError("shoot_and_compare integrates the first integral; "
                         "pass a QuadratureDescriptor")
     evaluate = _native_evaluator(sol)
-    s = _step_at(xi_start, sol.singularities, FD_BASE_STEP)
+    s = _step_at(sol.singularities.distance(xi_start), FD_BASE_STEP)
     y0 = list(_stencil(evaluate, xi_start, s)[:2])
     acc = _acceleration(quad, sol.psi_native)
     times = [xi_start + span * i / 50 for i in range(1, 51)]
@@ -413,7 +433,7 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
     xi = x - w, x, x, x + w gives L(x+w) - 2 L(x) + L(x-w) =
     (w^2/pq) int_0^1 (1 - t) [S(x+wt) + S(x-wt)] dt, by ``_GL8`` here.
     Residual: |lhs - rhs| / max(w^2, |rhs|), on every ceil(m/PDE_WINDOWS)-th
-    of the grid's m kept points, w = _step_at(x, ..., PDE_HALF_WIDTH), 19
+    of the grid's m kept points, w = _step_at(distance, PDE_HALF_WIDTH), 19
     evaluations each.  log|h| and h^b are singular where h = 0, so an
     h-native window counts only if all 19 values keep the centre's sign and
     half its magnitude.
@@ -423,11 +443,11 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
     value_of = _native_evaluator(sol)
     log_of = (lambda v: v) if sol.psi_native else (lambda v: math.log(abs(v)))
     source = desc.source_psi if sol.psi_native else desc.source
-    pts = grid.points()
-    stride = max(1, -(-len(pts) // PDE_WINDOWS))
+    kept = grid._distances(sol.singularities)
+    stride = max(1, -(-len(kept) // PDE_WINDOWS))
     residuals = []
-    for x in pts[stride // 2::stride]:
-        w = _step_at(x, sol.singularities, PDE_HALF_WIDTH)
+    for x, d in kept[stride // 2::stride]:
+        w = _step_at(d, PDE_HALF_WIDTH)
         mid, lo, hi = value_of(x), value_of(x - w), value_of(x + w)
         pairs = [(value_of(x + w * t), value_of(x - w * t)) for t, _ in _GL8]
         if not (sol.psi_native or mid != 0.0 and all(
@@ -437,7 +457,7 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
         rhs = w * w / pq * sum(c * (1.0 - t) * (source(a) + source(b))
                                for (t, c), (a, b) in zip(_GL8, pairs))
         residuals.append(abs(lhs - rhs) / max(w * w, abs(rhs)))
-    if pts and not residuals:
+    if kept and not residuals:
         raise EmptyGridError(
             "pde_residual: h is zero or changes sign in every window")
     return _report("pde_residual", residuals, tol)

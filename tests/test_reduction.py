@@ -111,6 +111,9 @@ def test_liouville_single_exponential_branch():
     # beta = 0: no beta-term in G, b unused
     q = first_integral(family_params(FamilyLabel.Liouville), FR1, 2.0)
     assert q.g(3.0) == pytest.approx(5.0, abs=1e-15)
+    # alpha = 0 likewise drops the alpha-term, with a unused
+    q = first_integral(EquationParams(0.0, 1.0, 0.0, 1.0), FR1, 2.0)
+    assert q.g(3.0) == 5.0 and q.g_psi(0.0) == 3.0
     # non-integer exponent with h < 0 is rejected
     q = first_integral(EquationParams(1.0, 0.0, 0.5, 0.0), FR1, 0.0)
     with pytest.raises(DomainError):

@@ -533,3 +533,35 @@ def test_construct_classifies_once(monkeypatch):
         FamilyLabel.SineGordon, FamilyLabel.SinhGordon)}
     expected.add((FamilyLabel.SineGordon, "pi shift"))
     assert built == expected
+
+
+def test_construct_solves_the_cubic_only_for_weierstrass_forms(monkeypatch):
+    # classify_case decides from the invariants alone, so only the prepared
+    # Weierstrass evaluator of the equianharmonic and general cases solves
+    # the cubic, once per construct
+    import expwave.reduction as reduction
+    import expwave.specfun.weierstrass as weierstrass
+
+    calls = []
+    solve = weierstrass.solve_weierstrass_cubic
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    for owner in (reduction, weierstrass):
+        monkeypatch.setattr(owner, "solve_weierstrass_cubic", counting)
+    solved = {CaseLabel.Equianharmonic, CaseLabel.GeneralWeierstrass}
+    seen = set()
+    for family in (FamilyLabel.Tzitzeica, FamilyLabel.DoddBullough,
+                   FamilyLabel.TzitzeicaDoddBullough,
+                   FamilyLabel.DoddBulloughMikhailov):
+        for frame in (FR1, FRN):
+            for c1 in (0.0, 1.0, -1.0, 1.5, -1.5, C1_LEMNISCATIC,
+                       -C1_LEMNISCATIC):
+                calls.clear()
+                sol = construct(family, c1, frame)
+                assert len(calls) == (sol.case in solved), (family, frame, c1)
+                seen.add(sol.case)
+    assert seen == solved | {CaseLabel.Degenerate1a, CaseLabel.Degenerate1b,
+                             CaseLabel.Lemniscatic}

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import math
 
 import pytest
 from scipy.integrate import quad
 
+from expwave import cli
 from expwave.cli import _shoot_window
 from expwave.errors import (
     EmptyGridError,
@@ -67,6 +70,35 @@ def test_grid_basics():
     sol = liouville(1.0, FR1)
     with pytest.raises(EmptyGridError):
         ode_residual(sol, FR1, g)
+
+
+def test_grid_measures_each_point_once(monkeypatch):
+    # points() hands out a fresh list of the kept points
+    g = Grid(0.0, 1.0, 101, Singularities.isolated(0.5), 0.2)
+    pts = g.points()
+    pts[0] = 7.0
+    pts.pop()
+    assert g.points() == Grid(0.0, 1.0, 101, Singularities.isolated(0.5),
+                              0.2).points()
+    # a grid without the solution's singular set measures the solution's
+    # distances itself, so its steps are those of a grid built on the set
+    sol = tzitzeica(1.0, FR1)
+    assert Grid(-5.0, 5.0, 64).jets(sol) == \
+        Grid(-5.0, 5.0, 64, sol.singularities).jets(sol)
+    # one verify on a lattice solution measures each grid point once
+    calls = []
+    clearance = Singularities.clearance
+
+    def counting(self, xi):
+        calls.append(xi)
+        return clearance(self, xi)
+
+    monkeypatch.setattr(Singularities, "clearance", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--family", "tzitzeica", "--c1", "1.0",
+                         "--lambda-gamma", "1", "--n", "64"])
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 64
 
 
 def test_ode_oracle_constant_fixed_point():
