@@ -48,7 +48,7 @@ from .verify import (
     DEFAULT_PDE_TOL,
     DEFAULT_SHOOT_TOL,
     Grid,
-    _ode_point_residual,
+    _ode_residuals,
     first_integral_residual,
     implicit_residual_check,
     ode_residual,
@@ -96,8 +96,10 @@ class JobConfig:
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(JobConfig)}
+_TOLERANCES = [name for name in _FIELDS if name.startswith("tol_")]
 #: JSON values accepted for each JobConfig annotation (bools never are)
 _JSON_TYPES = {"str": str, "float": (int, float), "int": int}
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 def _check_config_value(key: str, val) -> None:
@@ -108,6 +110,9 @@ def _check_config_value(key: str, val) -> None:
     if isinstance(val, bool) or not isinstance(val, types):
         raise ConfigError(
             f"config field {key!r} must be {kind}, not {json.dumps(val)}")
+    if isinstance(val, int) and types is not int and abs(val) > _FLOAT_MAX:
+        # an integer no float holds: math.isfinite would raise OverflowError
+        raise ConfigError(f"config field {key!r} is beyond the float range")
 
 
 def _fmt(x: float) -> str:
@@ -234,6 +239,10 @@ def _load_config(ns: argparse.Namespace) -> JobConfig:
         raise ConfigError("c1 must be finite")
     if cfg.branch not in (1, -1):
         raise ConfigError("branch must be +1 or -1")
+    for key in _TOLERANCES:
+        tol = getattr(cfg, key)
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ConfigError(f"{key} must be finite and > 0, not {tol!r}")
     # a finite positive width also rules out a non-finite xi_min or xi_max
     if not math.isfinite(cfg.xi_max - cfg.xi_min) or cfg.xi_min >= cfg.xi_max:
         raise ConfigError("need xi_min < xi_max with a finite width")
@@ -318,10 +327,12 @@ def cmd_solve(cfg: JobConfig) -> int:
 
 def _sample_rows(sol: Solution, grid: Grid) -> list[str]:
     ode = traveling_ode(family_params(sol.family), sol.frame)
+    table = grid.jets(sol)
+    h_psi = sol.h_psi
     rows = ["xi,h,psi,ode_residual"]
-    for xi, value, d1, d2 in grid.jets(sol):
-        res = _ode_point_residual(ode, sol.psi_native, value, d1, d2)
-        h, psi = sol.h_psi(value)
+    for (xi, value, _, _), res in zip(
+            table, _ode_residuals(ode, sol.psi_native, table)):
+        h, psi = h_psi(value)
         # one %.17g format per row gives _fmt's bytes
         if psi != psi:  # NaN where h <= 0: an empty psi cell
             rows.append("%.17g,%.17g,,%.17g" % (xi, h, res))

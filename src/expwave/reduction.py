@@ -214,14 +214,22 @@ class FrameParams:
         return FrameParams.from_lambda_gamma(lambda_gamma, xi0=self.xi0)
 
 
-def _real_pow(h: float, e: float) -> float:
+def _integral(e: float) -> bool | None:
+    """Whether the exponent e is integral, or None where that is not
+    decided (e not finite: the test itself raises)."""
+    return e == round(e) if math.isfinite(e) else None
+
+
+def _real_pow(h: float, e: float, integral: bool | None = None) -> float:
+    """h ** e where it is real; ``integral`` is ``_integral(e)`` when the
+    caller holds it."""
     if h > 0.0:  # the common case; h ** 0.0 == 1.0 like the branch below
         return h ** e
     if e == 0.0:
         return 1.0
     if h == 0.0 and e < 0.0:
         raise DomainError("h = 0 with a negative exponent")
-    if h < 0.0 and e != round(e):
+    if h < 0.0 and not (e == round(e) if integral is None else integral):
         raise DomainError("h <= 0 with a non-integer exponent")
     # float ** negates the odd integral powers of |h| itself
     return h ** e
@@ -241,6 +249,7 @@ class OdeDescriptor:
         self.r = frame.r
         self.alpha, self.beta, self.a, self.b = (
             params.alpha, params.beta, params.a, params.b)
+        self.a_int, self.b_int = _integral(params.a), _integral(params.b)
         self.imaginary_pair = params.imaginary_pair
 
     def source(self, h: float) -> float:
@@ -249,8 +258,8 @@ class OdeDescriptor:
             return self.source_psi(math.log(h))
         if h > 0.0:
             return self.alpha * h ** self.a + self.beta * h ** self.b
-        return (self.alpha * _real_pow(h, self.a)
-                + self.beta * _real_pow(h, self.b))
+        return (self.alpha * _real_pow(h, self.a, self.a_int)
+                + self.beta * _real_pow(h, self.b, self.b_int))
 
     def source_psi(self, psi: float) -> float:
         if self.imaginary_pair:
@@ -288,6 +297,7 @@ class QuadratureDescriptor:
         OdeDescriptor.__init__(self, params, frame)
         self.c1 = c1
         self.a1, self.b1 = params.a - 1.0, params.b - 1.0
+        self.a1_int, self.b1_int = _integral(self.a1), _integral(self.b1)
         # a = 0 only with alpha = 0, b = 0 only with beta = 0: no term
         self.alpha_a = params.alpha / params.a if params.a else 0.0
         self.beta_b = params.beta / params.b if params.b else 0.0
@@ -296,21 +306,22 @@ class QuadratureDescriptor:
         if self.imaginary_pair:
             return self.g_psi(math.log(h))
         pos = h > 0.0
-        total = self.c1 + self.alpha_a * (h ** self.a if pos
-                                          else _real_pow(h, self.a))
+        total = self.c1 + self.alpha_a * (
+            h ** self.a if pos else _real_pow(h, self.a, self.a_int))
         if self.beta != 0.0:
-            total += self.beta_b * (h ** self.b if pos
-                                    else _real_pow(h, self.b))
+            total += self.beta_b * (
+                h ** self.b if pos else _real_pow(h, self.b, self.b_int))
         return total
 
     def g_prime(self, h: float) -> float:
         if self.imaginary_pair:
             raise UnsupportedFamilyError("g_prime is h-space only")
         pos = h > 0.0
-        total = self.alpha * (h ** self.a1 if pos else _real_pow(h, self.a1))
+        total = self.alpha * (
+            h ** self.a1 if pos else _real_pow(h, self.a1, self.a1_int))
         if self.beta != 0.0:
-            total += self.beta * (h ** self.b1 if pos
-                                  else _real_pow(h, self.b1))
+            total += self.beta * (
+                h ** self.b1 if pos else _real_pow(h, self.b1, self.b1_int))
         return total
 
     def g_psi(self, psi: float) -> float:

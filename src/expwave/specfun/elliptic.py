@@ -86,7 +86,11 @@ class _PreparedJacobi:
         """jacobi_sn_cn_dn(u, m) for this m."""
         # the common case: finite m < 1, m != 0, finite u, |u| >= 1e-120
         if not (self._ladder and u - u == 0.0 and abs(u) >= 1e-120):
-            return self._sn_cn_dn_special(u)
+            if self._inner is None or not (u - u == 0.0 and abs(u) >= 1e-120):
+                return self._sn_cn_dn_special(u)
+            rk = self._rk  # m > 1: the reciprocal-parameter transformation
+            sn, cn, dn = self._inner.sn_cn_dn(u * rk)
+            return sn / rk, dn, cn
         c = self._c
         u = u * c
         sn = math.sin(u)
@@ -106,7 +110,8 @@ class _PreparedJacobi:
         return sn, cn, dn
 
     def _sn_cn_dn_special(self, u: float) -> tuple[float, float, float]:
-        # non-finite input, tiny u, m in {0, 1} and m > 1, in that order
+        # non-finite input, tiny u, then m in {0, 1}, the cases sn_cn_dn
+        # leaves here
         m = self.m
         if not (math.isfinite(u) and math.isfinite(m)):
             raise DomainError("jacobi_sn_cn_dn requires finite arguments")
@@ -116,15 +121,11 @@ class _PreparedJacobi:
             return u, 1.0, 1.0
         if m == 0.0:
             return math.sin(u), math.cos(u), 1.0
-        if m == 1.0:
-            try:
-                sech = 1.0 / math.cosh(u)
-            except OverflowError:  # |u| > 710: sech = 2 e^-|u| to rounding
-                sech = 2.0 * math.exp(-abs(u))
-            return math.tanh(u), sech, sech
-        rk = self._rk  # m > 1
-        sn, cn, dn = self._inner.sn_cn_dn(u * rk)
-        return sn / rk, dn, cn
+        try:  # m == 1
+            sech = 1.0 / math.cosh(u)
+        except OverflowError:  # |u| > 710: sech = 2 e^-|u| to rounding
+            sech = 2.0 * math.exp(-abs(u))
+        return math.tanh(u), sech, sech
 
     def am(self, u: float) -> float:
         """jacobi_am(u, m) for this m."""

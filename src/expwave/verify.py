@@ -14,8 +14,18 @@ A defect in the special-function kernels cannot hide from all three.
 
 Each oracle's docstring states its normalization.  Near declared
 singularities the stencil step and the Goursat window shrink in proportion
-to the distance from the singular set, which keeps the truncation error of
-the h ~ 1/(xi - xi_s)^2 blow-up profiles below the targets.
+to the distance from the singular set (:func:`_steps`, the one step
+policy), which keeps the truncation error of the h ~ 1/(xi - xi_s)^2
+blow-up profiles below the targets.
+
+Each oracle makes one pass over a table, not a call per point:
+:func:`_jet_table` turns abscissas and steps into the (xi, value, d1, d2)
+table (the Richardson formula), :func:`_ode_residuals` turns that table
+into ODE residuals for both ``ode_residual`` and ``sample``, and
+``pde_residual`` reads its window widths from :func:`_steps` in one call.
+Every value comes from ``Solution.evaluate_h``/``evaluate_psi``, one call
+per abscissa, so per-point work is the evaluations and the arithmetic of
+the formulas.
 """
 
 from __future__ import annotations
@@ -88,10 +98,16 @@ class Grid:
         memo = self._kept
         if not memo:
             step = (self.xi_max - self.xi_min) / (self.n - 1)
-            clearance, pad = self.singularities.clearance, self.pad
-            memo.append([(x, d) for x in (self.xi_min + i * step
-                                          for i in range(self.n))
-                         if (d := clearance(x)) > pad])
+            lattice = [self.xi_min + i * step for i in range(self.n)]
+            sing, pad = self.singularities, self.pad
+            if sing.kind == "none":
+                # clearance is inf at every point
+                memo.append([(x, math.inf) for x in lattice]
+                            if math.inf > pad else [])
+            else:
+                clearance = sing.clearance
+                memo.append([(x, d) for x in lattice
+                             if (d := clearance(x)) > pad])
         return memo[0]
 
     def _distances(self, sing: Singularities) -> list[tuple[float, float]]:
@@ -106,8 +122,8 @@ class Grid:
 
     def jets(self, sol: Solution) -> list[tuple[float, float, float, float]]:
         """(xi, value, d1, d2) at each of :meth:`points`, in the solution's
-        native variable, from the Richardson stencil at the
-        singularity-aware step ``_step_at(distance, FD_BASE_STEP)``.
+        native variable: :func:`_jet_table` at the singularity-aware steps
+        ``_steps(distances, FD_BASE_STEP)``.
 
         The grid keeps the last table, keyed by the solution's identity, so
         the oracles and ``sample`` that read one grid share one stencil
@@ -121,9 +137,9 @@ class Grid:
         memo = self._jets
         if memo and memo[0] is sol:
             return memo[1]
-        evaluate = _native_evaluator(sol)
-        table = [(xi, *_stencil(evaluate, xi, _step_at(d, FD_BASE_STEP)))
-                 for xi, d in self._distances(sol.singularities)]
+        kept = self._distances(sol.singularities)
+        table = _jet_table(_native_evaluator(sol), [x for x, _ in kept],
+                           _steps([d for _, d in kept], FD_BASE_STEP))
         memo[:] = [sol, table]
         return table
 
@@ -166,50 +182,64 @@ def _report(oracle: str, residuals: list[float], tol: float) -> VerificationRepo
     return VerificationReport(oracle, max(residuals), rms, len(residuals), tol)
 
 
-def _step_at(d: float, base: float) -> float:
-    """``base`` shrunk in proportion to the distance d to the singular set."""
-    return max(min(base, FD_SINGULAR_FRACTION * d), FD_MIN_STEP)
+def _steps(distances: list[float], base: float) -> list[float]:
+    """The step policy: ``base``, shrunk to FD_SINGULAR_FRACTION of each
+    distance to the singular set, floored at FD_MIN_STEP."""
+    steps = []
+    for d in distances:
+        s = FD_SINGULAR_FRACTION * d
+        if not s < base:
+            s = base
+        if FD_MIN_STEP > s:
+            s = FD_MIN_STEP
+        steps.append(s)
+    return steps
 
 
-def _stencil(f, x: float, s: float) -> tuple[float, float, float]:
-    """(f(x), f'(x), f''(x)) from Richardson-extrapolated central
-    differences at steps s and s/2, each abscissa evaluated once."""
-    fx = f(x)
-    fp, fm = f(x + s), f(x - s)
-    hp, hm = f(x + 0.5 * s), f(x - 0.5 * s)
-    d1 = (4.0 * ((hp - hm) / s) - (fp - fm) / (2.0 * s)) / 3.0
-    d2 = (4.0 * ((hp - 2.0 * fx + hm) / (0.25 * s * s))
-          - (fp - 2.0 * fx + fm) / (s * s)) / 3.0
-    return fx, d1, d2
+def _jet_table(f, xs: list[float],
+               steps: list[float]) -> list[tuple[float, float, float, float]]:
+    """(x, f(x), f'(x), f''(x)) at each x, from Richardson-extrapolated
+    central differences at steps s and s/2, each abscissa evaluated once."""
+    table = []
+    for x, s in zip(xs, steps):
+        fx = f(x)
+        fp, fm = f(x + s), f(x - s)
+        hp, hm = f(x + 0.5 * s), f(x - 0.5 * s)
+        table.append((
+            x, fx, (4.0 * ((hp - hm) / s) - (fp - fm) / (2.0 * s)) / 3.0,
+            (4.0 * ((hp - 2.0 * fx + hm) / (0.25 * s * s))
+             - (fp - 2.0 * fx + fm) / (s * s)) / 3.0))
+    return table
 
 
 def _native_evaluator(sol: Solution):
     return sol.evaluate_psi if sol.psi_native else sol.evaluate_h
 
 
-def _ode_point_residual(desc: OdeDescriptor, psi_native: bool, val: float,
-                        d1: float, d2: float) -> float:
-    """Residual of the traveling ODE at one (value, d1, d2) jet.
+def _ode_residuals(desc: OdeDescriptor, psi_native: bool,
+                   table: list[tuple[float, float, float, float]]) -> list[float]:
+    """Residual of the traveling ODE at each (xi, value, d1, d2) jet.
 
     h-native: |h h'' - (h')^2 - f(h)| / max(1, |f(h)|); psi-native, the
     identical equation written in psi:
     |psi'' - source(psi)/(lambda gamma)| / max(1, |source/(lambda gamma)|).
     """
     if psi_native:
-        rhs = desc.rhs_psi(val)
-        return abs(d2 - rhs) / max(1.0, abs(rhs))
-    fh = desc.f(val)
-    return abs(val * d2 - d1 * d1 - fh) / max(1.0, abs(fh))
+        rhs_psi = desc.rhs_psi
+        return [abs(d2 - (rhs := rhs_psi(val))) / max(1.0, abs(rhs))
+                for _, val, _, d2 in table]
+    f = desc.f
+    return [abs(val * d2 - d1 * d1 - (fh := f(val))) / max(1.0, abs(fh))
+            for _, val, d1, d2 in table]
 
 
 def ode_residual(sol: Solution, frame: FrameParams, grid: Grid,
                  tol: float = DEFAULT_ODE_TOL) -> VerificationReport:
-    """Residual of the traveling ODE (see :func:`_ode_point_residual`) at
-    the jets of :meth:`Grid.jets`."""
+    """Residual of the traveling ODE (see :func:`_ode_residuals`) at the
+    jets of :meth:`Grid.jets`."""
     desc = traveling_ode(family_params(sol.family), frame)
-    residuals = [_ode_point_residual(desc, sol.psi_native, val, d1, d2)
-                 for _, val, d1, d2 in grid.jets(sol)]
-    return _report("ode_residual", residuals, tol)
+    return _report("ode_residual",
+                   _ode_residuals(desc, sol.psi_native, grid.jets(sol)), tol)
 
 
 def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
@@ -219,13 +249,15 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
     of 1 and the two sides; it reads the jets of :meth:`Grid.jets`."""
     quad = first_integral(family_params(sol.family), frame, c1)
     two_r = 2.0 * frame.r
-    residuals = []
-    for _, val, d1, _ in grid.jets(sol):
-        if sol.psi_native:
-            rhs = two_r * quad.g_psi(val)
-        else:
-            rhs = two_r * val * val * quad.g(val)
-        residuals.append(abs(d1 * d1 - rhs) / max(1.0, d1 * d1, abs(rhs)))
+    table = grid.jets(sol)
+    if sol.psi_native:
+        g_psi = quad.g_psi
+        rhss = [two_r * g_psi(val) for _, val, _, _ in table]
+    else:
+        g = quad.g
+        rhss = [two_r * val * val * g(val) for _, val, _, _ in table]
+    residuals = [abs(d1 * d1 - rhs) / max(1.0, d1 * d1, abs(rhs))
+                 for (_, _, d1, _), rhs in zip(table, rhss)]
     return _report("first_integral_residual", residuals, tol)
 
 
@@ -387,7 +419,7 @@ def shoot_and_compare(quad: QuadratureDescriptor, sol: Solution,
     :func:`rk_integrate` from the state (value, slope) read off the closed
     form and report the maximum deviation of the value.
 
-    The initial slope comes from a Richardson stencil on the evaluator;
+    The initial slope comes from :func:`_jet_table` on the evaluator;
     the trajectory is compared at 50 equispaced points, integrated to local
     error SHOOT_RK_TOL = 1e-6 x DEFAULT_SHOOT_TOL: the global error follows
     it (Hairer-Norsett-Wanner I, II.4) by up to 1e4 (Tzitzeica dark soliton
@@ -397,11 +429,11 @@ def shoot_and_compare(quad: QuadratureDescriptor, sol: Solution,
         raise TypeError("shoot_and_compare integrates the first integral; "
                         "pass a QuadratureDescriptor")
     evaluate = _native_evaluator(sol)
-    s = _step_at(sol.singularities.distance(xi_start), FD_BASE_STEP)
-    y0 = list(_stencil(evaluate, xi_start, s)[:2])
+    (_, value, slope, _), = _jet_table(evaluate, [xi_start], _steps(
+        [sol.singularities.distance(xi_start)], FD_BASE_STEP))
     acc = _acceleration(quad, sol.psi_native)
     times = [xi_start + span * i / 50 for i in range(1, 51)]
-    path = rk_integrate(acc, xi_start, y0, xi_start + span,
+    path = rk_integrate(acc, xi_start, [value, slope], xi_start + span,
                         rtol=SHOOT_RK_TOL, atol=SHOOT_RK_TOL, sample_times=times)
     residuals = [abs(y[0] - evaluate(t)) for t, y in path]
     return _report("shoot_and_compare", residuals, tol)
@@ -419,6 +451,8 @@ _GL8 = tuple(zip(
     (0.05061426814518813, 0.11119051722668724, 0.15685332293894363,
      0.181341891689181, 0.181341891689181, 0.15685332293894363,
      0.11119051722668724, 0.05061426814518813)))
+# (node t, kernel weight c (1 - t)) of the Goursat quadrature
+_GL8_KERNEL = tuple((t, c * (1.0 - t)) for t, c in _GL8)
 
 
 def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
@@ -433,29 +467,35 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
     xi = x - w, x, x, x + w gives L(x+w) - 2 L(x) + L(x-w) =
     (w^2/pq) int_0^1 (1 - t) [S(x+wt) + S(x-wt)] dt, by ``_GL8`` here.
     Residual: |lhs - rhs| / max(w^2, |rhs|), on every ceil(m/PDE_WINDOWS)-th
-    of the grid's m kept points, w = _step_at(distance, PDE_HALF_WIDTH), 19
-    evaluations each.  log|h| and h^b are singular where h = 0, so an
-    h-native window counts only if all 19 values keep the centre's sign and
-    half its magnitude.
+    of the grid's m kept points, w from ``_steps(distances,
+    PDE_HALF_WIDTH)``, 19 evaluations each.  log|h| and h^b are singular
+    where h = 0, so an h-native window counts only if all 19 values keep
+    the centre's sign and half its magnitude (a NaN keeps neither).
     """
     desc = traveling_ode(family_params(sol.family), frame)
     pq = (frame.k - frame.omega) * -frame.lam * (frame.k + frame.omega)
+    psi_native = sol.psi_native
     value_of = _native_evaluator(sol)
-    log_of = (lambda v: v) if sol.psi_native else (lambda v: math.log(abs(v)))
-    source = desc.source_psi if sol.psi_native else desc.source
+    source = desc.source_psi if psi_native else desc.source
+    log = math.log
     kept = grid._distances(sol.singularities)
     stride = max(1, -(-len(kept) // PDE_WINDOWS))
+    centres = kept[stride // 2::stride]
     residuals = []
-    for x, d in kept[stride // 2::stride]:
-        w = _step_at(d, PDE_HALF_WIDTH)
+    for (x, _), w in zip(centres, _steps([d for _, d in centres],
+                                         PDE_HALF_WIDTH)):
         mid, lo, hi = value_of(x), value_of(x - w), value_of(x + w)
-        pairs = [(value_of(x + w * t), value_of(x - w * t)) for t, _ in _GL8]
-        if not (sol.psi_native or mid != 0.0 and all(
-                v / mid >= 0.5 for v in (lo, hi, *sum(pairs, ())))):
+        pairs = [(value_of(x + w * t), value_of(x - w * t))
+                 for t, _ in _GL8_KERNEL]
+        if psi_native:
+            lhs = hi - 2.0 * mid + lo
+        elif (mid != 0.0 and lo / mid >= 0.5 and hi / mid >= 0.5
+              and all([a / mid >= 0.5 and b / mid >= 0.5 for a, b in pairs])):
+            lhs = log(abs(hi)) - 2.0 * log(abs(mid)) + log(abs(lo))
+        else:
             continue
-        lhs = log_of(hi) - 2.0 * log_of(mid) + log_of(lo)
-        rhs = w * w / pq * sum(c * (1.0 - t) * (source(a) + source(b))
-                               for (t, c), (a, b) in zip(_GL8, pairs))
+        rhs = w * w / pq * sum([k * (source(a) + source(b))
+                                for (_, k), (a, b) in zip(_GL8_KERNEL, pairs)])
         residuals.append(abs(lhs - rhs) / max(w * w, abs(rhs)))
     if kept and not residuals:
         raise EmptyGridError(

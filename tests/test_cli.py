@@ -250,6 +250,11 @@ def _main_with_config(argv, tmp_path):
       "lambda_gamma": 1}],
     [{"command": "solve", "family": "sine-gordon", "c1": 1,
       "lambda_gamma": 1, "branch": 1.0}],
+    # JSON integers that no float holds
+    [{"command": "solve", "family": "sine-gordon", "c1": 10 ** 400,
+      "lambda_gamma": 1}],
+    [{"command": "verify", "family": "sine-gordon", "c1": 1,
+      "lambda_gamma": 1, "tol_ode": -10 ** 309}],
 ])
 def test_bad_numeric_input_exits_2(capsys, tmp_path, argv):
     assert _main_with_config(argv, tmp_path) == 2
@@ -301,6 +306,32 @@ def test_exit_code_and_message(capsys, tmp_path, argv, code, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key, value", [
+    ("tol_ode", math.nan), ("tol_ode", -1e-8), ("tol_ode", 0.0),
+    ("tol_ode", math.inf), ("tol_first_integral", -0.0),
+    ("tol_shoot", math.nan), ("tol_pde", -1.0), ("tol_implicit", math.inf)])
+def test_tolerance_must_be_finite_and_positive(capsys, tmp_path, key, value,
+                                               source):
+    # a NaN tolerance printed "tolerance": NaN (not JSON), a zero or
+    # negative one failed a correct closed form, and inf passed anything
+    job = {"command": "verify", "family": "liouville", "c1": 1,
+           "lambda_gamma": 1, "n": 16}
+    if source == "file":
+        argv = [{**job, key: value}]
+    else:
+        argv = ["verify", "--family", "liouville", "--c1", "1",
+                "--lambda-gamma", "1", "--n", "16",
+                "--" + key.replace("_", "-"), repr(value)]
+    assert _main_with_config(argv, tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"config error: {key} must be finite and > 0, not {value!r}"]
+    # the same job with the default tolerances passes
+    assert _main_with_config([job], tmp_path) == 0
 
 
 @pytest.mark.parametrize("family,c1,lg", [

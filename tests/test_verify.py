@@ -39,11 +39,16 @@ from expwave.verify import (
     _CK_B4,
     _CK_B5,
     _GL8,
+    FD_BASE_STEP,
+    FD_MIN_STEP,
+    FD_SINGULAR_FRACTION,
+    PDE_HALF_WIDTH,
     PDE_WINDOWS,
     Grid,
     _acceleration,
-    _ode_point_residual,
-    _stencil,
+    _jet_table,
+    _ode_residuals,
+    _steps,
     first_integral_residual,
     implicit_residual_check,
     ode_residual,
@@ -99,6 +104,22 @@ def test_grid_measures_each_point_once(monkeypatch):
                          "--lambda-gamma", "1", "--n", "64"])
     assert code == 0
     assert len(calls) == len(set(calls)) == 64
+
+
+def test_grid_on_an_empty_singular_set_measures_nothing(monkeypatch):
+    # every lattice point is kept at clearance inf, as clearance() reads
+    # there, without a call per point
+    def refuse(self, xi):
+        raise AssertionError("clearance called on an empty singular set")
+
+    lattice = [-1.0 + i * (2.0 / 8) for i in range(9)]
+    monkeypatch.setattr(Singularities, "clearance", refuse)
+    assert Grid(-1.0, 1.0, 9).points() == lattice
+    assert Grid(-1.0, 1.0, 9, pad=0.5).points() == lattice
+    assert Grid(-1.0, 1.0, 9)._cleared() == [(x, math.inf) for x in lattice]
+    # a pad no clearance exceeds keeps nothing, as before
+    assert Grid(-1.0, 1.0, 9, pad=math.inf).points() == []
+    assert Grid(-1.0, 1.0, 9, pad=math.nan).points() == []
 
 
 def test_ode_oracle_constant_fixed_point():
@@ -173,6 +194,79 @@ def test_ode_and_first_integral_share_one_stencil_pass():
     assert len(calls) == 5 * rep.points_used
 
 
+def _reference_step(d, base):
+    # the step policy as it was written before the table pass
+    return max(min(base, FD_SINGULAR_FRACTION * d), FD_MIN_STEP)
+
+
+def _reference_jets(sol, grid):
+    # the per-point composition the table pass replaced: one step, then
+    # one Richardson stencil, per kept point
+    f = sol.evaluate_psi if sol.psi_native else sol.evaluate_h
+    out = []
+    for x in grid.points():
+        s = _reference_step(sol.singularities.distance(x), FD_BASE_STEP)
+        fx = f(x)
+        fp, fm = f(x + s), f(x - s)
+        hp, hm = f(x + 0.5 * s), f(x - 0.5 * s)
+        d1 = (4.0 * ((hp - hm) / s) - (fp - fm) / (2.0 * s)) / 3.0
+        d2 = (4.0 * ((hp - 2.0 * fx + hm) / (0.25 * s * s))
+              - (fp - 2.0 * fx + fm) / (s * s)) / 3.0
+        out.append((x, fx, d1, d2))
+    return out
+
+
+def _hex_rows(table):
+    return [tuple(v.hex() for v in row) for row in table]
+
+
+@pytest.mark.parametrize("kind, make", [
+    ("none", lambda: sine_gordon(1.0, FR1)),
+    ("isolated", lambda: tzitzeica(-1.5, FR1, branch=-1)),
+    ("lattice", lambda: tzitzeica(1.0, FR1)),
+    ("half_line", lambda: sinh_gordon(-0.5, FR1)),
+    ("lattice_windows", lambda: sinh_gordon(0.5, FR1)),
+])
+def test_jet_table_matches_per_point_stencil_bit_for_bit(kind, make):
+    sol = make()
+    assert sol.singularities.kind == kind
+    # the grid verify and sample build, on the solution's own set
+    grid = Grid.for_solution(sol, -10.0, 10.0, 1001)
+    table = grid.jets(sol)
+    assert len(table) > 100
+    assert _hex_rows(table) == _hex_rows(_reference_jets(sol, grid))
+
+
+@pytest.mark.parametrize("make, sing", [
+    (lambda: tzitzeica(-1.5, FR1, branch=-1), Singularities.lattice(0.0, 2.0)),
+    (lambda: sine_gordon(1.0, FR1), Singularities.isolated(1.0)),
+    (lambda: tzitzeica(-1.5, FR1), Singularities.none()),
+], ids=["isolated-on-lattice", "none-on-isolated", "none-on-none"])
+def test_jet_table_on_another_singular_set_bit_for_bit(make, sing):
+    # the grid keeps its own points, the steps follow the solution's
+    # distances
+    sol = make()
+    grid = Grid(-4.0, 4.0, 97, sing, 0.3)
+    assert sing != sol.singularities or sing.kind == "none"
+    assert _hex_rows(grid.jets(sol)) == _hex_rows(_reference_jets(sol, grid))
+
+
+def test_jet_table_at_the_step_floor_bit_for_bit():
+    # a pad-0 grid whose first point lies 1.5e-4 from the pole at xi = 0:
+    # 5e-3 of that distance is below FD_MIN_STEP, so the floor applies
+    sol = tzitzeica(-1.5, FR1, branch=-1)
+    grid = Grid(1.5e-4, 2.0, 41, sol.singularities, 0.0)
+    xs = grid.points()
+    assert FD_SINGULAR_FRACTION * sol.singularities.distance(xs[0]) \
+        < FD_MIN_STEP
+    assert _hex_rows(grid.jets(sol)) == _hex_rows(_reference_jets(sol, grid))
+    # the Goursat windows share the step policy, at their own base
+    ds = [math.inf, 1e300, 30.0, 25.0, 0.8, 0.01, 2e-4, 1e-4, 5e-324]
+    for base in (FD_BASE_STEP, PDE_HALF_WIDTH):
+        assert [s.hex() for s in _steps(ds, base)] == \
+            [_reference_step(d, base).hex() for d in ds]
+
+
 def test_report_fields():
     sol = tzitzeica(-1.5, FR1)
     g = Grid(-5.0, 5.0, 100)
@@ -197,9 +291,8 @@ def test_fd_monotonicity():
     xs = Grid(-8.0, 8.0, 200).points()
 
     def worst(step):
-        return max(_ode_point_residual(desc, False,
-                                       *_stencil(sol.evaluate_h, x, step))
-                   for x in xs)
+        return max(_ode_residuals(desc, False, _jet_table(
+            sol.evaluate_h, xs, [step] * len(xs))))
 
     assert worst(0.08) / worst(0.04) >= 3.0
 
@@ -475,6 +568,40 @@ def test_pde_oracle_evaluates_nineteen_per_window(family, c1, frame, n):
     assert len(calls) == 19 * windows
     # h-native windows where h nears zero are skipped, at the same cost
     assert rep.points_used == windows or not sol.psi_native
+
+
+T3, T7 = _GL8[3][0], _GL8[7][0]
+
+
+@pytest.mark.parametrize("where, bad", [
+    (lambda x, w: x, lambda v: math.nan),  # the centre
+    (lambda x, w: x, lambda v: -v),
+    (lambda x, w: x + w * T3, lambda v: math.nan),  # a node
+    (lambda x, w: x - w * T3, lambda v: math.nan),  # its mirror
+    (lambda x, w: x - w * T7, lambda v: -v),
+    (lambda x, w: x - w, lambda v: 0.0),  # an edge
+    (lambda x, w: x + w, lambda v: 0.4 * v),  # under half the centre
+], ids=["centre-nan", "centre-sign", "node-nan", "mirror-node-nan",
+        "mirror-node-sign", "edge-zero", "edge-small"])
+def test_pde_oracle_skips_exactly_the_window_it_must(where, bad):
+    # an h-native window counts only if all 19 values keep the centre's
+    # sign and half its magnitude; a NaN keeps neither, so a window with
+    # one must go (a test written as v / mid < 0.5 would keep it)
+    sol = liouville(1.0, FR1)
+    grid = Grid(-5.0, 5.0, 96)
+    base = pde_residual(sol, FR1, grid)
+    assert base.points_used == PDE_WINDOWS
+    # one abscissa of the 20th window, centred on the 40th kept point; no
+    # other window evaluates it
+    target = where(grid.points()[39], PDE_HALF_WIDTH)
+
+    def doctored(xi):
+        return bad(sol._fn(xi)) if xi == target else sol._fn(xi)
+
+    rep = pde_residual(dataclasses.replace(sol, _fn=doctored), FR1, grid)
+    assert rep.points_used == base.points_used - 1
+    assert math.isfinite(rep.max_residual)
+    assert rep.max_residual <= base.max_residual
 
 
 @pytest.mark.parametrize("family, c1", [
