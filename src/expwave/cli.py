@@ -5,7 +5,8 @@ Subcommands:
   classify   family (and case + elliptic data when c1/frame are given)
   solve      JSON descriptor of a constructed solution
   sample     CSV of xi, h, psi, ode_residual over a grid
-  verify     run the oracle battery, JSON array of reports
+  verify     run verify.battery, JSON array of reports (a note on
+             stderr for each oracle it skipped)
   figures    plot-ready CSVs for the seven catalogued figure families
 
 Every numeric flag can instead come from a JSON config file passed with
@@ -25,7 +26,7 @@ import os
 import sys
 import tempfile
 
-from .errors import EmptyGridError, ExpwaveError, FrameDegenerateError, InvalidParamsError
+from .errors import ExpwaveError, FrameDegenerateError, InvalidParamsError
 from .reduction import (
     CUBIC_FAMILIES,
     GORDON_FAMILIES,
@@ -38,7 +39,6 @@ from .reduction import (
     elliptic_data,
     family_params,
     first_integral,
-    traveling_ode,
 )
 from .solutions import Solution, construct, implicit_relation
 from .verify import (
@@ -48,13 +48,18 @@ from .verify import (
     DEFAULT_PDE_TOL,
     DEFAULT_SHOOT_TOL,
     Grid,
-    _ode_residuals,
+    battery,
     first_integral_residual,
     implicit_residual_check,
     ode_residual,
+    ode_residuals,
     pde_residual,
     shoot_and_compare,
 )
+
+# family_params, first_integral, implicit_relation and the five oracles are
+# no longer called here (verify.battery runs them); they stay bound only
+# because perfbench/tracer.py wraps them by these names.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -326,12 +331,11 @@ def cmd_solve(cfg: JobConfig) -> int:
 
 
 def _sample_rows(sol: Solution, grid: Grid) -> list[str]:
-    ode = traveling_ode(family_params(sol.family), sol.frame)
     table = grid.jets(sol)
     h_psi = sol.h_psi
     rows = ["xi,h,psi,ode_residual"]
     for (xi, value, _, _), res in zip(
-            table, _ode_residuals(ode, sol.psi_native, table)):
+            table, ode_residuals(sol, sol.frame, table)):
         h, psi = h_psi(value)
         # one %.17g format per row gives _fmt's bytes
         if psi != psi:  # NaN where h <= 0: an empty psi cell
@@ -355,83 +359,13 @@ def cmd_verify(cfg: JobConfig) -> int:
     sol = _construct(cfg)
     if cfg.n < 16:
         raise ConfigError("verify needs n >= 16")
-    frame = sol.frame
     grid = Grid.for_solution(sol, cfg.xi_min, cfg.xi_max, cfg.n)
-    reports = [
-        ode_residual(sol, frame, grid, tol=cfg.tol_ode),
-        first_integral_residual(sol, frame, sol.c1, grid,
-                                tol=cfg.tol_first_integral),
-    ]
-    quad = first_integral(family_params(sol.family), frame, sol.c1)
-    start, span = _shoot_window(sol)
-    reports.append(shoot_and_compare(quad, sol, start, span, tol=cfg.tol_shoot))
-    try:
-        reports.append(pde_residual(sol, frame, grid, tol=cfg.tol_pde))
-    except EmptyGridError as e:
-        # the one reachable cause: h underflows to 0 far out on a tail
-        print(f"note: pde_residual skipped: {e}", file=sys.stderr)
-    if sol.c1 == 0.0:
-        try:
-            rel = implicit_relation(sol.family, frame)
-        except ExpwaveError:
-            pass  # no real 2F1 form for this family and sign
-        else:
-            g = _implicit_grid(sol, rel)
-            if g is not None:
-                reports.append(implicit_residual_check(rel, sol, g,
-                                                       tol=cfg.tol_implicit))
+    reports, skipped = battery(
+        sol, grid, **{key: getattr(cfg, key) for key in _TOLERANCES})
+    for oracle, reason in skipped:
+        print(f"note: {oracle} skipped: {reason}", file=sys.stderr)
     _emit(_json_dumps([r.to_json() for r in reports]), cfg.output)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
-
-
-def _shoot_window(sol: Solution) -> tuple[float, float]:
-    """A span of length <= 5 clear of the singular set, started where the
-    profile is flattest (initial slope read off by differences is most
-    accurate there)."""
-    sing = sol.singularities
-    xi0 = sol.frame.xi0
-    if sing.kind == "none":
-        return xi0, 5.0
-    if sing.kind == "half_line":
-        return (xi0 - 6.0, 5.0) if sing.valid_side < 0 else (xi0 + 6.0, -5.0)
-    if sing.kind == "isolated":
-        return max(p for p in sing.points) + 2.5, 5.0
-    period = sing.period
-    if sing.kind == "lattice_windows":
-        return xi0, 0.8 * sing.half_width
-    # lattice: launch from the mid-period turning point
-    start = sing.offset + 0.5 * period
-    return start, min(5.0, 0.32 * period)
-
-
-def _implicit_grid(sol: Solution, rel) -> Grid | None:
-    """Scan one period of the pole lattice (every c1 = 0 solution with a
-    real implicit form has one) for a window where the hypergeometric
-    argument stays <= 0.9."""
-    sing = sol.singularities
-    lo = sing.offset + 0.02 * sing.period
-    hi = sing.offset + 0.98 * sing.period
-    xs = [lo + (hi - lo) * i / 400 for i in range(401)]
-    good = []
-    for x in xs:
-        try:
-            h = sol.evaluate_h(x)
-        except ExpwaveError:
-            continue
-        if rel.in_domain(h, margin=0.9):
-            good.append(x)
-    if len(good) < 16:
-        return None
-    runs = [[good[0]]]
-    for x in good[1:]:
-        if x - runs[-1][-1] < 2.5 * (hi - lo) / 400:
-            runs[-1].append(x)
-        else:
-            runs.append([x])
-    best = max(runs, key=len)
-    if len(best) < 16:
-        return None
-    return Grid(best[0], best[-1], 64)
 
 
 _FIGURES = [

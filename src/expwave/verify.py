@@ -20,12 +20,16 @@ blow-up profiles below the targets.
 
 Each oracle makes one pass over a table, not a call per point:
 :func:`_jet_table` turns abscissas and steps into the (xi, value, d1, d2)
-table (the Richardson formula), :func:`_ode_residuals` turns that table
+table (the Richardson formula), :func:`ode_residuals` turns that table
 into ODE residuals for both ``ode_residual`` and ``sample``, and
 ``pde_residual`` reads its window widths from :func:`_steps` in one call.
 Every value comes from ``Solution.evaluate_h``/``evaluate_psi``, one call
 per abscissa, so per-point work is the evaluations and the arithmetic of
 the formulas.
+
+:func:`battery` owns the choice of oracles: which run for a solution, the
+shooting span and the implicit check's window, and the one rule that
+names an oracle skipped rather than failed.
 """
 
 from __future__ import annotations
@@ -36,18 +40,18 @@ from dataclasses import dataclass, field
 from .errors import (
     DomainError,
     EmptyGridError,
+    ExpwaveError,
     StepSizeUnderflowError,
 )
 from .reduction import (
     FrameParams,
-    OdeDescriptor,
     QuadratureDescriptor,
     family_params,
     first_integral,
     traveling_ode,
 )
 from .singular import Singularities
-from .solutions import ImplicitRelation, Solution
+from .solutions import ImplicitRelation, Solution, implicit_relation
 from .specfun.weierstrass import WeierstrassInvariants, prepare_weierstrass
 
 # Stencil-step policy: base step near the roundoff/truncation balance for
@@ -216,15 +220,17 @@ def _native_evaluator(sol: Solution):
     return sol.evaluate_psi if sol.psi_native else sol.evaluate_h
 
 
-def _ode_residuals(desc: OdeDescriptor, psi_native: bool,
-                   table: list[tuple[float, float, float, float]]) -> list[float]:
-    """Residual of the traveling ODE at each (xi, value, d1, d2) jet.
+def ode_residuals(sol: Solution, frame: FrameParams,
+                  table: list[tuple[float, float, float, float]]) -> list[float]:
+    """Residual of the traveling ODE at each (xi, value, d1, d2) jet of
+    ``sol``: the values ``ode_residual`` reports and ``sample`` prints.
 
     h-native: |h h'' - (h')^2 - f(h)| / max(1, |f(h)|); psi-native, the
     identical equation written in psi:
     |psi'' - source(psi)/(lambda gamma)| / max(1, |source/(lambda gamma)|).
     """
-    if psi_native:
+    desc = traveling_ode(family_params(sol.family), frame)
+    if sol.psi_native:
         rhs_psi = desc.rhs_psi
         return [abs(d2 - (rhs := rhs_psi(val))) / max(1.0, abs(rhs))
                 for _, val, _, d2 in table]
@@ -233,13 +239,23 @@ def _ode_residuals(desc: OdeDescriptor, psi_native: bool,
             for _, val, d1, d2 in table]
 
 
+def _nonvanishing_jets(oracle: str, sol: Solution,
+                       grid: Grid) -> list[tuple[float, float, float, float]]:
+    """:meth:`Grid.jets`, refused when h is +-0 at every point: h = 0 solves
+    both traveling equations, so such a table checks nothing (far out on a
+    tail, where h underflows).  The scan stops at the first nonzero value."""
+    table = grid.jets(sol)
+    if table and not sol.psi_native and not any(v for _, v, _, _ in table):
+        raise EmptyGridError(f"{oracle}: h is zero at every grid point")
+    return table
+
+
 def ode_residual(sol: Solution, frame: FrameParams, grid: Grid,
                  tol: float = DEFAULT_ODE_TOL) -> VerificationReport:
-    """Residual of the traveling ODE (see :func:`_ode_residuals`) at the
+    """Residual of the traveling ODE (see :func:`ode_residuals`) at the
     jets of :meth:`Grid.jets`."""
-    desc = traveling_ode(family_params(sol.family), frame)
-    return _report("ode_residual",
-                   _ode_residuals(desc, sol.psi_native, grid.jets(sol)), tol)
+    table = _nonvanishing_jets("ode_residual", sol, grid)
+    return _report("ode_residual", ode_residuals(sol, frame, table), tol)
 
 
 def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
@@ -249,7 +265,7 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
     of 1 and the two sides; it reads the jets of :meth:`Grid.jets`."""
     quad = first_integral(family_params(sol.family), frame, c1)
     two_r = 2.0 * frame.r
-    table = grid.jets(sol)
+    table = _nonvanishing_jets("first_integral_residual", sol, grid)
     if sol.psi_native:
         g_psi = quad.g_psi
         rhss = [two_r * g_psi(val) for _, val, _, _ in table]
@@ -533,3 +549,102 @@ def implicit_residual_check(rel: ImplicitRelation, sol: Solution, grid: Grid,
     residuals = [abs(rel.lhs(h) - sign * (xi - xi0_eff) / rel.slope_denom)
                  for xi, h in zip(pts, hs)]
     return _report("implicit_residual_check", residuals, tol)
+
+
+# ---------------------------------------------------------------------------
+# the battery
+# ---------------------------------------------------------------------------
+
+def _shoot_window(sol: Solution) -> tuple[float, float]:
+    """A span of length <= 5 clear of the singular set, started where the
+    profile is flattest (initial slope read off by differences is most
+    accurate there)."""
+    sing = sol.singularities
+    xi0 = sol.frame.xi0
+    if sing.kind == "none":
+        return xi0, 5.0
+    if sing.kind == "half_line":
+        return (xi0 - 6.0, 5.0) if sing.valid_side < 0 else (xi0 + 6.0, -5.0)
+    if sing.kind == "isolated":
+        return max(p for p in sing.points) + 2.5, 5.0
+    period = sing.period
+    if sing.kind == "lattice_windows":
+        return xi0, 0.8 * sing.half_width
+    # lattice: launch from the mid-period turning point
+    start = sing.offset + 0.5 * period
+    return start, min(5.0, 0.32 * period)
+
+
+def _implicit_grid(sol: Solution, rel: ImplicitRelation) -> Grid:
+    """Scan one period of the pole lattice (every c1 = 0 solution with a
+    real implicit form has one) for the longest run of adjacent points where
+    the hypergeometric argument stays <= 0.9; EmptyGridError when no run
+    has 16 points."""
+    sing = sol.singularities
+    lo = sing.offset + 0.02 * sing.period
+    hi = sing.offset + 0.98 * sing.period
+    xs = [lo + (hi - lo) * i / 400 for i in range(401)]
+    good = []
+    for x in xs:
+        try:
+            h = sol.evaluate_h(x)
+        except ExpwaveError:
+            continue
+        if rel.in_domain(h, margin=0.9):
+            good.append(x)
+    runs = []
+    for x in good:
+        if runs and x - runs[-1][-1] < 2.5 * (hi - lo) / 400:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    best = max(runs, key=len, default=[])
+    if len(best) < 16:
+        raise EmptyGridError("implicit_residual_check: no 16 adjacent points "
+                             "of the pole period keep the 2F1 argument <= 0.9")
+    return Grid(best[0], best[-1], 64)
+
+
+def battery(sol: Solution, grid: Grid, *, tol_ode: float = DEFAULT_ODE_TOL,
+            tol_first_integral: float = DEFAULT_FI_TOL,
+            tol_shoot: float = DEFAULT_SHOOT_TOL,
+            tol_pde: float = DEFAULT_PDE_TOL,
+            tol_implicit: float = DEFAULT_IMPLICIT_TOL,
+            ) -> tuple[list[VerificationReport], list[tuple[str, str]]]:
+    """Run every oracle that applies to ``sol``, in this order: the ODE and
+    first-integral residuals on ``grid``, shooting over
+    :func:`_shoot_window`, the PDE residual on ``grid`` and, at c1 = 0, the
+    implicit 2F1 check on :func:`_implicit_grid`.
+
+    Returns (reports, skipped), ``skipped`` holding an (oracle, reason)
+    pair for each oracle that had nothing to check.  One rule decides a
+    skip: the oracle raised EmptyGridError, or, for the 2F1 check,
+    ``implicit_relation`` has no real form for this family and sign of
+    lambda gamma.  Every other error propagates.
+    """
+    frame = sol.frame
+    reports: list[VerificationReport] = []
+    skipped: list[tuple[str, str]] = []
+
+    def run(oracle: str, check) -> None:
+        try:
+            reports.append(check())
+        except EmptyGridError as e:
+            skipped.append((oracle, str(e)))
+
+    run("ode_residual", lambda: ode_residual(sol, frame, grid, tol=tol_ode))
+    run("first_integral_residual", lambda: first_integral_residual(
+        sol, frame, sol.c1, grid, tol=tol_first_integral))
+    run("shoot_and_compare", lambda: shoot_and_compare(
+        first_integral(family_params(sol.family), frame, sol.c1), sol,
+        *_shoot_window(sol), tol=tol_shoot))
+    run("pde_residual", lambda: pde_residual(sol, frame, grid, tol=tol_pde))
+    if sol.c1 == 0.0:
+        try:
+            rel = implicit_relation(sol.family, frame)
+        except ExpwaveError as e:
+            skipped.append(("implicit_residual_check", str(e)))
+        else:
+            run("implicit_residual_check", lambda: implicit_residual_check(
+                rel, sol, _implicit_grid(sol, rel), tol=tol_implicit))
+    return reports, skipped

@@ -368,18 +368,25 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
     assert list(adir.iterdir()) == []  # no temporary file left behind
 
 
-@pytest.mark.parametrize("family,lg", [("tzitzeica", "-1"),
-                                       ("dodd-bullough", "1")])
-def test_verify_c1_zero_without_real_implicit_form(capsys, family, lg):
-    # implicit_relation decides that no real 2F1 form exists at this sign;
-    # the other four oracles still run
+@pytest.mark.parametrize("family,lg,reason", [
+    ("tzitzeica", "-1", "this implicit form needs lambda gamma > 0"),
+    ("dodd-bullough", "1", "this implicit form needs lambda gamma < 0"),
+    ("sine-gordon", "-1",
+     "no real implicit hypergeometric form for SineGordon"),
+])
+def test_verify_c1_zero_without_real_implicit_form(capsys, family, lg, reason):
+    # implicit_relation decides that no real 2F1 form exists for this family
+    # or sign; the other four oracles still run, and a note names the skip
     assert main(["verify", "--family", family, "--c1", "0",
                  "--lambda-gamma", lg, "--n", "101"]) == 0
-    reports = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    reports = json.loads(out)
     assert [r["oracle"] for r in reports] == [
         "ode_residual", "first_integral_residual", "shoot_and_compare",
         "pde_residual"]
     assert all(r["pass"] for r in reports)
+    assert err.splitlines() == [
+        f"note: implicit_residual_check skipped: {reason}"]
 
 
 def test_verify_notes_skipped_pde_oracle(capsys):
@@ -394,17 +401,28 @@ def test_verify_notes_skipped_pde_oracle(capsys):
         "pde_residual"]
     assert all(r["pass"] for r in reports)
     assert err == ""
-    # far out on the soliton's tail h underflows to 0.0 in every window,
-    # where log|h| is undefined: the PDE oracle is skipped with a note
-    assert main(["verify", "--family", "liouville", "--c1", "1",
-                 "--lambda-gamma", "1", "--xi-min", "10000",
-                 "--xi-max", "10001"]) == 0
-    out, err = capsys.readouterr()
-    assert [r["oracle"] for r in json.loads(out)] == [
-        "ode_residual", "first_integral_residual", "shoot_and_compare"]
-    assert err.splitlines() == [
-        "note: pde_residual skipped: pde_residual: h is zero or changes "
-        "sign in every window"]
+    # far out on a tail h underflows to 0.0 at every point: h = 0 solves the
+    # traveling ODE and its first integral trivially, and log|h| is
+    # undefined, so the three grid oracles are skipped with a note each;
+    # shooting runs on its own window.  At c1 = 0 Liouville has no 2F1 form
+    grid_notes = [
+        "note: ode_residual skipped: ode_residual: h is zero at every grid "
+        "point",
+        "note: first_integral_residual skipped: first_integral_residual: h "
+        "is zero at every grid point",
+        "note: pde_residual skipped: pde_residual: h is zero or changes sign "
+        "in every window"]
+    for c1, xi_min, xi_max, more in [
+            ("1", "10000", "10001", []),
+            ("0", "1e200", "2e200", [
+                "note: implicit_residual_check skipped: no real implicit "
+                "hypergeometric form for Liouville"])]:
+        assert main(["verify", "--family", "liouville", "--c1", c1,
+                     "--lambda-gamma", "1", "--xi-min", xi_min,
+                     "--xi-max", xi_max]) == 0
+        out, err = capsys.readouterr()
+        assert [r["oracle"] for r in json.loads(out)] == ["shoot_and_compare"]
+        assert err.splitlines() == grid_notes + more
 
 
 def test_verify_shoots_within_budget_near_lambda_gamma_half():

@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from expwave import cli
-from expwave.cli import _shoot_window
 from expwave.errors import (
+    DomainError,
     EmptyGridError,
     StepSizeUnderflowError,
 )
@@ -25,6 +25,7 @@ from expwave.reduction import (
 )
 from expwave.singular import Singularities
 from expwave.solutions import (
+    ImplicitRelation,
     Solution,
     construct,
     dodd_bullough,
@@ -46,12 +47,15 @@ from expwave.verify import (
     PDE_WINDOWS,
     Grid,
     _acceleration,
+    _implicit_grid,
     _jet_table,
-    _ode_residuals,
+    _shoot_window,
     _steps,
+    battery,
     first_integral_residual,
     implicit_residual_check,
     ode_residual,
+    ode_residuals,
     pde_residual,
     rk_integrate,
     shoot_and_compare,
@@ -287,11 +291,10 @@ def test_fd_monotonicity():
     # by at least a factor 3 (fourth-order differences after one level of
     # Richardson extrapolation)
     sol = tzitzeica(-1.5, FR1)
-    desc = traveling_ode(family_params(FamilyLabel.Tzitzeica), FR1)
     xs = Grid(-8.0, 8.0, 200).points()
 
     def worst(step):
-        return max(_ode_residuals(desc, False, _jet_table(
+        return max(ode_residuals(sol, FR1, _jet_table(
             sol.evaluate_h, xs, [step] * len(xs))))
 
     assert worst(0.08) / worst(0.04) >= 3.0
@@ -645,7 +648,6 @@ def test_implicit_checks_pass():
 
 
 def test_implicit_domain_error():
-    from expwave.errors import DomainError
     eq = tzitzeica(0.0, FR1)
     rel = implicit_relation(FamilyLabel.Tzitzeica, FR1)
     period = eq.params["period"]
@@ -671,3 +673,78 @@ def test_shoot_window_respects_half_line():
     q = first_integral(family_params(FamilyLabel.SinhGordon), FR1, -0.5)
     rep = shoot_and_compare(q, sol, -1.0, -5.0)
     assert rep.passed
+
+
+IMPLICIT = "implicit_residual_check"
+
+
+@pytest.mark.parametrize("make, span, doctor, skipped", [
+    (lambda: liouville(1.0, FR1), (-5.0, 5.0), "flip", [
+        ("pde_residual",
+         "pde_residual: h is zero or changes sign in every window")]),
+    (lambda: sine_gordon(0.0, FRN), (-10.0, 10.0), "", [
+        (IMPLICIT, "no real implicit hypergeometric form for SineGordon")]),
+    (lambda: tzitzeica(0.0, FRN), (-10.0, 10.0), "", [
+        (IMPLICIT, "this implicit form needs lambda gamma > 0")]),
+    (lambda: liouville(1.0, FR1), (1e4, 1e4 + 1.0), "", [
+        ("ode_residual", "ode_residual: h is zero at every grid point"),
+        ("first_integral_residual",
+         "first_integral_residual: h is zero at every grid point"),
+        ("pde_residual",
+         "pde_residual: h is zero or changes sign in every window")]),
+    # h underflows at 29 of the 32 points: the three left still count
+    (lambda: liouville(1.0, FR1), (500.0, 540.0), "", []),
+    (lambda: tzitzeica(0.0, FR1), (-10.0, 10.0), "no-window", [
+        (IMPLICIT, "implicit_residual_check: no 16 adjacent points of "
+                   "the pole period keep the 2F1 argument <= 0.9")]),
+    (lambda: tzitzeica(0.0, FR1), (-10.0, 10.0), "", []),
+], ids=["pde-empty", "2f1-family", "2f1-sign", "all-zero", "partly-zero",
+        "2f1-window", "none"])
+def test_battery_skips_by_one_rule(monkeypatch, make, span, doctor, skipped):
+    # a skip is an oracle that raised EmptyGridError, or a c1 = 0 solution
+    # with no real 2F1 form; every report is the oracle's own single call
+    sol = make()
+    grid = Grid.for_solution(sol, *span, 32)
+    if doctor == "flip":
+        # h changes sign at every kept point, so every Goursat window's
+        # centre disagrees with its edges
+        kept, fn = set(grid.points()), sol._fn
+        sol = dataclasses.replace(
+            sol, _fn=lambda xi: -fn(xi) if xi in kept else fn(xi))
+    if doctor == "no-window":
+        monkeypatch.setattr(ImplicitRelation, "in_domain",
+                            lambda self, h, margin=1.0: False)
+    reports, got = battery(sol, grid)
+    assert got == skipped
+    frame = sol.frame
+    single = {
+        "ode_residual": lambda: ode_residual(sol, frame, grid),
+        "first_integral_residual":
+            lambda: first_integral_residual(sol, frame, sol.c1, grid),
+        "shoot_and_compare": lambda: shoot_and_compare(
+            first_integral(family_params(sol.family), frame, sol.c1), sol,
+            *_shoot_window(sol)),
+        "pde_residual": lambda: pde_residual(sol, frame, grid),
+        IMPLICIT: lambda: implicit_residual_check(
+            implicit_relation(sol.family, frame), sol,
+            _implicit_grid(sol, implicit_relation(sol.family, frame))),
+    }
+    if sol.c1 != 0.0:
+        del single[IMPLICIT]
+    for oracle, _ in skipped:
+        check = single.pop(oracle)
+        if oracle != IMPLICIT:
+            with pytest.raises(EmptyGridError):
+                check()
+    assert [r.oracle for r in reports] == list(single)
+    assert reports == [check() for check in single.values()]
+
+
+def test_battery_lets_every_other_error_through(monkeypatch):
+    # a 2F1 window found at margin 0.9 whose points then leave the domain
+    # is an error, not a skip (the command line exits 3)
+    sol = tzitzeica(0.0, FR1)
+    monkeypatch.setattr(ImplicitRelation, "in_domain",
+                        lambda self, h, margin=1.0: margin < 1.0)
+    with pytest.raises(DomainError):
+        battery(sol, Grid.for_solution(sol, -10.0, 10.0, 32))
