@@ -620,8 +620,12 @@ def battery(sol: Solution, grid: Grid, *, tol_ode: float = DEFAULT_ODE_TOL,
     pair for each oracle that had nothing to check.  One rule decides a
     skip: the oracle raised EmptyGridError, or, for the 2F1 check,
     ``implicit_relation`` has no real form for this family and sign of
-    lambda gamma.  Every other error propagates.
+    lambda gamma.  Every other error propagates, and so does a ``grid``
+    whose exclusions removed every point: the solution does not exist
+    there, which fails the request rather than skipping its oracles.
     """
+    if not grid.points():
+        raise EmptyGridError("ode_residual: exclusions removed every grid point")
     frame = sol.frame
     reports: list[VerificationReport] = []
     skipped: list[tuple[str, str]] = []

@@ -425,6 +425,17 @@ def test_verify_notes_skipped_pde_oracle(capsys):
         assert err.splitlines() == grid_notes + more
 
 
+def test_verify_off_domain_interval_exits_3():
+    # valid only for xi < 0: no grid point survives, which is an error,
+    # not three skipped oracles beside a passing shot
+    code, out, err = run_cli("verify", "--family", "sinh-gordon", "--c1",
+                             "-0.5", "--lambda-gamma", "1", "--branch", "1",
+                             "--xi-min", "1", "--xi-max", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "error: ode_residual: exclusions removed every grid point\n"
+
+
 def test_verify_shoots_within_budget_near_lambda_gamma_half():
     # the Tzitzeica dark soliton at lambda gamma ~ 0.5018 missed 1e-6 by
     # 2% while the Cash-Karp local tolerance was 1e-10; it reads ~1e-8 now

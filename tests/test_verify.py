@@ -740,6 +740,25 @@ def test_battery_skips_by_one_rule(monkeypatch, make, span, doctor, skipped):
     assert reports == [check() for check in single.values()]
 
 
+@pytest.mark.parametrize("make, span", [
+    # the branch 1 exp kink is valid only for xi < 0
+    (lambda: sinh_gordon(-0.5, FR1, 1), (1.0, 2.0)),
+    # the whole span lies inside the pad of the singular soliton's pole
+    (lambda: tzitzeica(-1.5, FR1, -1), (-0.04, 0.04)),
+], ids=["half-line", "pole-pad"])
+def test_battery_refuses_a_grid_with_no_points(monkeypatch, make, span):
+    # a span where the solution does not exist fails the request: no
+    # oracle runs, so shooting on its own window cannot pass it
+    sol = make()
+    grid = Grid.for_solution(sol, *span, 32)
+    assert grid.points() == []
+    monkeypatch.setattr("expwave.verify.shoot_and_compare", None)
+    with pytest.raises(EmptyGridError,
+                       match="^ode_residual: exclusions removed every grid "
+                             "point$"):
+        battery(sol, grid)
+
+
 def test_battery_lets_every_other_error_through(monkeypatch):
     # a 2F1 window found at margin 0.9 whose points then leave the domain
     # is an error, not a skip (the command line exits 3)
