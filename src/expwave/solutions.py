@@ -495,23 +495,24 @@ class ImplicitRelation:
 
     ``lhs`` is h times a Gauss hypergeometric factor; ``rhs`` uses the
     frame's xi0 and the + branch (verification realigns sign and offset).
-    ``in_domain`` tests the real-convergence region of the series.
+    ``in_domain`` tests that the 2F1 argument is below its branch point 1,
+    where the relation is real.
     """
 
     family: FamilyLabel
     frame: FrameParams
     slope_denom: float
-    _lhs: Callable[[float], float] = field(repr=False)
+    _abc: tuple[float, float, float] = field(repr=False)
     _arg: Callable[[float], float] = field(repr=False)
 
     def lhs(self, h: float) -> float:
-        return self._lhs(h)
+        return h * gauss_2f1(*self._abc, self._arg(h))
 
     def rhs(self, xi: float) -> float:
         return (xi - self.frame.xi0) / self.slope_denom
 
-    def in_domain(self, h: float, margin: float = 1.0) -> bool:
-        return abs(self._arg(h)) <= margin
+    def in_domain(self, h: float) -> bool:
+        return self._arg(h) < 1.0
 
 
 def implicit_relation(family: FamilyLabel, frame: FrameParams) -> ImplicitRelation:
@@ -529,17 +530,13 @@ def implicit_relation(family: FamilyLabel, frame: FrameParams) -> ImplicitRelati
         if sign * lg <= 0.0:
             raise SignDomainError("this implicit form needs lambda gamma "
                                   f"{'>' if sign > 0.0 else '<'} 0")
-        denom = math.sqrt(sign * lg)
-        def lhs(h: float) -> float:
-            return h * gauss_2f1(0.5, 1.0 / 3.0, 4.0 / 3.0, -2.0 * h ** 3)
-        return ImplicitRelation(family, frame, denom, lhs, lambda h: 2.0 * h ** 3)
+        return ImplicitRelation(family, frame, math.sqrt(sign * lg),
+                                (0.5, 1.0 / 3.0, 4.0 / 3.0), lambda h: -2.0 * h ** 3)
     if family is FamilyLabel.SinhGordon:
         if lg <= 0.0:
             raise SignDomainError("this implicit form needs lambda gamma > 0")
-        denom = math.sqrt(2.0 * lg)
-        def lhs(h: float) -> float:
-            return h * gauss_2f1(0.5, 0.25, 1.25, -h ** 4)
-        return ImplicitRelation(family, frame, denom, lhs, lambda h: h ** 4)
+        return ImplicitRelation(family, frame, math.sqrt(2.0 * lg),
+                                (0.5, 0.25, 1.25), lambda h: -h ** 4)
     raise UnsupportedFamilyError(
         f"no real implicit hypergeometric form for {family.name}")
 

@@ -528,8 +528,8 @@ def implicit_residual_check(rel: ImplicitRelation, sol: Solution, grid: Grid,
     """|lhs(h(xi)) - rhs(xi)| along a c1 = 0 solution.
 
     The sign branch and the integration offset are fixed by matching at
-    the grid's first point; every point must keep the hypergeometric
-    argument inside the real-convergence region.
+    the grid's first point, so h must be monotone on the grid; every point
+    must keep the hypergeometric argument below its branch point 1.
     """
     pts = grid.points()
     if len(pts) < 2:
@@ -539,7 +539,7 @@ def implicit_residual_check(rel: ImplicitRelation, sol: Solution, grid: Grid,
         h = sol.evaluate_h(xi)
         if not rel.in_domain(h):
             raise DomainError(
-                f"h({xi}) = {h} leaves the hypergeometric convergence domain")
+                f"h({xi}) = {h} takes the 2F1 argument to 1 or beyond")
         hs.append(h)
     l0 = rel.lhs(hs[0])
     l1 = rel.lhs(hs[1])
@@ -575,34 +575,14 @@ def _shoot_window(sol: Solution) -> tuple[float, float]:
     return start, min(5.0, 0.32 * period)
 
 
-def _implicit_grid(sol: Solution, rel: ImplicitRelation) -> Grid:
-    """Scan one period of the pole lattice (every c1 = 0 solution with a
-    real implicit form has one) for the longest run of adjacent points where
-    the hypergeometric argument stays <= 0.9; EmptyGridError when no run
-    has 16 points."""
+def _implicit_grid(sol: Solution) -> Grid:
+    """The first 0.45 of a pole period (every c1 = 0 solution with a real
+    implicit form has a pole lattice), cleared of the pole by the default
+    pad: h is strictly monotone there, and the 2F1 argument at the far end,
+    by homogeneity the same at every lambda gamma, is 0.665 for the cubic
+    pair and -1.695 (branch 1) or -0.590 (branch -1) for sinh-Gordon."""
     sing = sol.singularities
-    lo = sing.offset + 0.02 * sing.period
-    hi = sing.offset + 0.98 * sing.period
-    xs = [lo + (hi - lo) * i / 400 for i in range(401)]
-    good = []
-    for x in xs:
-        try:
-            h = sol.evaluate_h(x)
-        except ExpwaveError:
-            continue
-        if rel.in_domain(h, margin=0.9):
-            good.append(x)
-    runs = []
-    for x in good:
-        if runs and x - runs[-1][-1] < 2.5 * (hi - lo) / 400:
-            runs[-1].append(x)
-        else:
-            runs.append([x])
-    best = max(runs, key=len, default=[])
-    if len(best) < 16:
-        raise EmptyGridError("implicit_residual_check: no 16 adjacent points "
-                             "of the pole period keep the 2F1 argument <= 0.9")
-    return Grid(best[0], best[-1], 64)
+    return Grid.for_solution(sol, sing.offset, sing.offset + 0.45 * sing.period, 64)
 
 
 def battery(sol: Solution, grid: Grid, *, tol_ode: float = DEFAULT_ODE_TOL,
@@ -650,5 +630,5 @@ def battery(sol: Solution, grid: Grid, *, tol_ode: float = DEFAULT_ODE_TOL,
             skipped.append(("implicit_residual_check", str(e)))
         else:
             run("implicit_residual_check", lambda: implicit_residual_check(
-                rel, sol, _implicit_grid(sol, rel), tol=tol_implicit))
+                rel, sol, _implicit_grid(sol), tol=tol_implicit))
     return reports, skipped

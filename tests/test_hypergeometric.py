@@ -53,9 +53,10 @@ def test_series_vs_quadrature():
 
 
 def test_pfaff_region():
-    # deep negative arguments go through the Pfaff transformation; the
-    # integral representation remains the oracle
-    for h in (1.5, 3.0, 6.0):
+    # -2 <= x < -0.5 goes through the Pfaff transformation (h = 0.9, 1.1),
+    # x < -2 through the 1/x connection formula; the integral
+    # representation remains the oracle
+    for h in (0.9, 1.1, 1.5, 3.0, 6.0):
         lhs = h * gauss_2f1(0.5, 1.0 / 3.0, 4.0 / 3.0, -2.0 * h ** 3)
         ref, _ = quad(lambda s: 1.0 / math.sqrt(1.0 + 2.0 * s ** 3), 0.0, h,
                       epsabs=1e-14, epsrel=1e-13)
@@ -64,6 +65,20 @@ def test_pfaff_region():
         ref, _ = quad(lambda s: 1.0 / math.sqrt(1.0 + s ** 4), 0.0, h,
                       epsabs=1e-14, epsrel=1e-13)
         assert lhs == pytest.approx(ref, rel=1e-11)
+
+
+def test_integral_b_minus_a_keeps_pfaff():
+    # b - a = 0 is the logarithmic case of the 1/x connection formula, so
+    # x < -2 still goes through the Pfaff transformation
+    for x in (-5.0, -50.0):
+        assert gauss_2f1(1.0, 1.0, 2.0, x) == pytest.approx(
+            -math.log1p(-x) / x, rel=1e-12)
+
+
+def test_parameters_near_a_thousand_keep_pfaff():
+    # the 1/x series exhaust their term budget here, so the Pfaff series
+    # answers; the true value, 4.4e-1063 (mpmath), underflows to 0
+    assert gauss_2f1(991.94, 994.24, 397.88, -5.2) == 0.0
 
 
 def test_domain_errors():

@@ -651,9 +651,41 @@ def test_implicit_domain_error():
     eq = tzitzeica(0.0, FR1)
     rel = implicit_relation(FamilyLabel.Tzitzeica, FR1)
     period = eq.params["period"]
-    # near the pole |2 h^3| >> 1
+    # near the pole the 2F1 argument -2 h^3 runs far below -1e5, which the
+    # 1/x connection formula reaches
+    grid = Grid(period * 0.02, period * 0.1, 32)
+    assert rel._arg(eq.evaluate_h(grid.points()[0])) < -1e5
+    assert implicit_residual_check(rel, eq, grid).passed
+    # h below the turning value -(1/2)^(1/3) takes the argument past 1
+    beyond = dataclasses.replace(eq, _fn=lambda xi: -1.0)
     with pytest.raises(DomainError):
-        implicit_residual_check(rel, eq, Grid(period * 0.02, period * 0.1, 32))
+        implicit_residual_check(rel, beyond, grid)
+
+
+@pytest.mark.parametrize("family, sign, far_end", [
+    (FamilyLabel.Tzitzeica, 1.0, {1: 0.665, -1: 0.665}),
+    (FamilyLabel.DoddBullough, -1.0, {1: 0.665, -1: 0.665}),
+    (FamilyLabel.SinhGordon, 1.0, {1: -1.695, -1: -0.590}),
+])
+@pytest.mark.parametrize("xi0", [0.0, 0.3, -7.1])
+@pytest.mark.parametrize("branch", [1, -1])
+def test_implicit_grid_rule(family, sign, far_end, xi0, branch):
+    # the first 0.45 of a pole period: h is strictly monotone, so the
+    # check's one sign branch holds, and by homogeneity the 2F1 argument
+    # at the far end does not depend on lambda gamma
+    args = []
+    for magnitude in (1e-3, 0.05, 1.0, 30.0, 1e3):
+        frame = FrameParams.from_lambda_gamma(sign * magnitude, xi0)
+        sol = construct(family, 0.0, frame, branch)
+        rel = implicit_relation(family, frame)
+        grid = _implicit_grid(sol)
+        hs = [sol.evaluate_h(xi) for xi in grid.points()]
+        steps = [b - a for a, b in zip(hs, hs[1:])]
+        assert all(d > 0.0 for d in steps) or all(d < 0.0 for d in steps)
+        assert implicit_residual_check(rel, sol, grid).passed
+        args.append(rel._arg(hs[-1]))
+    assert args == pytest.approx([args[0]] * len(args), rel=1e-9)
+    assert args[0] == pytest.approx(far_end[branch], abs=5e-4)
 
 
 def test_sine_amplitude_quadrature_oracle():
@@ -694,13 +726,10 @@ IMPLICIT = "implicit_residual_check"
          "pde_residual: h is zero or changes sign in every window")]),
     # h underflows at 29 of the 32 points: the three left still count
     (lambda: liouville(1.0, FR1), (500.0, 540.0), "", []),
-    (lambda: tzitzeica(0.0, FR1), (-10.0, 10.0), "no-window", [
-        (IMPLICIT, "implicit_residual_check: no 16 adjacent points of "
-                   "the pole period keep the 2F1 argument <= 0.9")]),
     (lambda: tzitzeica(0.0, FR1), (-10.0, 10.0), "", []),
 ], ids=["pde-empty", "2f1-family", "2f1-sign", "all-zero", "partly-zero",
-        "2f1-window", "none"])
-def test_battery_skips_by_one_rule(monkeypatch, make, span, doctor, skipped):
+        "none"])
+def test_battery_skips_by_one_rule(make, span, doctor, skipped):
     # a skip is an oracle that raised EmptyGridError, or a c1 = 0 solution
     # with no real 2F1 form; every report is the oracle's own single call
     sol = make()
@@ -711,9 +740,6 @@ def test_battery_skips_by_one_rule(monkeypatch, make, span, doctor, skipped):
         kept, fn = set(grid.points()), sol._fn
         sol = dataclasses.replace(
             sol, _fn=lambda xi: -fn(xi) if xi in kept else fn(xi))
-    if doctor == "no-window":
-        monkeypatch.setattr(ImplicitRelation, "in_domain",
-                            lambda self, h, margin=1.0: False)
     reports, got = battery(sol, grid)
     assert got == skipped
     frame = sol.frame
@@ -726,8 +752,7 @@ def test_battery_skips_by_one_rule(monkeypatch, make, span, doctor, skipped):
             *_shoot_window(sol)),
         "pde_residual": lambda: pde_residual(sol, frame, grid),
         IMPLICIT: lambda: implicit_residual_check(
-            implicit_relation(sol.family, frame), sol,
-            _implicit_grid(sol, implicit_relation(sol.family, frame))),
+            implicit_relation(sol.family, frame), sol, _implicit_grid(sol)),
     }
     if sol.c1 != 0.0:
         del single[IMPLICIT]
@@ -760,10 +785,9 @@ def test_battery_refuses_a_grid_with_no_points(monkeypatch, make, span):
 
 
 def test_battery_lets_every_other_error_through(monkeypatch):
-    # a 2F1 window found at margin 0.9 whose points then leave the domain
-    # is an error, not a skip (the command line exits 3)
+    # a 2F1 window whose points leave the domain is an error, not a skip
+    # (the command line exits 3)
     sol = tzitzeica(0.0, FR1)
-    monkeypatch.setattr(ImplicitRelation, "in_domain",
-                        lambda self, h, margin=1.0: margin < 1.0)
+    monkeypatch.setattr(ImplicitRelation, "in_domain", lambda self, h: False)
     with pytest.raises(DomainError):
         battery(sol, Grid.for_solution(sol, -10.0, 10.0, 32))
