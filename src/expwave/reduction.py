@@ -82,6 +82,11 @@ CUBIC_FAMILIES = frozenset({
 
 GORDON_FAMILIES = frozenset({FamilyLabel.SineGordon, FamilyLabel.SinhGordon})
 
+#: Cubic families solved by the base (Tzitzeica) forms at (-c1, -lambda
+#: gamma): Dodd-Bullough and its reflection.
+SIGN_MAPPED_FAMILIES = frozenset({FamilyLabel.DoddBullough,
+                                  FamilyLabel.TzitzeicaDoddBullough})
+
 
 class CaseLabel(enum.Enum):
     LiouvilleSoliton = "liouville-soliton"
@@ -455,10 +460,8 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLab
                 else CaseLabel.LiouvillePeriodic)
     if family in CUBIC_FAMILIES:
         *_, g2, g3 = _cubic(family, frame, c1)
-        # Dodd-Bullough and its reflection solve the base family at (-c1,
-        # -lambda gamma); the cnoidal form needs the base lambda gamma > 0
-        flip = -1.0 if family in (FamilyLabel.DoddBullough,
-                                  FamilyLabel.TzitzeicaDoddBullough) else 1.0
+        # the cnoidal form needs the base lambda gamma > 0
+        flip = -1.0 if family in SIGN_MAPPED_FAMILIES else 1.0
         if WeierstrassInvariants(g2, g3).is_degenerate:
             return CaseLabel.Degenerate1a if g3 < 0.0 else CaseLabel.Degenerate1b
         if abs(flip * c1) <= C1_MATCH_TOL:

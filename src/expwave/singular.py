@@ -58,18 +58,22 @@ class Singularities:
 
     def distance(self, xi: float) -> float:
         """Distance to the nearest singular point (inf when none)."""
-        if self.kind == "none":
-            return math.inf
-        if self.kind in ("isolated", "half_line"):
-            return min(abs(xi - p) for p in self.points)
-        if self.kind == "lattice":
+        kind = self.kind
+        if kind == "lattice":
             u = xi - self.offset
             return abs(u - self.period * round(u / self.period))
-        # lattice_windows: singular at window edges offset + n p +/- hw
-        u = xi - self.offset
-        n = round(u / self.period)
-        local = u - n * self.period
-        return min(abs(local - self.half_width), abs(local + self.half_width))
+        if kind == "none":
+            return math.inf
+        if kind == "lattice_windows":
+            # singular at window edges offset + n p +/- hw
+            u = xi - self.offset
+            n = round(u / self.period)
+            local = u - n * self.period
+            return min(abs(local - self.half_width), abs(local + self.half_width))
+        points = self.points  # isolated, half_line
+        if len(points) == 1:
+            return abs(xi - points[0])
+        return min(abs(xi - p) for p in points)
 
     def is_valid(self, xi: float) -> bool:
         """True where the evaluator is defined (ignoring pole proximity)."""

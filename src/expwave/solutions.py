@@ -6,13 +6,13 @@ field itself); the Gordon families are native in psi = log h, where the
 equations stay real, and expose h = e^psi.  Every ``+/-`` in a closed
 form is an explicit ``branch`` argument defaulting to +1.
 
-The two reflection families are built literally as their defining maps
+Dodd-Bullough reads the base cubic forms at (-c1, -lambda gamma) and the
+two reflection families wrap their parent's evaluator literally as
 h(xi) = -h_parent(-xi), so the catalogued dualities hold bit-exactly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,6 +25,8 @@ from .errors import (
 )
 from .reduction import (
     CBRT2,
+    CUBIC_FAMILIES,
+    SIGN_MAPPED_FAMILIES,
     CaseLabel,
     FamilyLabel,
     FrameParams,
@@ -192,6 +194,11 @@ def liouville(c1: float, frame: FrameParams, branch: int = 1,
 # Tzitzeica and its sign/reflection variants
 # ---------------------------------------------------------------------------
 
+# the variants h(xi) = -h_parent(-xi); the parent is read at -xi0
+_REFLECTED = (FamilyLabel.TzitzeicaDoddBullough,
+              FamilyLabel.DoddBulloughMikhailov)
+
+
 def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
               case: CaseLabel | None = None) -> Solution:
     """Cubic-route solutions of the h - 1/h^2 source.
@@ -206,14 +213,19 @@ def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
       Lemniscatic    c1 = -3/cbrt(4), lambda gamma > 0: bounded cnoidal wave
       GeneralWeierstrass: h = lg (2 p(xi - xi0; g2, g3) - c1/(3 lg))
     """
-    return _tzitzeica(c1, frame, branch, _resolve_case(
-        FamilyLabel.Tzitzeica, frame, c1, case, branch))
+    return _tzitzeica(FamilyLabel.Tzitzeica, c1, frame, branch, case)
 
 
-def _tzitzeica(c1: float, frame: FrameParams, branch: int,
-               case: CaseLabel) -> Solution:
-    lg = frame.lambda_gamma
-    xi0 = frame.xi0
+def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
+               branch: int, case: CaseLabel | None) -> Solution:
+    """Any cubic pair family from the base forms, read at (-c1, -lambda
+    gamma) for the sign-mapped ones and at -xi0 for the reflected ones."""
+    case = _resolve_case(family, frame, c1, case, branch)
+    base_c1, lg = c1, frame.lambda_gamma
+    if family in SIGN_MAPPED_FAMILIES:
+        base_c1, lg = -c1, -lg
+    reflect = family in _REFLECTED
+    xi0 = -frame.xi0 if reflect else frame.xi0
     params: dict = {}
     bounded = None
 
@@ -278,9 +290,9 @@ def _tzitzeica(c1: float, frame: FrameParams, branch: int,
             factor = lg  # h = lg * 2 p(...)
         else:  # GeneralWeierstrass
             inv = WeierstrassInvariants(
-                c1 * c1 / (3.0 * lg * lg),
-                -(4.0 * c1 ** 3 + 27.0) / (108.0 * lg ** 3))
-            shift = c1 / (3.0 * lg)
+                base_c1 * base_c1 / (3.0 * lg * lg),
+                -(4.0 * base_c1 ** 3 + 27.0) / (108.0 * lg ** 3))
+            shift = base_c1 / (3.0 * lg)
             factor = lg
         prep = prepare_weierstrass(inv)
         def h_fn(xi: float, pr=prep, f=factor, sh=shift) -> float:
@@ -293,27 +305,23 @@ def _tzitzeica(c1: float, frame: FrameParams, branch: int,
             sing = Singularities.isolated(xi0)
         params.update({"g2": inv.g2, "g3": inv.g3})
 
+    if reflect:  # the cubic parents are h-native
+        parent_h = h_fn
+        def h_fn(xi: float) -> float:
+            return -parent_h(-xi)
+        sing = sing.reflected()
     return Solution(
-        family=FamilyLabel.Tzitzeica, case=case, branch=branch, c1=c1,
-        frame=frame, psi_native=False, singularities=sing, params=params,
+        family=family, case=case, branch=branch, c1=c1, frame=frame,
+        psi_native=False, singularities=sing, params=params,
         bounded=bounded, _fn=h_fn,
     )
 
 
 def dodd_bullough(c1: float, frame: FrameParams, branch: int = 1,
                   case: CaseLabel | None = None) -> Solution:
-    """Solutions of the -h + 1/h^2 source, obtained pointwise from the
-    base cubic family under (c1, lambda gamma) -> (-c1, -lambda gamma)."""
-    return _dodd_bullough(c1, frame, branch, _resolve_case(
-        FamilyLabel.DoddBullough, frame, c1, case, branch))
-
-
-def _dodd_bullough(c1: float, frame: FrameParams, branch: int,
-                   case: CaseLabel) -> Solution:
-    delegate = _tzitzeica(-c1, frame.with_lambda_gamma(-frame.lambda_gamma),
-                          branch, case)
-    return dataclasses.replace(delegate, family=FamilyLabel.DoddBullough,
-                               c1=c1, frame=frame)
+    """Solutions of the -h + 1/h^2 source: the base cubic family's forms
+    evaluated at (-c1, -lambda gamma)."""
+    return _tzitzeica(FamilyLabel.DoddBullough, c1, frame, branch, case)
 
 
 def tdb_dbm(family: FamilyLabel, c1: float, frame: FrameParams,
@@ -322,23 +330,12 @@ def tdb_dbm(family: FamilyLabel, c1: float, frame: FrameParams,
 
     TzitzeicaDoddBullough reflects the DoddBullough solutions and
     DoddBulloughMikhailov reflects the base family's, both with the same
-    c1 and lambda gamma.
+    c1 and lambda gamma.  The case is resolved for the variant itself and
+    the parent's evaluator, built at -xi0, is wrapped in place.
     """
-    if family not in (FamilyLabel.TzitzeicaDoddBullough,
-                      FamilyLabel.DoddBulloughMikhailov):
+    if family not in _REFLECTED:
         raise UnsupportedFamilyError("tdb_dbm builds only the reflection variants")
-    reflected = FrameParams(lam=frame.lam, k=frame.k, omega=frame.omega,
-                            xi0=-frame.xi0)
-    if family is FamilyLabel.TzitzeicaDoddBullough:
-        parent = dodd_bullough(c1, reflected, branch=branch, case=case)
-    else:
-        parent = tzitzeica(c1, reflected, branch=branch, case=case)
-    parent_h = parent._fn  # the cubic parents are h-native
-    def h_fn(xi: float) -> float:
-        return -parent_h(-xi)
-    return dataclasses.replace(
-        parent, family=family, c1=c1, frame=frame,
-        singularities=parent.singularities.reflected(), _fn=h_fn)
+    return _tzitzeica(family, c1, frame, branch, case)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +354,9 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
     when the parameter exceeds 1 (the superunitary regime, -1 < c1 < 1);
     otherwise it is monotone unbounded.
     """
-    return _sine_gordon(c1, frame, branch, _resolve_case(
-        FamilyLabel.SineGordon, frame, c1, case, branch))
-
-
-def _sine_gordon(c1: float, frame: FrameParams, branch: int,
-                 case: CaseLabel) -> Solution:
     lg = frame.lambda_gamma
     xi0 = frame.xi0
+    case = _resolve_case(FamilyLabel.SineGordon, frame, c1, case, branch)
     bounded = None
     params: dict = {}
 
@@ -386,22 +378,23 @@ def _sine_gordon(c1: float, frame: FrameParams, branch: int,
                 return -math.pi + 4.0 * math.atan(math.inf)
         params = {"kappa": kappa}
         bounded = True
-    elif lg > 0.0 and c1 < 1.0:
-        # sin(psi + pi) = -sin(psi), so psi(xi; c1, lg) = pi + psi(xi; -c1, -lg)
-        image = _sine_gordon(-c1, frame.with_lambda_gamma(-lg), branch, case)
-        image_psi = image._fn
-        def psi_fn(xi: float) -> float:
-            return math.pi + image_psi(xi)
-        return dataclasses.replace(image, c1=c1, frame=frame, _fn=psi_fn)
     else:
-        kappa = math.sqrt((c1 - 1.0) / (2.0 * lg))
+        # sin(psi + pi) = -sin(psi), so psi(xi; c1, lg) = pi + psi(xi; -c1,
+        # -lg): the pi shift reads the form at its image constants
+        pi_shift = lg > 0.0 and c1 < 1.0
+        base_c1, lg = (-c1, -lg) if pi_shift else (c1, lg)
+        kappa = math.sqrt((base_c1 - 1.0) / (2.0 * lg))
         # read in the F(phi; m) parameter convention; under it this form
         # solves the first integral identically (the residual oracles
         # would expose a squared-modulus misreading instantly)
-        m = 2.0 / (1.0 - c1)
+        m = 2.0 / (1.0 - base_c1)
         def psi_fn(xi: float, k=kappa, s=branch,
                    am=_PreparedJacobi(m).am) -> float:
             return 2.0 * am(s * k * (xi - xi0))
+        if pi_shift:
+            image_psi = psi_fn
+            def psi_fn(xi: float) -> float:
+                return math.pi + image_psi(xi)
         bounded = m > 1.0
         params = {"kappa": kappa, "modulus_parameter": m}
 
@@ -550,13 +543,8 @@ def construct(family: FamilyLabel, c1: float, frame: FrameParams,
     """Build the catalogued solution for any closed-form family."""
     if family is FamilyLabel.Liouville:
         return liouville(c1, frame, branch=branch, case=case)
-    if family is FamilyLabel.Tzitzeica:
-        return tzitzeica(c1, frame, branch=branch, case=case)
-    if family is FamilyLabel.DoddBullough:
-        return dodd_bullough(c1, frame, branch=branch, case=case)
-    if family in (FamilyLabel.TzitzeicaDoddBullough,
-                  FamilyLabel.DoddBulloughMikhailov):
-        return tdb_dbm(family, c1, frame, branch=branch, case=case)
+    if family in CUBIC_FAMILIES:  # Liouville is taken above
+        return _tzitzeica(family, c1, frame, branch, case)
     if family is FamilyLabel.SineGordon:
         return sine_gordon(c1, frame, branch=branch, case=case)
     if family is FamilyLabel.SinhGordon:

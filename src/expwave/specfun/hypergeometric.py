@@ -10,7 +10,10 @@ so the transformed series has the faster-decaying tail; x < -2 takes the
 integer (its two terms cancel) or a term overflows or runs out of terms;
 there Pfaff serves on, and needs more than the term budget by x ~ -1e5.
 Summation stops on a geometric tail bound of 1e-14 relative; near x = 1
-it needs ~1/(1-x) terms (ConvergenceError at x = 0.999999).
+it needs ~1/(1-x) terms (ConvergenceError at x = 0.999999).  A series
+whose rounding alone (its largest term times 2^-52) exceeds that bound
+has cancelled its digits away and raises ConvergenceError too, unless
+its prefactor times the sum of |terms| rounds to zero.
 """
 
 from __future__ import annotations
@@ -23,20 +26,40 @@ from ..errors import ConvergenceError, DomainError
 _TAIL_REL = 1.0e-14
 _MAX_TERMS = 400_000
 _INTEGER_GAP = 0.05  # b - a this near an integer goes through Pfaff
+_ULP = 2.0 ** -52
+# log of half the smallest subnormal, with a factor 2 to spare: a product
+# below exp(_LOG_ZERO) rounds to zero
+_LOG_ZERO = -1076.0 * math.log(2.0)
 
 
-def _series(a: float, b: float, c: float, w: float) -> float:
+def _series(a: float, b: float, c: float, w: float,
+            log_scale: float = 0.0) -> float:
+    """The 2F1 series at w, which the caller multiplies by a factor
+    exp(log_scale).  Raises ConvergenceError where the rounding of the
+    partial sums exceeds the tail bound, unless that factor times the sum
+    of |terms| rounds to zero, so that no sum could show in the product."""
     total = 1.0
     term = 1.0
+    big = 1.0  # the largest |term| added
     pad = abs(a) + abs(b) + 1.0
     for n in range(_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * w
         total += term
+        mag = abs(term)
+        if mag > big:
+            big = mag
         if n > 8:
             ratio_bound = abs(w) * (1.0 + pad / (n + 1.0))
             if ratio_bound < 1.0:
-                tail = abs(term) * ratio_bound / (1.0 - ratio_bound)
-                if tail <= _TAIL_REL * max(1.0, abs(total)):
+                tail = mag * ratio_bound / (1.0 - ratio_bound)
+                bound = _TAIL_REL * max(1.0, abs(total))
+                if tail <= bound:
+                    if big * _ULP > bound and (
+                            log_scale + math.log(big * (n + 2.0)) > _LOG_ZERO):
+                        raise ConvergenceError(
+                            f"2F1 series cancels: rounding in terms up to "
+                            f"{big:.3g} exceeds the 1e-14 bound on a sum of "
+                            f"{total:.3g}")
                     return total
     raise ConvergenceError(
         f"2F1 series did not meet the 1e-14 tail bound within {_MAX_TERMS} terms"
@@ -52,7 +75,8 @@ def _inverse_term(a: float, b: float, c: float, x: float) -> float:
     for v, power in ((c, 1.0), (b - a, 1.0), (b, -1.0), (c - a, -1.0)):
         log += power * math.lgamma(v)
         sign *= -1.0 if v < 0.0 and math.floor(v) % 2 else 1.0
-    return sign * math.exp(log) * _series(a, a - c + 1.0, a - b + 1.0, 1.0 / x)
+    return sign * math.exp(log) * _series(a, a - c + 1.0, a - b + 1.0, 1.0 / x,
+                                          log)
 
 
 def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
@@ -76,5 +100,6 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
         if a > b:
             a, b = b, a
         w = x / (x - 1.0)
-        return (1.0 - x) ** (-a) * _series(a, c - b, c, w)
+        return (1.0 - x) ** (-a) * _series(a, c - b, c, w,
+                                           -a * math.log1p(-x))
     return _series(a, b, c, x)

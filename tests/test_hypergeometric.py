@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from expwave.errors import DomainError
+from expwave.errors import ConvergenceError, DomainError
 from expwave.specfun import gauss_2f1
 
 
@@ -79,6 +79,17 @@ def test_parameters_near_a_thousand_keep_pfaff():
     # the 1/x series exhaust their term budget here, so the Pfaff series
     # answers; the true value, 4.4e-1063 (mpmath), underflows to 0
     assert gauss_2f1(991.94, 994.24, 397.88, -5.2) == 0.0
+
+
+def test_cancelling_series_raises():
+    # both the 1/x terms and the Pfaff series cancel (terms up to 3e102
+    # against a sum of -4e86): the kernel raises instead of returning
+    # -2.29e284, where mpmath reads -7.62e-69; the near-a-thousand input
+    # above cancels as badly but keeps its 0, since its Pfaff prefactor
+    # times every term rounds to zero
+    with pytest.raises(ConvergenceError, match="cancels"):
+        gauss_2f1(-299.21730744587353, -366.5885484806663, 933.5172512253387,
+                  -2.46332807912054)
 
 
 def test_domain_errors():

@@ -535,6 +535,40 @@ def test_construct_classifies_once(monkeypatch):
     assert built == expected
 
 
+def test_construct_builds_one_solution(monkeypatch):
+    # the sign map, the reflections and the sine-Gordon pi shift read the
+    # base forms at their image constants: over the classify-once sweep,
+    # every construct makes one Solution and no FrameParams
+    import expwave.reduction as reduction
+    import expwave.solutions as solutions
+
+    made = []
+    for cls in (solutions.Solution, reduction.FrameParams):
+        def counting(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            made.append(_cls)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    c1s = (0.0, 0.3, -0.3, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 3.0, -3.0,
+           C1_LEMNISCATIC, -C1_LEMNISCATIC)
+    built = set()
+    for family in (FamilyLabel.Liouville, FamilyLabel.Tzitzeica,
+                   FamilyLabel.DoddBullough, FamilyLabel.TzitzeicaDoddBullough,
+                   FamilyLabel.DoddBulloughMikhailov, FamilyLabel.SineGordon,
+                   FamilyLabel.SinhGordon):
+        for frame in (FR1, FRN):
+            for c1 in c1s:
+                for case in (None, CaseLabel.GeneralWeierstrass):
+                    made.clear()
+                    try:
+                        construct(family, c1, frame, case=case)
+                    except (CaseMismatchError, DomainError):
+                        assert made == []
+                        continue
+                    assert made == [solutions.Solution], (family, c1, frame, case)
+                    built.add(family)
+    assert len(built) == 7
+
+
 def test_construct_solves_the_cubic_only_for_weierstrass_forms(monkeypatch):
     # classify_case decides from the invariants alone, so only the prepared
     # Weierstrass evaluator of the equianharmonic and general cases solves

@@ -1,12 +1,19 @@
-"""gauss_2f1 and carlson_rf against mpmath, each to the accuracy its
-docstring states."""
+"""gauss_2f1, carlson_rf and the Weierstrass p-function against mpmath,
+each to the accuracy its docstring states."""
 
+import math
 from itertools import combinations_with_replacement
 
 import mpmath as mp
 import pytest
 
-from expwave.specfun import carlson_rf, gauss_2f1
+from expwave.specfun import (
+    WeierstrassInvariants,
+    carlson_rf,
+    gauss_2f1,
+    prepare_weierstrass,
+)
+from expwave.specfun.weierstrass import DELTA_REL_TOL
 
 DPS = 40
 
@@ -38,3 +45,73 @@ def test_carlson_rf_against_mpmath(x, y, z):
     with mp.workdps(DPS):
         reference = mp.elliprf(x, y, z)
         assert _relative_error(carlson_rf(x, y, z), reference) <= 1e-15
+
+
+#: (g2, g3) of the catalogued Weierstrass forms: equianharmonic at
+#: lambda gamma = +-1, general Weierstrass at c1 = 1, lambda gamma = +-1
+CATALOGUED_P = [(0.0, -0.25), (0.0, 0.25), (1.0 / 3.0, -31.0 / 108.0),
+                (1.0 / 3.0, 31.0 / 108.0)]
+
+#: targets for Delta / max(|g2|^3, 27 g3^2), on both sides of the snap
+#: band |Delta| <= DELTA_REL_TOL * scale where the elementary degenerate
+#: forms stand in
+DELTA_RATIOS = (2e-14, 1e-13, 5e-13, 9.9e-13, 1.1e-12, 1e-11, 1e-8, 1e-4,
+                0.1, 1.0)
+
+
+def _weierstrass_reference(g2, g3):
+    """z -> p(z; g2, g3) to DPS digits.
+
+    p = e_j + (e_k - e_j) / sn^2(sqrt(e_k - e_j) z; (e_l - e_j)/(e_k - e_j))
+    holds for any labelling of the roots of 4 t^3 - g2 t - g3, complex ones
+    included, so one formula covers both signs of Delta."""
+    ej, ek, el = sorted(
+        mp.polyroots([4, 0, -mp.mpf(g2), -mp.mpf(g3)], maxsteps=200,
+                     extraprec=8 * DPS), key=mp.re)
+    scale, m = mp.sqrt(ek - ej), (el - ej) / (ek - ej)
+
+    def p(z):
+        return mp.re(ej + (ek - ej) / mp.ellipfun("sn", scale * z, m=m) ** 2)
+    return p
+
+
+def _band_invariants():
+    # (3 t^2, t^3) is degenerate (double root t/2); scaling g3 by
+    # sqrt(1 - rho) gives Delta / scale = rho > 0, dividing by it -rho;
+    # rho = 1 is g3 = 0 on one side and g2 = 0 on the other
+    for t in (1.0, -1.0, 0.02, -50.0):
+        for rho in DELTA_RATIOS:
+            yield 3.0 * t * t, t ** 3 * math.sqrt(1.0 - rho), t
+            if rho == 1.0:
+                yield 0.0, t ** 3, t
+            else:
+                yield 3.0 * t * t, t ** 3 / math.sqrt(1.0 - rho), t
+
+
+@pytest.mark.parametrize("g2, g3", CATALOGUED_P)
+def test_weierstrass_p_catalogued_against_mpmath(g2, g3):
+    prep = prepare_weierstrass(WeierstrassInvariants(g2, g3))
+    with mp.workdps(DPS):
+        reference = _weierstrass_reference(g2, g3)
+        for f in (0.05, 0.2, 0.37, 0.5, 0.81):
+            z = f * prep.real_period
+            assert _relative_error(prep.eval(z)[0], reference(z)) <= 2e-14
+
+
+@pytest.mark.parametrize("g2, g3, t", list(_band_invariants()))
+def test_weierstrass_p_near_degenerate_against_mpmath(g2, g3, t):
+    # 2e-14 wherever the Jacobi reduction runs; inside the snap band the
+    # elementary form misses the true function by up to |Delta|/scale / 2
+    # for |z| sqrt(3 e) <= 2, e = |t|/2 the double root of the band's base
+    inv = WeierstrassInvariants(g2, g3)
+    ratio = abs(inv.delta) / max(abs(g2) ** 3, 27.0 * g3 * g3)
+    bound = 2e-14
+    if inv.is_degenerate:
+        assert ratio <= DELTA_REL_TOL
+        bound += 0.5 * ratio
+    prep = prepare_weierstrass(inv)
+    with mp.workdps(DPS):
+        reference = _weierstrass_reference(g2, g3)
+        for s in (0.1, 0.5, 1.0, 1.5, 2.0):
+            z = s / math.sqrt(1.5 * abs(t))
+            assert _relative_error(prep.eval(z)[0], reference(z)) <= bound, z
