@@ -46,14 +46,8 @@ from .solutions import (
     ImplicitRelation,
     Solution,
     construct,
-    dodd_bullough,
     from_descriptor,
     implicit_relation,
-    liouville,
-    sine_gordon,
-    sinh_gordon,
-    tdb_dbm,
-    tzitzeica,
 )
 from .verify import (
     Grid,
@@ -82,9 +76,7 @@ __all__ = [
     "elliptic_data", "family_params", "conserved_c1",
     "C1_DEGENERATE", "C1_LEMNISCATIC",
     "Singularities", "Solution", "ImplicitRelation",
-    "construct", "from_descriptor", "liouville", "tzitzeica",
-    "dodd_bullough", "tdb_dbm", "sine_gordon", "sinh_gordon",
-    "implicit_relation",
+    "construct", "from_descriptor", "implicit_relation",
     "Grid", "VerificationReport", "ode_residual", "first_integral_residual",
     "weierstrass_ode_residual", "weierstrass_grid", "shoot_and_compare",
     "pde_residual", "implicit_residual_check", "rk_integrate",

@@ -1,7 +1,9 @@
 """Closed-form traveling-wave solutions as immutable evaluator objects.
 
-One constructor per equation family, dispatching on the case taxonomy of
-the reduction module.  Solutions of the cubic families live in h (the
+``construct`` is the one way to build a solution: it resolves the case
+once against the reduction module's taxonomy and hands it to the
+family's builder (Liouville, the four cubic pair families, sine-Gordon,
+sinh-Gordon).  Solutions of the cubic families live in h (the
 field itself); the Gordon families are native in psi = log h, where the
 equations stay real, and expose h = e^psi.  Every ``+/-`` in a closed
 form is an explicit ``branch`` argument defaulting to +1.
@@ -25,7 +27,6 @@ from .errors import (
 )
 from .reduction import (
     CBRT2,
-    CUBIC_FAMILIES,
     SIGN_MAPPED_FAMILIES,
     CaseLabel,
     FamilyLabel,
@@ -147,15 +148,14 @@ def _resolve_case(family: FamilyLabel, frame: FrameParams, c1: float,
 # Liouville
 # ---------------------------------------------------------------------------
 
-def liouville(c1: float, frame: FrameParams, branch: int = 1,
-              case: CaseLabel | None = None) -> Solution:
+def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
+               branch: int, case: CaseLabel) -> Solution:
     """Single-exponential solutions: sech^2 pulse for c1/(2 lambda gamma)
     positive, sec^2 wave for negative, and the double-pole rational
     solution at c1 = 0.  Every form is even in xi - xi0, so both branches
     give the same values."""
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = _resolve_case(FamilyLabel.Liouville, frame, c1, case, branch)
     if case is CaseLabel.LiouvilleRational:
         def h_fn(xi: float) -> float:
             d = xi - xi0
@@ -184,7 +184,7 @@ def liouville(c1: float, frame: FrameParams, branch: int = 1,
                                      math.pi / kappa)
         params = {"kappa": kappa, "period": math.pi / kappa}
     return Solution(
-        family=FamilyLabel.Liouville, case=case, branch=branch, c1=c1,
+        family=family, case=case, branch=branch, c1=c1,
         frame=frame, psi_native=False, singularities=sing, params=params,
         _fn=h_fn,
     )
@@ -199,9 +199,10 @@ _REFLECTED = (FamilyLabel.TzitzeicaDoddBullough,
               FamilyLabel.DoddBulloughMikhailov)
 
 
-def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
-              case: CaseLabel | None = None) -> Solution:
-    """Cubic-route solutions of the h - 1/h^2 source.
+def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
+               branch: int, case: CaseLabel) -> Solution:
+    """Cubic-route solutions of the h - 1/h^2 source (Tzitzeica) and of
+    its sign and reflection variants.
 
     Case map (branch selects the companion form where one exists):
       Degenerate1a   c1 = -3/2, lambda gamma > 0:
@@ -212,15 +213,14 @@ def tzitzeica(c1: float, frame: FrameParams, branch: int = 1,
       Equianharmonic c1 = 0: h = 2 lg p(xi - xi0; 0, -1/(4 lg^3))
       Lemniscatic    c1 = -3/cbrt(4), lambda gamma > 0: bounded cnoidal wave
       GeneralWeierstrass: h = lg (2 p(xi - xi0; g2, g3) - c1/(3 lg))
+
+    DoddBullough (the -h + 1/h^2 source) reads these base forms at
+    (-c1, -lambda gamma).  The two reflection variants are
+    h(xi) = -h_parent(-xi) with the same c1 and lambda gamma:
+    TzitzeicaDoddBullough reflects the DoddBullough solutions and
+    DoddBulloughMikhailov the Tzitzeica ones.  The case is the variant's
+    own, and the parent's evaluator, built at -xi0, is wrapped in place.
     """
-    return _tzitzeica(FamilyLabel.Tzitzeica, c1, frame, branch, case)
-
-
-def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
-               branch: int, case: CaseLabel | None) -> Solution:
-    """Any cubic pair family from the base forms, read at (-c1, -lambda
-    gamma) for the sign-mapped ones and at -xi0 for the reflected ones."""
-    case = _resolve_case(family, frame, c1, case, branch)
     base_c1, lg = c1, frame.lambda_gamma
     if family in SIGN_MAPPED_FAMILIES:
         base_c1, lg = -c1, -lg
@@ -317,33 +317,12 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
     )
 
 
-def dodd_bullough(c1: float, frame: FrameParams, branch: int = 1,
-                  case: CaseLabel | None = None) -> Solution:
-    """Solutions of the -h + 1/h^2 source: the base cubic family's forms
-    evaluated at (-c1, -lambda gamma)."""
-    return _tzitzeica(FamilyLabel.DoddBullough, c1, frame, branch, case)
-
-
-def tdb_dbm(family: FamilyLabel, c1: float, frame: FrameParams,
-            branch: int = 1, case: CaseLabel | None = None) -> Solution:
-    """The two reflection variants: h(xi) = -h_parent(-xi).
-
-    TzitzeicaDoddBullough reflects the DoddBullough solutions and
-    DoddBulloughMikhailov reflects the base family's, both with the same
-    c1 and lambda gamma.  The case is resolved for the variant itself and
-    the parent's evaluator, built at -xi0, is wrapped in place.
-    """
-    if family not in _REFLECTED:
-        raise UnsupportedFamilyError("tdb_dbm builds only the reflection variants")
-    return _tzitzeica(family, c1, frame, branch, case)
-
-
 # ---------------------------------------------------------------------------
 # sine-Gordon
 # ---------------------------------------------------------------------------
 
-def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
-                case: CaseLabel | None = None) -> Solution:
+def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
+                 branch: int, case: CaseLabel) -> Solution:
     """psi-native solutions of psi'' = sin(psi)/(lambda gamma).
 
     c1 = +1 gives the 4 arctan(exp(.)) kink (lambda gamma > 0 only);
@@ -356,7 +335,6 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
     """
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = _resolve_case(FamilyLabel.SineGordon, frame, c1, case, branch)
     bounded = None
     params: dict = {}
 
@@ -399,7 +377,7 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
         params = {"kappa": kappa, "modulus_parameter": m}
 
     return Solution(
-        family=FamilyLabel.SineGordon, case=case, branch=branch, c1=c1,
+        family=family, case=case, branch=branch, c1=c1,
         frame=frame, psi_native=True, singularities=Singularities.none(),
         params=params, bounded=bounded, _fn=psi_fn,
     )
@@ -409,8 +387,8 @@ def sine_gordon(c1: float, frame: FrameParams, branch: int = 1,
 # sinh-Gordon
 # ---------------------------------------------------------------------------
 
-def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
-                case: CaseLabel | None = None) -> Solution:
+def _sinh_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
+                 branch: int, case: CaseLabel) -> Solution:
     """psi-native solutions of psi'' = sinh(2 psi)/(lambda gamma).
 
     c1 = -1/2: psi = 2 arctanh(exp(+-sqrt(2/lg) (xi-xi0))), lambda gamma
@@ -426,7 +404,6 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
     """
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    case = _resolve_case(FamilyLabel.SinhGordon, frame, c1, case, branch)
     bounded = None
     params: dict = {}
 
@@ -472,7 +449,7 @@ def sinh_gordon(c1: float, frame: FrameParams, branch: int = 1,
             bounded = True
 
     return Solution(
-        family=FamilyLabel.SinhGordon, case=case, branch=branch, c1=c1,
+        family=family, case=case, branch=branch, c1=c1,
         frame=frame, psi_native=True, singularities=sing,
         params=params, bounded=bounded, _fn=psi_fn,
     )
@@ -538,17 +515,28 @@ def implicit_relation(family: FamilyLabel, frame: FrameParams) -> ImplicitRelati
 # dispatch
 # ---------------------------------------------------------------------------
 
+_BUILDERS = {
+    FamilyLabel.Liouville: _liouville,
+    FamilyLabel.Tzitzeica: _tzitzeica,
+    FamilyLabel.DoddBullough: _tzitzeica,
+    FamilyLabel.TzitzeicaDoddBullough: _tzitzeica,
+    FamilyLabel.DoddBulloughMikhailov: _tzitzeica,
+    FamilyLabel.SineGordon: _sine_gordon,
+    FamilyLabel.SinhGordon: _sinh_gordon,
+}
+
+
 def construct(family: FamilyLabel, c1: float, frame: FrameParams,
               branch: int = 1, case: CaseLabel | None = None) -> Solution:
-    """Build the catalogued solution for any closed-form family."""
-    if family is FamilyLabel.Liouville:
-        return liouville(c1, frame, branch=branch, case=case)
-    if family in CUBIC_FAMILIES:  # Liouville is taken above
-        return _tzitzeica(family, c1, frame, branch, case)
-    if family is FamilyLabel.SineGordon:
-        return sine_gordon(c1, frame, branch=branch, case=case)
-    if family is FamilyLabel.SinhGordon:
-        return sinh_gordon(c1, frame, branch=branch, case=case)
-    raise UnsupportedFamilyError(
-        f"{family.name} has no closed-form constructor; generic equations "
-        "get classify and first_integral only")
+    """Build the catalogued solution for any closed-form family.
+
+    ``case`` None takes the classified case; a requested one must match it
+    (or be GeneralWeierstrass for a cubic family).  ``branch`` is +-1.
+    """
+    builder = _BUILDERS.get(family)
+    if builder is None:
+        raise UnsupportedFamilyError(
+            f"{family.name} has no closed-form constructor; generic equations "
+            "get classify and first_integral only")
+    return builder(family, c1, frame, branch,
+                   _resolve_case(family, frame, c1, case, branch))

@@ -13,7 +13,8 @@ Summation stops on a geometric tail bound of 1e-14 relative; near x = 1
 it needs ~1/(1-x) terms (ConvergenceError at x = 0.999999).  A series
 whose rounding alone (its largest term times 2^-52) exceeds that bound
 has cancelled its digits away and raises ConvergenceError too, unless
-its prefactor times the sum of |terms| rounds to zero.
+its prefactor times the sum of |terms| rounds to zero.  A Pfaff
+prefactor beyond the float range raises ConvergenceError as well.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
         if a > b:
             a, b = b, a
         w = x / (x - 1.0)
-        return (1.0 - x) ** (-a) * _series(a, c - b, c, w,
-                                           -a * math.log1p(-x))
+        try:
+            prefactor = (1.0 - x) ** (-a)
+        except OverflowError:
+            raise ConvergenceError(
+                f"2F1 Pfaff prefactor (1 - x)^(-a) at a={a}, x={x} is "
+                "beyond the float range") from None
+        return prefactor * _series(a, c - b, c, w, -a * math.log1p(-x))
     return _series(a, b, c, x)

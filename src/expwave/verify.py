@@ -239,14 +239,14 @@ def ode_residuals(sol: Solution, frame: FrameParams,
             for _, val, d1, d2 in table]
 
 
-def _nonvanishing_jets(oracle: str, sol: Solution,
+def _nonvanishing_jets(sol: Solution,
                        grid: Grid) -> list[tuple[float, float, float, float]]:
     """:meth:`Grid.jets`, refused when h is +-0 at every point: h = 0 solves
     both traveling equations, so such a table checks nothing (far out on a
     tail, where h underflows).  The scan stops at the first nonzero value."""
     table = grid.jets(sol)
     if table and not sol.psi_native and not any(v for _, v, _, _ in table):
-        raise EmptyGridError(f"{oracle}: h is zero at every grid point")
+        raise EmptyGridError("h is zero at every grid point")
     return table
 
 
@@ -254,7 +254,7 @@ def ode_residual(sol: Solution, frame: FrameParams, grid: Grid,
                  tol: float = DEFAULT_ODE_TOL) -> VerificationReport:
     """Residual of the traveling ODE (see :func:`ode_residuals`) at the
     jets of :meth:`Grid.jets`."""
-    table = _nonvanishing_jets("ode_residual", sol, grid)
+    table = _nonvanishing_jets(sol, grid)
     return _report("ode_residual", ode_residuals(sol, frame, table), tol)
 
 
@@ -265,7 +265,7 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
     of 1 and the two sides; it reads the jets of :meth:`Grid.jets`."""
     quad = first_integral(family_params(sol.family), frame, c1)
     two_r = 2.0 * frame.r
-    table = _nonvanishing_jets("first_integral_residual", sol, grid)
+    table = _nonvanishing_jets(sol, grid)
     if sol.psi_native:
         g_psi = quad.g_psi
         rhss = [two_r * g_psi(val) for _, val, _, _ in table]
@@ -514,8 +514,7 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
                                 for (_, k), (a, b) in zip(_GL8_KERNEL, pairs)])
         residuals.append(abs(lhs - rhs) / max(w * w, abs(rhs)))
     if kept and not residuals:
-        raise EmptyGridError(
-            "pde_residual: h is zero or changes sign in every window")
+        raise EmptyGridError("h is zero or changes sign in every window")
     return _report("pde_residual", residuals, tol)
 
 

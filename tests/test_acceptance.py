@@ -23,13 +23,7 @@ from expwave.reduction import (
 )
 from expwave.solutions import (
     construct,
-    dodd_bullough,
     implicit_relation,
-    liouville,
-    sine_gordon,
-    sinh_gordon,
-    tdb_dbm,
-    tzitzeica,
 )
 from expwave.specfun import (
     WeierstrassInvariants,
@@ -62,28 +56,50 @@ def report(criterion, name, passed, detail, elapsed):
 def catalogued_solutions():
     fr_half = FrameParams.from_lambda_gamma(0.5)
     return [
-        ("liouville soliton", liouville(1.0, FR1), (-10.0, 10.0)),
-        ("liouville periodic", liouville(-1.0, FR1), (-10.0, 10.0)),
-        ("liouville rational", liouville(0.0, fr_half), (-10.0, 10.0)),
-        ("dark soliton", tzitzeica(-1.5, FR1), (-10.0, 10.0)),
-        ("singular soliton", tzitzeica(-1.5, FR1, branch=-1), (-10.0, 10.0)),
-        ("periodic sec", tzitzeica(-1.5, FRN), (-10.0, 10.0)),
-        ("periodic csc", tzitzeica(-1.5, FRN, branch=-1), (-10.0, 10.0)),
-        ("equianharmonic", tzitzeica(0.0, FR1), (-10.0, 10.0)),
-        ("lemniscatic cnoidal", tzitzeica(C1_LEMNISCATIC, FR1), (-10.0, 10.0)),
-        ("general weierstrass", tzitzeica(1.0, FR1), (-10.0, 10.0)),
-        ("sign-mapped soliton", dodd_bullough(1.5, FRN), (-10.0, 10.0)),
-        ("sign-mapped weierstrass", dodd_bullough(1.0, FRN), (-10.0, 10.0)),
+        ("liouville soliton",
+         construct(FamilyLabel.Liouville, 1.0, FR1), (-10.0, 10.0)),
+        ("liouville periodic",
+         construct(FamilyLabel.Liouville, -1.0, FR1), (-10.0, 10.0)),
+        ("liouville rational",
+         construct(FamilyLabel.Liouville, 0.0, fr_half), (-10.0, 10.0)),
+        ("dark soliton",
+         construct(FamilyLabel.Tzitzeica, -1.5, FR1), (-10.0, 10.0)),
+        ("singular soliton",
+         construct(FamilyLabel.Tzitzeica, -1.5, FR1, branch=-1),
+         (-10.0, 10.0)),
+        ("periodic sec",
+         construct(FamilyLabel.Tzitzeica, -1.5, FRN), (-10.0, 10.0)),
+        ("periodic csc",
+         construct(FamilyLabel.Tzitzeica, -1.5, FRN, branch=-1),
+         (-10.0, 10.0)),
+        ("equianharmonic",
+         construct(FamilyLabel.Tzitzeica, 0.0, FR1), (-10.0, 10.0)),
+        ("lemniscatic cnoidal",
+         construct(FamilyLabel.Tzitzeica, C1_LEMNISCATIC, FR1), (-10.0, 10.0)),
+        ("general weierstrass",
+         construct(FamilyLabel.Tzitzeica, 1.0, FR1), (-10.0, 10.0)),
+        ("sign-mapped soliton",
+         construct(FamilyLabel.DoddBullough, 1.5, FRN), (-10.0, 10.0)),
+        ("sign-mapped weierstrass",
+         construct(FamilyLabel.DoddBullough, 1.0, FRN), (-10.0, 10.0)),
         ("reflected variant A",
-         tdb_dbm(FamilyLabel.TzitzeicaDoddBullough, 1.5, FRN), (-10.0, 10.0)),
+         construct(FamilyLabel.TzitzeicaDoddBullough, 1.5, FRN),
+         (-10.0, 10.0)),
         ("reflected variant B",
-         tdb_dbm(FamilyLabel.DoddBulloughMikhailov, -1.5, FR1), (-10.0, 10.0)),
-        ("circular kink", sine_gordon(1.0, FR1), (-10.0, 10.0)),
-        ("circular shifted kink", sine_gordon(-1.0, FRN), (-10.0, 10.0)),
-        ("circular amplitude", sine_gordon(3.0, FR1), (-10.0, 10.0)),
-        ("hyperbolic exp kink", sinh_gordon(-0.5, FR1), (-10.05, 0.0)),
-        ("hyperbolic tan kink", sinh_gordon(0.5, FR1), (-10.0, 10.0)),
-        ("hyperbolic amplitude", sinh_gordon(-1.0, FRN), (-10.0, 10.0)),
+         construct(FamilyLabel.DoddBulloughMikhailov, -1.5, FR1),
+         (-10.0, 10.0)),
+        ("circular kink",
+         construct(FamilyLabel.SineGordon, 1.0, FR1), (-10.0, 10.0)),
+        ("circular shifted kink",
+         construct(FamilyLabel.SineGordon, -1.0, FRN), (-10.0, 10.0)),
+        ("circular amplitude",
+         construct(FamilyLabel.SineGordon, 3.0, FR1), (-10.0, 10.0)),
+        ("hyperbolic exp kink",
+         construct(FamilyLabel.SinhGordon, -0.5, FR1), (-10.05, 0.0)),
+        ("hyperbolic tan kink",
+         construct(FamilyLabel.SinhGordon, 0.5, FR1), (-10.0, 10.0)),
+        ("hyperbolic amplitude",
+         construct(FamilyLabel.SinhGordon, -1.0, FRN), (-10.0, 10.0)),
     ]
 
 
@@ -175,16 +191,16 @@ def test_criterion_4_shooting_agreement():
     t0 = time.perf_counter()
     worst = 0.0
     runs = []
-    dark = tzitzeica(-1.5, FR1)
+    dark = construct(FamilyLabel.Tzitzeica, -1.5, FR1)
     runs.append(("dark soliton", dark, FR1, 0.0, 5.0))
-    kink = sine_gordon(1.0, FR1)
+    kink = construct(FamilyLabel.SineGordon, 1.0, FR1)
     runs.append(("kink", kink, FR1, 0.0, 5.0))
-    shifted = sine_gordon(-1.0, FRN)
+    shifted = construct(FamilyLabel.SineGordon, -1.0, FRN)
     runs.append(("shifted kink", shifted, FRN, 0.0, 5.0))
-    lem = tzitzeica(C1_LEMNISCATIC, FR1)
+    lem = construct(FamilyLabel.Tzitzeica, C1_LEMNISCATIC, FR1)
     runs.append(("cnoidal", lem, FR1, 0.0, 5.0))
     fr16 = FrameParams.from_lambda_gamma(16.0)
-    gw = tzitzeica(1.0, fr16)
+    gw = construct(FamilyLabel.Tzitzeica, 1.0, fr16)
     half = gw.params["period"] / 2.0
     assert gw.params["period"] > 10.0  # span 5 fits between poles
     runs.append(("general weierstrass", gw, fr16, half, 5.0))
@@ -201,7 +217,7 @@ def test_criterion_4_shooting_agreement():
 
 def test_criterion_5_implicit_relations():
     t0 = time.perf_counter()
-    eq = tzitzeica(0.0, FR1)
+    eq = construct(FamilyLabel.Tzitzeica, 0.0, FR1)
     rel = implicit_relation(FamilyLabel.Tzitzeica, FR1)
     period = eq.params["period"]
     # window where |2 h^3| <= 0.9 on the increasing stretch
@@ -210,7 +226,7 @@ def test_criterion_5_implicit_relations():
     grid = Grid(good[0], good[-1], 64)
     rep1 = implicit_residual_check(rel, eq, grid, tol=1e-8)
     assert rep1.passed, rep1.max_residual
-    sh = sinh_gordon(0.0, FR1)
+    sh = construct(FamilyLabel.SinhGordon, 0.0, FR1)
     rel = implicit_relation(FamilyLabel.SinhGordon, FR1)
     xs = [0.02 * i for i in range(1, 70)]
     good = [x for x in xs if abs(sh.evaluate_h(x) ** 4) <= 0.9]
@@ -231,24 +247,24 @@ def test_criterion_6_sign_map_dualities():
     for c1, lg in [(1.5, -1.0), (1.0, -2.0), (0.0, -1.0)]:
         frame = FrameParams.from_lambda_gamma(lg)
         mirror = FrameParams.from_lambda_gamma(-lg)
-        db = dodd_bullough(c1, frame)
-        tz = tzitzeica(-c1, mirror)
+        db = construct(FamilyLabel.DoddBullough, c1, frame)
+        tz = construct(FamilyLabel.Tzitzeica, -c1, mirror)
         for x in pts:
             if db.singularities.distance(x) < db.singularities.default_pad():
                 continue
             worst = max(worst, abs(db.evaluate_h(x) - tz.evaluate_h(x)))
     for c1, lg in [(1.5, -1.0), (1.0, -2.0)]:
         frame = FrameParams.from_lambda_gamma(lg)
-        tdb = tdb_dbm(FamilyLabel.TzitzeicaDoddBullough, c1, frame)
-        db = dodd_bullough(c1, frame)
+        tdb = construct(FamilyLabel.TzitzeicaDoddBullough, c1, frame)
+        db = construct(FamilyLabel.DoddBullough, c1, frame)
         for x in pts:
             if db.singularities.distance(-x) < db.singularities.default_pad():
                 continue
             worst = max(worst, abs(tdb.evaluate_h(x) + db.evaluate_h(-x)))
     for c1, lg in [(-1.5, 1.0), (1.0, 1.0)]:
         frame = FrameParams.from_lambda_gamma(lg)
-        dbm = tdb_dbm(FamilyLabel.DoddBulloughMikhailov, c1, frame)
-        tz = tzitzeica(c1, frame)
+        dbm = construct(FamilyLabel.DoddBulloughMikhailov, c1, frame)
+        tz = construct(FamilyLabel.Tzitzeica, c1, frame)
         for x in pts:
             if tz.singularities.distance(-x) < tz.singularities.default_pad():
                 continue
@@ -263,7 +279,7 @@ def test_criterion_7_kink_asymptotics():
     t0 = time.perf_counter()
     for lg in (1.0, 2.0, 0.49):
         frame = FrameParams.from_lambda_gamma(lg)
-        sol = sine_gordon(1.0, frame, branch=1)
+        sol = construct(FamilyLabel.SineGordon, 1.0, frame, branch=1)
         far = 40.0 * math.sqrt(lg)
         left = abs(sol.evaluate_psi(-far))
         right = abs(sol.evaluate_psi(far) - 2.0 * math.pi)
@@ -276,12 +292,13 @@ def test_criterion_7_kink_asymptotics():
 def test_criterion_8_pde_residual():
     t0 = time.perf_counter()
     frame_k = FrameParams(lam=1.0 / 3.0, k=1.0, omega=2.0)
-    kink = sine_gordon(1.0, frame_k)
+    kink = construct(FamilyLabel.SineGordon, 1.0, frame_k)
     rep1 = pde_residual(kink, frame_k,
                         Grid.for_solution(kink, -10.0, 10.0, 1001), tol=1e-6)
     assert rep1.passed, rep1.max_residual
     frame_l = FrameParams(lam=-1.0 / 3.0, k=1.0, omega=2.0)
-    pulse = liouville(-1.0, frame_l)  # positive pulse, checked in h
+    # positive pulse, checked in h
+    pulse = construct(FamilyLabel.Liouville, -1.0, frame_l)
     rep2 = pde_residual(pulse, frame_l,
                         Grid.for_solution(pulse, -10.0, 10.0, 1001), tol=1e-6)
     assert rep2.passed, rep2.max_residual

@@ -406,12 +406,11 @@ def test_verify_notes_skipped_pde_oracle(capsys):
     # undefined, so the three grid oracles are skipped with a note each;
     # shooting runs on its own window.  At c1 = 0 Liouville has no 2F1 form
     grid_notes = [
-        "note: ode_residual skipped: ode_residual: h is zero at every grid "
+        "note: ode_residual skipped: h is zero at every grid point",
+        "note: first_integral_residual skipped: h is zero at every grid "
         "point",
-        "note: first_integral_residual skipped: first_integral_residual: h "
-        "is zero at every grid point",
-        "note: pde_residual skipped: pde_residual: h is zero or changes sign "
-        "in every window"]
+        "note: pde_residual skipped: h is zero or changes sign in every "
+        "window"]
     for c1, xi_min, xi_max, more in [
             ("1", "10000", "10001", []),
             ("0", "1e200", "2e200", [

@@ -92,6 +92,16 @@ def test_cancelling_series_raises():
                   -2.46332807912054)
 
 
+def test_pfaff_prefactor_overflow_raises():
+    # (1 - x)^(-a) overflows before the series runs: the kernel's own
+    # error names the float range, no bare OverflowError leaks
+    for args in [(-800.0, 1.0, 3.0, -1.5),
+                 (308.2814728356075, -313.94049067740707, -928.5072915877108,
+                  -9.747431234405285)]:
+        with pytest.raises(ConvergenceError, match="float range"):
+            gauss_2f1(*args)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         gauss_2f1(0.5, 0.5, 0.0, 0.1)

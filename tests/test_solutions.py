@@ -21,14 +21,8 @@ from expwave.reduction import (
 )
 from expwave.solutions import (
     construct,
-    dodd_bullough,
     from_descriptor,
     implicit_relation,
-    liouville,
-    sine_gordon,
-    sinh_gordon,
-    tdb_dbm,
-    tzitzeica,
 )
 from expwave.specfun import WeierstrassInvariants, weierstrass_p
 
@@ -40,7 +34,7 @@ XS = [-7.3, -2.0, -0.4, 0.3, 1.1, 2.6, 6.9]
 # -- Liouville ---------------------------------------------------------------
 
 def test_liouville_soliton_profile():
-    sol = liouville(1.0, FR1)
+    sol = construct(FamilyLabel.Liouville, 1.0, FR1)
     assert sol.case is CaseLabel.LiouvilleSoliton
     # peak value is -c1 at xi0, exponential decay in the tails
     assert sol.evaluate_h(0.0) == pytest.approx(-1.0, abs=1e-15)
@@ -48,13 +42,13 @@ def test_liouville_soliton_profile():
     assert sol.singularities.kind == "none"
     # psi is unavailable where h <= 0
     assert math.isnan(sol.evaluate_psi(0.0))
-    sol2 = liouville(-1.0, FRN)  # positive pulse
+    sol2 = construct(FamilyLabel.Liouville, -1.0, FRN)  # positive pulse
     assert sol2.evaluate_h(0.0) == pytest.approx(1.0)
     assert sol2.evaluate_psi(0.3) == math.log(sol2.evaluate_h(0.3))
 
 
 def test_liouville_periodic_profile():
-    sol = liouville(-1.0, FR1)
+    sol = construct(FamilyLabel.Liouville, -1.0, FR1)
     assert sol.case is CaseLabel.LiouvillePeriodic
     kappa = math.sqrt(0.5)
     for x in XS:
@@ -67,7 +61,8 @@ def test_liouville_periodic_profile():
 
 
 def test_liouville_rational_value():
-    sol = liouville(0.0, FrameParams.from_lambda_gamma(0.5))
+    sol = construct(FamilyLabel.Liouville, 0.0,
+                    FrameParams.from_lambda_gamma(0.5))
     assert sol.evaluate_h(1.0) == pytest.approx(1.0, abs=1e-16)
     assert sol.evaluate_h(2.0) == pytest.approx(0.25, abs=1e-16)
     with pytest.raises(DomainError):
@@ -78,7 +73,7 @@ def test_liouville_rational_value():
 # -- base cubic family -------------------------------------------------------
 
 def test_dark_soliton_profile():
-    sol = tzitzeica(-1.5, FR1)
+    sol = construct(FamilyLabel.Tzitzeica, -1.5, FR1)
     assert sol.case is CaseLabel.Degenerate1a
     assert sol.evaluate_h(0.0) == pytest.approx(-0.5, abs=1e-15)
     # unit background at infinity, minimum at the center
@@ -92,13 +87,13 @@ def test_dark_soliton_profile():
 
 
 def test_singular_companions():
-    sol = tzitzeica(-1.5, FR1, branch=-1)
+    sol = construct(FamilyLabel.Tzitzeica, -1.5, FR1, branch=-1)
     kappa = 0.5 * math.sqrt(3.0)
     for x in (0.3, 1.2, 4.0):
         ref = 1.0 + 1.5 / math.sinh(kappa * x) ** 2
         assert sol.evaluate_h(x) == pytest.approx(ref, rel=1e-15)
     assert sol.singularities.kind == "isolated"
-    sol = tzitzeica(-1.5, FRN, branch=-1)
+    sol = construct(FamilyLabel.Tzitzeica, -1.5, FRN, branch=-1)
     for x in (0.4, 1.0):
         ref = 1.0 - 1.5 / math.sin(kappa * x) ** 2
         assert sol.evaluate_h(x) == pytest.approx(ref, rel=1e-14)
@@ -106,7 +101,7 @@ def test_singular_companions():
 
 
 def test_periodic_degenerate_profiles():
-    sol = tzitzeica(-1.5, FRN)
+    sol = construct(FamilyLabel.Tzitzeica, -1.5, FRN)
     assert sol.case is CaseLabel.Degenerate1b
     kappa = 0.5 * math.sqrt(3.0)
     assert sol.evaluate_h(0.0) == pytest.approx(-0.5, abs=1e-15)
@@ -116,7 +111,7 @@ def test_periodic_degenerate_profiles():
 
 
 def test_equianharmonic_laurent():
-    sol = tzitzeica(0.0, FR1)
+    sol = construct(FamilyLabel.Tzitzeica, 0.0, FR1)
     assert sol.case is CaseLabel.Equianharmonic
     # leading double-pole behaviour h ~ 2 lg / (xi - xi0)^2, with the next
     # Laurent correction g3 z^4/28 entering through 2 p
@@ -128,7 +123,7 @@ def test_equianharmonic_laurent():
 
 
 def test_lemniscatic_bounded_periodic():
-    sol = tzitzeica(C1_LEMNISCATIC, FR1)
+    sol = construct(FamilyLabel.Tzitzeica, C1_LEMNISCATIC, FR1)
     assert sol.case is CaseLabel.Lemniscatic
     assert sol.bounded is True
     period = sol.params["period"]
@@ -142,13 +137,14 @@ def test_lemniscatic_bounded_periodic():
                                                            abs=1e-12)
     # the cnoidal form needs lambda gamma > 0; at lambda gamma < 0 the
     # same c1 builds as the general Weierstrass form
-    assert tzitzeica(C1_LEMNISCATIC, FRN).case is CaseLabel.GeneralWeierstrass
+    assert construct(FamilyLabel.Tzitzeica, C1_LEMNISCATIC, FRN).case \
+        is CaseLabel.GeneralWeierstrass
 
 
 def test_general_weierstrass_scale_shift():
     lg = 1.0
     c1 = 1.0
-    sol = tzitzeica(c1, FR1)
+    sol = construct(FamilyLabel.Tzitzeica, c1, FR1)
     inv = WeierstrassInvariants(c1 * c1 / (3.0 * lg * lg),
                                 -(4.0 * c1 ** 3 + 27.0) / (108.0 * lg ** 3))
     for x in (0.6, 1.3, 2.2):
@@ -157,8 +153,9 @@ def test_general_weierstrass_scale_shift():
             lg * (2.0 * p - c1 / (3.0 * lg)), rel=1e-14)
     # at the degenerate constant the general form reproduces the singular
     # companion exactly (the unbounded real branch)
-    via_general = tzitzeica(-1.5, FR1, case=CaseLabel.GeneralWeierstrass)
-    companion = tzitzeica(-1.5, FR1, branch=-1)
+    via_general = construct(FamilyLabel.Tzitzeica, -1.5, FR1,
+                            case=CaseLabel.GeneralWeierstrass)
+    companion = construct(FamilyLabel.Tzitzeica, -1.5, FR1, branch=-1)
     for x in (0.3, 1.0, 2.5):
         assert via_general.evaluate_h(x) == pytest.approx(
             companion.evaluate_h(x), rel=1e-12)
@@ -167,7 +164,7 @@ def test_general_weierstrass_scale_shift():
 # -- sign-mapped and reflected variants --------------------------------------
 
 def test_db_soliton_profile():
-    sol = dodd_bullough(1.5, FRN)
+    sol = construct(FamilyLabel.DoddBullough, 1.5, FRN)
     assert sol.case is CaseLabel.Degenerate1a
     assert sol.evaluate_h(0.0) == pytest.approx(-0.5, abs=1e-15)
     kappa = 0.5 * math.sqrt(3.0)
@@ -178,15 +175,15 @@ def test_db_soliton_profile():
 
 def test_db_companions():
     kappa = 0.5 * math.sqrt(3.0)
-    sol = dodd_bullough(1.5, FRN, branch=-1)
+    sol = construct(FamilyLabel.DoddBullough, 1.5, FRN, branch=-1)
     for x in (0.4, 1.5):
         assert sol.evaluate_h(x) == pytest.approx(
             1.0 + 1.5 / math.sinh(kappa * x) ** 2, rel=1e-14)
-    sol = dodd_bullough(1.5, FR1)
+    sol = construct(FamilyLabel.DoddBullough, 1.5, FR1)
     for x in (0.4, 1.1):
         assert sol.evaluate_h(x) == pytest.approx(
             1.0 - 1.5 / math.cos(kappa * x) ** 2, rel=1e-14)
-    sol = dodd_bullough(1.5, FR1, branch=-1)
+    sol = construct(FamilyLabel.DoddBullough, 1.5, FR1, branch=-1)
     for x in (0.4, 1.1):
         assert sol.evaluate_h(x) == pytest.approx(
             1.0 - 1.5 / math.sin(kappa * x) ** 2, rel=1e-14)
@@ -195,7 +192,7 @@ def test_db_companions():
 def test_db_general_weierstrass():
     lg = -1.0
     c1 = 1.0
-    sol = dodd_bullough(c1, FRN)
+    sol = construct(FamilyLabel.DoddBullough, c1, FRN)
     inv = WeierstrassInvariants(c1 * c1 / (3.0 * lg * lg),
                                 -(4.0 * c1 ** 3 - 27.0) / (108.0 * lg ** 3))
     for x in (0.6, 1.4, 2.1):
@@ -206,7 +203,7 @@ def test_db_general_weierstrass():
 
 def test_db_equianharmonic_form():
     lg = -1.0
-    sol = dodd_bullough(0.0, FRN)
+    sol = construct(FamilyLabel.DoddBullough, 0.0, FRN)
     inv = WeierstrassInvariants(0.0, 1.0 / (4.0 * lg ** 3))
     for x in (0.5, 1.2, 2.0):
         p, _ = weierstrass_p(x, inv)
@@ -215,7 +212,7 @@ def test_db_equianharmonic_form():
 
 def test_db_lemniscatic():
     lg = -1.0
-    sol = dodd_bullough(-C1_LEMNISCATIC, FRN)
+    sol = construct(FamilyLabel.DoddBullough, -C1_LEMNISCATIC, FRN)
     assert sol.case is CaseLabel.Lemniscatic
     scale = 3.0 ** 0.25 / (2.0 ** (1.0 / 3.0) * math.sqrt(-lg))
     amp = 4.0 ** (-1.0 / 3.0)
@@ -231,8 +228,10 @@ def test_db_lemniscatic():
 @settings(max_examples=120)
 def test_sign_map_duality(x, pair):
     c1, lg = pair
-    db = dodd_bullough(c1, FrameParams.from_lambda_gamma(lg))
-    tz = tzitzeica(-c1, FrameParams.from_lambda_gamma(-lg))
+    db = construct(FamilyLabel.DoddBullough, c1,
+                   FrameParams.from_lambda_gamma(lg))
+    tz = construct(FamilyLabel.Tzitzeica, -c1,
+                   FrameParams.from_lambda_gamma(-lg))
     if db.singularities.distance(x) < max(0.02, db.singularities.default_pad()):
         return
     assert db.evaluate_h(x) == tz.evaluate_h(x)
@@ -241,8 +240,8 @@ def test_sign_map_duality(x, pair):
 def test_reflection_dualities():
     for c1, lg in [(1.5, -1.0), (1.0, -2.0)]:
         frame = FrameParams.from_lambda_gamma(lg)
-        tdb = tdb_dbm(FamilyLabel.TzitzeicaDoddBullough, c1, frame)
-        db = dodd_bullough(c1, frame)
+        tdb = construct(FamilyLabel.TzitzeicaDoddBullough, c1, frame)
+        db = construct(FamilyLabel.DoddBullough, c1, frame)
         for i in range(100):
             x = -5.0 + 0.1 * i + 0.013
             if db.singularities.distance(-x) < 1e-3:
@@ -251,16 +250,14 @@ def test_reflection_dualities():
                                                       abs=1e-12)
     for c1, lg in [(-1.5, 1.0), (1.0, 1.0)]:
         frame = FrameParams.from_lambda_gamma(lg)
-        dbm = tdb_dbm(FamilyLabel.DoddBulloughMikhailov, c1, frame)
-        tz = tzitzeica(c1, frame)
+        dbm = construct(FamilyLabel.DoddBulloughMikhailov, c1, frame)
+        tz = construct(FamilyLabel.Tzitzeica, c1, frame)
         for i in range(100):
             x = -5.0 + 0.1 * i + 0.013
             if tz.singularities.distance(-x) < 1e-3:
                 continue
             assert dbm.evaluate_h(x) == pytest.approx(-tz.evaluate_h(-x),
                                                       abs=1e-12)
-    with pytest.raises(UnsupportedFamilyError):
-        tdb_dbm(FamilyLabel.Tzitzeica, 0.0, FR1)
 
 
 def test_dbm_quadrature_polynomial_map():
@@ -276,7 +273,7 @@ def test_dbm_quadrature_polynomial_map():
 # -- circular (sine) family --------------------------------------------------
 
 def test_sine_kink_profile():
-    sol = sine_gordon(1.0, FR1)
+    sol = construct(FamilyLabel.SineGordon, 1.0, FR1)
     assert sol.case is CaseLabel.KinkC1Plus
     assert sol.psi_native
     assert sol.evaluate_psi(0.0) == pytest.approx(math.pi, abs=1e-15)
@@ -290,41 +287,44 @@ def test_sine_kink_profile():
     assert sol.evaluate_h(0.7) == pytest.approx(
         math.exp(sol.evaluate_psi(0.7)), rel=1e-15)
     with pytest.raises(SignDomainError):
-        sine_gordon(1.0, FRN)
+        construct(FamilyLabel.SineGordon, 1.0, FRN)
 
 
 def test_sine_shifted_kink_profile():
-    sol = sine_gordon(-1.0, FRN)
+    sol = construct(FamilyLabel.SineGordon, -1.0, FRN)
     assert sol.case is CaseLabel.KinkC1Minus
     assert sol.evaluate_psi(0.0) == pytest.approx(0.0, abs=1e-15)
     assert sol.evaluate_psi(-40.0) == pytest.approx(-math.pi, abs=1e-12)
     assert sol.evaluate_psi(40.0) == pytest.approx(math.pi, abs=1e-12)
     with pytest.raises(SignDomainError):
-        sine_gordon(-1.0, FR1)
+        construct(FamilyLabel.SineGordon, -1.0, FR1)
 
 
 def test_amplitude_boundedness():
     # bounded and periodic exactly in the superunitary parameter regime
-    bounded = sine_gordon(0.0, FRN)  # parameter 2
+    bounded = construct(FamilyLabel.SineGordon, 0.0, FRN)  # parameter 2
     assert bounded.bounded is True
     vals = [bounded.evaluate_psi(-30.0 + 0.1 * i) for i in range(601)]
     assert max(abs(v) for v in vals) <= 2.0 * math.asin(1.0 / math.sqrt(2.0)) + 1e-10
-    sub = sine_gordon(-3.0, FRN)  # parameter 1/2 in (0, 1): unbounded
+    # parameter 1/2 in (0, 1): unbounded
+    sub = construct(FamilyLabel.SineGordon, -3.0, FRN)
     assert sub.bounded is False
     assert abs(sub.evaluate_psi(40.0) - sub.evaluate_psi(-40.0)) > 4.0 * math.pi
-    neg = sine_gordon(3.0, FR1)  # negative parameter: unbounded
+    # negative parameter: unbounded
+    neg = construct(FamilyLabel.SineGordon, 3.0, FR1)
     assert neg.bounded is False
     assert abs(neg.evaluate_psi(40.0) - neg.evaluate_psi(-40.0)) > 4.0 * math.pi
     with pytest.raises(SignDomainError):
-        sine_gordon(3.0, FRN)  # (c1-1)/(2 lg) < 0
+        construct(FamilyLabel.SineGordon, 3.0, FRN)  # (c1-1)/(2 lg) < 0
 
 
 def test_sine_amplitude_pi_shift():
     # lambda gamma > 0, |c1| < 1: psi(xi; c1, lg) = pi + psi(xi; -c1, -lg)
     for c1, lg in [(0.5, 1.0), (0.0, 1.0), (-0.5, 0.7)]:
         frame = FrameParams.from_lambda_gamma(lg, xi0=0.3)
-        sol = sine_gordon(c1, frame, branch=-1)
-        image = sine_gordon(-c1, frame.with_lambda_gamma(-lg), branch=-1)
+        sol = construct(FamilyLabel.SineGordon, c1, frame, branch=-1)
+        image = construct(FamilyLabel.SineGordon, -c1,
+                          frame.with_lambda_gamma(-lg), branch=-1)
         assert (sol.case, sol.bounded, sol.params) == \
             (image.case, True, image.params)
         assert (sol.c1, sol.frame) == (c1, frame)
@@ -344,7 +344,7 @@ def test_sine_amplitude_pi_shift():
 
 def test_amplitude_c1zero_matches_generic():
     from expwave.specfun import jacobi_am
-    sol = sine_gordon(0.0, FRN)
+    sol = construct(FamilyLabel.SineGordon, 0.0, FRN)
     assert sol.case is CaseLabel.AmplitudeC1Zero
     kappa = 0.5 * math.sqrt(2.0)
     for x in (-2.0, 0.4, 1.7):
@@ -355,7 +355,7 @@ def test_amplitude_c1zero_matches_generic():
 # -- hyperbolic (sinh) family ------------------------------------------------
 
 def test_sinh_kink_values():
-    sol = sinh_gordon(-0.5, FR1)
+    sol = construct(FamilyLabel.SinhGordon, -0.5, FR1)
     assert sol.case is CaseLabel.KinkC1Minus
     # arctanh oracle: atanh(x) = log((1+x)/(1-x))/2; at exp-argument 1/e
     x_at = -1.0 / math.sqrt(2.0)
@@ -367,11 +367,11 @@ def test_sinh_kink_values():
     with pytest.raises(DomainError):
         sol.evaluate_psi(0.5)
     with pytest.raises(SignDomainError):
-        sinh_gordon(-0.5, FRN)
+        construct(FamilyLabel.SinhGordon, -0.5, FRN)
 
 
 def test_sinh_gudermannian_kink():
-    sol = sinh_gordon(0.5, FR1)
+    sol = construct(FamilyLabel.SinhGordon, 0.5, FR1)
     assert sol.case is CaseLabel.KinkC1Plus
     assert sol.evaluate_psi(0.0) == 0.0
     kappa = 1.0 / math.sqrt(2.0)
@@ -391,7 +391,7 @@ def test_sinh_amplitude_quadrature_inversion():
     # against the closed form, for the blow-up and the bounded regime
     for c1, lg in [(0.0, 1.0), (1.0, 2.0), (-1.0, -1.0), (-2.5, -0.7)]:
         frame = FrameParams.from_lambda_gamma(lg)
-        sol = sinh_gordon(c1, frame)
+        sol = construct(FamilyLabel.SinhGordon, c1, frame)
         q = first_integral(family_params(FamilyLabel.SinhGordon), frame, c1)
         x1, x2 = 0.15, 0.55
         p1, p2 = sol.evaluate_psi(x1), sol.evaluate_psi(x2)
@@ -399,10 +399,10 @@ def test_sinh_amplitude_quadrature_inversion():
                       p1, p2, epsabs=1e-13, epsrel=1e-12)
         assert abs(val) == pytest.approx(x2 - x1, abs=1e-10)
     with pytest.raises(SignDomainError):
-        sinh_gordon(1.0, FRN)  # (2 c1 + 1)/lg < 0
-    bounded = sinh_gordon(-1.0, FRN)
+        construct(FamilyLabel.SinhGordon, 1.0, FRN)  # (2 c1 + 1)/lg < 0
+    bounded = construct(FamilyLabel.SinhGordon, -1.0, FRN)
     assert bounded.bounded is True and bounded.singularities.kind == "none"
-    blow = sinh_gordon(0.0, FR1)
+    blow = construct(FamilyLabel.SinhGordon, 0.0, FR1)
     assert blow.bounded is False and blow.singularities.kind == "lattice"
 
 
@@ -426,10 +426,11 @@ def test_implicit_relation_slopes_and_domain():
 
 
 def test_solution_descriptor_roundtrip():
-    for sol in (tzitzeica(1.0, FrameParams.from_lambda_gamma(1.0, xi0=0.7)),
-                sine_gordon(3.0, FR1, branch=-1),
-                sinh_gordon(-0.5, FR1),
-                liouville(-1.0, FR1)):
+    for sol in (construct(FamilyLabel.Tzitzeica, 1.0,
+                          FrameParams.from_lambda_gamma(1.0, xi0=0.7)),
+                construct(FamilyLabel.SineGordon, 3.0, FR1, branch=-1),
+                construct(FamilyLabel.SinhGordon, -0.5, FR1),
+                construct(FamilyLabel.Liouville, -1.0, FR1)):
         blob = json.dumps(sol.descriptor(), sort_keys=True)
         rebuilt = from_descriptor(json.loads(blob))
         for i in range(40):
@@ -444,20 +445,21 @@ def test_solution_descriptor_roundtrip():
 
 
 def test_psi_log_consistency():
-    sol = tzitzeica(-1.5, FR1, branch=-1)  # h > 1 everywhere
+    # h > 1 everywhere
+    sol = construct(FamilyLabel.Tzitzeica, -1.5, FR1, branch=-1)
     for x in (0.4, 1.3, 3.3):
         assert sol.evaluate_psi(x) == math.log(sol.evaluate_h(x))
-    dark = tzitzeica(-1.5, FR1)  # h < 0 near the center
+    dark = construct(FamilyLabel.Tzitzeica, -1.5, FR1)  # h < 0 near the center
     assert math.isnan(dark.evaluate_psi(0.0))
 
 
 def test_case_mismatch_errors():
     with pytest.raises(CaseMismatchError):
-        tzitzeica(0.5, FR1, case=CaseLabel.Degenerate1a)
+        construct(FamilyLabel.Tzitzeica, 0.5, FR1, case=CaseLabel.Degenerate1a)
     with pytest.raises(CaseMismatchError):
-        sine_gordon(0.5, FR1, case=CaseLabel.KinkC1Plus)
+        construct(FamilyLabel.SineGordon, 0.5, FR1, case=CaseLabel.KinkC1Plus)
     with pytest.raises(DomainError):
-        tzitzeica(-1.5, FR1, branch=0)
+        construct(FamilyLabel.Tzitzeica, -1.5, FR1, branch=0)
     with pytest.raises(UnsupportedFamilyError):
         construct(FamilyLabel.GenericTwoExponential, 1.0, FR1)
 

@@ -28,12 +28,7 @@ from expwave.solutions import (
     ImplicitRelation,
     Solution,
     construct,
-    dodd_bullough,
     implicit_relation,
-    liouville,
-    sine_gordon,
-    sinh_gordon,
-    tzitzeica,
 )
 from expwave.verify import (
     _CK_A,
@@ -76,7 +71,7 @@ def test_grid_basics():
     assert pts == sorted(pts)
     assert Grid(0.0, 1.0, 2).points() == [0.0, 1.0]
     g = Grid(0.0, 1.0, 32, Singularities.isolated(0.5), 2.0)
-    sol = liouville(1.0, FR1)
+    sol = construct(FamilyLabel.Liouville, 1.0, FR1)
     with pytest.raises(EmptyGridError):
         ode_residual(sol, FR1, g)
 
@@ -91,7 +86,7 @@ def test_grid_measures_each_point_once(monkeypatch):
                               0.2).points()
     # a grid without the solution's singular set measures the solution's
     # distances itself, so its steps are those of a grid built on the set
-    sol = tzitzeica(1.0, FR1)
+    sol = construct(FamilyLabel.Tzitzeica, 1.0, FR1)
     assert Grid(-5.0, 5.0, 64).jets(sol) == \
         Grid(-5.0, 5.0, 64, sol.singularities).jets(sol)
     # one verify on a lattice solution measures each grid point once
@@ -139,7 +134,8 @@ def test_ode_oracle_constant_fixed_point():
 
 
 def test_ode_oracle_rational():
-    sol = liouville(0.0, FrameParams.from_lambda_gamma(0.5))
+    sol = construct(FamilyLabel.Liouville, 0.0,
+                    FrameParams.from_lambda_gamma(0.5))
     rep = ode_residual(sol, sol.frame, Grid(1.0, 5.0, 200))
     assert rep.passed
     assert rep.max_residual <= 1e-8
@@ -147,19 +143,19 @@ def test_ode_oracle_rational():
 
 def test_first_integral_oracle():
     # circular-family kink satisfies (psi')^2 = (2/lg)(1 - cos psi)
-    kink = sine_gordon(1.0, FR1)
+    kink = construct(FamilyLabel.SineGordon, 1.0, FR1)
     rep = first_integral_residual(kink, FR1, 1.0, Grid(-8.0, 8.0, 400))
     assert rep.passed
     # hyperbolic-family bounded amplitude satisfies its cosh form
-    amp = sinh_gordon(-1.0, FRN)
+    amp = construct(FamilyLabel.SinhGordon, -1.0, FRN)
     rep = first_integral_residual(amp, FRN, -1.0, Grid(-8.0, 8.0, 400))
     assert rep.passed
-    sol = liouville(1.0, FR1)
+    sol = construct(FamilyLabel.Liouville, 1.0, FR1)
     rep = first_integral_residual(sol, FR1, 1.0, Grid(-8.0, 8.0, 400))
     assert rep.passed
     # cubic-family elliptic form (h')^2 = 2 r h^3 + p h^2 + r along the
     # general solution
-    gw = tzitzeica(1.0, FR1)
+    gw = construct(FamilyLabel.Tzitzeica, 1.0, FR1)
     grid = Grid.for_solution(gw, -8.0, 8.0, 400)
     rep = first_integral_residual(gw, FR1, 1.0, grid)
     assert rep.passed
@@ -169,8 +165,8 @@ def test_grid_jets_keyed_by_solution():
     # one grid reused with a second solution reports what a fresh grid
     # reports: the table it keeps is never stale
     grid = Grid(-5.0, 5.0, 64)
-    dark = (tzitzeica(-1.5, FR1), -1.5)
-    kink = (sine_gordon(1.0, FR1), 1.0)
+    dark = (construct(FamilyLabel.Tzitzeica, -1.5, FR1), -1.5)
+    kink = (construct(FamilyLabel.SineGordon, 1.0, FR1), 1.0)
     for sol, c1 in (dark, kink, kink, dark):
         assert ode_residual(sol, FR1, grid) == ode_residual(
             sol, FR1, Grid(-5.0, 5.0, 64))
@@ -183,7 +179,7 @@ def test_grid_jets_keyed_by_solution():
 
 def test_ode_and_first_integral_share_one_stencil_pass():
     # 5 evaluations per kept point for both oracles together, not 10
-    sol = tzitzeica(-1.5, FR1, branch=-1)
+    sol = construct(FamilyLabel.Tzitzeica, -1.5, FR1, branch=-1)
     calls = []
 
     def counted(xi):
@@ -225,11 +221,12 @@ def _hex_rows(table):
 
 
 @pytest.mark.parametrize("kind, make", [
-    ("none", lambda: sine_gordon(1.0, FR1)),
-    ("isolated", lambda: tzitzeica(-1.5, FR1, branch=-1)),
-    ("lattice", lambda: tzitzeica(1.0, FR1)),
-    ("half_line", lambda: sinh_gordon(-0.5, FR1)),
-    ("lattice_windows", lambda: sinh_gordon(0.5, FR1)),
+    ("none", lambda: construct(FamilyLabel.SineGordon, 1.0, FR1)),
+    ("isolated",
+     lambda: construct(FamilyLabel.Tzitzeica, -1.5, FR1, branch=-1)),
+    ("lattice", lambda: construct(FamilyLabel.Tzitzeica, 1.0, FR1)),
+    ("half_line", lambda: construct(FamilyLabel.SinhGordon, -0.5, FR1)),
+    ("lattice_windows", lambda: construct(FamilyLabel.SinhGordon, 0.5, FR1)),
 ])
 def test_jet_table_matches_per_point_stencil_bit_for_bit(kind, make):
     sol = make()
@@ -242,9 +239,12 @@ def test_jet_table_matches_per_point_stencil_bit_for_bit(kind, make):
 
 
 @pytest.mark.parametrize("make, sing", [
-    (lambda: tzitzeica(-1.5, FR1, branch=-1), Singularities.lattice(0.0, 2.0)),
-    (lambda: sine_gordon(1.0, FR1), Singularities.isolated(1.0)),
-    (lambda: tzitzeica(-1.5, FR1), Singularities.none()),
+    (lambda: construct(FamilyLabel.Tzitzeica, -1.5, FR1, branch=-1),
+     Singularities.lattice(0.0, 2.0)),
+    (lambda: construct(FamilyLabel.SineGordon, 1.0, FR1),
+     Singularities.isolated(1.0)),
+    (lambda: construct(FamilyLabel.Tzitzeica, -1.5, FR1),
+     Singularities.none()),
 ], ids=["isolated-on-lattice", "none-on-isolated", "none-on-none"])
 def test_jet_table_on_another_singular_set_bit_for_bit(make, sing):
     # the grid keeps its own points, the steps follow the solution's
@@ -258,7 +258,7 @@ def test_jet_table_on_another_singular_set_bit_for_bit(make, sing):
 def test_jet_table_at_the_step_floor_bit_for_bit():
     # a pad-0 grid whose first point lies 1.5e-4 from the pole at xi = 0:
     # 5e-3 of that distance is below FD_MIN_STEP, so the floor applies
-    sol = tzitzeica(-1.5, FR1, branch=-1)
+    sol = construct(FamilyLabel.Tzitzeica, -1.5, FR1, branch=-1)
     grid = Grid(1.5e-4, 2.0, 41, sol.singularities, 0.0)
     xs = grid.points()
     assert FD_SINGULAR_FRACTION * sol.singularities.distance(xs[0]) \
@@ -272,7 +272,7 @@ def test_jet_table_at_the_step_floor_bit_for_bit():
 
 
 def test_report_fields():
-    sol = tzitzeica(-1.5, FR1)
+    sol = construct(FamilyLabel.Tzitzeica, -1.5, FR1)
     g = Grid(-5.0, 5.0, 100)
     rep = ode_residual(sol, FR1, g)
     assert rep.points_used == 100
@@ -290,7 +290,7 @@ def test_fd_monotonicity():
     # in the truncation regime halving the stencil step cuts the residual
     # by at least a factor 3 (fourth-order differences after one level of
     # Richardson extrapolation)
-    sol = tzitzeica(-1.5, FR1)
+    sol = construct(FamilyLabel.Tzitzeica, -1.5, FR1)
     xs = Grid(-8.0, 8.0, 200).points()
 
     def worst(step):
@@ -301,17 +301,17 @@ def test_fd_monotonicity():
 
 
 def test_shoot_oracle():
-    dark = tzitzeica(-1.5, FR1)
+    dark = construct(FamilyLabel.Tzitzeica, -1.5, FR1)
     q = first_integral(family_params(FamilyLabel.Tzitzeica), FR1, -1.5)
     rep = shoot_and_compare(q, dark, 0.0, 5.0)
     assert rep.passed and rep.max_residual <= 1e-6
-    amp = sine_gordon(3.0, FR1)
+    amp = construct(FamilyLabel.SineGordon, 3.0, FR1)
     qa = first_integral(EquationParams.sine_gordon(), FR1, 3.0)
     rep = shoot_and_compare(qa, amp, 0.0, 5.0)
     assert rep.passed
     # shooting integrates the first integral only, never the raw
     # second-order form (singular at h = 0)
-    sing = tzitzeica(-1.5, FR1, branch=-1)
+    sing = construct(FamilyLabel.Tzitzeica, -1.5, FR1, branch=-1)
     ode = traveling_ode(family_params(FamilyLabel.Tzitzeica), FR1)
     with pytest.raises(TypeError):
         shoot_and_compare(ode, sing, 1.0, 3.0)
@@ -475,7 +475,7 @@ def test_two_state_kernel_matches_list_stepper_at_blowup():
 def test_half_line_grid_pads_by_pad(branch):
     # the exp kink is valid on one side of its boundary point; the grid
     # keeps a point 1.5 pad inside that side (the padding is pad, not 2 pad)
-    sol = sinh_gordon(-0.5, FR1, branch=branch)
+    sol = construct(FamilyLabel.SinhGordon, -0.5, FR1, branch=branch)
     sing = sol.singularities
     assert sing.kind == "half_line"
     pad = sing.default_pad()
@@ -590,7 +590,7 @@ def test_pde_oracle_skips_exactly_the_window_it_must(where, bad):
     # an h-native window counts only if all 19 values keep the centre's
     # sign and half its magnitude; a NaN keeps neither, so a window with
     # one must go (a test written as v / mid < 0.5 would keep it)
-    sol = liouville(1.0, FR1)
+    sol = construct(FamilyLabel.Liouville, 1.0, FR1)
     grid = Grid(-5.0, 5.0, 96)
     base = pde_residual(sol, FR1, grid)
     assert base.points_used == PDE_WINDOWS
@@ -625,30 +625,30 @@ def test_pde_oracle_holds_where_the_stencil_floor_does_not(family, c1, xi_min):
 
 def test_implicit_checks_pass():
     # zero-constant solutions against their hypergeometric forms
-    eq = tzitzeica(0.0, FR1)
+    eq = construct(FamilyLabel.Tzitzeica, 0.0, FR1)
     rel = implicit_relation(FamilyLabel.Tzitzeica, FR1)
     period = eq.params["period"]
     grid = Grid(period * 0.55, period * 0.72, 64)
     rep = implicit_residual_check(rel, eq, grid)
     assert rep.passed and rep.max_residual <= 1e-8
-    dbe = dodd_bullough(0.0, FRN)
+    dbe = construct(FamilyLabel.DoddBullough, 0.0, FRN)
     rel = implicit_relation(FamilyLabel.DoddBullough, FRN)
     period = dbe.params["period"]
     grid = Grid(period * 0.55, period * 0.72, 64)
     rep = implicit_residual_check(rel, dbe, grid)
     assert rep.passed
-    sh = sinh_gordon(0.0, FR1)
+    sh = construct(FamilyLabel.SinhGordon, 0.0, FR1)
     rel = implicit_relation(FamilyLabel.SinhGordon, FR1)
     rep = implicit_residual_check(rel, sh, Grid(0.1, 0.9, 64))
     assert rep.passed
     # the mirrored branch is aligned automatically on its own window
-    sh2 = sinh_gordon(0.0, FR1, branch=-1)
+    sh2 = construct(FamilyLabel.SinhGordon, 0.0, FR1, branch=-1)
     rep = implicit_residual_check(rel, sh2, Grid(-0.9, -0.1, 64))
     assert rep.passed
 
 
 def test_implicit_domain_error():
-    eq = tzitzeica(0.0, FR1)
+    eq = construct(FamilyLabel.Tzitzeica, 0.0, FR1)
     rel = implicit_relation(FamilyLabel.Tzitzeica, FR1)
     period = eq.params["period"]
     # near the pole the 2F1 argument -2 h^3 runs far below -1e5, which the
@@ -691,7 +691,7 @@ def test_implicit_grid_rule(family, sign, far_end, xi0, branch):
 def test_sine_amplitude_quadrature_oracle():
     # invert the psi-quadrature with adaptive integration along the
     # amplitude solution
-    sol = sine_gordon(3.0, FR1)
+    sol = construct(FamilyLabel.SineGordon, 3.0, FR1)
     q = first_integral(EquationParams.sine_gordon(), FR1, 3.0)
     for x1, x2 in [(0.1, 1.4), (-0.9, 0.3)]:
         p1, p2 = sol.evaluate_psi(x1), sol.evaluate_psi(x2)
@@ -701,7 +701,7 @@ def test_sine_amplitude_quadrature_oracle():
 
 
 def test_shoot_window_respects_half_line():
-    sol = sinh_gordon(-0.5, FR1)
+    sol = construct(FamilyLabel.SinhGordon, -0.5, FR1)
     q = first_integral(family_params(FamilyLabel.SinhGordon), FR1, -0.5)
     rep = shoot_and_compare(q, sol, -1.0, -5.0)
     assert rep.passed
@@ -710,23 +710,25 @@ def test_shoot_window_respects_half_line():
 IMPLICIT = "implicit_residual_check"
 
 
+SIGN_CHANGES = "h is zero or changes sign in every window"
+
+
 @pytest.mark.parametrize("make, span, doctor, skipped", [
-    (lambda: liouville(1.0, FR1), (-5.0, 5.0), "flip", [
-        ("pde_residual",
-         "pde_residual: h is zero or changes sign in every window")]),
-    (lambda: sine_gordon(0.0, FRN), (-10.0, 10.0), "", [
-        (IMPLICIT, "no real implicit hypergeometric form for SineGordon")]),
-    (lambda: tzitzeica(0.0, FRN), (-10.0, 10.0), "", [
-        (IMPLICIT, "this implicit form needs lambda gamma > 0")]),
-    (lambda: liouville(1.0, FR1), (1e4, 1e4 + 1.0), "", [
-        ("ode_residual", "ode_residual: h is zero at every grid point"),
-        ("first_integral_residual",
-         "first_integral_residual: h is zero at every grid point"),
-        ("pde_residual",
-         "pde_residual: h is zero or changes sign in every window")]),
+    (lambda: construct(FamilyLabel.Liouville, 1.0, FR1), (-5.0, 5.0), "flip",
+     [("pde_residual", SIGN_CHANGES)]),
+    (lambda: construct(FamilyLabel.SineGordon, 0.0, FRN), (-10.0, 10.0), "",
+     [(IMPLICIT, "no real implicit hypergeometric form for SineGordon")]),
+    (lambda: construct(FamilyLabel.Tzitzeica, 0.0, FRN), (-10.0, 10.0), "",
+     [(IMPLICIT, "this implicit form needs lambda gamma > 0")]),
+    (lambda: construct(FamilyLabel.Liouville, 1.0, FR1), (1e4, 1e4 + 1.0), "",
+     [("ode_residual", "h is zero at every grid point"),
+      ("first_integral_residual", "h is zero at every grid point"),
+      ("pde_residual", SIGN_CHANGES)]),
     # h underflows at 29 of the 32 points: the three left still count
-    (lambda: liouville(1.0, FR1), (500.0, 540.0), "", []),
-    (lambda: tzitzeica(0.0, FR1), (-10.0, 10.0), "", []),
+    (lambda: construct(FamilyLabel.Liouville, 1.0, FR1), (500.0, 540.0), "",
+     []),
+    (lambda: construct(FamilyLabel.Tzitzeica, 0.0, FR1), (-10.0, 10.0), "",
+     []),
 ], ids=["pde-empty", "2f1-family", "2f1-sign", "all-zero", "partly-zero",
         "none"])
 def test_battery_skips_by_one_rule(make, span, doctor, skipped):
@@ -767,9 +769,9 @@ def test_battery_skips_by_one_rule(make, span, doctor, skipped):
 
 @pytest.mark.parametrize("make, span", [
     # the branch 1 exp kink is valid only for xi < 0
-    (lambda: sinh_gordon(-0.5, FR1, 1), (1.0, 2.0)),
+    (lambda: construct(FamilyLabel.SinhGordon, -0.5, FR1, 1), (1.0, 2.0)),
     # the whole span lies inside the pad of the singular soliton's pole
-    (lambda: tzitzeica(-1.5, FR1, -1), (-0.04, 0.04)),
+    (lambda: construct(FamilyLabel.Tzitzeica, -1.5, FR1, -1), (-0.04, 0.04)),
 ], ids=["half-line", "pole-pad"])
 def test_battery_refuses_a_grid_with_no_points(monkeypatch, make, span):
     # a span where the solution does not exist fails the request: no
@@ -787,7 +789,7 @@ def test_battery_refuses_a_grid_with_no_points(monkeypatch, make, span):
 def test_battery_lets_every_other_error_through(monkeypatch):
     # a 2F1 window whose points leave the domain is an error, not a skip
     # (the command line exits 3)
-    sol = tzitzeica(0.0, FR1)
+    sol = construct(FamilyLabel.Tzitzeica, 0.0, FR1)
     monkeypatch.setattr(ImplicitRelation, "in_domain", lambda self, h: False)
     with pytest.raises(DomainError):
         battery(sol, Grid.for_solution(sol, -10.0, 10.0, 32))
