@@ -22,20 +22,20 @@ def test_audit_flags_missing_impl():
 
 def test_audit_flags_missing_test():
     bad = [{"id": "untested", "summary": "",
-            "implemented_by": "expwave.solutions:liouville",
+            "implemented_by": "expwave.solutions:construct",
             "tests": ["test_catalog.py::test_never_written"]}]
     report = coverage_audit(bad, tests_root=TESTS_DIR)
     assert not report.ok
     assert report.missing_test
     bad = [{"id": "untested", "summary": "",
-            "implemented_by": "expwave.solutions:liouville",
+            "implemented_by": "expwave.solutions:construct",
             "tests": []}]
     assert not coverage_audit(bad, tests_root=TESTS_DIR).ok
 
 
 def test_audit_flags_out_of_scope():
     entry = {"id": next(iter(OUT_OF_SCOPE)), "summary": "",
-             "implemented_by": "expwave.solutions:liouville",
+             "implemented_by": "expwave.solutions:construct",
              "tests": ["test_catalog.py::test_catalog_audit_passes"]}
     report = coverage_audit([entry], tests_root=TESTS_DIR)
     assert not report.ok
@@ -45,7 +45,7 @@ def test_audit_flags_out_of_scope():
 def test_audit_flags_malformed_and_duplicates():
     assert not coverage_audit([{"id": "x"}]).ok
     dup = {"id": "dup", "summary": "",
-           "implemented_by": "expwave.solutions:liouville",
+           "implemented_by": "expwave.solutions:construct",
            "tests": ["test_catalog.py::test_catalog_audit_passes"]}
     report = coverage_audit([dup, dict(dup)], tests_root=TESTS_DIR)
     assert not report.ok and report.malformed
