@@ -243,9 +243,9 @@ def _real_pow(h: float, e: float, integral: bool | None = None) -> float:
 class OdeDescriptor:
     """The traveling ODE h h'' - (h')^2 = f(h) for one (family, frame).
 
-    ``f`` and ``residual`` work in h; for the Gordon families the
-    psi-space form psi'' = rhs_psi(psi) is also exposed (it is the same
-    equation written in psi = log h, where it stays real).
+    ``f`` works in h; for the Gordon families the psi-space form
+    psi'' = rhs_psi(psi) is also exposed (it is the same equation written
+    in psi = log h, where it stays real).
     """
 
     def __init__(self, params: EquationParams, frame: FrameParams):
@@ -276,9 +276,6 @@ class OdeDescriptor:
 
     def f(self, h: float) -> float:
         return self.r * h * h * self.source(h)
-
-    def residual(self, h: float, dh: float, d2h: float) -> float:
-        return h * d2h - dh * dh - self.f(h)
 
     def rhs_psi(self, psi: float) -> float:
         return self.r * self.source_psi(psi)
@@ -386,14 +383,6 @@ class EllipticData:
     roots: CubicRoots
     repeated_root: float | None = None
 
-    @property
-    def invariants(self) -> WeierstrassInvariants:
-        return WeierstrassInvariants(self.g2, self.g3)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.invariants.is_degenerate
-
     def to_json(self) -> dict:
         d = {
             "a0": self.a0, "a1": self.a1, "a2": self.a2, "a3": self.a3,
@@ -449,9 +438,12 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLab
     real solution exists: one does exactly when r G > 0 for some value of
     the native variable, r = 1/(lambda gamma) in the family's own frame, so
     always for Liouville and the cubic families.  c1 within C1_MATCH_TOL of
-    a special value counts as that value.  Raises SignDomainError where no
-    real solution exists, DomainError where none is catalogued (sinh-Gordon,
-    lambda gamma > 0, c1 < -1/2)."""
+    a special value counts as that value.  A cubic case is read from c1 and
+    the sign of lambda gamma, both at the base (Tzitzeica) constants; the
+    Weierstrass invariants only bound the range, and non-finite ones raise
+    DomainError.  Raises SignDomainError where no real solution exists,
+    DomainError where none is catalogued (sinh-Gordon, lambda gamma > 0,
+    c1 < -1/2)."""
     if family is FamilyLabel.Liouville:
         if abs(c1) <= C1_MATCH_TOL:
             return CaseLabel.LiouvilleRational
@@ -460,14 +452,17 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLab
                 else CaseLabel.LiouvillePeriodic)
     if family in CUBIC_FAMILIES:
         *_, g2, g3 = _cubic(family, frame, c1)
-        # the cnoidal form needs the base lambda gamma > 0
+        WeierstrassInvariants(g2, g3)  # only the range check: non-finite raise
+        # the case is read from the base (Tzitzeica) constants
         flip = -1.0 if family in SIGN_MAPPED_FAMILIES else 1.0
-        if WeierstrassInvariants(g2, g3).is_degenerate:
-            return CaseLabel.Degenerate1a if g3 < 0.0 else CaseLabel.Degenerate1b
-        if abs(flip * c1) <= C1_MATCH_TOL:
+        base_c1, base_lg = flip * c1, flip * frame.lambda_gamma
+        if abs(base_c1 - C1_DEGENERATE) <= C1_MATCH_TOL:
+            return (CaseLabel.Degenerate1a if base_lg > 0.0
+                    else CaseLabel.Degenerate1b)
+        if abs(base_c1) <= C1_MATCH_TOL:
             return CaseLabel.Equianharmonic
-        if (abs(flip * c1 - C1_LEMNISCATIC) <= C1_MATCH_TOL
-                and flip * frame.lambda_gamma > 0.0):
+        # the cnoidal form needs the base lambda gamma > 0
+        if abs(base_c1 - C1_LEMNISCATIC) <= C1_MATCH_TOL and base_lg > 0.0:
             return CaseLabel.Lemniscatic
         return CaseLabel.GeneralWeierstrass
     # G spans [g_lo, g_hi] over psi; a bound within C1_MATCH_TOL of 0 is 0

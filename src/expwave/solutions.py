@@ -1,12 +1,14 @@
 """Closed-form traveling-wave solutions as immutable evaluator objects.
 
 ``construct`` is the one way to build a solution: it resolves the case
-once against the reduction module's taxonomy and hands it to the
-family's builder (Liouville, the four cubic pair families, sine-Gordon,
-sinh-Gordon).  Solutions of the cubic families live in h (the
-field itself); the Gordon families are native in psi = log h, where the
-equations stay real, and expose h = e^psi.  Every ``+/-`` in a closed
-form is an explicit ``branch`` argument defaulting to +1.
+once against the reduction module's taxonomy, hands it to the family's
+builder (Liouville, the four cubic pair families, sine-Gordon,
+sinh-Gordon), which returns only its closed form (evaluator,
+singularities, params, bounded), and records that as the one Solution.
+Solutions of the cubic families live in h (the field itself); the Gordon
+families are native in psi = log h, where the equations stay real, and
+expose h = e^psi.  Every ``+/-`` in a closed form is an explicit
+``branch`` argument defaulting to +1.
 
 Dodd-Bullough reads the base cubic forms at (-c1, -lambda gamma) and the
 two reflection families wrap their parent's evaluator literally as
@@ -27,6 +29,7 @@ from .errors import (
 )
 from .reduction import (
     CBRT2,
+    GORDON_FAMILIES,
     SIGN_MAPPED_FAMILIES,
     CaseLabel,
     FamilyLabel,
@@ -149,7 +152,7 @@ def _resolve_case(family: FamilyLabel, frame: FrameParams, c1: float,
 # ---------------------------------------------------------------------------
 
 def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
-               branch: int, case: CaseLabel) -> Solution:
+               branch: int, case: CaseLabel) -> tuple:
     """Single-exponential solutions: sech^2 pulse for c1/(2 lambda gamma)
     positive, sec^2 wave for negative, and the double-pole rational
     solution at c1 = 0.  Every form is even in xi - xi0, so both branches
@@ -183,11 +186,7 @@ def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
         sing = Singularities.lattice(xi0 + math.pi / (2.0 * kappa),
                                      math.pi / kappa)
         params = {"kappa": kappa, "period": math.pi / kappa}
-    return Solution(
-        family=family, case=case, branch=branch, c1=c1,
-        frame=frame, psi_native=False, singularities=sing, params=params,
-        _fn=h_fn,
-    )
+    return h_fn, sing, params, None
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ _REFLECTED = (FamilyLabel.TzitzeicaDoddBullough,
 
 
 def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
-               branch: int, case: CaseLabel) -> Solution:
+               branch: int, case: CaseLabel) -> tuple:
     """Cubic-route solutions of the h - 1/h^2 source (Tzitzeica) and of
     its sign and reflection variants.
 
@@ -310,11 +309,7 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
         def h_fn(xi: float) -> float:
             return -parent_h(-xi)
         sing = sing.reflected()
-    return Solution(
-        family=family, case=case, branch=branch, c1=c1, frame=frame,
-        psi_native=False, singularities=sing, params=params,
-        bounded=bounded, _fn=h_fn,
-    )
+    return h_fn, sing, params, bounded
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +317,31 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
 # ---------------------------------------------------------------------------
 
 def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
-                 branch: int, case: CaseLabel) -> Solution:
+                 branch: int, case: CaseLabel) -> tuple:
     """psi-native solutions of psi'' = sin(psi)/(lambda gamma).
 
-    c1 = +1 gives the 4 arctan(exp(.)) kink (lambda gamma > 0 only);
-    c1 = -1 the -pi-shifted kink (lambda gamma < 0 only); other c1 the
-    Jacobi-amplitude form psi = 2 am(-+ sqrt((c1-1)/(2 lg)) (xi - xi0);
-    2/(1-c1)), real when (c1-1)/(2 lg) >= 0 and otherwise pi plus the form
-    at (-c1, -lg).  The amplitude solution is bounded and periodic exactly
-    when the parameter exceeds 1 (the superunitary regime, -1 < c1 < 1);
-    otherwise it is monotone unbounded.
+    c1 = +1 gives the 4 arctan(exp(.)) kink (lambda gamma > 0 only); other
+    c1 the Jacobi-amplitude form psi = 2 am(-+ sqrt((c1-1)/(2 lg)) (xi -
+    xi0); 2/(1-c1)), real when (c1-1)/(2 lg) >= 0.  Since sin(psi +- pi) =
+    -sin(psi), psi(xi; c1, lg) = +-pi + psi(xi; -c1, -lg): the c1 = -1 kink
+    (lambda gamma < 0 only) is -pi plus the c1 = +1 kink at (1, -lg), and
+    the amplitude form where it is not real is pi plus the form at (-c1,
+    -lg).  The amplitude solution is bounded and periodic exactly when the
+    parameter exceeds 1 (the superunitary regime, -1 < c1 < 1); otherwise
+    it is monotone unbounded.
     """
     lg = frame.lambda_gamma
     xi0 = frame.xi0
-    bounded = None
-    params: dict = {}
+    if case is CaseLabel.KinkC1Minus:
+        shift = -math.pi
+    elif case is not CaseLabel.KinkC1Plus and lg > 0.0 and c1 < 1.0:
+        shift = math.pi
+    else:
+        shift = 0.0
+    # the shifted forms read their image constants
+    base_c1, lg = (-c1, -lg) if shift else (c1, lg)
 
-    if case is CaseLabel.KinkC1Plus:
+    if case in (CaseLabel.KinkC1Plus, CaseLabel.KinkC1Minus):
         kappa = 1.0 / math.sqrt(lg)
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
             try:
@@ -347,20 +350,7 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
                 return 4.0 * math.atan(math.inf)
         params = {"kappa": kappa}
         bounded = True
-    elif case is CaseLabel.KinkC1Minus:
-        kappa = 1.0 / math.sqrt(-lg)
-        def psi_fn(xi: float, k=kappa, s=branch) -> float:
-            try:
-                return -math.pi + 4.0 * math.atan(math.exp(s * k * (xi - xi0)))
-            except OverflowError:  # exp past the largest float
-                return -math.pi + 4.0 * math.atan(math.inf)
-        params = {"kappa": kappa}
-        bounded = True
     else:
-        # sin(psi + pi) = -sin(psi), so psi(xi; c1, lg) = pi + psi(xi; -c1,
-        # -lg): the pi shift reads the form at its image constants
-        pi_shift = lg > 0.0 and c1 < 1.0
-        base_c1, lg = (-c1, -lg) if pi_shift else (c1, lg)
         kappa = math.sqrt((base_c1 - 1.0) / (2.0 * lg))
         # read in the F(phi; m) parameter convention; under it this form
         # solves the first integral identically (the residual oracles
@@ -369,18 +359,13 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
         def psi_fn(xi: float, k=kappa, s=branch,
                    am=_PreparedJacobi(m).am) -> float:
             return 2.0 * am(s * k * (xi - xi0))
-        if pi_shift:
-            image_psi = psi_fn
-            def psi_fn(xi: float) -> float:
-                return math.pi + image_psi(xi)
         bounded = m > 1.0
         params = {"kappa": kappa, "modulus_parameter": m}
-
-    return Solution(
-        family=family, case=case, branch=branch, c1=c1,
-        frame=frame, psi_native=True, singularities=Singularities.none(),
-        params=params, bounded=bounded, _fn=psi_fn,
-    )
+    if shift:
+        image_psi = psi_fn
+        def psi_fn(xi: float, sh=shift) -> float:
+            return sh + image_psi(xi)
+    return psi_fn, Singularities.none(), params, bounded
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +373,7 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
 # ---------------------------------------------------------------------------
 
 def _sinh_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
-                 branch: int, case: CaseLabel) -> Solution:
+                 branch: int, case: CaseLabel) -> tuple:
     """psi-native solutions of psi'' = sinh(2 psi)/(lambda gamma).
 
     c1 = -1/2: psi = 2 arctanh(exp(+-sqrt(2/lg) (xi-xi0))), lambda gamma
@@ -447,12 +432,7 @@ def _sinh_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
         else:
             sing = Singularities.none()
             bounded = True
-
-    return Solution(
-        family=family, case=case, branch=branch, c1=c1,
-        frame=frame, psi_native=True, singularities=sing,
-        params=params, bounded=bounded, _fn=psi_fn,
-    )
+    return psi_fn, sing, params, bounded
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +511,22 @@ def construct(family: FamilyLabel, c1: float, frame: FrameParams,
     """Build the catalogued solution for any closed-form family.
 
     ``case`` None takes the classified case; a requested one must match it
-    (or be GeneralWeierstrass for a cubic family).  ``branch`` is +-1.
+    (or be GeneralWeierstrass for a cubic family).  ``branch`` is +-1.  A
+    rate kappa past the float range raises DomainError.
     """
     builder = _BUILDERS.get(family)
     if builder is None:
         raise UnsupportedFamilyError(
             f"{family.name} has no closed-form constructor; generic equations "
             "get classify and first_integral only")
-    return builder(family, c1, frame, branch,
-                   _resolve_case(family, frame, c1, case, branch))
+    case = _resolve_case(family, frame, c1, case, branch)
+    fn, sing, params, bounded = builder(family, c1, frame, branch, case)
+    if params.get("kappa") == math.inf:  # a lattice period would read 0
+        raise DomainError(
+            f"c1={c1} and lambda gamma={frame.lambda_gamma} put the rate "
+            "kappa past the float range")
+    return Solution(
+        family=family, case=case, branch=branch, c1=c1, frame=frame,
+        psi_native=family in GORDON_FAMILIES, singularities=sing,
+        params=params, bounded=bounded, _fn=fn,
+    )

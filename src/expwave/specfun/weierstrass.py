@@ -135,23 +135,17 @@ class _PreparedWeierstrass:
         self.real_period = real_period
         self.eps_pole = _POLE_FRACTION * pole_scale
 
-    def check_pole(self, d: float) -> None:
-        """Raise PoleProximityError for a distance d to the nearest pole
-        inside the exclusion radius."""
-        if d < self.eps_pole:
-            raise PoleProximityError(
-                f"z within {self.eps_pole:.3e} of a Weierstrass pole (distance {d:.3e})",
-                distance=d,
-                limit=self.eps_pole,
-            )
-
     def eval(self, z: float) -> tuple[float, float]:
         d = abs(z)  # the distance to the nearest pole
         period = self.real_period
         if math.isfinite(period):
             d = abs(z - period * round(z / period))
         if d < self.eps_pole:
-            self.check_pole(d)
+            raise PoleProximityError(
+                f"z within {self.eps_pole:.3e} of a Weierstrass pole (distance {d:.3e})",
+                distance=d,
+                limit=self.eps_pole,
+            )
         kind = self.kind
         if kind == "sn":
             sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
@@ -171,10 +165,14 @@ class _PreparedWeierstrass:
         e = self.e_off
         a = self.scale  # sqrt(3 e)
         if kind == "hyperbolic":
-            s = math.sinh(a * z)
+            try:
+                s = math.sinh(a * z)
+                c = math.cosh(a * z)
+            except OverflowError:  # sinh past the largest float: p -> e
+                return e, 0.0
             csch2 = 1.0 / (s * s)
             p = e + 3.0 * e * csch2
-            pp = -6.0 * e * a * csch2 * (math.cosh(a * z) / s)
+            pp = -6.0 * e * a * csch2 * (c / s)
             return p, pp
         s = math.sin(a * z)  # "trigonometric"
         csc2 = 1.0 / (s * s)

@@ -300,12 +300,35 @@ def test_negative_value_in_exponent_form(capsys, args, flag, value, plain):
     (["solve", "--family", "sinh-gordon", "--c1", "-2", "--lambda-gamma",
       "1"], 3, "error: no catalogued closed form for sinh-Gordon with "
      "lambda gamma > 0 and c1 < -1/2"),
+    # kappa overflows: the lattice period would read 0
+    (["sample", "--family", "liouville", "--c1", "-1e300", "--lambda-gamma",
+      "1e-150", "--n", "5"], 3, "error: c1=-1e+300 and lambda gamma=1e-150 "
+     "put the rate kappa past the float range"),
+    (["verify", "--family", "sinh-gordon", "--c1", "1e15", "--lambda-gamma",
+      "1e-300", "--n", "16"], 3, "error: c1=1000000000000000.0 and lambda "
+     "gamma=1e-300 put the rate kappa past the float range"),
 ])
 def test_exit_code_and_message(capsys, tmp_path, argv, code, message):
     assert _main_with_config(argv, tmp_path) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [message]
+
+
+def test_weierstrass_route_past_sinh_overflow(capsys):
+    # at c1 = -3/2 the general Weierstrass form runs the p kernel's
+    # hyperbolic form, whose sinh overflows on this window; it prints the
+    # limit h = 1, as the elementary csch^2 companion of the same function
+    # does
+    argv = ["sample", "--family", "tzitzeica", "--c1", "-1.5",
+            "--lambda-gamma", "1", "--xi-min", "900", "--xi-max", "1000",
+            "--n", "5"]
+    assert main(argv + ["--case", "general-weierstrass"]) == 0
+    weierstrass = capsys.readouterr().out
+    assert main(argv + ["--branch", "-1"]) == 0
+    assert weierstrass == capsys.readouterr().out
+    assert weierstrass.splitlines()[1:] == [
+        f"{xi},1,0,0" for xi in (900, 925, 950, 975, 1000)]
 
 
 @pytest.mark.parametrize("source", ["flag", "file"])
@@ -549,3 +572,40 @@ def test_sampling_needs_no_exclusion_intervals(monkeypatch, capsys, tmp_path):
     assert main(["verify", *lattice, "--n", "101"]) == 0
     assert main(["verify", *half_line, "--n", "101"]) == 0
     assert main(["figures", "--n", "101", "--output", str(tmp_path)]) == 0
+
+
+#: the robustness sweep: special, tiny, huge and overflowing constants
+ROBUST_C1 = (0.0, 5e-324, 1e-15, -1e-15, -1.5, 0.5000000000001, 3e4, -3e4,
+             1e15, 1e300, -1e300)
+ROBUST_LG = (1.0, -1.0, 1e-150, -1e150, 1e300, 1e-300, 3e-308)
+#: solve runs before any verify, so an input that raises fails the sweep
+#: before the slowest verify calls
+ROBUST_COMMANDS = (["classify"], ["solve"], ["sample", "--n", "5"],
+                   ["verify", "--n", "16"])
+
+
+def test_cli_robustness_sweep(capsys):
+    # bad input gets exit code 2 or 3 and a one-line message, never a
+    # traceback: 7 families x 11 c1 x 7 lambda gamma x 4 commands
+    families = [f for f in FamilyLabel
+                if f is not FamilyLabel.GenericTwoExponential]
+    calls = 0
+    for command, *extra in ROBUST_COMMANDS:
+        for family in families:
+            for c1 in ROBUST_C1:
+                for lg in ROBUST_LG:
+                    argv = [command, "--family", family.value, "--c1",
+                            repr(c1), "--lambda-gamma", repr(lg), *extra]
+                    try:
+                        code = main(argv)
+                    except Exception as e:
+                        pytest.fail(f"{' '.join(argv)}: {type(e).__name__}: "
+                                    f"{e}")
+                    _, err = capsys.readouterr()
+                    assert code in (0, 1, 2, 3), argv
+                    if code >= 2:
+                        lines = [line for line in err.splitlines()
+                                 if not line.startswith("note: ")]
+                        assert len(lines) == 1, (argv, err)
+                    calls += 1
+    assert calls == 2156

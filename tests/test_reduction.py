@@ -18,6 +18,7 @@ from expwave.reduction import (
     C1_MATCH_TOL,
     CUBIC_FAMILIES,
     GORDON_FAMILIES,
+    SIGN_MAPPED_FAMILIES,
     CaseLabel,
     EquationParams,
     FamilyLabel,
@@ -32,6 +33,7 @@ from expwave.reduction import (
     traveling_ode,
 )
 from expwave.solutions import construct
+from expwave.specfun.weierstrass import WeierstrassInvariants
 
 FR1 = FrameParams.from_lambda_gamma(1.0)
 FRN = FrameParams.from_lambda_gamma(-1.0)
@@ -85,8 +87,6 @@ def test_traveling_ode_values():
     ode = traveling_ode(family_params(FamilyLabel.SinhGordon),
                         FrameParams.from_lambda_gamma(2.0))
     assert ode.f(1.0) == 0.0
-    # residual functional is h h'' - (h')^2 - f(h)
-    assert ode.residual(1.0, 0.5, 2.0) == pytest.approx(2.0 - 0.25, abs=1e-15)
     with pytest.raises(FrameDegenerateError):
         FrameParams(lam=1.0, k=1.0, omega=1.0)
 
@@ -226,7 +226,7 @@ def test_degenerate_forces_delta_zero():
         d = elliptic_data(FamilyLabel.Tzitzeica,
                           FrameParams.from_lambda_gamma(lg), -1.5)
         assert abs(d.delta) <= 1e-12 * max(abs(d.g2) ** 3, 27.0 * d.g3 ** 2)
-        assert d.is_degenerate
+        assert WeierstrassInvariants(d.g2, d.g3).is_degenerate
 
 
 def test_lemniscatic_forces_g3_zero():
@@ -289,36 +289,38 @@ _OVERFLOW = "OverflowError: (34, 'Numerical result out of range')"
 _INFINITE = "DomainError: invariants must be finite"
 #: classify_case on the four Weierstrass-route families at each c1 of
 #: SWEEP_C1 for (family, lambda gamma): the case name, or the exception
-#: type and message; generated while classify_case solved the cubic
+#: type and message; generated while classify_case solved the cubic, except
+#: c1 = 1e40 at lambda gamma = +-1, which is GeneralWeierstrass since the
+#: case is read from c1 (the invariants fell in the degenerate snap band)
 SWEEP_C1 = (1e60, -1e60, 1e40, 3e102, 1e-320, -1.5, 0.0)
 SWEEP_CASES = {
-    ('Tzitzeica', 1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1a', _OVERFLOW,
-        'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
-    ('Tzitzeica', -1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1b', _OVERFLOW,
-        'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
+    ('Tzitzeica', 1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
+        _OVERFLOW, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
+    ('Tzitzeica', -1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
+        _OVERFLOW, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
     ('Tzitzeica', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW, _OVERFLOW,
         _INFINITE, _OVERFLOW, _INFINITE),
     ('Tzitzeica', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW, _INFINITE,
         _INFINITE, _OVERFLOW, _INFINITE),
-    ('DoddBullough', 1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1a', _OVERFLOW,
-        'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
-    ('DoddBullough', -1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1b', _OVERFLOW,
-        'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('DoddBullough', 1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
+        _OVERFLOW, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('DoddBullough', -1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
+        _OVERFLOW, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
     ('DoddBullough', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW, _OVERFLOW,
         _INFINITE, _OVERFLOW, _INFINITE),
     ('DoddBullough', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW, _INFINITE,
         _INFINITE, _OVERFLOW, _INFINITE),
-    ('TzitzeicaDoddBullough', 1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1a',
+    ('TzitzeicaDoddBullough', 1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
         _OVERFLOW, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
-    ('TzitzeicaDoddBullough', -1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1b',
+    ('TzitzeicaDoddBullough', -1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
         _OVERFLOW, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
     ('TzitzeicaDoddBullough', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW,
         _OVERFLOW, _INFINITE, _OVERFLOW, _INFINITE),
     ('TzitzeicaDoddBullough', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW,
         _INFINITE, _INFINITE, _OVERFLOW, _INFINITE),
-    ('DoddBulloughMikhailov', 1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1a',
+    ('DoddBulloughMikhailov', 1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
         _OVERFLOW, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
-    ('DoddBulloughMikhailov', -1.0): (_OVERFLOW, _OVERFLOW, 'Degenerate1b',
+    ('DoddBulloughMikhailov', -1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
         _OVERFLOW, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
     ('DoddBulloughMikhailov', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW,
         _OVERFLOW, _INFINITE, _OVERFLOW, _INFINITE),
@@ -338,6 +340,27 @@ def test_classify_case_sweep_of_cubic_families():
             except (ArithmeticError, ValueError) as e:
                 got.append(f"{type(e).__name__}: {e}")
         assert tuple(got) == expected, (family, lg)
+
+
+def test_cubic_case_is_read_from_c1():
+    # from |c1| ~ 2.4e4 on the invariants fall in the p kernel's relative
+    # degenerate snap band at every lambda gamma; the case still follows c1
+    # and the sign of the base lambda gamma, and the c1 = 0 invariants that
+    # underflow to (0, 0) still read as equianharmonic
+    for family in CUBIC_FAMILIES - {FamilyLabel.Liouville}:
+        flip = -1.0 if family in SIGN_MAPPED_FAMILIES else 1.0
+        for lg in (1.0, -1.0, 1e-3, -1e3):
+            frame = FrameParams.from_lambda_gamma(lg)
+            for c1 in (3e4, -3e4, 1e15, -1e15):
+                assert classify_case(family, frame, flip * c1) is \
+                    CaseLabel.GeneralWeierstrass, (family, lg, c1)
+                assert construct(family, flip * c1, frame).case is \
+                    CaseLabel.GeneralWeierstrass, (family, lg, c1)
+            assert classify_case(family, frame, flip * C1_DEGENERATE) is (
+                CaseLabel.Degenerate1a if flip * lg > 0.0
+                else CaseLabel.Degenerate1b), (family, lg)
+        frame = FrameParams.from_lambda_gamma(flip * 1e300)
+        assert classify_case(family, frame, 0.0) is CaseLabel.Equianharmonic
 
 
 #: c1 where the case, or whether a real solution exists, changes

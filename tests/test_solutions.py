@@ -464,6 +464,24 @@ def test_case_mismatch_errors():
         construct(FamilyLabel.GenericTwoExponential, 1.0, FR1)
 
 
+@pytest.mark.parametrize("family, c1, lg", [
+    (FamilyLabel.Liouville, -1e300, 1e-150),  # sec^2 lattice, period 0
+    (FamilyLabel.Liouville, -3e4, 3e-308),
+    (FamilyLabel.Liouville, 1e300, 1e-150),  # sech^2 pulse
+    (FamilyLabel.SinhGordon, 1e15, 1e-300),  # sc blow-up lattice, period 0
+    (FamilyLabel.SinhGordon, -0.5, 1e-308),  # exp kink
+    (FamilyLabel.SineGordon, 1e300, 1e-300),  # amplitude form
+])
+def test_overflowing_rate_is_refused(family, c1, lg):
+    # an infinite kappa would give a lattice of period 0, which
+    # Singularities.distance divides by, or NaN at xi0
+    message = (f"c1={c1} and lambda gamma={lg} put the rate kappa past the "
+               "float range")
+    with pytest.raises(DomainError) as err:
+        construct(family, c1, FrameParams.from_lambda_gamma(lg))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("family, c1, frame, branch, beyond, limit", [
     # sech^2: cosh(x)^2 overflows past |x| ~ 355, cosh itself past ~ 710
     (FamilyLabel.Liouville, 1.0, FR1, 1, (-1e4, -600.0, 600.0, 1100.0), -0.0),
@@ -572,9 +590,9 @@ def test_construct_builds_one_solution(monkeypatch):
 
 
 def test_construct_solves_the_cubic_only_for_weierstrass_forms(monkeypatch):
-    # classify_case decides from the invariants alone, so only the prepared
-    # Weierstrass evaluator of the equianharmonic and general cases solves
-    # the cubic, once per construct
+    # classify_case reads the case from c1 and lambda gamma, so only the
+    # prepared Weierstrass evaluator of the equianharmonic and general cases
+    # solves the cubic, once per construct
     import expwave.reduction as reduction
     import expwave.specfun.weierstrass as weierstrass
 

@@ -83,6 +83,15 @@ def test_degenerate_hyperbolic_closed_form():
                               rel=1e-14)
 
 
+def test_degenerate_hyperbolic_limit_past_sinh_overflow():
+    # csch^2 underflows long before sinh overflows, so p reads e on both
+    # sides of the overflow point sqrt(3) |z| ~ 710.5
+    inv = WeierstrassInvariants(12.0, -8.0)
+    for z in (400.0, 410.0, -410.0, 1e6, -1e300):
+        p, pp = weierstrass_p(z, inv)
+        assert p == 1.0 and pp == 0.0, z
+
+
 def test_degenerate_trigonometric_closed_form():
     inv = WeierstrassInvariants(12.0, 8.0)
     for z in (0.25, 0.8, 1.5):
