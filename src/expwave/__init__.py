@@ -58,8 +58,6 @@ from .verify import (
     pde_residual,
     rk_integrate,
     shoot_and_compare,
-    weierstrass_grid,
-    weierstrass_ode_residual,
 )
 
 __version__ = "1.0.0"
@@ -78,6 +76,6 @@ __all__ = [
     "Singularities", "Solution", "ImplicitRelation",
     "construct", "from_descriptor", "implicit_relation",
     "Grid", "VerificationReport", "ode_residual", "first_integral_residual",
-    "weierstrass_ode_residual", "weierstrass_grid", "shoot_and_compare",
-    "pde_residual", "implicit_residual_check", "rk_integrate",
+    "shoot_and_compare", "pde_residual", "implicit_residual_check",
+    "rk_integrate",
 ]

@@ -397,8 +397,19 @@ class EllipticData:
         return d
 
 
+def range_error(c1: float, lambda_gamma: float, what: str) -> DomainError:
+    """The one refusal of an input that puts a constant of its form past
+    the float range; it names both inputs."""
+    return DomainError(f"c1={c1} and lambda gamma={lambda_gamma} put {what} "
+                       "past the float range")
+
+
 def _cubic(family: FamilyLabel, frame: FrameParams, c1: float) -> tuple:
-    """(a0, a1, a2, a3, g2, g3) of the cubic (h')^2 = a3 h^3 + ... + a0."""
+    """(a0, a1, a2, a3, inv) of the cubic (h')^2 = a3 h^3 + ... + a0, inv
+    its Weierstrass invariants: the one place the cubic families' g2 and
+    g3 are computed, in r = 1/(lambda gamma), and range-checked.
+    Invariants or a discriminant past the float range raise DomainError
+    naming c1 and lambda gamma."""
     if family not in CUBIC_FAMILIES:
         raise UnsupportedFamilyError(
             f"{family.name} does not reduce to the cubic elliptic equation")
@@ -408,9 +419,14 @@ def _cubic(family: FamilyLabel, frame: FrameParams, c1: float) -> tuple:
     a1 = 0.0
     a3 = 2.0 * r * params.alpha  # all cubic families have a = 1
     a0 = 0.0 if params.beta == 0.0 else 2.0 * r * params.beta / params.b
-    g2 = (a2 * a2 - 3.0 * a1 * a3) / 12.0
-    g3 = (9.0 * a1 * a2 * a3 - 27.0 * a0 * a3 * a3 - 2.0 * a2 ** 3) / 432.0
-    return a0, a1, a2, a3, g2, g3
+    try:
+        inv = WeierstrassInvariants(
+            (a2 * a2 - 3.0 * a1 * a3) / 12.0,
+            (9.0 * a1 * a2 * a3 - 27.0 * a0 * a3 * a3 - 2.0 * a2 ** 3) / 432.0)
+    except (OverflowError, DomainError):
+        raise range_error(c1, frame.lambda_gamma,
+                          "the Weierstrass invariants") from None
+    return a0, a1, a2, a3, inv
 
 
 def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> EllipticData:
@@ -419,17 +435,16 @@ def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> Ellipti
 
     The Gordon families bypass the cubic route entirely and are rejected.
     """
-    a0, a1, a2, a3, g2, g3 = _cubic(family, frame, c1)
-    delta = g2 ** 3 - 27.0 * g3 * g3
-    roots = solve_weierstrass_cubic(g2, g3)
+    a0, a1, a2, a3, inv = _cubic(family, frame, c1)
+    g2, g3 = inv.g2, inv.g3
     repeated = None
-    if WeierstrassInvariants(g2, g3).is_degenerate and not (g2 == 0.0 and g3 == 0.0):
+    if inv.is_degenerate and not (g2 == 0.0 and g3 == 0.0):
         # double root magnitude: e for (g3 < 0), with roots (e, e, -2e)
         repeated = abs(g3) ** (1.0 / 3.0) / 2.0
     return EllipticData(
         family=family, c1=c1, r=frame.r,
-        a0=a0, a1=a1, a2=a2, a3=a3, p=a2,
-        g2=g2, g3=g3, delta=delta, roots=roots, repeated_root=repeated,
+        a0=a0, a1=a1, a2=a2, a3=a3, p=a2, g2=g2, g3=g3, delta=inv.delta,
+        roots=solve_weierstrass_cubic(g2, g3), repeated_root=repeated,
     )
 
 
@@ -440,19 +455,19 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLab
     always for Liouville and the cubic families.  c1 within C1_MATCH_TOL of
     a special value counts as that value.  A cubic case is read from c1 and
     the sign of lambda gamma, both at the base (Tzitzeica) constants; the
-    Weierstrass invariants only bound the range, and non-finite ones raise
-    DomainError.  Raises SignDomainError where no real solution exists,
+    Weierstrass invariants only bound the range (``_cubic`` refuses them
+    past the float range).  Liouville's case is read from the signs of c1
+    and lambda gamma.  Raises SignDomainError where no real solution exists,
     DomainError where none is catalogued (sinh-Gordon, lambda gamma > 0,
     c1 < -1/2)."""
     if family is FamilyLabel.Liouville:
         if abs(c1) <= C1_MATCH_TOL:
             return CaseLabel.LiouvilleRational
         return (CaseLabel.LiouvilleSoliton
-                if c1 / (2.0 * frame.lambda_gamma) > 0.0
+                if (c1 > 0.0) == (frame.lambda_gamma > 0.0)
                 else CaseLabel.LiouvillePeriodic)
     if family in CUBIC_FAMILIES:
-        *_, g2, g3 = _cubic(family, frame, c1)
-        WeierstrassInvariants(g2, g3)  # only the range check: non-finite raise
+        _cubic(family, frame, c1)  # only the range check
         # the case is read from the base (Tzitzeica) constants
         flip = -1.0 if family in SIGN_MAPPED_FAMILIES else 1.0
         base_c1, base_lg = flip * c1, flip * frame.lambda_gamma

@@ -18,6 +18,7 @@ h(xi) = -h_parent(-xi), so the catalogued dualities hold bit-exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,12 +35,14 @@ from .reduction import (
     CaseLabel,
     FamilyLabel,
     FrameParams,
+    _cubic,
     classify_case,
+    range_error,
 )
 from .singular import Singularities
 from .specfun.elliptic import _PreparedJacobi, ellint_k, jacobi_am, jacobi_sn_cn_dn
 from .specfun.hypergeometric import gauss_2f1
-from .specfun.weierstrass import WeierstrassInvariants, prepare_weierstrass
+from .specfun.weierstrass import prepare_weierstrass
 
 # ellint_k, jacobi_am and jacobi_sn_cn_dn are no longer called here (each
 # evaluator holds a _PreparedJacobi); they stay bound only because
@@ -147,6 +150,14 @@ def _resolve_case(family: FamilyLabel, frame: FrameParams, c1: float,
     return auto if case is None else case
 
 
+def _rate(kappa: float, c1: float, frame: FrameParams) -> float:
+    """kappa, refused where it is 0 or inf: a lattice period pi/kappa would
+    divide by 0 or read 0, and an evaluator would be constant or NaN."""
+    if 0.0 < kappa < math.inf:
+        return kappa
+    raise range_error(c1, frame.lambda_gamma, "the rate kappa")
+
+
 # ---------------------------------------------------------------------------
 # Liouville
 # ---------------------------------------------------------------------------
@@ -168,7 +179,7 @@ def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
         sing = Singularities.isolated(xi0)
         params = {}
     elif case is CaseLabel.LiouvilleSoliton:
-        kappa = math.sqrt(c1 / (2.0 * lg))
+        kappa = _rate(math.sqrt(c1 / (2.0 * lg)), c1, frame)
         def h_fn(xi: float, k=kappa) -> float:
             try:
                 return -c1 / math.cosh(k * (xi - xi0)) ** 2
@@ -177,7 +188,7 @@ def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
         sing = Singularities.none()
         params = {"kappa": kappa}
     else:
-        kappa = math.sqrt(-c1 / (2.0 * lg))
+        kappa = _rate(math.sqrt(-c1 / (2.0 * lg)), c1, frame)
         def h_fn(xi: float, k=kappa) -> float:
             c = math.cos(k * (xi - xi0))
             if c == 0.0:
@@ -209,9 +220,11 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
                        -1 singular soliton 1 + (3/2) csch^2
       Degenerate1b   c1 = -3/2, lambda gamma < 0:
                        +1 1 - (3/2) sec^2,  -1 1 - (3/2) csc^2
-      Equianharmonic c1 = 0: h = 2 lg p(xi - xi0; 0, -1/(4 lg^3))
       Lemniscatic    c1 = -3/cbrt(4), lambda gamma > 0: bounded cnoidal wave
-      GeneralWeierstrass: h = lg (2 p(xi - xi0; g2, g3) - c1/(3 lg))
+      Equianharmonic (c1 = 0) and GeneralWeierstrass:
+                     h = lg (2 p(xi - xi0; g2, g3) - c1/(3 lg)), with the
+                     invariants g2, g3 of reduction's cubic; refused where
+                     r^3 = 1/(lambda gamma)^3 falls below the normal floats
 
     DoddBullough (the -h + 1/h^2 source) reads these base forms at
     (-c1, -lambda gamma).  The two reflection variants are
@@ -230,7 +243,7 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
 
     if case in (CaseLabel.Degenerate1a, CaseLabel.Degenerate1b):
         if case is CaseLabel.Degenerate1a:
-            kappa = 0.5 * math.sqrt(3.0 / lg)
+            kappa = _rate(0.5 * math.sqrt(3.0 / lg), c1, frame)
             if branch == 1:
                 def h_fn(xi: float, k=kappa) -> float:
                     try:
@@ -249,7 +262,7 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
                     return 1.0 + 1.5 / (s * s)
                 sing = Singularities.isolated(xi0)
         else:
-            kappa = 0.5 * math.sqrt(3.0 / -lg)
+            kappa = _rate(0.5 * math.sqrt(3.0 / -lg), c1, frame)
             period = math.pi / kappa
             if branch == 1:
                 def h_fn(xi: float, k=kappa) -> float:
@@ -282,19 +295,15 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
         params = {"scale": scale, "modulus_parameter": 0.5,
                   "period": 2.0 * jac.k / scale}
 
-    else:
-        if case is CaseLabel.Equianharmonic:
-            inv = WeierstrassInvariants(0.0, -1.0 / (4.0 * lg ** 3))
-            shift = 0.0
-            factor = lg  # h = lg * 2 p(...)
-        else:  # GeneralWeierstrass
-            inv = WeierstrassInvariants(
-                base_c1 * base_c1 / (3.0 * lg * lg),
-                -(4.0 * base_c1 ** 3 + 27.0) / (108.0 * lg ** 3))
-            shift = base_c1 / (3.0 * lg)
-            factor = lg
+    else:  # Equianharmonic, GeneralWeierstrass
+        # the invariants are the family's own: the map to the base constants
+        # negates c1 and r exactly, so they equal the base form's bit for bit
+        inv = _cubic(family, frame, c1)[4]
+        if abs(frame.r) ** 3 < sys.float_info.min:  # g3 loses its digits
+            raise range_error(c1, frame.lambda_gamma,
+                              "the Weierstrass invariants")
         prep = prepare_weierstrass(inv)
-        def h_fn(xi: float, pr=prep, f=factor, sh=shift) -> float:
+        def h_fn(xi: float, pr=prep, f=lg, sh=base_c1 / (3.0 * lg)) -> float:
             p, _ = pr.eval(xi - xi0)
             return f * (2.0 * p - sh)
         if math.isfinite(prep.real_period):
@@ -342,7 +351,7 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
     base_c1, lg = (-c1, -lg) if shift else (c1, lg)
 
     if case in (CaseLabel.KinkC1Plus, CaseLabel.KinkC1Minus):
-        kappa = 1.0 / math.sqrt(lg)
+        kappa = _rate(1.0 / math.sqrt(lg), c1, frame)
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
             try:
                 return 4.0 * math.atan(math.exp(s * k * (xi - xi0)))
@@ -351,7 +360,8 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
         params = {"kappa": kappa}
         bounded = True
     else:
-        kappa = math.sqrt((base_c1 - 1.0) / (2.0 * lg))
+        kappa = _rate(math.sqrt((base_c1 - 1.0) / (2.0 * lg)), c1,
+                      frame)
         # read in the F(phi; m) parameter convention; under it this form
         # solves the first integral identically (the residual oracles
         # would expose a squared-modulus misreading instantly)
@@ -393,7 +403,7 @@ def _sinh_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
     params: dict = {}
 
     if case is CaseLabel.KinkC1Minus:
-        kappa = math.sqrt(2.0 / lg)
+        kappa = _rate(math.sqrt(2.0 / lg), c1, frame)
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
             e = math.exp(s * k * (xi - xi0))
             if e >= 1.0:
@@ -403,7 +413,7 @@ def _sinh_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
         sing = Singularities.half_line(xi0, valid_side=-branch)
         params = {"kappa": kappa}
     elif case is CaseLabel.KinkC1Plus:
-        kappa = 1.0 / math.sqrt(2.0 * lg)
+        kappa = _rate(1.0 / math.sqrt(2.0 * lg), c1, frame)
         period = math.pi / kappa
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
             t = math.tan(s * k * (xi - xi0))
@@ -413,7 +423,7 @@ def _sinh_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
         sing = Singularities.lattice_windows(xi0, period, 0.25 * period)
         params = {"kappa": kappa, "period": period}
     else:
-        kappa = math.sqrt((2.0 * c1 + 1.0) / lg)
+        kappa = _rate(math.sqrt((2.0 * c1 + 1.0) / lg), c1, frame)
         m1 = (2.0 * c1 - 1.0) / (2.0 * c1 + 1.0)
         jac = _PreparedJacobi(m1)
         def psi_fn(xi: float, k=kappa, s=branch, sncndn=jac.sn_cn_dn) -> float:
@@ -512,7 +522,9 @@ def construct(family: FamilyLabel, c1: float, frame: FrameParams,
 
     ``case`` None takes the classified case; a requested one must match it
     (or be GeneralWeierstrass for a cubic family).  ``branch`` is +-1.  A
-    rate kappa past the float range raises DomainError.
+    rate kappa of 0 or inf, or Weierstrass invariants past the float range
+    (r^3 below the normal floats), raise DomainError naming c1 and lambda
+    gamma.
     """
     builder = _BUILDERS.get(family)
     if builder is None:
@@ -521,10 +533,6 @@ def construct(family: FamilyLabel, c1: float, frame: FrameParams,
             "get classify and first_integral only")
     case = _resolve_case(family, frame, c1, case, branch)
     fn, sing, params, bounded = builder(family, c1, frame, branch, case)
-    if params.get("kappa") == math.inf:  # a lattice period would read 0
-        raise DomainError(
-            f"c1={c1} and lambda gamma={frame.lambda_gamma} put the rate "
-            "kappa past the float range")
     return Solution(
         family=family, case=case, branch=branch, c1=c1, frame=frame,
         psi_native=family in GORDON_FAMILIES, singularities=sing,

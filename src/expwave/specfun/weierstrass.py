@@ -13,7 +13,7 @@ Jacobi elliptic functions:
       m = 1/2 - 3 e2* / (4 H)
 
   discriminant = 0 degenerates to elementary functions:
-      g2 = g3 = 0:      p(z) = 1/z^2
+      g3 = 0 (g2^3 = 0 too): p(z) = 1/z^2
       g3 < 0 (e>0):     p(z) = e + 3 e csch^2(z sqrt(3 e)),   e = cbrt(-g3)/2
       g3 > 0 (e>0):     p(z) = -e + 3 e csc^2(z sqrt(3 e)),   e = cbrt(g3)/2
 
@@ -193,7 +193,8 @@ def prepare_weierstrass(inv: WeierstrassInvariants,
     g2, g3 = inv.g2, inv.g3
     roots = solve_weierstrass_cubic(g2, g3)
     if inv.is_degenerate and not force_general:
-        if g2 == 0.0 and g3 == 0.0:
+        # g3 = 0 here means g2^3 underflowed too: p = 1/z^2 to rounding
+        if g3 == 0.0:
             return _PreparedWeierstrass(
                 "rational", 0.0, None, 0.0, 0.0, math.inf, 1.0)
         e = abs(_cbrt(g3)) / 2.0

@@ -52,7 +52,8 @@ from .reduction import (
 )
 from .singular import Singularities
 from .solutions import ImplicitRelation, Solution, implicit_relation
-from .specfun.weierstrass import WeierstrassInvariants, prepare_weierstrass
+# bound only because perfbench/tracer.py wraps it by this name
+from .specfun.weierstrass import prepare_weierstrass
 
 # Stencil-step policy: base step near the roundoff/truncation balance for
 # fourth-order differences (the elliptic evaluators carry ~1e-14 jitter,
@@ -64,7 +65,6 @@ FD_MIN_STEP = 1.0e-6
 
 DEFAULT_ODE_TOL = 1.0e-8
 DEFAULT_FI_TOL = 1.0e-8
-DEFAULT_WP_TOL = 1.0e-10
 DEFAULT_SHOOT_TOL = 1.0e-6
 DEFAULT_PDE_TOL = 1.0e-6
 DEFAULT_IMPLICIT_TOL = 1.0e-8
@@ -277,31 +277,6 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
     return _report("first_integral_residual", residuals, tol)
 
 
-def weierstrass_ode_residual(inv: WeierstrassInvariants, grid: Grid,
-                             tol: float = DEFAULT_WP_TOL) -> VerificationReport:
-    """max |p'^2 - (4 p^3 - g2 p - g3)| / max(1, |p|^3) over the grid."""
-    prep = prepare_weierstrass(inv)
-    residuals = []
-    for z in grid.points():
-        p, pp = prep.eval(z)
-        res = abs(pp * pp - (4.0 * p ** 3 - inv.g2 * p - inv.g3))
-        residuals.append(res / max(1.0, abs(p) ** 3))
-    return _report("weierstrass_ode_residual", residuals, tol)
-
-
-def weierstrass_grid(inv: WeierstrassInvariants, z_min: float, z_max: float,
-                     n: int = 128) -> Grid:
-    """Grid over [z_min, z_max] excluding the pole lattice of p (an isolated
-    pole when the real period is infinite), padded by the singular set's
-    default pad or by 10 pole-expansion radii, whichever is larger."""
-    prep = prepare_weierstrass(inv)
-    period = prep.real_period
-    sing = (Singularities.lattice(0.0, period) if math.isfinite(period)
-            else Singularities.isolated(0.0))
-    pad = max(sing.default_pad(), 10.0 * prep.eps_pole)
-    return Grid(z_min, z_max, n, sing, pad)
-
-
 # ---------------------------------------------------------------------------
 # adaptive embedded Runge-Kutta shooting
 # ---------------------------------------------------------------------------
@@ -335,13 +310,6 @@ def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
     error norm is the RMS over both components of err / (atol + rtol |y|).
     Raises StepSizeUnderflowError when the controller collapses, typically
     against a blow-up; the exception carries the span reached.
-
-    The six stages are scalar locals, but every operation is the one a
-    generic stepper on a list state makes, in its order: products h * a * k,
-    each weighted sum a ``sum`` in stage order with its zero weights (not
-    written-out additions: from Python 3.12 ``sum`` of floats is
-    compensated).  So the unrolling changes no bit; ``tests/test_verify.py``
-    keeps that stepper as the reference.
     """
     direction = 1.0 if t_end >= t0 else -1.0
     targets = (sorted(sample_times, reverse=direction < 0.0)
@@ -384,17 +352,20 @@ def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
             y5 = y + c50 * v + c51 * v1 + c52 * v2 + c53 * v3 + c54 * v4
             v5 = v + c50 * k0 + c51 * k1 + c52 * k2 + c53 * k3 + c54 * k4
             k5 = acc(y5)
-            y_new = y + h * sum((b0 * v, b1 * v1, b2 * v2, b3 * v3, b4 * v4,
-                                 b5 * v5))
-            v_new = v + h * sum((b0 * k0, b1 * k1, b2 * k2, b3 * k3, b4 * k4,
-                                 b5 * k5))
-            err_y = h * sum((e0 * v, e1 * v1, e2 * v2, e3 * v3, e4 * v4,
-                             e5 * v5))
-            err_v = h * sum((e0 * k0, e1 * k1, e2 * k2, e3 * k3, e4 * k4,
-                             e5 * k5))
-            enorm = math.sqrt(sum((
-                (err_y / (atol + rtol * max(abs(y), abs(y_new)))) ** 2,
-                (err_v / (atol + rtol * max(abs(v), abs(v_new)))) ** 2)) / 2)
+            # every operation is the one the generic stepper on a list
+            # state in tests/test_verify.py makes, in its order: each sum
+            # runs left to right from 0.0, zero weights included
+            y_new = y + h * (0.0 + b0 * v + b1 * v1 + b2 * v2 + b3 * v3
+                             + b4 * v4 + b5 * v5)
+            v_new = v + h * (0.0 + b0 * k0 + b1 * k1 + b2 * k2 + b3 * k3
+                             + b4 * k4 + b5 * k5)
+            err_y = h * (0.0 + e0 * v + e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4
+                         + e5 * v5)
+            err_v = h * (0.0 + e0 * k0 + e1 * k1 + e2 * k2 + e3 * k3
+                         + e4 * k4 + e5 * k5)
+            enorm = math.sqrt((
+                0.0 + (err_y / (atol + rtol * max(abs(y), abs(y_new)))) ** 2
+                + (err_v / (atol + rtol * max(abs(v), abs(v_new)))) ** 2) / 2)
             if enorm <= 1.0:
                 t += h
                 y, v = y_new, v_new
@@ -510,8 +481,10 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
             lhs = log(abs(hi)) - 2.0 * log(abs(mid)) + log(abs(lo))
         else:
             continue
-        rhs = w * w / pq * sum([k * (source(a) + source(b))
-                                for (_, k), (a, b) in zip(_GL8_KERNEL, pairs)])
+        quad = 0.0  # left to right, as on every Python version
+        for (_, k), (a, b) in zip(_GL8_KERNEL, pairs):
+            quad += k * (source(a) + source(b))
+        rhs = w * w / pq * quad
         residuals.append(abs(lhs - rhs) / max(w * w, abs(rhs)))
     if kept and not residuals:
         raise EmptyGridError("h is zero or changes sign in every window")

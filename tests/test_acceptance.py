@@ -39,9 +39,8 @@ from expwave.verify import (
     ode_residual,
     pde_residual,
     shoot_and_compare,
-    weierstrass_grid,
-    weierstrass_ode_residual,
 )
+from test_weierstrass import weierstrass_grid, weierstrass_ode_residual
 
 FR1 = FrameParams.from_lambda_gamma(1.0)
 FRN = FrameParams.from_lambda_gamma(-1.0)

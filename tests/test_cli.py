@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,12 @@ import pytest
 
 from expwave import cli
 from expwave.cli import main
-from expwave.reduction import C1_LEMNISCATIC, FamilyLabel, FrameParams
+from expwave.reduction import (
+    C1_LEMNISCATIC,
+    CUBIC_FAMILIES,
+    FamilyLabel,
+    FrameParams,
+)
 from expwave.singular import Singularities
 from expwave.solutions import construct, from_descriptor
 from expwave.verify import Grid, ode_residual
@@ -130,6 +136,40 @@ def test_solve_roundtrip():
     sol = from_descriptor(desc)
     assert sol.case.name == desc["case"]
     assert sol.evaluate_psi(0.4) == from_descriptor(desc).evaluate_psi(0.4)
+
+
+def _stdout_json(capsys, argv):
+    assert main(argv) == 0, argv
+    return json.loads(capsys.readouterr().out)
+
+
+def test_solve_prints_the_classify_invariants(capsys):
+    # one owner of g2 and g3: solve's params equal classify's elliptic
+    # data bit for bit, in both frame forms and at special and random c1
+    rng = random.Random(22)
+    c1s = [0.0, 1e-13, -1.5, C1_LEMNISCATIC, 0.3, 3e4,
+           *(rng.uniform(-3.0, 3.0) for _ in range(4))]
+    lgs = [1e-3, 0.7, -0.7, 1e3,
+           *(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+             for _ in range(3))]
+    frames = []
+    for lg in lgs:
+        frames.append(["--lambda-gamma", repr(lg)])
+        # k != 0: lambda gamma = lambda (omega^2 - k^2) = 3 lambda
+        frames.append(["--lambda", repr(lg / 3.0), "--k", "1", "--omega", "2"])
+    for family in sorted(CUBIC_FAMILIES - {FamilyLabel.Liouville},
+                         key=lambda f: f.value):
+        for c1 in c1s:
+            for frame in frames:
+                args = ["--family", family.value, "--c1", repr(c1), *frame]
+                blob = _stdout_json(capsys, ["classify", *args])
+                # the other cases take the general form on request
+                if blob["case"] not in ("Equianharmonic", "GeneralWeierstrass"):
+                    args += ["--case", "general-weierstrass"]
+                params = _stdout_json(capsys, ["solve", *args])["params"]
+                data = blob["elliptic_data"]
+                assert [params["g2"].hex(), params["g3"].hex()] == \
+                    [data["g2"].hex(), data["g3"].hex()], args
 
 
 def test_config_file(tmp_path):
@@ -577,7 +617,8 @@ def test_sampling_needs_no_exclusion_intervals(monkeypatch, capsys, tmp_path):
 #: the robustness sweep: special, tiny, huge and overflowing constants
 ROBUST_C1 = (0.0, 5e-324, 1e-15, -1e-15, -1.5, 0.5000000000001, 3e4, -3e4,
              1e15, 1e300, -1e300)
-ROBUST_LG = (1.0, -1.0, 1e-150, -1e150, 1e300, 1e-300, 3e-308)
+ROBUST_LG = (1.0, -1.0, 1e-150, -1e150, 1e300, 1e-300, 3e-308, 3e102,
+             1.7e308)
 #: solve runs before any verify, so an input that raises fails the sweep
 #: before the slowest verify calls
 ROBUST_COMMANDS = (["classify"], ["solve"], ["sample", "--n", "5"],
@@ -586,7 +627,7 @@ ROBUST_COMMANDS = (["classify"], ["solve"], ["sample", "--n", "5"],
 
 def test_cli_robustness_sweep(capsys):
     # bad input gets exit code 2 or 3 and a one-line message, never a
-    # traceback: 7 families x 11 c1 x 7 lambda gamma x 4 commands
+    # traceback: 7 families x 11 c1 x 9 lambda gamma x 4 commands
     families = [f for f in FamilyLabel
                 if f is not FamilyLabel.GenericTwoExponential]
     calls = 0
@@ -608,4 +649,4 @@ def test_cli_robustness_sweep(capsys):
                                  if not line.startswith("note: ")]
                         assert len(lines) == 1, (argv, err)
                     calls += 1
-    assert calls == 2156
+    assert calls == 2772

@@ -252,6 +252,13 @@ def test_classify_case_taxonomy():
     assert classify_case(FamilyLabel.Liouville, FR1, 1.0) is CaseLabel.LiouvilleSoliton
     assert classify_case(FamilyLabel.Liouville, FR1, -1.0) is CaseLabel.LiouvillePeriodic
     assert classify_case(FamilyLabel.Liouville, FR1, 0.0) is CaseLabel.LiouvilleRational
+    # the Liouville case is read from the signs: c1 / (2 lambda gamma)
+    # underflows to 0 here
+    for lg, case in ((1.7e308, CaseLabel.LiouvilleSoliton),
+                     (-1.7e308, CaseLabel.LiouvillePeriodic)):
+        frame = FrameParams.from_lambda_gamma(lg)
+        assert classify_case(FamilyLabel.Liouville, frame, 1.0) is case
+        assert classify_case(FamilyLabel.Liouville, frame, -1.0) is not case
     assert classify_case(FamilyLabel.SineGordon, FR1, 1.0) is CaseLabel.KinkC1Plus
     assert classify_case(FamilyLabel.SineGordon, FRN, -1.0) is CaseLabel.KinkC1Minus
     assert classify_case(FamilyLabel.SineGordon, FRN, 0.0) is CaseLabel.AmplitudeC1Zero
@@ -285,8 +292,9 @@ def test_classify_case_taxonomy():
 
 
 
-_OVERFLOW = "OverflowError: (34, 'Numerical result out of range')"
-_INFINITE = "DomainError: invariants must be finite"
+#: the one refusal of invariants or a discriminant past the float range
+_RANGE = ("DomainError: c1={c1} and lambda gamma={lg} put the Weierstrass "
+          "invariants past the float range")
 #: classify_case on the four Weierstrass-route families at each c1 of
 #: SWEEP_C1 for (family, lambda gamma): the case name, or the exception
 #: type and message; generated while classify_case solved the cubic, except
@@ -294,38 +302,38 @@ _INFINITE = "DomainError: invariants must be finite"
 #: case is read from c1 (the invariants fell in the degenerate snap band)
 SWEEP_C1 = (1e60, -1e60, 1e40, 3e102, 1e-320, -1.5, 0.0)
 SWEEP_CASES = {
-    ('Tzitzeica', 1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
-        _OVERFLOW, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
-    ('Tzitzeica', -1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
-        _OVERFLOW, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
-    ('Tzitzeica', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW, _OVERFLOW,
-        _INFINITE, _OVERFLOW, _INFINITE),
-    ('Tzitzeica', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW, _INFINITE,
-        _INFINITE, _OVERFLOW, _INFINITE),
-    ('DoddBullough', 1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
-        _OVERFLOW, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
-    ('DoddBullough', -1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
-        _OVERFLOW, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
-    ('DoddBullough', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW, _OVERFLOW,
-        _INFINITE, _OVERFLOW, _INFINITE),
-    ('DoddBullough', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW, _INFINITE,
-        _INFINITE, _OVERFLOW, _INFINITE),
-    ('TzitzeicaDoddBullough', 1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
-        _OVERFLOW, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
-    ('TzitzeicaDoddBullough', -1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
-        _OVERFLOW, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
-    ('TzitzeicaDoddBullough', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW,
-        _OVERFLOW, _INFINITE, _OVERFLOW, _INFINITE),
-    ('TzitzeicaDoddBullough', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW,
-        _INFINITE, _INFINITE, _OVERFLOW, _INFINITE),
-    ('DoddBulloughMikhailov', 1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
-        _OVERFLOW, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
-    ('DoddBulloughMikhailov', -1.0): (_OVERFLOW, _OVERFLOW, 'GeneralWeierstrass',
-        _OVERFLOW, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
-    ('DoddBulloughMikhailov', 1e-200): (_OVERFLOW, _OVERFLOW, _OVERFLOW,
-        _OVERFLOW, _INFINITE, _OVERFLOW, _INFINITE),
-    ('DoddBulloughMikhailov', -1e-250): (_INFINITE, _INFINITE, _OVERFLOW,
-        _INFINITE, _INFINITE, _OVERFLOW, _INFINITE),
+    ('Tzitzeica', 1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
+    ('Tzitzeica', -1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
+    ('Tzitzeica', 1e-200): (_RANGE, _RANGE, _RANGE, _RANGE,
+        _RANGE, _RANGE, _RANGE),
+    ('Tzitzeica', -1e-250): (_RANGE, _RANGE, _RANGE, _RANGE,
+        _RANGE, _RANGE, _RANGE),
+    ('DoddBullough', 1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('DoddBullough', -1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('DoddBullough', 1e-200): (_RANGE, _RANGE, _RANGE, _RANGE,
+        _RANGE, _RANGE, _RANGE),
+    ('DoddBullough', -1e-250): (_RANGE, _RANGE, _RANGE, _RANGE,
+        _RANGE, _RANGE, _RANGE),
+    ('TzitzeicaDoddBullough', 1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('TzitzeicaDoddBullough', -1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('TzitzeicaDoddBullough', 1e-200): (_RANGE, _RANGE, _RANGE,
+        _RANGE, _RANGE, _RANGE, _RANGE),
+    ('TzitzeicaDoddBullough', -1e-250): (_RANGE, _RANGE, _RANGE,
+        _RANGE, _RANGE, _RANGE, _RANGE),
+    ('DoddBulloughMikhailov', 1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
+    ('DoddBulloughMikhailov', -1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
+    ('DoddBulloughMikhailov', 1e-200): (_RANGE, _RANGE, _RANGE,
+        _RANGE, _RANGE, _RANGE, _RANGE),
+    ('DoddBulloughMikhailov', -1e-250): (_RANGE, _RANGE, _RANGE,
+        _RANGE, _RANGE, _RANGE, _RANGE),
 }
 
 
@@ -339,7 +347,8 @@ def test_classify_case_sweep_of_cubic_families():
                 got.append(classify_case(FamilyLabel[family], frame, c1).name)
             except (ArithmeticError, ValueError) as e:
                 got.append(f"{type(e).__name__}: {e}")
-        assert tuple(got) == expected, (family, lg)
+        assert tuple(got) == tuple(x.format(c1=c1, lg=lg) for x, c1
+                                   in zip(expected, SWEEP_C1)), (family, lg)
 
 
 def test_cubic_case_is_read_from_c1():

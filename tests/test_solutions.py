@@ -16,6 +16,7 @@ from expwave.reduction import (
     CaseLabel,
     FamilyLabel,
     FrameParams,
+    classify_case,
     family_params,
     first_integral,
 )
@@ -471,15 +472,43 @@ def test_case_mismatch_errors():
     (FamilyLabel.SinhGordon, 1e15, 1e-300),  # sc blow-up lattice, period 0
     (FamilyLabel.SinhGordon, -0.5, 1e-308),  # exp kink
     (FamilyLabel.SineGordon, 1e300, 1e-300),  # amplitude form
+    # kappa = 0: 2 lambda gamma overflows
+    (FamilyLabel.Liouville, 1.0, 1.7e308),  # sech^2 pulse
+    (FamilyLabel.Liouville, -1.0, -1.7e308),  # sec^2 lattice, pi / 0
+    (FamilyLabel.SinhGordon, 0.5, 1.7e308),  # tan lattice, pi / 0
+    (FamilyLabel.SineGordon, 3.0, 1.7e308),  # a constant amplitude form
 ])
 def test_overflowing_rate_is_refused(family, c1, lg):
     # an infinite kappa would give a lattice of period 0, which
-    # Singularities.distance divides by, or NaN at xi0
+    # Singularities.distance divides by, or NaN at xi0; a zero one a
+    # division by zero or a constant
     message = (f"c1={c1} and lambda gamma={lg} put the rate kappa past the "
                "float range")
     with pytest.raises(DomainError) as err:
         construct(family, c1, FrameParams.from_lambda_gamma(lg))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("family, c1, lg", [
+    (FamilyLabel.Tzitzeica, 0.0, 1e200),
+    (FamilyLabel.Tzitzeica, 1.0, -3.6e102),
+    (FamilyLabel.DoddBullough, 0.0, -1e300),
+    (FamilyLabel.TzitzeicaDoddBullough, 0.5, 1e300),
+    (FamilyLabel.DoddBulloughMikhailov, -2.0, -1e250),
+])
+def test_underflowing_weierstrass_invariants_are_refused(family, c1, lg):
+    # r^3 = 1/(lambda gamma)^3 below the normal floats: g3 has lost its
+    # digits, yet the case still reads from c1
+    frame = FrameParams.from_lambda_gamma(lg)
+    assert classify_case(family, frame, c1) in (
+        CaseLabel.Equianharmonic, CaseLabel.GeneralWeierstrass)
+    with pytest.raises(DomainError) as err:
+        construct(family, c1, frame)
+    assert str(err.value) == (f"c1={c1} and lambda gamma={lg} put the "
+                              "Weierstrass invariants past the float range")
+    # just inside the normal range the form is still built
+    frame = FrameParams.from_lambda_gamma(math.copysign(3.5e102, lg))
+    assert construct(family, c1, frame).params["g3"] != 0.0
 
 
 @pytest.mark.parametrize("family, c1, frame, branch, beyond, limit", [

@@ -354,6 +354,14 @@ def test_rk_rejects_sample_times_outside_the_span(t_end, times):
     assert len(path) == 1
 
 
+def _left_sum(terms):
+    # left to right from 0.0, as sum adds floats up to Python 3.11
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def _reference_rk_step(f, y, h):
     # the generic Cash-Karp step on a list state, f(y) -> y'
     k = []
@@ -363,9 +371,9 @@ def _reference_rk_step(f, y, h):
             for c in range(len(y)):
                 yi[c] += h * a * k[j][c]
         k.append(f(yi))
-    y5 = [y[c] + h * sum(_CK_B5[i] * k[i][c] for i in range(6))
+    y5 = [y[c] + h * _left_sum(_CK_B5[i] * k[i][c] for i in range(6))
           for c in range(len(y))]
-    err = [h * sum((_CK_B5[i] - _CK_B4[i]) * k[i][c] for i in range(6))
+    err = [h * _left_sum((_CK_B5[i] - _CK_B4[i]) * k[i][c] for i in range(6))
            for c in range(len(y))]
     return y5, err
 
@@ -389,8 +397,8 @@ def _reference_rk_integrate(acc, t0, y0, t_end, rtol=1.0e-10, atol=1.0e-10,
             y_new, err = _reference_rk_step(f, y, h)
             scale = [atol + rtol * max(abs(y[c]), abs(y_new[c]))
                      for c in range(len(y))]
-            enorm = math.sqrt(sum((err[c] / scale[c]) ** 2 for c in range(len(y)))
-                              / len(y))
+            enorm = math.sqrt(_left_sum((err[c] / scale[c]) ** 2
+                                        for c in range(len(y))) / len(y))
             if enorm <= 1.0:
                 t += h
                 y = y_new

@@ -10,7 +10,36 @@ from expwave.specfun import (
     solve_weierstrass_cubic,
     weierstrass_p,
 )
-from expwave.verify import weierstrass_grid, weierstrass_ode_residual
+from expwave.singular import Singularities
+from expwave.verify import Grid, VerificationReport, _report
+
+#: the p-equation residual bound of the two helpers below
+WP_TOL = 1.0e-10
+
+
+def weierstrass_grid(inv: WeierstrassInvariants, z_min: float, z_max: float,
+                     n: int = 128) -> Grid:
+    """Grid over [z_min, z_max] excluding the pole lattice of p (an isolated
+    pole when the real period is infinite), padded by the singular set's
+    default pad or by 10 pole-expansion radii, whichever is larger."""
+    prep = prepare_weierstrass(inv)
+    period = prep.real_period
+    sing = (Singularities.lattice(0.0, period) if math.isfinite(period)
+            else Singularities.isolated(0.0))
+    pad = max(sing.default_pad(), 10.0 * prep.eps_pole)
+    return Grid(z_min, z_max, n, sing, pad)
+
+
+def weierstrass_ode_residual(inv: WeierstrassInvariants, grid: Grid,
+                             tol: float = WP_TOL) -> VerificationReport:
+    """max |p'^2 - (4 p^3 - g2 p - g3)| / max(1, |p|^3) over the grid."""
+    prep = prepare_weierstrass(inv)
+    residuals = []
+    for z in grid.points():
+        p, pp = prep.eval(z)
+        res = abs(pp * pp - (4.0 * p ** 3 - inv.g2 * p - inv.g3))
+        residuals.append(res / max(1.0, abs(p) ** 3))
+    return _report("weierstrass_ode_residual", residuals, tol)
 
 
 def nondegenerate_samples(n, seed=20_08):
@@ -122,6 +151,19 @@ def test_ode_residual_random():
         grid = weierstrass_grid(inv, 0.05, 10.0, n=64)
         report = weierstrass_ode_residual(inv, grid)
         assert report.passed, (inv.g2, inv.g3, report.max_residual)
+
+
+def test_zero_g3_with_underflowed_discriminant_is_rational():
+    # g2^3 underflows to 0, so the invariants snap to degenerate with
+    # g3 = +-0 and a double root e = 0 that no scale can be taken from;
+    # p is 1/z^2 + g2 z^2/20 + ..., which is 1/z^2 to rounding
+    for g2 in (1e-300, -1e-300, 1e-120):
+        for g3 in (0.0, -0.0):
+            inv = WeierstrassInvariants(g2, g3)
+            assert prepare_weierstrass(inv).kind == "rational"
+            assert weierstrass_p(2.0, inv) == (0.25, -0.25)
+    # g2^3 still normal: not degenerate, the Jacobi reduction runs
+    assert prepare_weierstrass(WeierstrassInvariants(1e-100, 0.0)).kind == "sn"
 
 
 def test_pole_proximity_error():
