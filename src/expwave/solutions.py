@@ -18,6 +18,7 @@ h(xi) = -h_parent(-xi), so the catalogued dualities hold bit-exactly.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -159,45 +160,60 @@ def _rate(kappa: float, c1: float, frame: FrameParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Liouville
+# the inverse-square forms h = a + b / f(kappa (xi - xi0))^2
 # ---------------------------------------------------------------------------
+
+#: for each f: the pole message and the singular set, from xi0 and the
+#: period P = pi/kappa; f(d) = d (operator.pos) is the rational limit
+_INVERSE_SQUARE = {
+    math.cosh: (None, lambda x0, p: Singularities.none()),
+    math.sinh: ("csch^2 pole at xi0", lambda x0, p: Singularities.isolated(x0)),
+    math.cos: ("sec^2 pole",
+               lambda x0, p: Singularities.lattice(x0 + 0.5 * p, p)),
+    math.sin: ("csc^2 pole", lambda x0, p: Singularities.lattice(x0, p)),
+    operator.pos: ("rational solution pole at xi0",
+                   lambda x0, p: Singularities.isolated(x0)),
+}
+
+
+def _inverse_square(a: float, b: float, f: Callable[[float], float],
+                    kappa: float, xi0: float) -> tuple:
+    """(evaluator, singularities, params) of h = a + b / f(kappa (xi -
+    xi0))^2: its limit a + b/inf where cosh or sinh overflows, the form's
+    DomainError where f(.)^2 is 0; params hold kappa (not for f(d) = d)
+    and a lattice's period."""
+    pole, singular = _INVERSE_SQUARE[f]
+
+    def h_fn(xi: float) -> float:
+        try:
+            v = f(kappa * (xi - xi0))
+        except OverflowError:  # cosh or sinh past the largest float
+            return a + b / math.inf
+        vv = v * v
+        if vv == 0.0:
+            raise DomainError(pole)
+        return a + b / vv
+    sing = singular(xi0, math.pi / kappa)
+    params = {} if f is operator.pos else {"kappa": kappa}
+    if sing.kind == "lattice":
+        params["period"] = sing.period
+    return h_fn, sing, params
+
 
 def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
                branch: int, case: CaseLabel) -> tuple:
-    """Single-exponential solutions: sech^2 pulse for c1/(2 lambda gamma)
-    positive, sec^2 wave for negative, and the double-pole rational
-    solution at c1 = 0.  Every form is even in xi - xi0, so both branches
-    give the same values."""
+    """Single-exponential solutions: -c1 sech^2 pulse for c1/(2 lambda
+    gamma) positive, -c1 sec^2 wave for negative, and the double-pole
+    rational solution 2 lambda gamma / (xi - xi0)^2 at c1 = 0.  Every form
+    is even in xi - xi0, so both branches give the same values; a = -0.0
+    keeps each value's sign of zero (x + (-0.0) = x)."""
     lg = frame.lambda_gamma
-    xi0 = frame.xi0
     if case is CaseLabel.LiouvilleRational:
-        def h_fn(xi: float) -> float:
-            d = xi - xi0
-            if d == 0.0:
-                raise DomainError("rational solution pole at xi0")
-            return 2.0 * lg / (d * d)
-        sing = Singularities.isolated(xi0)
-        params = {}
-    elif case is CaseLabel.LiouvilleSoliton:
-        kappa = _rate(math.sqrt(c1 / (2.0 * lg)), c1, frame)
-        def h_fn(xi: float, k=kappa) -> float:
-            try:
-                return -c1 / math.cosh(k * (xi - xi0)) ** 2
-            except OverflowError:  # cosh^2 past the largest float
-                return -c1 / math.inf
-        sing = Singularities.none()
-        params = {"kappa": kappa}
+        b, f, kappa = 2.0 * lg, operator.pos, 1.0
     else:
-        kappa = _rate(math.sqrt(-c1 / (2.0 * lg)), c1, frame)
-        def h_fn(xi: float, k=kappa) -> float:
-            c = math.cos(k * (xi - xi0))
-            if c == 0.0:
-                raise DomainError("sec^2 pole")
-            return -c1 / (c * c)
-        sing = Singularities.lattice(xi0 + math.pi / (2.0 * kappa),
-                                     math.pi / kappa)
-        params = {"kappa": kappa, "period": math.pi / kappa}
-    return h_fn, sing, params, None
+        b, f = -c1, math.cosh if case is CaseLabel.LiouvilleSoliton else math.cos
+        kappa = _rate(math.sqrt(abs(c1 / (2.0 * lg))), c1, frame)
+    return (*_inverse_square(-0.0, b, f, kappa, frame.xi0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +223,12 @@ def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
 # the variants h(xi) = -h_parent(-xi); the parent is read at -xi0
 _REFLECTED = (FamilyLabel.TzitzeicaDoddBullough,
               FamilyLabel.DoddBulloughMikhailov)
+
+#: (b, f) of each degenerate form h = 1 + b / f(kappa (xi - xi0))^2
+_DEGENERATE = {(CaseLabel.Degenerate1a, 1): (-1.5, math.cosh),
+               (CaseLabel.Degenerate1a, -1): (1.5, math.sinh),
+               (CaseLabel.Degenerate1b, 1): (-1.5, math.cos),
+               (CaseLabel.Degenerate1b, -1): (-1.5, math.sin)}
 
 
 def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
@@ -238,48 +260,12 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
         base_c1, lg = -c1, -lg
     reflect = family in _REFLECTED
     xi0 = -frame.xi0 if reflect else frame.xi0
-    params: dict = {}
     bounded = None
 
     if case in (CaseLabel.Degenerate1a, CaseLabel.Degenerate1b):
-        if case is CaseLabel.Degenerate1a:
-            kappa = _rate(0.5 * math.sqrt(3.0 / lg), c1, frame)
-            if branch == 1:
-                def h_fn(xi: float, k=kappa) -> float:
-                    try:
-                        return 1.0 - 1.5 / math.cosh(k * (xi - xi0)) ** 2
-                    except OverflowError:  # cosh^2 past the largest float
-                        return 1.0
-                sing = Singularities.none()
-            else:
-                def h_fn(xi: float, k=kappa) -> float:
-                    try:
-                        s = math.sinh(k * (xi - xi0))
-                    except OverflowError:  # sinh past the largest float
-                        return 1.0
-                    if s == 0.0:
-                        raise DomainError("csch^2 pole at xi0")
-                    return 1.0 + 1.5 / (s * s)
-                sing = Singularities.isolated(xi0)
-        else:
-            kappa = _rate(0.5 * math.sqrt(3.0 / -lg), c1, frame)
-            period = math.pi / kappa
-            if branch == 1:
-                def h_fn(xi: float, k=kappa) -> float:
-                    c = math.cos(k * (xi - xi0))
-                    if c == 0.0:
-                        raise DomainError("sec^2 pole")
-                    return 1.0 - 1.5 / (c * c)
-                sing = Singularities.lattice(xi0 + 0.5 * period, period)
-            else:
-                def h_fn(xi: float, k=kappa) -> float:
-                    s = math.sin(k * (xi - xi0))
-                    if s == 0.0:
-                        raise DomainError("csc^2 pole")
-                    return 1.0 - 1.5 / (s * s)
-                sing = Singularities.lattice(xi0, period)
-            params["period"] = period
-        params["kappa"] = kappa
+        kappa = _rate(0.5 * math.sqrt(3.0 / abs(lg)), c1, frame)
+        h_fn, sing, params = _inverse_square(
+            1.0, *_DEGENERATE[case, branch], kappa, xi0)
 
     elif case is CaseLabel.Lemniscatic:
         scale = 3.0 ** 0.25 / (CBRT2 * math.sqrt(lg))
@@ -299,19 +285,21 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
         # the invariants are the family's own: the map to the base constants
         # negates c1 and r exactly, so they equal the base form's bit for bit
         inv = _cubic(family, frame, c1)[4]
-        if abs(frame.r) ** 3 < sys.float_info.min:  # g3 loses its digits
+        # below the normal floats, r^3 leaves g3 without its digits and the
+        # scale leaves the discriminant and the degeneracy test without theirs
+        if min(abs(frame.r) ** 3, inv.scale) < sys.float_info.min:
             raise range_error(c1, frame.lambda_gamma,
                               "the Weierstrass invariants")
         prep = prepare_weierstrass(inv)
         def h_fn(xi: float, pr=prep, f=lg, sh=base_c1 / (3.0 * lg)) -> float:
             p, _ = pr.eval(xi - xi0)
             return f * (2.0 * p - sh)
+        params = {"g2": inv.g2, "g3": inv.g3}
         if math.isfinite(prep.real_period):
             sing = Singularities.lattice(xi0, prep.real_period)
             params["period"] = prep.real_period
         else:
             sing = Singularities.isolated(xi0)
-        params.update({"g2": inv.g2, "g3": inv.g3})
 
     if reflect:  # the cubic parents are h-native
         parent_h = h_fn

@@ -61,9 +61,13 @@ class WeierstrassInvariants:
         object.__setattr__(self, "delta", self.g2 ** 3 - 27.0 * self.g3 ** 2)
 
     @property
+    def scale(self) -> float:
+        """max(|g2|^3, 27 g3^2), the size the discriminant is read against."""
+        return max(abs(self.g2) ** 3, 27.0 * self.g3 ** 2)
+
+    @property
     def is_degenerate(self) -> bool:
-        scale = max(abs(self.g2) ** 3, 27.0 * self.g3 ** 2)
-        return abs(self.delta) <= DELTA_REL_TOL * scale
+        return abs(self.delta) <= DELTA_REL_TOL * self.scale
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from .reduction import (
     QuadratureDescriptor,
     family_params,
     first_integral,
+    range_error,
     traveling_ode,
 )
 from .singular import Singularities
@@ -178,11 +179,13 @@ class VerificationReport:
         }
 
 
-def _report(oracle: str, residuals: list[float], tol: float) -> VerificationReport:
+def _report(oracle: str, sol: Solution, residuals: list[float], tol: float) -> VerificationReport:
     if not residuals:
         raise EmptyGridError(f"{oracle}: exclusions removed every grid point")
     # fixed-order compensated sum keeps the reduction deterministic
     rms = math.sqrt(math.fsum(r * r for r in residuals) / len(residuals))
+    if not math.isfinite(rms):  # max() drops a NaN unless first; JSON has none
+        raise range_error(sol.c1, sol.lambda_gamma, f"the {oracle} residual")
     return VerificationReport(oracle, max(residuals), rms, len(residuals), tol)
 
 
@@ -228,15 +231,20 @@ def ode_residuals(sol: Solution, frame: FrameParams,
     h-native: |h h'' - (h')^2 - f(h)| / max(1, |f(h)|); psi-native, the
     identical equation written in psi:
     |psi'' - source(psi)/(lambda gamma)| / max(1, |source/(lambda gamma)|).
+    A NaN or inf is refused with one line naming c1 and lambda gamma.
     """
     desc = traveling_ode(family_params(sol.family), frame)
     if sol.psi_native:
         rhs_psi = desc.rhs_psi
-        return [abs(d2 - (rhs := rhs_psi(val))) / max(1.0, abs(rhs))
-                for _, val, _, d2 in table]
-    f = desc.f
-    return [abs(val * d2 - d1 * d1 - (fh := f(val))) / max(1.0, abs(fh))
-            for _, val, d1, d2 in table]
+        residuals = [abs(d2 - (rhs := rhs_psi(val))) / max(1.0, abs(rhs))
+                     for _, val, _, d2 in table]
+    else:
+        f = desc.f
+        residuals = [abs(val * d2 - d1 * d1 - (fh := f(val))) / max(1.0, abs(fh))
+                     for _, val, d1, d2 in table]
+    if all(map(math.isfinite, residuals)):
+        return residuals
+    raise range_error(sol.c1, sol.lambda_gamma, "the ode_residual residual")
 
 
 def _nonvanishing_jets(sol: Solution,
@@ -255,7 +263,7 @@ def ode_residual(sol: Solution, frame: FrameParams, grid: Grid,
     """Residual of the traveling ODE (see :func:`ode_residuals`) at the
     jets of :meth:`Grid.jets`."""
     table = _nonvanishing_jets(sol, grid)
-    return _report("ode_residual", ode_residuals(sol, frame, table), tol)
+    return _report("ode_residual", sol, ode_residuals(sol, frame, table), tol)
 
 
 def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
@@ -274,7 +282,7 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
         rhss = [two_r * val * val * g(val) for _, val, _, _ in table]
     residuals = [abs(d1 * d1 - rhs) / max(1.0, d1 * d1, abs(rhs))
                  for (_, _, d1, _), rhs in zip(table, rhss)]
-    return _report("first_integral_residual", residuals, tol)
+    return _report("first_integral_residual", sol, residuals, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +431,7 @@ def shoot_and_compare(quad: QuadratureDescriptor, sol: Solution,
     path = rk_integrate(acc, xi_start, [value, slope], xi_start + span,
                         rtol=SHOOT_RK_TOL, atol=SHOOT_RK_TOL, sample_times=times)
     residuals = [abs(y[0] - evaluate(t)) for t, y in path]
-    return _report("shoot_and_compare", residuals, tol)
+    return _report("shoot_and_compare", sol, residuals, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +496,7 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
         residuals.append(abs(lhs - rhs) / max(w * w, abs(rhs)))
     if kept and not residuals:
         raise EmptyGridError("h is zero or changes sign in every window")
-    return _report("pde_residual", residuals, tol)
+    return _report("pde_residual", sol, residuals, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +528,7 @@ def implicit_residual_check(rel: ImplicitRelation, sol: Solution, grid: Grid,
     xi0_eff = pts[0] - sign * l0 * rel.slope_denom
     residuals = [abs(rel.lhs(h) - sign * (xi - xi0_eff) / rel.slope_denom)
                  for xi, h in zip(pts, hs)]
-    return _report("implicit_residual_check", residuals, tol)
+    return _report("implicit_residual_check", sol, residuals, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,23 @@ def test_negative_value_in_exponent_form(capsys, args, flag, value, plain):
     (["verify", "--family", "sinh-gordon", "--c1", "1e15", "--lambda-gamma",
       "1e-300", "--n", "16"], 3, "error: c1=1000000000000000.0 and lambda "
      "gamma=1e-300 put the rate kappa past the float range"),
+    # h h'' overflows at the pulse's peak: a NaN residual is refused, not
+    # printed (sample) or passed over by max() (verify)
+    (["verify", "--family", "liouville", "--c1", "-1e150", "--lambda-gamma",
+      "1", "--n", "101"], 3, "error: c1=-1e+150 and lambda gamma=1.0 put "
+     "the ode_residual residual past the float range"),
+    (["verify", "--family", "liouville", "--c1", "1e150", "--lambda-gamma",
+      "1"], 3, "error: c1=1e+150 and lambda gamma=1.0 put the ode_residual "
+     "residual past the float range"),
+    (["sample", "--family", "liouville", "--c1", "1e300", "--lambda-gamma",
+      "1", "--n", "5"], 3, "error: c1=1e+300 and lambda gamma=1.0 put the "
+     "ode_residual residual past the float range"),
+    # the scale of the p invariants underflows: refused, where the p kernel
+    # named a pole radius of 1e25 and no input
+    (["sample", "--family", "tzitzeica", "--c1", "1", "--lambda-gamma",
+      "1e55", "--xi-min", "1", "--xi-max", "2", "--n", "3"], 3,
+     "error: c1=1.0 and lambda gamma=1e+55 put the Weierstrass invariants "
+     "past the float range"),
 ])
 def test_exit_code_and_message(capsys, tmp_path, argv, code, message):
     assert _main_with_config(argv, tmp_path) == code
@@ -498,6 +515,22 @@ def test_verify_off_domain_interval_exits_3():
     assert err == "error: ode_residual: exclusions removed every grid point\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "sinh-gordon", "--c1", "-0.5", "--lambda-gamma", "1",
+     "--branch", "1", "--xi-min", "1", "--xi-max", "2"],
+    # the pole pad of a lattice of period ~ 1e2 covers all five points
+    ["--family", "tzitzeica", "--c1", "1", "--lambda-gamma", "1e4", "--n",
+     "5"],
+])
+def test_sample_off_domain_interval_exits_3(capsys, args):
+    # no grid point survives: sample refuses it as verify does, where it
+    # printed the header alone
+    assert main(["sample", *args]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: sample: exclusions removed every grid point\n"
+
+
 def test_verify_shoots_within_budget_near_lambda_gamma_half():
     # the Tzitzeica dark soliton at lambda gamma ~ 0.5018 missed 1e-6 by
     # 2% while the Cash-Karp local tolerance was 1e-10; it reads ~1e-8 now
@@ -642,8 +675,11 @@ def test_cli_robustness_sweep(capsys):
                     except Exception as e:
                         pytest.fail(f"{' '.join(argv)}: {type(e).__name__}: "
                                     f"{e}")
-                    _, err = capsys.readouterr()
+                    out, err = capsys.readouterr()
                     assert code in (0, 1, 2, 3), argv
+                    # no NaN or inf residual is printed, nor passed over
+                    assert "nan" not in out.lower(), argv
+                    assert "inf" not in out.lower(), argv
                     if code >= 2:
                         lines = [line for line in err.splitlines()
                                  if not line.startswith("note: ")]

@@ -490,15 +490,24 @@ def test_overflowing_rate_is_refused(family, c1, lg):
 
 
 @pytest.mark.parametrize("family, c1, lg", [
+    # r^3 = 1/(lambda gamma)^3 below the normal floats: g3 has lost its
+    # digits
     (FamilyLabel.Tzitzeica, 0.0, 1e200),
     (FamilyLabel.Tzitzeica, 1.0, -3.6e102),
     (FamilyLabel.DoddBullough, 0.0, -1e300),
     (FamilyLabel.TzitzeicaDoddBullough, 0.5, 1e300),
     (FamilyLabel.DoddBulloughMikhailov, -2.0, -1e250),
+    # the scale max(|g2|^3, 27 g3^2) below the normal floats (from |lambda
+    # gamma| ~ 2e51 at these c1): the discriminant reads 0 and the p
+    # kernel would snap to a degenerate form with a pole radius of 1e24
+    (FamilyLabel.Tzitzeica, 0.0, 1e55),
+    (FamilyLabel.Tzitzeica, 1.0, 1e55),
+    (FamilyLabel.Tzitzeica, 0.0, 1e100),
+    (FamilyLabel.Tzitzeica, 1.0, -1e100),
+    (FamilyLabel.DoddBulloughMikhailov, -0.5, 1e55),
 ])
 def test_underflowing_weierstrass_invariants_are_refused(family, c1, lg):
-    # r^3 = 1/(lambda gamma)^3 below the normal floats: g3 has lost its
-    # digits, yet the case still reads from c1
+    # the case still reads from c1
     frame = FrameParams.from_lambda_gamma(lg)
     assert classify_case(family, frame, c1) in (
         CaseLabel.Equianharmonic, CaseLabel.GeneralWeierstrass)
@@ -506,8 +515,8 @@ def test_underflowing_weierstrass_invariants_are_refused(family, c1, lg):
         construct(family, c1, frame)
     assert str(err.value) == (f"c1={c1} and lambda gamma={lg} put the "
                               "Weierstrass invariants past the float range")
-    # just inside the normal range the form is still built
-    frame = FrameParams.from_lambda_gamma(math.copysign(3.5e102, lg))
+    # with r^3 and the scale normal the form is still built
+    frame = FrameParams.from_lambda_gamma(math.copysign(1e50, lg))
     assert construct(family, c1, frame).params["g3"] != 0.0
 
 

@@ -43,6 +43,7 @@ from expwave.verify import (
     Grid,
     _acceleration,
     _implicit_grid,
+    _report,
     _jet_table,
     _shoot_window,
     _steps,
@@ -284,6 +285,28 @@ def test_report_fields():
     assert rep.rms_residual == rep2.rms_residual
     blob = rep.to_json()
     assert blob["pass"] is True and blob["oracle"] == "ode_residual"
+
+
+def test_no_oracle_passes_on_a_non_finite_residual():
+    # h h'' overflows at the pulse's peak; that one NaN is not the first
+    # residual, so max() dropped it and the report passed with a NaN rms
+    sol = construct(FamilyLabel.Liouville, 1e150, FR1)
+    grid = Grid.for_solution(sol, -10.0, 10.0, 1001)
+    message = ("c1=1e+150 and lambda gamma=1.0 put the ode_residual residual "
+               "past the float range")
+    with pytest.raises(DomainError) as err:
+        ode_residual(sol, FR1, grid)
+    assert str(err.value) == message
+    with pytest.raises(DomainError) as err:
+        ode_residuals(sol, FR1, grid.jets(sol))
+    assert str(err.value) == message
+    # every oracle reports through _report, which refuses a NaN or inf
+    # anywhere, and a finite residual whose square overflows the rms
+    for bad in (math.nan, math.inf, 1e200):
+        with pytest.raises(DomainError) as err:
+            _report("pde_residual", sol, [0.0, bad, 0.0], 1e-6)
+        assert str(err.value) == message.replace("ode_residual",
+                                                 "pde_residual")
 
 
 def test_fd_monotonicity():

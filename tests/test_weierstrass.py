@@ -11,7 +11,7 @@ from expwave.specfun import (
     weierstrass_p,
 )
 from expwave.singular import Singularities
-from expwave.verify import Grid, VerificationReport, _report
+from expwave.verify import Grid, VerificationReport
 
 #: the p-equation residual bound of the two helpers below
 WP_TOL = 1.0e-10
@@ -39,7 +39,9 @@ def weierstrass_ode_residual(inv: WeierstrassInvariants, grid: Grid,
         p, pp = prep.eval(z)
         res = abs(pp * pp - (4.0 * p ** 3 - inv.g2 * p - inv.g3))
         residuals.append(res / max(1.0, abs(p) ** 3))
-    return _report("weierstrass_ode_residual", residuals, tol)
+    rms = math.sqrt(math.fsum(r * r for r in residuals) / len(residuals))
+    return VerificationReport("weierstrass_ode_residual", max(residuals), rms,
+                              len(residuals), tol)
 
 
 def nondegenerate_samples(n, seed=20_08):
