@@ -5,10 +5,11 @@ once against the reduction module's taxonomy, hands it to the family's
 builder (Liouville, the four cubic pair families, sine-Gordon,
 sinh-Gordon), which returns only its closed form (evaluator,
 singularities, params, bounded), and records that as the one Solution.
-Solutions of the cubic families live in h (the field itself); the Gordon
-families are native in psi = log h, where the equations stay real, and
-expose h = e^psi.  Every ``+/-`` in a closed form is an explicit
-``branch`` argument defaulting to +1.
+Liouville's forms and the degenerate cubic ones share one evaluator,
+``_inverse_square``.  Cubic-family solutions live in h (the field); the
+Gordon families are native in psi = log h, where the equations stay
+real, and expose h = e^psi.  Every ``+/-`` in a closed form is an
+explicit ``branch`` argument defaulting to +1.
 
 Dodd-Bullough reads the base cubic forms at (-c1, -lambda gamma) and the
 two reflection families wrap their parent's evaluator literally as
@@ -168,8 +169,7 @@ def _rate(kappa: float, c1: float, frame: FrameParams) -> float:
 _INVERSE_SQUARE = {
     math.cosh: (None, lambda x0, p: Singularities.none()),
     math.sinh: ("csch^2 pole at xi0", lambda x0, p: Singularities.isolated(x0)),
-    math.cos: ("sec^2 pole",
-               lambda x0, p: Singularities.lattice(x0 + 0.5 * p, p)),
+    math.cos: ("sec^2 pole", lambda x0, p: Singularities.lattice(x0 + 0.5 * p, p)),
     math.sin: ("csc^2 pole", lambda x0, p: Singularities.lattice(x0, p)),
     operator.pos: ("rational solution pole at xi0",
                    lambda x0, p: Singularities.isolated(x0)),
@@ -179,20 +179,18 @@ _INVERSE_SQUARE = {
 def _inverse_square(a: float, b: float, f: Callable[[float], float],
                     kappa: float, xi0: float) -> tuple:
     """(evaluator, singularities, params) of h = a + b / f(kappa (xi -
-    xi0))^2: its limit a + b/inf where cosh or sinh overflows, the form's
-    DomainError where f(.)^2 is 0; params hold kappa (not for f(d) = d)
-    and a lattice's period."""
+    xi0))^2: a + b/inf where cosh or sinh overflows, DomainError where
+    f^2 is 0; params hold kappa (not for f(d) = d) and a lattice's period."""
     pole, singular = _INVERSE_SQUARE[f]
 
     def h_fn(xi: float) -> float:
         try:
             v = f(kappa * (xi - xi0))
+            return a + b / (v * v)
         except OverflowError:  # cosh or sinh past the largest float
             return a + b / math.inf
-        vv = v * v
-        if vv == 0.0:
-            raise DomainError(pole)
-        return a + b / vv
+        except ZeroDivisionError:  # f(.)^2 is 0 (or underflows to it)
+            raise DomainError(pole) from None
     sing = singular(xi0, math.pi / kappa)
     params = {} if f is operator.pos else {"kappa": kappa}
     if sing.kind == "lattice":
@@ -204,9 +202,8 @@ def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
                branch: int, case: CaseLabel) -> tuple:
     """Single-exponential solutions: -c1 sech^2 pulse for c1/(2 lambda
     gamma) positive, -c1 sec^2 wave for negative, and the double-pole
-    rational solution 2 lambda gamma / (xi - xi0)^2 at c1 = 0.  Every form
-    is even in xi - xi0, so both branches give the same values; a = -0.0
-    keeps each value's sign of zero (x + (-0.0) = x)."""
+    rational 2 lambda gamma / (xi - xi0)^2 at c1 = 0, each even in xi - xi0
+    (so both branches agree); a = -0.0 keeps every signed zero."""
     lg = frame.lambda_gamma
     if case is CaseLabel.LiouvilleRational:
         b, f, kappa = 2.0 * lg, operator.pos, 1.0
@@ -237,16 +234,16 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
     its sign and reflection variants.
 
     Case map (branch selects the companion form where one exists):
-      Degenerate1a   c1 = -3/2, lambda gamma > 0:
-                       +1 dark soliton 1 - (3/2) sech^2,
-                       -1 singular soliton 1 + (3/2) csch^2
-      Degenerate1b   c1 = -3/2, lambda gamma < 0:
-                       +1 1 - (3/2) sec^2,  -1 1 - (3/2) csc^2
+      Degenerate1a   c1 = -3/2, lambda gamma > 0: +1 dark soliton
+                     1 - (3/2) sech^2, -1 singular soliton 1 + (3/2) csch^2
+      Degenerate1b   c1 = -3/2, lambda gamma < 0: +1 1 - (3/2) sec^2,
+                     -1 1 - (3/2) csc^2 (all by _inverse_square)
       Lemniscatic    c1 = -3/cbrt(4), lambda gamma > 0: bounded cnoidal wave
       Equianharmonic (c1 = 0) and GeneralWeierstrass:
                      h = lg (2 p(xi - xi0; g2, g3) - c1/(3 lg)), with the
                      invariants g2, g3 of reduction's cubic; refused where
-                     r^3 = 1/(lambda gamma)^3 falls below the normal floats
+                     r^3 = 1/(lambda gamma)^3 or the invariants' scale
+                     max(|g2|^3, 27 g3^2) falls below the normal floats
 
     DoddBullough (the -h + 1/h^2 source) reads these base forms at
     (-c1, -lambda gamma).  The two reflection variants are
@@ -288,8 +285,7 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
         # below the normal floats, r^3 leaves g3 without its digits and the
         # scale leaves the discriminant and the degeneracy test without theirs
         if min(abs(frame.r) ** 3, inv.scale) < sys.float_info.min:
-            raise range_error(c1, frame.lambda_gamma,
-                              "the Weierstrass invariants")
+            raise range_error(c1, frame.lambda_gamma, "the Weierstrass invariants")
         prep = prepare_weierstrass(inv)
         def h_fn(xi: float, pr=prep, f=lg, sh=base_c1 / (3.0 * lg)) -> float:
             p, _ = pr.eval(xi - xi0)
@@ -511,8 +507,8 @@ def construct(family: FamilyLabel, c1: float, frame: FrameParams,
     ``case`` None takes the classified case; a requested one must match it
     (or be GeneralWeierstrass for a cubic family).  ``branch`` is +-1.  A
     rate kappa of 0 or inf, or Weierstrass invariants past the float range
-    (r^3 below the normal floats), raise DomainError naming c1 and lambda
-    gamma.
+    (r^3 or their scale below the normal floats), raise DomainError naming
+    c1 and lambda gamma.
     """
     builder = _BUILDERS.get(family)
     if builder is None:

@@ -179,7 +179,8 @@ class VerificationReport:
         }
 
 
-def _report(oracle: str, sol: Solution, residuals: list[float], tol: float) -> VerificationReport:
+def _report(oracle: str, sol: Solution, residuals: list[float],
+            tol: float) -> VerificationReport:
     if not residuals:
         raise EmptyGridError(f"{oracle}: exclusions removed every grid point")
     # fixed-order compensated sum keeps the reduction deterministic
@@ -231,8 +232,10 @@ def ode_residuals(sol: Solution, frame: FrameParams,
     h-native: |h h'' - (h')^2 - f(h)| / max(1, |f(h)|); psi-native, the
     identical equation written in psi:
     |psi'' - source(psi)/(lambda gamma)| / max(1, |source/(lambda gamma)|).
-    A NaN or inf is refused with one line naming c1 and lambda gamma.
+    An empty table, or a NaN or inf residual, is refused with one line.
     """
+    if not table:
+        raise EmptyGridError("ode_residual: exclusions removed every grid point")
     desc = traveling_ode(family_params(sol.family), frame)
     if sol.psi_native:
         rhs_psi = desc.rhs_psi

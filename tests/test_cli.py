@@ -528,7 +528,7 @@ def test_sample_off_domain_interval_exits_3(capsys, args):
     assert main(["sample", *args]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: sample: exclusions removed every grid point\n"
+    assert err == "error: ode_residual: exclusions removed every grid point\n"
 
 
 def test_verify_shoots_within_budget_near_lambda_gamma_half():

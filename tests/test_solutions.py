@@ -541,6 +541,22 @@ def test_tails_take_their_limit(family, c1, frame, branch, beyond, limit):
         assert v == limit and math.copysign(1.0, v) == math.copysign(1.0, limit)
 
 
+@pytest.mark.parametrize("family, c1, frame, branch, message", [
+    (FamilyLabel.Liouville, 0.0, FR1, 1, "rational solution pole at xi0"),
+    (FamilyLabel.Tzitzeica, -1.5, FR1, -1, "csch^2 pole at xi0"),
+    (FamilyLabel.Tzitzeica, -1.5, FRN, -1, "csc^2 pole"),
+])
+def test_poles_where_the_square_underflows(family, c1, frame, branch,
+                                           message):
+    # f(kappa (xi - xi0))^2 underflows to 0 a hair off the pole: the pole's
+    # DomainError, not a ZeroDivisionError
+    sol = construct(family, c1, frame, branch=branch)
+    for xi in (0.0, 1e-170, -1e-200):
+        with pytest.raises(DomainError) as err:
+            sol.evaluate_h(xi)
+        assert str(err.value) == message
+
+
 def test_construct_classifies_once(monkeypatch):
     # the delegating builders (Dodd-Bullough through Tzitzeica, the two
     # reflections through their parents, the sine-Gordon pi shift through
