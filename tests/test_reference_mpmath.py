@@ -64,8 +64,8 @@ def _csc2(x):
     return mp.csc(x) ** 2
 
 
-#: the paper's forms, (c1, lambda gamma, d = xi - xi0) -> h, at the base
-#: (Liouville or Tzitzeica) constants
+#: the paper's forms, h of (c1, lambda gamma, d = xi - xi0) for Liouville
+#: and of (lambda gamma, d) at the base (Tzitzeica) constants for c1 = -3/2
 PAPER = {
     CaseLabel.LiouvilleSoliton:
         lambda c1, lg, d: -c1 * _sech2(mp.sqrt(c1 / (2 * lg)) * d),
@@ -74,13 +74,13 @@ PAPER = {
     CaseLabel.LiouvilleRational:
         lambda c1, lg, d: 2 * lg / d ** 2,
     (CaseLabel.Degenerate1a, 1):  # dark soliton
-        lambda c1, lg, d: 1 - mp.mpf(3) / 2 * _sech2(mp.sqrt(3 / lg) / 2 * d),
+        lambda lg, d: 1 - mp.mpf(3) / 2 * _sech2(mp.sqrt(3 / lg) / 2 * d),
     (CaseLabel.Degenerate1a, -1):  # singular soliton
-        lambda c1, lg, d: 1 + mp.mpf(3) / 2 * _csch2(mp.sqrt(3 / lg) / 2 * d),
+        lambda lg, d: 1 + mp.mpf(3) / 2 * _csch2(mp.sqrt(3 / lg) / 2 * d),
     (CaseLabel.Degenerate1b, 1):
-        lambda c1, lg, d: 1 - mp.mpf(3) / 2 * _sec2(mp.sqrt(-3 / lg) / 2 * d),
+        lambda lg, d: 1 - mp.mpf(3) / 2 * _sec2(mp.sqrt(-3 / lg) / 2 * d),
     (CaseLabel.Degenerate1b, -1):
-        lambda c1, lg, d: 1 - mp.mpf(3) / 2 * _csc2(mp.sqrt(-3 / lg) / 2 * d),
+        lambda lg, d: 1 - mp.mpf(3) / 2 * _csc2(mp.sqrt(-3 / lg) / 2 * d),
 }
 
 
@@ -97,8 +97,8 @@ def _reference(family, case, c1, frame, branch):
     if family in (DB, TDB):  # the base form at (-c1, -lambda gamma)
         lg = -lg
     if family in (TDB, DBM):  # -h_parent(-xi), the parent built at -xi0
-        return (lambda xi: -base(None, lg, -xi - (-xi0))), -1
-    return (lambda xi: base(None, lg, xi - xi0)), 1
+        return (lambda xi: -base(lg, -xi - (-xi0))), -1
+    return (lambda xi: base(lg, xi - xi0)), 1
 
 
 #: (family, c1, sign of lambda gamma, branch, case)
