@@ -148,12 +148,23 @@ def _atomic_write(path: str, text: str):
 
 
 def _emit(text: str, output: str | None):
+    """Write text to output, or to stdout; a reader that closed stdout
+    early (``expwave sample ... | head``) ends the output, not the
+    command, which still returns its own exit code."""
     if output:
         _atomic_write(output, text)
-    else:
+        return
+    try:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
@@ -435,7 +446,7 @@ def cmd_figures(cfg: JobConfig) -> int:
         sidecar[name] = meta
     _atomic_write(os.path.join(outdir, "figures_params.json"),
                   _json_dumps(sidecar) + "\n")
-    sys.stdout.write(f"wrote {len(_FIGURES)} figure CSVs to {outdir}\n")
+    _emit(f"wrote {len(_FIGURES)} figure CSVs to {outdir}", None)
     return EXIT_OK
 
 

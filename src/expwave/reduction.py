@@ -219,22 +219,20 @@ class FrameParams:
         return FrameParams.from_lambda_gamma(lambda_gamma, xi0=self.xi0)
 
 
-def _integral(e: float) -> bool | None:
-    """Whether the exponent e is integral, or None where that is not
-    decided (e not finite: the test itself raises)."""
-    return e == round(e) if math.isfinite(e) else None
+def _integral(e: float) -> bool:
+    """Whether the exponent e is a finite integer."""
+    return math.isfinite(e) and e == round(e)
 
 
-def _real_pow(h: float, e: float, integral: bool | None = None) -> float:
-    """h ** e where it is real; ``integral`` is ``_integral(e)`` when the
-    caller holds it."""
+def _real_pow(h: float, e: float) -> float:
+    """h ** e where it is real."""
     if h > 0.0:  # the common case; h ** 0.0 == 1.0 like the branch below
         return h ** e
     if e == 0.0:
         return 1.0
     if h == 0.0 and e < 0.0:
         raise DomainError("h = 0 with a negative exponent")
-    if h < 0.0 and not (e == round(e) if integral is None else integral):
+    if h < 0.0 and e != round(e):
         raise DomainError("h <= 0 with a non-integer exponent")
     # float ** negates the odd integral powers of |h| itself
     return h ** e
@@ -246,6 +244,12 @@ class OdeDescriptor:
     ``f`` works in h; for the Gordon families the psi-space form
     psi'' = rhs_psi(psi) is also exposed (it is the same equation written
     in psi = log h, where it stays real).
+
+    When every exponent is integral (``integral``, read from them here;
+    true for each catalogued family), ``source`` raises any nonzero h,
+    NaN and +/-inf included, by ``h ** e`` directly, which is what
+    ``_real_pow`` returns there; h = +/-0 and non-integral exponents go
+    through ``_real_pow``.
     """
 
     def __init__(self, params: EquationParams, frame: FrameParams):
@@ -254,17 +258,17 @@ class OdeDescriptor:
         self.r = frame.r
         self.alpha, self.beta, self.a, self.b = (
             params.alpha, params.beta, params.a, params.b)
-        self.a_int, self.b_int = _integral(params.a), _integral(params.b)
+        self.integral = all(map(_integral, (self.a, self.b)))
         self.imaginary_pair = params.imaginary_pair
 
     def source(self, h: float) -> float:
         """alpha h^a + beta h^b (equals sin(log h) for sine-Gordon)."""
         if self.imaginary_pair:
             return self.source_psi(math.log(h))
-        if h > 0.0:
+        if h > 0.0 or (self.integral and h != 0.0):
             return self.alpha * h ** self.a + self.beta * h ** self.b
-        return (self.alpha * _real_pow(h, self.a, self.a_int)
-                + self.beta * _real_pow(h, self.b, self.b_int))
+        return (self.alpha * _real_pow(h, self.a)
+                + self.beta * _real_pow(h, self.b))
 
     def source_psi(self, psi: float) -> float:
         if self.imaginary_pair:
@@ -289,7 +293,9 @@ class QuadratureDescriptor:
     For beta = 0 (single exponential, b unused) the beta-term is simply
     absent.  The Gordon families carry the psi-space form
     (psi')^2 = (2/(lambda gamma)) G_psi(psi) with G_psi = c1 - cos psi
-    (sine) or c1 + cosh(2 psi)/2 (sinh).
+    (sine) or c1 + cosh(2 psi)/2 (sinh).  ``g`` and ``g_prime`` take the
+    direct path of :class:`OdeDescriptor` when a, b, a - 1 and b - 1 are
+    all integral.
     """
 
     def __init__(self, params: EquationParams, frame: FrameParams, c1: float):
@@ -299,7 +305,7 @@ class QuadratureDescriptor:
         OdeDescriptor.__init__(self, params, frame)
         self.c1 = c1
         self.a1, self.b1 = params.a - 1.0, params.b - 1.0
-        self.a1_int, self.b1_int = _integral(self.a1), _integral(self.b1)
+        self.integral = all(map(_integral, (self.a, self.b, self.a1, self.b1)))
         # a = 0 only with alpha = 0, b = 0 only with beta = 0: no term
         self.alpha_a = params.alpha / params.a if params.a else 0.0
         self.beta_b = params.beta / params.b if params.b else 0.0
@@ -307,23 +313,23 @@ class QuadratureDescriptor:
     def g(self, h: float) -> float:
         if self.imaginary_pair:
             return self.g_psi(math.log(h))
-        pos = h > 0.0
+        direct = h > 0.0 or (self.integral and h != 0.0)
         total = self.c1 + self.alpha_a * (
-            h ** self.a if pos else _real_pow(h, self.a, self.a_int))
+            h ** self.a if direct else _real_pow(h, self.a))
         if self.beta != 0.0:
             total += self.beta_b * (
-                h ** self.b if pos else _real_pow(h, self.b, self.b_int))
+                h ** self.b if direct else _real_pow(h, self.b))
         return total
 
     def g_prime(self, h: float) -> float:
         if self.imaginary_pair:
             raise UnsupportedFamilyError("g_prime is h-space only")
-        pos = h > 0.0
+        direct = h > 0.0 or (self.integral and h != 0.0)
         total = self.alpha * (
-            h ** self.a1 if pos else _real_pow(h, self.a1, self.a1_int))
+            h ** self.a1 if direct else _real_pow(h, self.a1))
         if self.beta != 0.0:
             total += self.beta * (
-                h ** self.b1 if pos else _real_pow(h, self.b1, self.b1_int))
+                h ** self.b1 if direct else _real_pow(h, self.b1))
         return total
 
     def g_psi(self, psi: float) -> float:

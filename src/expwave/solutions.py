@@ -287,11 +287,10 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
         if min(abs(frame.r) ** 3, inv.scale) < sys.float_info.min:
             raise range_error(c1, frame.lambda_gamma, "the Weierstrass invariants")
         prep = prepare_weierstrass(inv)
-        def h_fn(xi: float, pr=prep, f=lg, sh=base_c1 / (3.0 * lg)) -> float:
-            p, _ = pr.eval(xi - xi0)
-            return f * (2.0 * p - sh)
+        def h_fn(xi: float, p=prep.eval, f=lg, sh=base_c1 / (3.0 * lg)) -> float:
+            return f * (2.0 * p(xi - xi0) - sh)
         params = {"g2": inv.g2, "g3": inv.g3}
-        if math.isfinite(prep.real_period):
+        if prep.periodic:
             sing = Singularities.lattice(xi0, prep.real_period)
             params["period"] = prep.real_period
         else:

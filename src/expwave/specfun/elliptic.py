@@ -24,6 +24,7 @@ is returned.
 from __future__ import annotations
 
 import math
+from math import cos, hypot, sin  # read per point by sn_cn_dn
 
 from ..errors import DomainError
 from .carlson import carlson_rf
@@ -93,8 +94,8 @@ class _PreparedJacobi:
             return sn / rk, dn, cn
         c = self._c
         u = u * c
-        sn = math.sin(u)
-        cn = math.cos(u)
+        sn = sin(u)
+        cn = cos(u)
         dn = 1.0
         if sn != 0.0:
             aa = cn / sn
@@ -104,7 +105,7 @@ class _PreparedJacobi:
                 c *= dn
                 dn = (e + aa) / (b + aa)
                 aa = c / b
-            aa = 1.0 / math.hypot(c, 1.0)
+            aa = 1.0 / hypot(c, 1.0)
             sn = aa if sn >= 0.0 else -aa
             cn = c * sn
         return sn, cn, dn

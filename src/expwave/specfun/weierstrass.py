@@ -21,6 +21,11 @@ This is the real branch: p >= e1 between consecutive real poles.  Poles
 lie on the lattice {n * real_period}; evaluation inside the exclusion
 radius (1e-3 of the real-period estimate) raises PoleProximityError so
 verification grids can skip singularities deterministically.
+
+``prepare_weierstrass`` does the invariant-dependent work once; the
+prepared object's ``eval(z)`` returns p(z) alone and is the per-point
+entry every evaluator calls, and its ``slope(z)`` returns p'(z) for the
+callers that want the derivative (``weierstrass_p`` returns both).
 """
 
 from __future__ import annotations
@@ -123,10 +128,14 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
 
 
 class _PreparedWeierstrass:
-    """Invariant-dependent data hoisted out of the per-point evaluation."""
+    """Invariant-dependent data hoisted out of the per-point evaluation.
+
+    ``eval(z)`` returns p(z) and is the one method the evaluators call per
+    point; ``slope(z)`` returns p'(z).  Both apply one pole rule first.
+    """
 
     __slots__ = ("kind", "scale", "jacobi", "e_off", "coeff", "real_period",
-                 "eps_pole")
+                 "periodic", "eps_pole")
 
     def __init__(self, kind: str, scale: float, jacobi: _PreparedJacobi | None,
                  e_off: float, coeff: float, real_period: float,
@@ -137,12 +146,14 @@ class _PreparedWeierstrass:
         self.e_off = e_off
         self.coeff = coeff
         self.real_period = real_period
+        self.periodic = math.isfinite(real_period)
         self.eps_pole = _POLE_FRACTION * pole_scale
 
-    def eval(self, z: float) -> tuple[float, float]:
+    def _check_pole(self, z: float) -> None:
+        """Raise PoleProximityError within eps_pole of a lattice pole."""
         d = abs(z)  # the distance to the nearest pole
-        period = self.real_period
-        if math.isfinite(period):
+        if self.periodic:
+            period = self.real_period
             d = abs(z - period * round(z / period))
         if d < self.eps_pole:
             raise PoleProximityError(
@@ -150,39 +161,55 @@ class _PreparedWeierstrass:
                 distance=d,
                 limit=self.eps_pole,
             )
+
+    def eval(self, z: float) -> float:
+        """p(z)."""
+        self._check_pole(z)
+        kind = self.kind
+        if kind == "sn":
+            sn, _, _ = self.jacobi.sn_cn_dn(self.scale * z)
+            return self.e_off + self.coeff / (sn * sn)
+        if kind == "cn":  # H-form for one real root
+            _, cn, _ = self.jacobi.sn_cn_dn(self.scale * z)
+            return self.e_off + self.coeff * (1.0 + cn) / (1.0 - cn)
+        if kind == "rational":
+            return 1.0 / (z * z)
+        e = self.e_off
+        a = self.scale  # sqrt(3 e)
+        if kind == "hyperbolic":
+            try:
+                s = math.sinh(a * z)
+            except OverflowError:  # sinh past the largest float: p -> e
+                return e
+            return e + 3.0 * e * (1.0 / (s * s))
+        s = math.sin(a * z)  # "trigonometric"
+        return -e + 3.0 * e * (1.0 / (s * s))
+
+    def slope(self, z: float) -> float:
+        """p'(z)."""
+        self._check_pole(z)
         kind = self.kind
         if kind == "sn":
             sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
-            p = self.e_off + self.coeff / (sn * sn)
-            pp = -2.0 * self.coeff * self.scale * cn * dn / (sn ** 3)
-            return p, pp
+            return -2.0 * self.coeff * self.scale * cn * dn / (sn ** 3)
         if kind == "cn":  # H-form for one real root
             sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
-            h = self.coeff
             one_m_cn = 1.0 - cn
-            p = self.e_off + h * (1.0 + cn) / one_m_cn
-            pp = -2.0 * h * self.scale * sn * dn / (one_m_cn * one_m_cn)
-            return p, pp
+            return (-2.0 * self.coeff * self.scale * sn * dn
+                    / (one_m_cn * one_m_cn))
         if kind == "rational":
-            p = 1.0 / (z * z)
-            return p, -2.0 / (z * z * z)
+            return -2.0 / (z * z * z)
         e = self.e_off
         a = self.scale  # sqrt(3 e)
         if kind == "hyperbolic":
             try:
                 s = math.sinh(a * z)
                 c = math.cosh(a * z)
-            except OverflowError:  # sinh past the largest float: p -> e
-                return e, 0.0
-            csch2 = 1.0 / (s * s)
-            p = e + 3.0 * e * csch2
-            pp = -6.0 * e * a * csch2 * (c / s)
-            return p, pp
+            except OverflowError:  # past the largest float: p' -> 0
+                return 0.0
+            return -6.0 * e * a * (1.0 / (s * s)) * (c / s)
         s = math.sin(a * z)  # "trigonometric"
-        csc2 = 1.0 / (s * s)
-        p = -e + 3.0 * e * csc2
-        pp = -6.0 * e * a * csc2 * (math.cos(a * z) / s)
-        return p, pp
+        return -6.0 * e * a * (1.0 / (s * s)) * (math.cos(a * z) / s)
 
 
 def prepare_weierstrass(inv: WeierstrassInvariants,
@@ -245,4 +272,5 @@ def weierstrass_p(z: float, inv: WeierstrassInvariants) -> tuple[float, float]:
     """
     if not math.isfinite(z):
         raise DomainError("weierstrass_p requires finite z")
-    return prepare_weierstrass(inv).eval(z)
+    prep = prepare_weierstrass(inv)
+    return prep.eval(z), prep.slope(z)

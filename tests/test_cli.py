@@ -70,6 +70,57 @@ def test_verify_failure_exit1():
     assert any(not r["pass"] for r in reports)
 
 
+def test_sample_into_closed_pipe_prints_no_traceback():
+    # the reader takes one line and closes the pipe; 200001 rows overflow
+    # any pipe buffer, so the write hits the closed end.  PYTHONUNBUFFERED
+    # is dropped: an unbuffered text stream loses a short write silently
+    # instead of raising, so the closed pipe would not show
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC,
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "expwave", "sample", "--family", "liouville",
+         "--c1", "1", "--lambda-gamma", "1", "--n", "200001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"xi,h,psi,ode_residual\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err, err
+    assert code == 0
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its descriptor is a temporary file's, which _emit may repoint."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_stdout_keeps_the_command_exit_code(monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fh.fileno()))
+        fail = main(["verify", "--family", "sine-gordon", "--c1", "1",
+                     "--lambda-gamma", "1", "--tol-ode", "1e-30"])
+        ok = main(["classify", "--family", "tzitzeica", "--c1", "1",
+                   "--lambda-gamma", "1"])
+    assert (fail, ok) == (1, 0)
+
+
 def test_sample_values():
     code, out, _ = run_cli("sample", "--family", "liouville", "--c1", "0",
                            "--lambda-gamma", "0.5", "--xi-min", "1",

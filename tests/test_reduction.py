@@ -147,13 +147,24 @@ def _pow_outcome(fn, h, e):
         return type(err)
 
 
+#: bases at every edge of the power rule: signed zeros, non-finite values,
+#: subnormals and the ends of the float range
+POW_BASES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 2.5, -2.5,
+             0.3, -0.3, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324,
+             1.7e308]
+
+
+def negative_sweep(n=10_000):
+    """Seeded negative bases from subnormal to 1e300."""
+    rng = random.Random(20181010)
+    return [-(10.0 ** rng.uniform(-323.0, 300.0)) for _ in range(n)]
+
+
 def test_real_pow_fast_path_is_bit_identical():
     nan, inf = math.nan, math.inf
-    bases = [0.0, -0.0, nan, inf, -inf, 1.0, -1.0, 2.5, -2.5, 0.3, -0.3,
-             1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 1.7e308]
     exponents = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5, -0.5,
                  1.0 / 3.0, -2.0 / 3.0, 7.0, -7.0, 400.0, -400.0, nan, inf]
-    for h in bases:
+    for h in POW_BASES:
         for e in exponents:
             assert (_pow_outcome(_real_pow, h, e)
                     == _pow_outcome(_reference_real_pow, h, e)), (h, e)
@@ -163,13 +174,84 @@ def test_real_pow_fast_path_is_bit_identical():
     with pytest.raises(DomainError, match="non-integer exponent"):
         _real_pow(-2.0, 0.5)
     # seeded sweep: negative bases from subnormal to 1e300, integral exponents
-    rng = random.Random(20181010)
-    for _ in range(10_000):
-        h = -(10.0 ** rng.uniform(-323.0, 300.0))
+    for h in negative_sweep():
         for n in range(-7, 8):
             e = float(n)
             assert (_pow_outcome(_real_pow, h, e)
                     == _pow_outcome(_reference_real_pow, h, e)), (h, e)
+
+
+def _outcome(fn, h):
+    # the bytes of the result, or the error's type and text
+    try:
+        return struct.pack("<d", fn(h))
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+def _reference_descriptor_methods(ode, quad):
+    # source, f, g and g_prime with every power sent through _real_pow
+    def source(h):
+        return (ode.alpha * _real_pow(h, ode.a)
+                + ode.beta * _real_pow(h, ode.b))
+
+    def g(h):
+        total = quad.c1 + quad.alpha_a * _real_pow(h, quad.a)
+        if quad.beta != 0.0:
+            total += quad.beta_b * _real_pow(h, quad.b)
+        return total
+
+    def g_prime(h):
+        total = quad.alpha * _real_pow(h, quad.a1)
+        if quad.beta != 0.0:
+            total += quad.beta * _real_pow(h, quad.b1)
+        return total
+
+    return {"source": source, "f": lambda h: ode.r * h * h * source(h),
+            "g": g, "g_prime": g_prime}
+
+
+H_SPACE_FAMILIES = [fam for fam in FamilyLabel
+                    if fam is not FamilyLabel.GenericTwoExponential
+                    and not family_params(fam).imaginary_pair]
+
+
+@pytest.mark.parametrize("family", H_SPACE_FAMILIES, ids=lambda f: f.name)
+def test_integral_exponent_descriptors_are_bit_identical(family):
+    # the direct h ** e path of the integral-exponent descriptors equals
+    # the one power rule on every base, refusals included
+    params = family_params(family)
+    ode = traveling_ode(params, FRN)
+    quad = first_integral(params, FRN, 0.3)
+    assert ode.integral and quad.integral
+    reference = _reference_descriptor_methods(ode, quad)
+    methods = {"source": ode.source, "f": ode.f, "g": quad.g,
+               "g_prime": quad.g_prime}
+    for h in POW_BASES + negative_sweep():
+        for name, fn in methods.items():
+            assert _outcome(fn, h) == _outcome(reference[name], h), (name, h)
+
+
+def test_zero_base_with_negative_exponent_keeps_its_refusal():
+    params = family_params(FamilyLabel.Tzitzeica)  # b = -2
+    ode = traveling_ode(params, FR1)
+    quad = first_integral(params, FR1, 0.0)
+    for h in (0.0, -0.0):
+        for fn in (ode.source, ode.f, quad.g, quad.g_prime):
+            with pytest.raises(DomainError) as err:
+                fn(h)
+            assert str(err.value) == "h = 0 with a negative exponent"
+
+
+def test_non_integral_exponents_keep_the_power_rule():
+    params = EquationParams(1.0, 1.0, 0.5, -2.0)
+    ode = traveling_ode(params, FR1)
+    quad = first_integral(params, FR1, 0.0)
+    assert not (ode.integral or quad.integral)
+    with pytest.raises(DomainError, match="non-integer exponent"):
+        ode.source(-1.0)
+    with pytest.raises(DomainError, match="non-integer exponent"):
+        quad.g_prime(-1.0)
 
 def test_elliptic_data_values():
     d = elliptic_data(FamilyLabel.Tzitzeica, FR1, -1.5)

@@ -36,7 +36,7 @@ def weierstrass_ode_residual(inv: WeierstrassInvariants, grid: Grid,
     prep = prepare_weierstrass(inv)
     residuals = []
     for z in grid.points():
-        p, pp = prep.eval(z)
+        p, pp = prep.eval(z), prep.slope(z)
         res = abs(pp * pp - (4.0 * p ** 3 - inv.g2 * p - inv.g3))
         residuals.append(res / max(1.0, abs(p) ** 3))
     rms = math.sqrt(math.fsum(r * r for r in residuals) / len(residuals))
@@ -142,10 +142,9 @@ def test_general_path_matches_closed_forms():
         clo = prepare_weierstrass(inv)
         assert gen.kind == "sn" and clo.kind in ("hyperbolic", "trigonometric")
         for z in (0.2, 0.6, 1.1, 1.9):
-            pg, ppg = gen.eval(z)
-            pc, ppc = clo.eval(z)
-            assert pg == pytest.approx(pc, rel=1e-9, abs=1e-9)
-            assert ppg == pytest.approx(ppc, rel=1e-9, abs=1e-9)
+            assert gen.eval(z) == pytest.approx(clo.eval(z), rel=1e-9, abs=1e-9)
+            assert gen.slope(z) == pytest.approx(clo.slope(z), rel=1e-9,
+                                                 abs=1e-9)
 
 
 def test_ode_residual_random():
@@ -182,3 +181,38 @@ def test_pole_proximity_error():
         prep.eval(period * 2.0 + 1e-9)
     with pytest.raises(DomainError):
         weierstrass_p(math.inf, inv)
+
+
+# one set of invariants per kind of the prepared evaluator
+KIND_INVARIANTS = {
+    "rational": (0.0, 0.0),
+    "hyperbolic": (3.0, -1.0),
+    "trigonometric": (3.0, 1.0),
+    "sn": (4.0, 1.0),
+    "cn": (1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_INVARIANTS))
+def test_weierstrass_p_is_eval_and_slope(kind):
+    inv = WeierstrassInvariants(*KIND_INVARIANTS[kind])
+    prep = prepare_weierstrass(inv)
+    assert prep.kind == kind
+    for z in (0.1, -0.37, 0.9, -1.7, 2.3, 5.1):
+        value, slope = weierstrass_p(z, inv)
+        assert (value.hex(), slope.hex()) == (prep.eval(z).hex(),
+                                              prep.slope(z).hex()), z
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_INVARIANTS))
+def test_slope_refuses_a_pole_like_eval(kind):
+    prep = prepare_weierstrass(WeierstrassInvariants(*KIND_INVARIANTS[kind]))
+    period = prep.real_period if prep.periodic else 0.0
+    for z in (0.5 * prep.eps_pole, period - 0.25 * prep.eps_pole):
+        errors = []
+        for method in (prep.eval, prep.slope):
+            with pytest.raises(PoleProximityError) as err:
+                method(z)
+            errors.append((str(err.value), err.value.distance,
+                           err.value.limit))
+        assert errors[0] == errors[1], z

@@ -1,10 +1,11 @@
 """Bit-for-bit pins of the prepared Weierstrass evaluator.
 
-The table holds float.hex of (p, p') from ``_PreparedWeierstrass.eval`` for
-each of its five kinds (rational, hyperbolic, trigonometric, sn, cn) at
-eight values of z, and for the two degenerate invariant pairs again with
-``force_general=True``, which sends them through the sn kind at the Jacobi
-parameters m = 1 and m = 0.  POLES holds the PoleProximityError message,
+The table holds float.hex of p from ``_PreparedWeierstrass.eval`` and of
+p' from ``_PreparedWeierstrass.slope`` for each of its five kinds
+(rational, hyperbolic, trigonometric, sn, cn) at eight values of z, and
+for the two degenerate invariant pairs again with ``force_general=True``,
+which sends them through the sn kind at the Jacobi parameters m = 1 and
+m = 0.  POLES holds the PoleProximityError message,
 distance and limit at one z inside each exclusion radius.  Both tables
 were generated by the evaluator as it stood before its pole test moved
 inline, and must not change.
@@ -113,8 +114,7 @@ def test_eval_matches_pinned_bits(g2, g3, force_general):
     rows = [row for row in PINNED if row[:3] == (g2, g3, force_general)]
     assert len(rows) == 8
     for *_, z, p, pp in rows:
-        value, slope = prep.eval(z)
-        assert (value.hex(), slope.hex()) == (p, pp), z
+        assert (prep.eval(z).hex(), prep.slope(z).hex()) == (p, pp), z
 
 
 @pytest.mark.parametrize("g2, g3, force_general, z, message, distance, limit",
