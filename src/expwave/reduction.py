@@ -443,14 +443,15 @@ def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> Ellipti
     """
     a0, a1, a2, a3, inv = _cubic(family, frame, c1)
     g2, g3 = inv.g2, inv.g3
+    roots = solve_weierstrass_cubic(g2, g3)
     repeated = None
     if inv.is_degenerate and not (g2 == 0.0 and g3 == 0.0):
-        # double root magnitude: e for (g3 < 0), with roots (e, e, -2e)
-        repeated = abs(g3) ** (1.0 / 3.0) / 2.0
+        # double root magnitude: the roots are (d, d, -2d), sorted
+        repeated = abs(roots.real[1])
     return EllipticData(
         family=family, c1=c1, r=frame.r,
         a0=a0, a1=a1, a2=a2, a3=a3, p=a2, g2=g2, g3=g3, delta=inv.delta,
-        roots=solve_weierstrass_cubic(g2, g3), repeated_root=repeated,
+        roots=roots, repeated_root=repeated,
     )
 
 

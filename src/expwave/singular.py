@@ -1,8 +1,9 @@
 """Deterministic descriptions of where a closed-form solution blows up
 or stops being real-valued.
 
-Every Solution carries one of these, and ``clearance`` alone decides which
-xi may be sampled (``keeps`` compares it with a pad), so verification
+Every Solution carries one of these, and ``keeps`` is the one test of
+which xi may be sampled: it compares ``clearance`` with a pad, point by
+point, and no list of excluded intervals is built.  So verification
 grids, CSV emission and figures skip singular neighbourhoods without
 probing for overflow.
 Kinds:
@@ -94,46 +95,10 @@ class Singularities:
         ``pad`` from the singular set."""
         return self.clearance(xi) > pad
 
-    # no caller in the package; perfbench/tracer.py wraps it by this name
-    def exclusions(self, lo: float, hi: float, pad: float) -> list[tuple[float, float]]:
-        """(center, radius) pairs covering everything a grid on [lo, hi]
-        must avoid: singular points padded by ``pad`` plus any regions
-        where the solution is not defined at all."""
-        out: list[tuple[float, float]] = []
-        if self.kind == "none":
-            return out
-        if self.kind == "isolated":
-            return [(p, pad) for p in self.points if lo - pad <= p <= hi + pad]
-        if self.kind == "half_line":
-            p = self.points[0]
-            if self.valid_side > 0:
-                # invalid (-inf, p]; cover the part that meets [lo, hi]
-                if lo <= p + pad:
-                    c = (lo + p + pad) / 2.0
-                    out.append((c, (p + pad - lo) / 2.0 + pad))
-            else:
-                if hi >= p - pad:
-                    c = (hi + p - pad) / 2.0
-                    out.append((c, (hi - (p - pad)) / 2.0 + pad))
-            return out
-        if self.kind == "lattice":
-            n0 = math.floor((lo - pad - self.offset) / self.period)
-            n1 = math.ceil((hi + pad - self.offset) / self.period)
-            for n in range(n0, n1 + 1):
-                p = self.offset + n * self.period
-                if lo - pad <= p <= hi + pad:
-                    out.append((p, pad))
-            return out
-        # lattice_windows: exclude the forbidden bands between windows,
-        # each extended by pad into the windows
-        n0 = math.floor((lo - self.offset) / self.period) - 1
-        n1 = math.ceil((hi - self.offset) / self.period) + 1
-        for n in range(n0, n1 + 1):
-            band_lo = self.offset + n * self.period + self.half_width - pad
-            band_hi = self.offset + (n + 1) * self.period - self.half_width + pad
-            if band_hi >= lo and band_lo <= hi:
-                out.append(((band_lo + band_hi) / 2.0, (band_hi - band_lo) / 2.0))
-        return out
+    # the sampling rule is ``keeps`` alone; perfbench/tracer.py still wraps
+    # a class attribute of this name, so it stays bound until ROADMAP item 1
+    # drops the binding and the tracer's entry together
+    exclusions = None
 
     def reflected(self) -> "Singularities":
         """Image under xi -> -xi (used by the reflection-map families)."""

@@ -60,7 +60,8 @@ class Solution:
     ``evaluate_h`` and ``evaluate_psi`` are pure.  The one evaluator
     computes psi for the psi-native families and h otherwise; the other
     variable follows as h = e^psi, or psi = log(h) wherever h > 0 (NaN
-    where h <= 0).
+    where h <= 0); an e^psi past the float range raises DomainError
+    naming c1 and lambda gamma.
     ``singularities`` covers every non-finite or undefined point of the
     evaluator.  ``bounded`` is set for the amplitude cases (None when the
     notion does not apply).
@@ -83,7 +84,13 @@ class Solution:
 
     def evaluate_h(self, xi: float) -> float:
         v = self._fn(xi)
-        return math.exp(v) if self.psi_native else v
+        if not self.psi_native:
+            return v
+        try:
+            return math.exp(v)
+        except OverflowError:
+            raise range_error(self.c1, self.lambda_gamma,
+                              "h = e^psi") from None
 
     def evaluate_psi(self, xi: float) -> float:
         v = self._fn(xi)
@@ -95,7 +102,11 @@ class Solution:
         """(h, psi) from a value of the native evaluator, by the same rule
         as ``evaluate_h`` and ``evaluate_psi``."""
         if self.psi_native:
-            return math.exp(value), value
+            try:
+                return math.exp(value), value
+            except OverflowError:
+                raise range_error(self.c1, self.lambda_gamma,
+                                  "h = e^psi") from None
         return value, (math.log(value) if value > 0.0 else math.nan)
 
     def descriptor(self) -> dict:

@@ -9,12 +9,13 @@ so the transformed series has the faster-decaying tail; x < -2 takes the
 1/x connection formula (DLMF 15.8.2), unless b - a lies within 0.05 of an
 integer (its two terms cancel) or a term overflows or runs out of terms;
 there Pfaff serves on, and needs more than the term budget by x ~ -1e5.
-Summation stops on a geometric tail bound of 1e-14 relative; near x = 1
-it needs ~1/(1-x) terms (ConvergenceError at x = 0.999999).  A series
-whose rounding alone (its largest term times 2^-52) exceeds that bound
-has cancelled its digits away and raises ConvergenceError too, unless
-its prefactor times the sum of |terms| rounds to zero.  A Pfaff
-prefactor beyond the float range raises ConvergenceError as well.
+Summation stops on a geometric tail bound of 1e-14 max(1, |sum|); near
+x = 1 it needs ~1/(1-x) terms (ConvergenceError at x = 0.999999).  A
+series whose rounding alone (its largest term times 2^-52) exceeds
+1e-14 |sum|, relative at every size of sum, has cancelled its digits
+away and raises ConvergenceError too, unless its prefactor times the sum
+of |terms| rounds to zero.  A Pfaff prefactor beyond the float range
+raises ConvergenceError as well.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def _series(a: float, b: float, c: float, w: float,
             ratio_bound = abs(w) * (1.0 + pad / (n + 1.0))
             if ratio_bound < 1.0:
                 tail = mag * ratio_bound / (1.0 - ratio_bound)
-                bound = _TAIL_REL * max(1.0, abs(total))
-                if tail <= bound:
-                    if big * _ULP > bound and (
+                if tail <= _TAIL_REL * max(1.0, abs(total)):
+                    # the rounding is read against the sum itself: below
+                    # |sum| = 1 an absolute bound would pass a cancellation
+                    if big * _ULP > _TAIL_REL * abs(total) and (
                             log_scale + math.log(big * (n + 2.0)) > _LOG_ZERO):
                         raise ConvergenceError(
                             f"2F1 series cancels: rounding in terms up to "

@@ -104,7 +104,9 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
     if inv.is_degenerate:
         if g2 == 0.0 and g3 == 0.0:
             return CubicRoots(real=(0.0, 0.0, 0.0))
-        d = _cbrt(qd / 2.0)  # double root; the simple root is -2d
+        # the double root, g3 = -8 d^3; the simple root is -2d.  The one
+        # formula for it: prepare_weierstrass and elliptic_data read it here
+        d = -_cbrt(g3) / 2.0
         roots = sorted((d, d, -2.0 * d), reverse=True)
         return CubicRoots(real=tuple(roots))
     if inv.delta > 0.0:
@@ -228,7 +230,7 @@ def prepare_weierstrass(inv: WeierstrassInvariants,
         if g3 == 0.0:
             return _PreparedWeierstrass(
                 "rational", 0.0, None, 0.0, 0.0, math.inf, 1.0)
-        e = abs(_cbrt(g3)) / 2.0
+        e = abs(roots.real[1])  # the double root: (d, d, -2d) sorted
         a = math.sqrt(3.0 * e)
         if g3 < 0.0:
             # poles only at z = 0; the companion trigonometric scale pi/a

@@ -380,10 +380,11 @@ def test_negative_value_in_exponent_form(capsys, args, flag, value, plain):
     ([{"command": "solve", "family": "tzitzeica", "c1": 1,
        "lambda_gamma": 1, "branch": 2}], 2,
      "config error: branch must be +1 or -1"),
-    # h = e^psi of the unbounded amplitude overflows at xi = 1e300
+    # h = e^psi of the unbounded amplitude overflows at xi = 1e300: the
+    # refusal names the input
     (["sample", "--family", "sine-gordon", "--c1", "3", "--lambda-gamma", "1",
       "--n", "3", "--xi-min", "-1e300", "--xi-max", "1e300"], 3,
-     "error: math range error"),
+     "error: c1=3.0 and lambda gamma=1.0 put h = e^psi past the float range"),
     # classify itself refuses where c1 - cos psi <= 0 for every psi
     (["classify", "--family", "sine-gordon", "--c1", "-3", "--lambda-gamma",
       "1"], 3, "error: no real solution: r G <= 0 for every psi"),
@@ -415,6 +416,11 @@ def test_negative_value_in_exponent_form(capsys, args, flag, value, plain):
       "1e55", "--xi-min", "1", "--xi-max", "2", "--n", "3"], 3,
      "error: c1=1.0 and lambda gamma=1e+55 put the Weierstrass invariants "
      "past the float range"),
+    # h = e^psi overflows inside an ordinary window at lambda gamma < 0
+    (["sample", "--family", "sine-gordon", "--c1", "-3", "--lambda-gamma",
+      "-1", "--xi-min", "0", "--xi-max", "1000", "--n", "3"], 3,
+     "error: c1=-3.0 and lambda gamma=-1.0 put h = e^psi past the float "
+     "range"),
 ])
 def test_exit_code_and_message(capsys, tmp_path, argv, code, message):
     assert _main_with_config(argv, tmp_path) == code

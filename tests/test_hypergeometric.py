@@ -92,6 +92,16 @@ def test_cancelling_series_raises():
                   -2.46332807912054)
 
 
+def test_cancellation_below_a_unit_sum_raises():
+    # the Pfaff series (w = 0.839, 335 terms) has terms up to 21.8 and a sum
+    # of 4.52e-6: its rounding is read against that sum, not against 1, so
+    # the kernel raises instead of returning 1.4279785920769027e-50, 3.8e-10
+    # from mpmath's 1.427978591534063e-50
+    with pytest.raises(ConvergenceError, match="cancels"):
+        gauss_2f1(56.07600231104357, 64.3652575298637, 57.14991261548741,
+                  -5.216907125074116)
+
+
 def test_pfaff_prefactor_overflow_raises():
     # (1 - x)^(-a) overflows before the series runs: the kernel's own
     # error names the float range, no bare OverflowError leaks

@@ -33,7 +33,7 @@ from expwave.reduction import (
     traveling_ode,
 )
 from expwave.solutions import construct
-from expwave.specfun.weierstrass import WeierstrassInvariants
+from expwave.specfun.weierstrass import WeierstrassInvariants, prepare_weierstrass
 
 FR1 = FrameParams.from_lambda_gamma(1.0)
 FRN = FrameParams.from_lambda_gamma(-1.0)
@@ -252,6 +252,36 @@ def test_non_integral_exponents_keep_the_power_rule():
         ode.source(-1.0)
     with pytest.raises(DomainError, match="non-integer exponent"):
         quad.g_prime(-1.0)
+
+
+def _lambda_gammas(n, seed=25):
+    rng = random.Random(seed)
+    return [2.0, -2.0] + [rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3, 3)
+                          for _ in range(n)]
+
+
+@pytest.mark.parametrize("family", sorted(CUBIC_FAMILIES, key=lambda f: f.name))
+def test_double_root_has_one_formula(family):
+    # classify's repeated_root, the double root in its roots_real and the
+    # degenerate p kernel's e are one number, at every degenerate input
+    degenerate = 0
+    for lg in _lambda_gammas(60):
+        for c1 in (C1_DEGENERATE, -C1_DEGENERATE, 0.5, 1.0, -1.0):
+            try:
+                d = elliptic_data(family, FrameParams.from_lambda_gamma(lg), c1)
+            except DomainError:
+                continue
+            if d.repeated_root is None:
+                continue
+            degenerate += 1
+            real = d.roots.real
+            double = real[1]
+            assert real.count(double) == 2 and double != 0.0, (lg, c1, real)
+            assert abs(double) == d.repeated_root, (lg, c1, real)
+            prep = prepare_weierstrass(WeierstrassInvariants(d.g2, d.g3))
+            assert prep.e_off == d.repeated_root, (lg, c1)
+    assert degenerate >= 62
+
 
 def test_elliptic_data_values():
     d = elliptic_data(FamilyLabel.Tzitzeica, FR1, -1.5)

@@ -56,3 +56,17 @@ def test_distance_matches_per_kind_reference_bit_for_bit(sing, xi, n, k):
     for x in xs:
         assert sing.distance(x).hex() == _reference_distance(sing, x).hex(), (
             sing, x)
+
+
+@settings(max_examples=400)
+@given(sets, st.one_of(coords, st.just(0.0), st.just(-0.0)),
+       st.integers(min_value=-10**6, max_value=10**6), st.integers(0, 2))
+def test_reflected_is_the_mirror_image_bit_for_bit(sing, xi, n, k):
+    # every kind: the image under xi -> -xi has the same distance and the
+    # same valid side at -xi, ties included, and reflects back to itself
+    mirror = sing.reflected()
+    assert mirror.reflected() == sing
+    xs = [xi, -xi] + (_ties(sing, n, k) if sing.kind != "none" else [])
+    for x in xs:
+        assert mirror.distance(-x).hex() == sing.distance(x).hex(), (sing, x)
+        assert mirror.is_valid(-x) == sing.is_valid(x), (sing, x)
