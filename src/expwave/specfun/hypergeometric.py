@@ -7,10 +7,13 @@ Direct power series for -0.5 <= x < 1; the Pfaff transformation
 maps -2 <= x < -0.5 onto w = x/(x-1) in (1/3, 2/3], with (a, b) ordered
 so the transformed series has the faster-decaying tail; x < -2 takes the
 1/x connection formula (DLMF 15.8.2), unless b - a lies within 0.05 of an
-integer (its two terms cancel) or a term overflows or runs out of terms;
-there Pfaff serves on, and needs more than the term budget by x ~ -1e5.
-Summation stops on a geometric tail bound of 1e-14 max(1, |sum|); near
-x = 1 it needs ~1/(1-x) terms (ConvergenceError at x = 0.999999).  A
+integer (its two terms cancel), a term overflows or runs out of terms, or
+the rounding of the larger term exceeds 1e-14 of their sum (the rule
+below); there Pfaff serves on, and needs more than the term budget by
+x ~ -1e5.  Summation stops on a geometric tail bound of 1e-14
+max(1, |sum|), tested once c + n > 0 (a negative c grows the terms again
+as c + n passes 0) under a ratio bound that holds for every later term;
+near x = 1 it needs ~1/(1-x) terms (ConvergenceError at x = 0.999999).  A
 series whose rounding alone (its largest term times 2^-52) exceeds
 1e-14 |sum|, relative at every size of sum, has cancelled its digits
 away and raises ConvergenceError too, unless its prefactor times the sum
@@ -43,18 +46,27 @@ def _series(a: float, b: float, c: float, w: float,
     total = 1.0
     term = 1.0
     big = 1.0  # the largest |term| added
-    pad = abs(a) + abs(b) + 1.0
+    abs_a, abs_b = abs(a), abs(b)
+    pad = abs_a + abs_b + 1.0
     for n in range(_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * w
         total += term
         mag = abs(term)
         if mag > big:
             big = mag
-        if n > 8:
+        if n > 8 and c + n > 0.0:
             ratio_bound = abs(w) * (1.0 + pad / (n + 1.0))
             if ratio_bound < 1.0:
                 tail = mag * ratio_bound / (1.0 - ratio_bound)
-                if tail <= _TAIL_REL * max(1.0, abs(total)):
+                limit = _TAIL_REL * max(1.0, abs(total))
+                if tail > limit:
+                    continue
+                # confirmed under a ratio that bounds every later one; both
+                # catalogued sets stop where the first bound alone stops
+                ratio_bound = max(ratio_bound,
+                                  _later_ratio_bound(abs_a, abs_b, c, w, n))
+                if (ratio_bound < 1.0
+                        and mag * ratio_bound / (1.0 - ratio_bound) <= limit):
                     # the rounding is read against the sum itself: below
                     # |sum| = 1 an absolute bound would pass a cancellation
                     if big * _ULP > _TAIL_REL * abs(total) and (
@@ -67,6 +79,17 @@ def _series(a: float, b: float, c: float, w: float,
     raise ConvergenceError(
         f"2F1 series did not meet the 1e-14 tail bound within {_MAX_TERMS} terms"
     )
+
+
+def _later_ratio_bound(abs_a: float, abs_b: float, c: float, w: float,
+                       n: int) -> float:
+    """A bound on every term ratio |(a+m)(b+m)/((c+m)(m+1)) w| with m > n,
+    valid once c + n > 0 (before that a later 1/(c + m) can grow the terms
+    again): |w| max(1, (n+1+|a|)/(n+1+c)) max(1, (n+1+|b|)/(n+2)), whose
+    two factors do not grow with n."""
+    m = n + 1.0
+    return (abs(w) * max(1.0, (m + abs_a) / (m + c))
+            * max(1.0, (m + abs_b) / (m + 1.0)))
 
 
 def _inverse_term(a: float, b: float, c: float, x: float) -> float:
@@ -96,9 +119,14 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     if x < -2.0 and abs(b - a - round(b - a)) >= _INTEGER_GAP:
-        # a 1/x term overflows or runs out of terms (parameters ~100s): Pfaff
+        # a 1/x term overflows or runs out of terms (parameters ~100s), or
+        # the two terms cancel past the series' own rounding rule: Pfaff
         with contextlib.suppress(OverflowError, ConvergenceError):
-            return _inverse_term(a, b, c, x) + _inverse_term(b, a, c, x)
+            first = _inverse_term(a, b, c, x)
+            second = _inverse_term(b, a, c, x)
+            total = first + second
+            if max(abs(first), abs(second)) * _ULP <= _TAIL_REL * abs(total):
+                return total
     if x < -0.5:
         if a > b:
             a, b = b, a

@@ -1,28 +1,22 @@
 import math
 from itertools import permutations
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
-from scipy.integrate import quad
 
 from expwave.errors import DomainError
 from expwave.specfun import carlson_rf
 
 
 def rf_quadrature(x, y, z):
-    """Independent oracle: adaptive quadrature of the defining integral
-    (1/2) * int_0^inf dt / sqrt((t+x)(t+y)(t+z)), split at t = 1 with the
-    1/t^(3/2) tail substituted away."""
-    def integrand(t):
-        return 0.5 / math.sqrt((t + x) * (t + y) * (t + z))
-    head, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    # substitute t = 1/v^2 on [1, inf): dt = -2 v^-3 dv, smooth at v -> 0
-    def tail_integrand(v):
-        t = 1.0 / (v * v)
-        return 1.0 / math.sqrt((t + x) * (t + y) * (t + z)) / v ** 3
-    tail, _ = quad(tail_integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13,
-                   limit=200)
-    return head + tail
+    """Independent oracle: tanh-sinh quadrature at 30 digits of the
+    defining integral (1/2) * int_0^inf dt / sqrt((t+x)(t+y)(t+z)), split
+    at t = 1."""
+    with mp.workdps(30):
+        return float(mp.quad(
+            lambda t: 0.5 / mp.sqrt((t + x) * (t + y) * (t + z)),
+            [0, 1, mp.inf]))
 
 
 def test_rf_degenerate_values():

@@ -590,7 +590,7 @@ def test_sample_off_domain_interval_exits_3(capsys, args):
 
 def test_verify_shoots_within_budget_near_lambda_gamma_half():
     # the Tzitzeica dark soliton at lambda gamma ~ 0.5018 missed 1e-6 by
-    # 2% while the Cash-Karp local tolerance was 1e-10; it reads ~1e-8 now
+    # 2% while the local tolerance was 1e-10; it reads ~7e-11 now
     code, out, _ = run_cli("verify", "--family", "tzitzeica", "--c1", "-1.5",
                            "--branch", "1",
                            "--lambda-gamma", "0.5017949152444992")
@@ -713,6 +713,39 @@ ROBUST_LG = (1.0, -1.0, 1e-150, -1e150, 1e300, 1e-300, 3e-308, 3e102,
 #: before the slowest verify calls
 ROBUST_COMMANDS = (["classify"], ["solve"], ["sample", "--n", "5"],
                    ["verify", "--n", "16"])
+
+
+@pytest.mark.parametrize("family, c1, lg", [
+    ("tzitzeica", "1e15", "1"), ("dodd-bullough", "1e15", "1"),
+    ("tzitzeica-dodd-bullough", "1e15", "1"),
+    ("dodd-bullough-mikhailov", "1e15", "1"),
+    ("sine-gordon", "0", "3e-308")])
+def test_verify_shooting_gives_up_in_bounded_work(monkeypatch, capsys,
+                                                  family, c1, lg):
+    # the cubic families at c1 = 1e15 need steps of ~4e-9 over a span of
+    # 5, far above the collapse floor, and stop at the step limit;
+    # sine-Gordon at lambda gamma = 3e-308 raises math's domain error in
+    # its stages, which rejects the steps until they collapse.  Each exits
+    # 3 with one line, after at most RK_MAX_STEPS steps of 12 calls
+    import expwave.verify as verify
+
+    calls = [0]
+    integrate = verify.rk_integrate
+
+    def counted(acc, *args, **kwargs):
+        def counted_acc(y):
+            calls[0] += 1
+            return acc(y)
+        return integrate(counted_acc, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "rk_integrate", counted)
+    code = main(["verify", "--family", family, "--c1", c1,
+                 "--lambda-gamma", lg, "--n", "16"])
+    _, err = capsys.readouterr()
+    assert code == 3
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: step ")
+    assert 0 < calls[0] <= 12 * verify.RK_MAX_STEPS
 
 
 def test_cli_robustness_sweep(capsys):

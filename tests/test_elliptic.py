@@ -1,8 +1,8 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from expwave.errors import DomainError
 from expwave.specfun import (
@@ -14,10 +14,11 @@ from expwave.specfun import (
 
 
 def f_quadrature(phi, m):
-    """Independent oracle: adaptive quadrature of the defining integral."""
-    val, _ = quad(lambda p: 1.0 / math.sqrt(1.0 - m * math.sin(p) ** 2),
-                  0.0, phi, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return val
+    """Independent oracle: tanh-sinh quadrature at 30 digits of the
+    defining integral."""
+    with mp.workdps(30):
+        return float(mp.quad(lambda p: 1 / mp.sqrt(1 - m * mp.sin(p) ** 2),
+                             [0, phi]))
 
 
 def test_f_trivial_values():

@@ -38,6 +38,30 @@ def test_gauss_2f1_against_mpmath(a, b, c, x):
         assert _relative_error(gauss_2f1(a, b, c, x), reference) <= 2e-14
 
 
+@pytest.mark.parametrize("a, b, c, x", [
+    # x < -2: the two 1/x terms of DLMF 15.8.2 cancel (+-6.97e37 to a sum
+    # of 1.75e24 in the first case), so the kernel takes Pfaff instead
+    (33.75487553892358, 38.63893166946486, 93.02615962313335,
+     -2.436362927668152),
+    (64.58736256411731, 43.0647959757017, 97.5456236127321,
+     -2.1716979152688967),
+    # negative non-integer c: the terms dip, then grow again as c + n
+    # passes 0, where the tail test had already stopped the series
+    (63.336209961107926, 7.645577439718522, -72.04921315230774,
+     0.15787772472736528),
+    (60.536603473223124, -20.354758635704613, -43.04805904716665,
+     0.2867795842644033),
+    (77.99774795690925, -7.197736965609806, -74.84236477183995,
+     0.21921812966652765),
+])
+def test_gauss_2f1_off_the_catalogued_sets_against_mpmath(a, b, c, x):
+    # these read 1.75e24, -6.1e19, 0.376, 2210.5 and 4.49 before both
+    # fixes; now at most 7.5e-15 from mpmath
+    with mp.workdps(DPS):
+        reference = mp.hyp2f1(a, b, c, x)
+        assert _relative_error(gauss_2f1(a, b, c, x), reference) <= 2e-14
+
+
 @pytest.mark.parametrize("x, y, z", [
     t for t in combinations_with_replacement(RF_VALUES, 3)
     if t.count(0.0) <= 1])

@@ -3,8 +3,8 @@ import dataclasses
 import io
 import math
 
+import mpmath as mp
 import pytest
-from scipy.integrate import quad
 
 from expwave import cli
 from expwave.errors import (
@@ -31,15 +31,17 @@ from expwave.solutions import (
     implicit_relation,
 )
 from expwave.verify import (
-    _CK_A,
-    _CK_B4,
-    _CK_B5,
+    _DOP_A,
+    _DOP_B,
+    _DOP_E3,
+    _DOP_E5,
     _GL8,
     FD_BASE_STEP,
     FD_MIN_STEP,
     FD_SINGULAR_FRACTION,
     PDE_HALF_WIDTH,
     PDE_WINDOWS,
+    RK_MAX_STEPS,
     Grid,
     _acceleration,
     _implicit_grid,
@@ -352,6 +354,44 @@ def test_shoot_blowup_underflow():
     assert 0.0 < err.value.span_reached < 2.0
 
 
+@pytest.mark.parametrize("failure", [ValueError, OverflowError, math.nan,
+                                     math.inf])
+def test_rk_rejects_a_step_whose_stage_fails(failure):
+    # y'' = -1 from (1, -1) reaches the edge y = 0 at t = sqrt 3 - 1, past
+    # which every stage raises or reads non-finite: each such step is
+    # rejected, and the step collapses at the edge
+    def acc(y):
+        if y >= 0.0:
+            return -1.0
+        if isinstance(failure, float):
+            return failure
+        raise failure("past the edge")
+
+    with pytest.raises(StepSizeUnderflowError) as err:
+        rk_integrate(acc, 0.0, [1.0, -1.0], 2.0)
+    assert err.value.span_reached == pytest.approx(math.sqrt(3.0) - 1.0,
+                                                   abs=1e-12)
+
+
+def test_rk_gives_up_after_the_step_limit(monkeypatch):
+    # an oscillation at angular frequency 1e3 needs thousands of steps over
+    # a span of 10; with the limit at 40 the kernel attempts 40 and stops
+    import expwave.verify as verify
+
+    monkeypatch.setattr(verify, "RK_MAX_STEPS", 40)
+    calls = []
+
+    def acc(y):
+        calls.append(y)
+        return -1e6 * y
+
+    with pytest.raises(StepSizeUnderflowError,
+                       match="step limit of 40 steps") as err:
+        rk_integrate(acc, 0.0, [1.0, 0.0], 10.0)
+    assert len(calls) == 12 * 40
+    assert 0.0 < err.value.span_reached < 10.0
+
+
 def test_rk_sample_time_at_start():
     # a sample time at t0 returns the initial state untouched, in order
     def f(y):
@@ -377,6 +417,46 @@ def test_rk_rejects_sample_times_outside_the_span(t_end, times):
     assert len(path) == 1
 
 
+def _dop853_nodes():
+    # c_1 ... c_12 of DOP853 in closed form (Hairer, Norsett & Wanner I,
+    # II.10): c4, c5 = (6 -+ sqrt 6)/30, c3 = 2 c4/3, c2 = 4 c4/9
+    c4 = (6 - mp.sqrt(6)) / 30
+    return [mp.mpf(0), 4 * c4 / 9, 2 * c4 / 3, c4, (6 + mp.sqrt(6)) / 30,
+            mp.mpf(1) / 3, mp.mpf(1) / 4, mp.mpf(4) / 13, mp.mpf(127) / 195,
+            mp.mpf(3) / 5, mp.mpf(6) / 7, mp.mpf(1)]
+
+
+def _exact_sum_error(terms, target):
+    # |sum - target| of the terms' exact binary values at 40 digits, and
+    # the rounding the float literals may carry: half an ulp of each term
+    total = mp.fsum(terms)
+    return abs(total - target), mp.fsum(abs(t) for t in terms) * 2.0 ** -52
+
+
+def test_dop853_tableau_meets_its_conditions():
+    # every transcribed literal read as the double it rounds to; a change
+    # past half an ulp of each term of a condition fails it, which is the
+    # 12th significant digit of the least resolved entry, a9_8
+    with mp.workdps(40):
+        c = _dop853_nodes()
+        assert len(_DOP_A) == len(_DOP_B) == len(_DOP_E5) == len(_DOP_E3) == 12
+        for i, row in enumerate(_DOP_A):
+            assert len(row) == i
+            # row sums are the nodes
+            err, bound = _exact_sum_error([mp.mpf(a) for a in row], c[i])
+            assert err <= bound, (i, err, bound)
+        for k in range(1, 9):
+            # the quadrature conditions of order 8
+            err, bound = _exact_sum_error(
+                [mp.mpf(b) * c[i] ** (k - 1) for i, b in enumerate(_DOP_B)],
+                mp.mpf(1) / k)
+            assert err <= bound, (k, err, bound)
+        for weights in (_DOP_E5, _DOP_E3):
+            # an error estimate vanishes on a step that both solutions share
+            err, bound = _exact_sum_error([mp.mpf(e) for e in weights], 0)
+            assert err <= bound, (weights, err, bound)
+
+
 def _left_sum(terms):
     # left to right from 0.0, as sum adds floats up to Python 3.11
     total = 0.0
@@ -386,19 +466,24 @@ def _left_sum(terms):
 
 
 def _reference_rk_step(f, y, h):
-    # the generic Cash-Karp step on a list state, f(y) -> y'
+    # the generic DOP853 step on a list state, f(y) -> y': the stage slopes,
+    # the eighth-order solution and the fifth- and third-order error
+    # estimates; a zero weight is skipped, as the kernel skips it
     k = []
-    for i in range(6):
+    for row in _DOP_A:
         yi = list(y)
-        for j, a in enumerate(_CK_A[i]):
-            for c in range(len(y)):
-                yi[c] += h * a * k[j][c]
+        for j, a in enumerate(row):
+            if a:
+                for c in range(len(y)):
+                    yi[c] += h * a * k[j][c]
         k.append(f(yi))
-    y5 = [y[c] + h * _left_sum(_CK_B5[i] * k[i][c] for i in range(6))
-          for c in range(len(y))]
-    err = [h * _left_sum((_CK_B5[i] - _CK_B4[i]) * k[i][c] for i in range(6))
-           for c in range(len(y))]
-    return y5, err
+
+    def weighted(weights, c):
+        return h * _left_sum(w * k[i][c] for i, w in enumerate(weights) if w)
+
+    y8 = [y[c] + weighted(_DOP_B, c) for c in range(len(y))]
+    return (k, y8, [weighted(_DOP_E5, c) for c in range(len(y))],
+            [weighted(_DOP_E3, c) for c in range(len(y))])
 
 
 def _reference_rk_integrate(acc, t0, y0, t_end, rtol=1.0e-10, atol=1.0e-10,
@@ -413,22 +498,38 @@ def _reference_rk_integrate(acc, t0, y0, t_end, rtol=1.0e-10, atol=1.0e-10,
     out = []
     t, y = t0, list(y0)
     h = direction * min(1e-2, abs(t_end - t0) / 10.0 + 1e-12)
+    attempts = 0
     for target in targets:
         while (target - t) * direction > 1e-14 * max(1.0, abs(target)):
+            if attempts == RK_MAX_STEPS:
+                raise StepSizeUnderflowError("step limit",
+                                             span_reached=t - t0)
+            attempts += 1
             if abs(h) > abs(target - t):
                 h = target - t
-            y_new, err = _reference_rk_step(f, y, h)
-            scale = [atol + rtol * max(abs(y[c]), abs(y_new[c]))
-                     for c in range(len(y))]
-            enorm = math.sqrt(_left_sum((err[c] / scale[c]) ** 2
-                                        for c in range(len(y))) / len(y))
-            if enorm <= 1.0:
-                t += h
-                y = y_new
-                grow = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
-                h *= grow
+            try:
+                k, y_new, err5, err3 = _reference_rk_step(f, y, h)
+                scale = [atol + rtol * max(abs(y[c]), abs(y_new[c]))
+                         for c in range(len(y))]
+                e5 = _left_sum((err5[c] / scale[c]) ** 2
+                               for c in range(len(y)))
+                e3 = _left_sum((err3[c] / scale[c]) ** 2
+                               for c in range(len(y)))
+                finite = all(map(math.isfinite,
+                                 [*(s for stage in k for s in stage), *y_new,
+                                  e5, e3]))
+            except (OverflowError, ValueError):
+                finite = False
+            if not finite:
+                h *= 0.1
             else:
-                h *= max(0.1, 0.9 * enorm ** -0.25)
+                enorm = e5 / math.sqrt(len(y) * (e5 + 0.01 * e3)) if e5 else 0.0
+                if enorm <= 1.0:
+                    t += h
+                    y = y_new
+                    h *= 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.125)
+                else:
+                    h *= max(0.1, 0.9 * enorm ** -0.125)
             if abs(h) < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflowError("step underflow",
                                              span_reached=t - t0)
@@ -485,7 +586,8 @@ def test_two_state_kernel_matches_list_stepper_bit_for_bit(
         assert span == -5.0
     got = _counted_run(rk_integrate, *args, **kwargs)
     want = _counted_run(_reference_rk_integrate, *args, **kwargs)
-    # same samples to the bit and the same accepted and rejected steps
+    # same samples to the bit and the same accepted and rejected steps; each
+    # of the 50 sample times ends a step of twelve acceleration calls
     assert got == want
     assert len(got[0]) == 50 and got[1] > 600
 
@@ -726,8 +828,9 @@ def test_sine_amplitude_quadrature_oracle():
     q = first_integral(EquationParams.sine_gordon(), FR1, 3.0)
     for x1, x2 in [(0.1, 1.4), (-0.9, 0.3)]:
         p1, p2 = sol.evaluate_psi(x1), sol.evaluate_psi(x2)
-        val, _ = quad(lambda p: 1.0 / math.sqrt(2.0 * FR1.r * q.g_psi(p)),
-                      p1, p2, epsabs=1e-13, epsrel=1e-12)
+        with mp.workdps(30):
+            val = float(mp.quad(
+                lambda p: 1 / mp.sqrt(2 * FR1.r * q.g_psi(p)), [p1, p2]))
         assert abs(val) == pytest.approx(x2 - x1, abs=1e-10)
 
 
