@@ -1,30 +1,52 @@
-"""The seven inverse-square closed forms against the paper's formulas,
+"""The closed forms of the cubic families against the paper's formulas,
 evaluated at 30 digits.
 
-Liouville's soliton, periodic and rational solutions and the four
-degenerate (c1 = -3/2) cubic forms are each h = a + b / f(kappa (xi -
-xi0))^2, with f one of cosh, sinh, cos, sin, or f(d) = d.  Every oracle
-is blind to a shift of xi0 and to the reflection xi -> -xi, so only
-reference values check them.  Each form is taken through every family
-that builds it: Tzitzeica, Dodd-Bullough (the base form at (-c1, -lambda
-gamma)), and the reflections h(xi) = -h_parent(-xi) with the parent at
--xi0 (TDB of Dodd-Bullough, DBM of Tzitzeica).  Both branches, |lambda
-gamma| over [0.01, 100], xi0 != 0 and a k != 0 frame are covered.
+Every oracle is blind to a shift of xi0 and to the reflection xi -> -xi,
+so only reference values check them.  Each form is taken through every
+family that builds it: Tzitzeica, Dodd-Bullough (the base form at (-c1,
+-lambda gamma)), and the reflections h(xi) = -h_parent(-xi) with the
+parent at -xi0 (TDB of Dodd-Bullough, DBM of Tzitzeica).  |lambda gamma|
+over [0.01, 100], xi0 != 0 and a k != 0 frame are covered.
 
 The reference reads only the inputs: c1, the frame's lambda, k, omega
 and xi0, and xi, each exact as a float.  lambda gamma = lambda (omega^2
-- k^2) is formed at DPS digits, not taken from the frame.
+- k^2) is formed at DPS digits, not taken from the frame.  Each bound is
+conditioning x eps, eps = 2^-52, with the worst reading beside it.
 
-The bound is conditioning x eps, eps = 2^-52.  The phase kappa (xi -
-xi0) carries at most 2 eps of relative error: kappa is built from
-lambda gamma, a quotient and a square root, and the phase from a
-difference and a product.  Its effect on h is scaled by the phase
-condition number |d h/d phase| |phase| / |h|.  f, its square, the
-quotient and the final sum add at most 3 eps, relative to (|a| + |h -
-a|) / |h|, which is large where a + b / f^2 cancels.  psi = log h may
-miss by the same bound plus eps |psi|.  The worst reading over every
-case here is 0.41 of that bound (the Tzitzeica csc^2 form at lambda
+The inverse-square forms
+------------------------
+Liouville's soliton, periodic and rational solutions and the four
+degenerate (c1 = -3/2) cubic forms are each h = a + b / f(kappa (xi -
+xi0))^2, with f one of cosh, sinh, cos, sin, or f(d) = d; both branches
+are covered.  The phase kappa (xi - xi0) carries at most 2 eps of
+relative error: kappa is built from lambda gamma, a quotient and a square
+root, and the phase from a difference and a product.  Its effect on h is
+scaled by the phase condition number |d h/d phase| |phase| / |h|.  f, its
+square, the quotient and the final sum add at most 3 eps, relative to
+(|a| + |h - a|) / |h|, which is large where a + b / f^2 cancels.  psi =
+log h may miss by the same bound plus eps |psi|.  The worst reading over
+every case here is 0.41 of that bound (the Tzitzeica csc^2 form at lambda
 gamma = -0.01, phase 12, k != 0 frame).
+
+The Weierstrass forms
+---------------------
+The Equianharmonic (c1 = 0) and general Weierstrass forms are h = 2
+lambda gamma p(xi - xi0; g2, g3) - c1/3 at the base constants, with g2 =
+c1^2 / (3 (lambda gamma)^2) and g3 = -(27 + 4 c1^3) / (108 (lambda
+gamma)^3), p from the polyroots and ellipfun construction of
+test_specfun_mpmath.  They are taken at both signs of lambda gamma, at c1
+with one real root of the cubic and with three, and at six points from
+0.05 to 12.71 real periods from xi0, where xi - xi0 is exact.  The phase
+carries at most 8 eps: the rate comes from the cubic's roots, their
+difference and a square root, and the rounding of the elliptic parameter
+moves the period, a drift that grows with the phase as the phase's own
+error does (the rounding of lambda gamma, a scale of the phase, adds half
+its own).  Its effect is scaled by the phase condition number |h'| |xi -
+xi0| / |h|, with |h'| = 2 |lambda gamma p'| and p'^2 = 4 p^3 - g2 p - g3.
+The value adds at most 4 eps relative to (|2 lambda gamma p| + |c1/3|) /
+|h|: the rounding of p itself and of the final sum, which cancels where h
+crosses 0.  The worst reading is 0.65 of that bound (the general form at
+c1 = 2.5, lambda gamma = 100, 3.37 periods out).
 """
 
 import math
@@ -32,8 +54,9 @@ import math
 import mpmath as mp
 import pytest
 
-from expwave.reduction import CaseLabel, FamilyLabel, FrameParams
+from expwave.reduction import C1_LEMNISCATIC, CaseLabel, FamilyLabel, FrameParams
 from expwave.solutions import construct
+from test_specfun_mpmath import _weierstrass_reference
 
 DPS = 30
 EPS = 2.0 ** -52
@@ -169,3 +192,64 @@ def test_inverse_square_forms_against_mpmath(family, c1, sign, branch, case,
                         bound + EPS * float(abs(psi_ref)), (frame, xi)
                 else:
                     assert math.isnan(psi)
+
+
+#: eps multiples of the Weierstrass forms' phase and value (see above)
+P_PHASE_EPS = 8.0
+P_VALUE_EPS = 4.0
+
+#: base (Tzitzeica) c1 of the Weierstrass forms: the Equianharmonic c1 = 0,
+#: general ones with one real root of the cubic (c1 > -3/2) and with three
+#: (c1 < -3/2); the lemniscatic c1 is a general form at lambda gamma < 0
+P_FORMS = [(c1, s) for c1 in (0.0, 1.0, -0.7, 2.5, -2.0, -3.5)
+           for s in (1.0, -1.0)] + [(C1_LEMNISCATIC, -1.0)]
+
+#: where the points sit, in real periods from xi0
+P_PERIODS = (0.05, 0.23, 0.5, 0.77, 3.37, 12.71)
+
+
+def _short(x: float) -> float:
+    """x rounded to 30 bits, so that xi0 +- x is exact."""
+    m, e = math.frexp(x)
+    return math.ldexp(round(math.ldexp(m, 30)), e - 30)
+
+
+@pytest.mark.parametrize("mag", [0.01, 0.37, 4.2, 100.0])
+@pytest.mark.parametrize("c1, sign", P_FORMS,
+                         ids=[f"{c1}-{s:+}" for c1, s in P_FORMS])
+def test_weierstrass_forms_against_mpmath(c1, sign, mag):
+    base_lg = sign * mag
+    for frame_at in (lambda lg: FrameParams.from_lambda_gamma(lg, xi0=0.75),
+                     lambda lg: FrameParams(lam=lg / 3.0, k=1.0, omega=2.0,
+                                            xi0=-1.875)):
+        # the four families at the same base constants: the sign-mapped ones
+        # at (-c1, -lambda gamma), the reflected ones read at xi0 - (xi - xi0)
+        sols = [(fam, construct(fam, s * c1, frame_at(s * base_lg)))
+                for fam, s in ((TZ, 1.0), (DB, -1.0), (TDB, -1.0), (DBM, 1.0))]
+        frame = sols[0][1].frame
+        period = sols[0][1].params["period"]
+        with mp.workdps(DPS):
+            lam, k, omega = (mp.mpf(v) for v in (frame.lam, frame.k, frame.omega))
+            lg = lam * (omega * omega - k * k)
+            c, r = mp.mpf(c1), 1 / lg
+            g2 = c * c * r * r / 3
+            g3 = -r ** 3 * (27 + 4 * c ** 3) / 108
+            p = _weierstrass_reference(g2, g3)
+            for n in P_PERIODS:
+                d = _short(n * period)
+                p_ref = p(d)
+                h_ref = 2 * lg * p_ref - c / 3
+                slope = 2 * lg * mp.sqrt(abs(4 * p_ref ** 3 - g2 * p_ref - g3))
+                cond_phase = abs(slope * d / h_ref)
+                cond_value = (abs(2 * lg * p_ref) + abs(c / 3)) / abs(h_ref)
+                bound = EPS * float(P_PHASE_EPS * cond_phase
+                                    + P_VALUE_EPS * cond_value)
+                for fam, sol in sols:
+                    assert sol.case in (CaseLabel.Equianharmonic,
+                                        CaseLabel.GeneralWeierstrass)
+                    xi0 = sol.frame.xi0
+                    reflect = fam in (TDB, DBM)
+                    xi = xi0 - d if reflect else xi0 + d
+                    ref = -h_ref if reflect else h_ref
+                    h = sol.evaluate_h(xi)
+                    assert float(abs((h - ref) / ref)) <= bound, (fam, frame, xi)
