@@ -23,9 +23,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: the fields each kind uses, in the order ``to_json`` writes them; the
+#: unused ones keep their defaults (NaN for the floats)
+_FIELDS = {
+    "none": (),
+    "isolated": ("points",),
+    "lattice": ("offset", "period"),
+    "half_line": ("points", "valid_side"),
+    "lattice_windows": ("offset", "period", "half_width"),
+}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Singularities:
+    """One singular set.  Two are equal, and hash alike, when their kind
+    and the fields that kind uses are equal; the NaN defaults of the
+    unused fields take no part."""
+
     kind: str = "none"
     points: tuple[float, ...] = ()
     offset: float = math.nan
@@ -113,17 +127,24 @@ class Singularities:
         return Singularities.lattice_windows(-self.offset, self.period,
                                              self.half_width)
 
+    def _key(self) -> tuple:
+        return (self.kind, *(getattr(self, f) for f in _FIELDS[self.kind]))
+
+    def __eq__(self, other) -> bool:
+        if other is self:
+            return True
+        if not isinstance(other, Singularities):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def to_json(self) -> dict:
         d: dict = {"kind": self.kind}
-        if self.kind in ("isolated", "half_line"):
-            d["points"] = list(self.points)
-        if self.kind == "half_line":
-            d["valid_side"] = self.valid_side
-        if self.kind in ("lattice", "lattice_windows"):
-            d["offset"] = self.offset
-            d["period"] = self.period
-        if self.kind == "lattice_windows":
-            d["half_width"] = self.half_width
+        for f in _FIELDS[self.kind]:
+            v = getattr(self, f)
+            d[f] = list(v) if f == "points" else v
         return d
 
     def default_pad(self) -> float:

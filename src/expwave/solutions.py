@@ -13,7 +13,9 @@ explicit ``branch`` argument defaulting to +1.
 
 Dodd-Bullough reads the base cubic forms at (-c1, -lambda gamma) and the
 two reflection families wrap their parent's evaluator literally as
-h(xi) = -h_parent(-xi), so the catalogued dualities hold bit-exactly.
+h(xi) = -h_parent(-xi), so the catalogued dualities hold bit-exactly;
+the Weierstrass forms are the exception, each built from the roots of
+its family's own cubic.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Callable
 from .errors import (
     CaseMismatchError,
     DomainError,
+    PoleProximityError,
     SignDomainError,
     UnsupportedFamilyError,
 )
@@ -38,6 +41,7 @@ from .reduction import (
     FamilyLabel,
     FrameParams,
     _cubic,
+    _roots_in_h,
     classify_case,
     range_error,
 )
@@ -47,8 +51,9 @@ from .specfun.hypergeometric import gauss_2f1
 from .specfun.weierstrass import prepare_weierstrass
 
 # ellint_k, jacobi_am and jacobi_sn_cn_dn are no longer called here (each
-# evaluator holds a _PreparedJacobi); they stay bound only because
-# perfbench/tracer.py wraps them by these names.
+# evaluator holds a _PreparedJacobi), nor is prepare_weierstrass (the
+# Weierstrass forms are built from the roots of their own cubic); they stay
+# bound only because perfbench/tracer.py wraps them by these names.
 
 SQRT3 = math.sqrt(3.0)
 
@@ -239,6 +244,104 @@ _DEGENERATE = {(CaseLabel.Degenerate1a, 1): (-1.5, math.cosh),
                (CaseLabel.Degenerate1b, -1): (-1.5, math.sin)}
 
 
+def _pole_error(dist: float, limit: float) -> PoleProximityError:
+    return PoleProximityError(
+        f"z within {limit:.3e} of a Weierstrass pole (distance {dist:.3e})",
+        distance=dist, limit=limit)
+
+
+def _weierstrass_form(family: FamilyLabel, c1: float,
+                      frame: FrameParams) -> tuple:
+    """(evaluator, singularities, params) of the Equianharmonic and general
+    Weierstrass forms of a cubic family, from the roots of its own cubic
+    (h')^2 = a3 h^3 + a2 h^2 + a0 (Byrd and Friedman, Handbook of Elliptic
+    Integrals, 1971, the 230-series; DLMF 22.13).  This is h = (4/a3)
+    p(xi - xi0; g2, g3) - a2/(3 a3), which is lg (2 p - c1/(3 lg)) at the
+    base constants, for each family alike; its real branch runs from a
+    turning root out to the poles xi0 + n period.  With s = sign(a3):
+
+      three real roots, s h1 > s h2 > s h3:
+          h = h3 + (h1 - h3) / sn^2(kappa (xi - xi0) | m)
+            = h1 + (h1 - h3) cn^2/sn^2,
+          kappa = sqrt(a3 (h1 - h3)) / 2, mc = (h1 - h2)/(h1 - h3);
+      one real root h1 and the pair b +- i a, d = s (b - h1),
+      A = sqrt(d^2 + a^2):
+          h = h1 + s A (1 + cn(kappa (xi - xi0) | m)) / (1 - cn(...))
+            = h0 + 2 s A cn / (1 - cn),  h0 = b + 2 s A mc = h1 + s A,
+          kappa = sqrt(|a3| A), mc = (A - d)/(2 A) = a^2 / (2 A (A + d)).
+
+    The second forms are the ones evaluated, as they cancel less.  At
+    large |c1| the roots are far apart, and h lingers near a value much
+    smaller than they are (h1 in the first form, h0, where cn = 0, in the
+    second); each form keeps that value to its own rounding, where h3 +
+    ... or h1 + ... would subtract numbers of the roots' size.  cn / (1 -
+    cn) is taken as cn (1 + cn) / sn^2 where cn >= 0, so that 1 - cn does
+    not cancel near the poles.  mc is formed from the root differences,
+    where 1 - m would lose the digits of a small mc.  Within
+    1e-3 of a period of a pole the evaluator raises PoleProximityError.
+    Refused where r^3 = 1/(lambda gamma)^3 or the invariants' scale
+    max(|g2|^3, 27 g3^2) falls below the normal floats, or where the
+    roots or the rate leave the float range.
+    """
+    a0, _, a2, a3, inv = _cubic(family, frame, c1)
+    # below the normal floats, r^3 leaves g3 without its digits and the
+    # scale leaves the discriminant and the degeneracy test without theirs
+    if min(abs(frame.r) ** 3, inv.scale) < sys.float_info.min:
+        raise range_error(c1, frame.lambda_gamma, "the Weierstrass invariants")
+    roots = _roots_in_h(a0, a2, a3)
+    s = 1.0 if a3 > 0.0 else -1.0
+    if roots.all_real:
+        h1, h2, h3 = roots.real if s > 0.0 else roots.real[::-1]
+        span = h1 - h3
+        mc = (h1 - h2) / span
+        kappa = 0.5 * math.sqrt(abs(a3 * span))
+        quarters = 2.0  # the period is 2 K / kappa
+    else:
+        h1 = roots.real[0]
+        b, a = roots.complex_pair
+        d = s * (b - h1)
+        big_a = math.hypot(d, a)
+        mc = a * a / (2.0 * big_a * (big_a + d)) if d > 0.0 else \
+            (big_a - d) / (2.0 * big_a)
+        two_sa = 2.0 * s * big_a
+        h0 = b + two_sa * mc
+        kappa = math.sqrt(abs(a3) * big_a)
+        quarters = 4.0  # the period is 4 K / kappa
+    if not 0.0 <= mc <= 1.0:  # a root past the float range
+        raise range_error(c1, frame.lambda_gamma, "the roots of the cubic")
+    kappa = _rate(kappa, c1, frame)
+    jac = _PreparedJacobi(1.0 - mc, mc)
+    period = quarters * jac.k / kappa if mc > 0.0 else math.inf
+    periodic = period < math.inf
+    eps_pole = 1.0e-3 * (period if periodic else 1.0)
+    xi0 = frame.xi0
+    sncndn = jac.sn_cn_dn
+    if roots.all_real:
+        def h_fn(xi: float, periodic=periodic, period=period) -> float:
+            z = xi - xi0
+            dist = abs(z - period * round(z / period)) if periodic else abs(z)
+            if dist < eps_pole:
+                raise _pole_error(dist, eps_pole)
+            sn, cn, _ = sncndn(kappa * z)
+            t = cn / sn
+            return h1 + span * (t * t)
+    else:
+        def h_fn(xi: float, periodic=periodic, period=period) -> float:
+            z = xi - xi0
+            dist = abs(z - period * round(z / period)) if periodic else abs(z)
+            if dist < eps_pole:
+                raise _pole_error(dist, eps_pole)
+            sn, cn, _ = sncndn(kappa * z)
+            if cn >= 0.0:
+                return h0 + two_sa * (cn * (1.0 + cn) / (sn * sn))
+            return h0 + two_sa * (cn / (1.0 - cn))
+    params = {"g2": inv.g2, "g3": inv.g3}
+    if periodic:
+        params["period"] = period
+        return h_fn, Singularities.lattice(xi0, period), params
+    return h_fn, Singularities.isolated(xi0), params
+
+
 def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
                branch: int, case: CaseLabel) -> tuple:
     """Cubic-route solutions of the h - 1/h^2 source (Tzitzeica) and of
@@ -251,10 +354,8 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
                      -1 1 - (3/2) csc^2 (all by _inverse_square)
       Lemniscatic    c1 = -3/cbrt(4), lambda gamma > 0: bounded cnoidal wave
       Equianharmonic (c1 = 0) and GeneralWeierstrass:
-                     h = lg (2 p(xi - xi0; g2, g3) - c1/(3 lg)), with the
-                     invariants g2, g3 of reduction's cubic; refused where
-                     r^3 = 1/(lambda gamma)^3 or the invariants' scale
-                     max(|g2|^3, 27 g3^2) falls below the normal floats
+                     h = lg (2 p(xi - xi0; g2, g3) - c1/(3 lg)), built by
+                     _weierstrass_form for every family from its own cubic
 
     DoddBullough (the -h + 1/h^2 source) reads these base forms at
     (-c1, -lambda gamma).  The two reflection variants are
@@ -263,6 +364,8 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
     DoddBulloughMikhailov the Tzitzeica ones.  The case is the variant's
     own, and the parent's evaluator, built at -xi0, is wrapped in place.
     """
+    if case in (CaseLabel.Equianharmonic, CaseLabel.GeneralWeierstrass):
+        return (*_weierstrass_form(family, c1, frame), None)
     base_c1, lg = c1, frame.lambda_gamma
     if family in SIGN_MAPPED_FAMILIES:
         base_c1, lg = -c1, -lg
@@ -275,7 +378,7 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
         h_fn, sing, params = _inverse_square(
             1.0, *_DEGENERATE[case, branch], kappa, xi0)
 
-    elif case is CaseLabel.Lemniscatic:
+    else:  # Lemniscatic
         scale = 3.0 ** 0.25 / (CBRT2 * math.sqrt(lg))
         # cn parameter 1/2 = (sqrt(2)/2)^2: modulus-convention sources
         # quote sqrt(2)/2, squared here per the package-wide convention
@@ -288,24 +391,6 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
         bounded = True
         params = {"scale": scale, "modulus_parameter": 0.5,
                   "period": 2.0 * jac.k / scale}
-
-    else:  # Equianharmonic, GeneralWeierstrass
-        # the invariants are the family's own: the map to the base constants
-        # negates c1 and r exactly, so they equal the base form's bit for bit
-        inv = _cubic(family, frame, c1)[4]
-        # below the normal floats, r^3 leaves g3 without its digits and the
-        # scale leaves the discriminant and the degeneracy test without theirs
-        if min(abs(frame.r) ** 3, inv.scale) < sys.float_info.min:
-            raise range_error(c1, frame.lambda_gamma, "the Weierstrass invariants")
-        prep = prepare_weierstrass(inv)
-        def h_fn(xi: float, p=prep.eval, f=lg, sh=base_c1 / (3.0 * lg)) -> float:
-            return f * (2.0 * p(xi - xi0) - sh)
-        params = {"g2": inv.g2, "g3": inv.g3}
-        if prep.periodic:
-            sing = Singularities.lattice(xi0, prep.real_period)
-            params["period"] = prep.real_period
-        else:
-            sing = Singularities.isolated(xi0)
 
     if reflect:  # the cubic parents are h-native
         parent_h = h_fn

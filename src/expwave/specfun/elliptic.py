@@ -43,25 +43,32 @@ class _PreparedJacobi:
     transformation.  K(m) is computed on first use, since sn_cn_dn never
     needs it.  Each result is bit-identical to building all of this per
     call.
+
+    The ladder and K read the complementary parameter mc = 1 - m.  A
+    caller that can form mc without the cancellation of 1 - m passes it
+    as ``mc``, beside m = 1 - mc; any mc > 0 takes the ladder, also where
+    1 - mc rounds to 1.  m > 1 passes (m - 1)/m to the prepared 1/m.
     """
 
-    __slots__ = ("m", "_k", "_ladder", "_c", "_rk", "_inner")
+    __slots__ = ("m", "_mc", "_k", "_ladder", "_c", "_rk", "_inner")
 
-    def __init__(self, m: float):
+    def __init__(self, m: float, mc: float | None = None):
+        if mc is None:
+            mc = 1.0 - m
         self.m = m
+        self._mc = mc
         self._k = None
         self._ladder = ()
         self._c = 0.0
         self._rk = 1.0
         self._inner = None
-        if not math.isfinite(m) or m == 0.0 or m == 1.0:
+        if not math.isfinite(m) or m == 0.0 or mc == 0.0:
             return  # raised on, or closed forms, in sn_cn_dn and am
         if m > 1.0:
             self._rk = math.sqrt(m)
-            self._inner = _PreparedJacobi(1.0 / m)
+            self._inner = _PreparedJacobi(1.0 / m, (m - 1.0) / m)
             return
         a = 1.0
-        mc = 1.0 - m
         c = 0.0
         ladder = []
         for _ in range(16):
@@ -78,9 +85,11 @@ class _PreparedJacobi:
 
     @property
     def k(self) -> float:
-        """K(m); raises DomainError unless m < 1."""
+        """K(m) = R_F(0, mc, 1); raises DomainError unless mc > 0."""
         if self._k is None:
-            self._k = ellint_k(self.m)
+            if not self._mc > 0.0:
+                raise DomainError("K(m) is finite only for m < 1")
+            self._k = carlson_rf(0.0, self._mc, 1.0)
         return self._k
 
     def sn_cn_dn(self, u: float) -> tuple[float, float, float]:
@@ -159,9 +168,9 @@ def jacobi_sn_cn_dn(u: float, m: float) -> tuple[float, float, float]:
     sqrt(max(1, |m|))) absolute, dn within that times sqrt(max(1, 1 - m)).
     The |u| term is conditioning, the rounding of the scaled argument:
     jacobi_sn_cn_dn(1e4, -1e6) gives dn = 1.29 only to about 5e-10
-    relative.  For m > 1 the bound holds at the parameter 1/fl(1/m), within
-    an ulp of m; just above m = 1, where the functions are steep in m,
-    that ulp alone moves sn(47; 1 + 1e-9) by 2e-9.
+    relative.  For m > 1 the descent of 1/m starts from its complement
+    fl((m - 1)/m), not 1 - fl(1/m), so the bound holds at m itself just
+    above m = 1 too, where the functions are steep in m.
     """
     return _PreparedJacobi(m).sn_cn_dn(u)
 

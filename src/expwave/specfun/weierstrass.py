@@ -48,10 +48,6 @@ DELTA_REL_TOL = 1.0e-12
 _POLE_FRACTION = 1.0e-3
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 @dataclass(frozen=True)
 class WeierstrassInvariants:
     """Invariant pair (g2, g3) with the modular discriminant attached."""
@@ -106,7 +102,7 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
             return CubicRoots(real=(0.0, 0.0, 0.0))
         # the double root, g3 = -8 d^3; the simple root is -2d.  The one
         # formula for it: prepare_weierstrass and elliptic_data read it here
-        d = -_cbrt(g3) / 2.0
+        d = -math.cbrt(g3) / 2.0
         roots = sorted((d, d, -2.0 * d), reverse=True)
         return CubicRoots(real=tuple(roots))
     if inv.delta > 0.0:
@@ -120,7 +116,7 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
         return CubicRoots(real=tuple(roots))
     disc = (qd / 2.0) ** 2 + (pd / 3.0) ** 3  # > 0 here
     w = -qd / 2.0 - math.copysign(math.sqrt(disc), qd)
-    u = _cbrt(w)
+    u = math.cbrt(w)
     v = 0.0 if u == 0.0 else -pd / (3.0 * u)
     e_real = u + v
     re = -e_real / 2.0

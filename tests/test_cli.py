@@ -716,17 +716,19 @@ ROBUST_COMMANDS = (["classify"], ["solve"], ["sample", "--n", "5"],
 
 
 @pytest.mark.parametrize("family, c1, lg", [
-    ("tzitzeica", "1e15", "1"), ("dodd-bullough", "1e15", "1"),
-    ("tzitzeica-dodd-bullough", "1e15", "1"),
+    ("tzitzeica", "1e15", "1"), ("dodd-bullough", "-1e15", "-1"),
+    ("tzitzeica-dodd-bullough", "-1e15", "-1"),
     ("dodd-bullough-mikhailov", "1e15", "1"),
     ("sine-gordon", "0", "3e-308")])
 def test_verify_shooting_gives_up_in_bounded_work(monkeypatch, capsys,
                                                   family, c1, lg):
-    # the cubic families at c1 = 1e15 need steps of ~4e-9 over a span of
-    # 5, far above the collapse floor, and stop at the step limit;
-    # sine-Gordon at lambda gamma = 3e-308 raises math's domain error in
-    # its stages, which rejects the steps until they collapse.  Each exits
-    # 3 with one line, after at most RK_MAX_STEPS steps of 12 calls
+    # the cubic families at the base constants c1 = 1e15, lambda gamma = 1
+    # (Dodd-Bullough and TDB at their images (-c1, -lambda gamma)) shoot
+    # from h = -1e15 across a climb of some 23 decades in 1.6e-6 and
+    # collapse the step; sine-Gordon at lambda gamma = 3e-308 raises math's
+    # domain error in its stages, which rejects the steps until they
+    # collapse.  Each exits 3 with one line, after at most RK_MAX_STEPS
+    # steps of 12 calls
     import expwave.verify as verify
 
     calls = [0]

@@ -55,9 +55,9 @@ def test_traced_bindings_are_called(monkeypatch):
     finally:
         t.detach()
     assert code == 0
-    # every evaluation of a Weierstrass case goes through the prepared
-    # eval, so its span counts each one
-    assert w_evals == evals > 0
+    # the Weierstrass cases are built from the roots of their own cubic in
+    # h: no evaluation calls the prepared eval
+    assert w_evals == 0 < evals
     for span in [f"verify.{o}" for o in ORACLES] + ["solutions.construct"]:
         assert t.stats[span][0] == 1, span
     assert t.evals["ode_residual"] > 0
@@ -77,7 +77,7 @@ def test_traced_bindings_are_called(monkeypatch):
     finally:
         t.detach()
     assert code == 0
-    assert w_evals == evals > 0
+    assert w_evals == 0 < evals
 
 
 def _workloads(monkeypatch):

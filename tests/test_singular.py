@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from expwave.singular import Singularities
@@ -70,3 +71,34 @@ def test_reflected_is_the_mirror_image_bit_for_bit(sing, xi, n, k):
     for x in xs:
         assert mirror.distance(-x).hex() == sing.distance(x).hex(), (sing, x)
         assert mirror.is_valid(-x) == sing.is_valid(x), (sing, x)
+
+
+KINDS = [
+    lambda: Singularities.none(),
+    lambda: Singularities.isolated(0.0),
+    lambda: Singularities.isolated(1.5, -2.0, 7.0),
+    lambda: Singularities.lattice(0.0, 1.0),
+    lambda: Singularities.half_line(0.5, -1),
+    lambda: Singularities.lattice_windows(0.25, 2.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("make", KINDS)
+def test_each_kind_equals_itself_and_its_double_reflection(make):
+    # the fields a kind does not use default to NaN, which equals nothing;
+    # equality and the hash read only the fields the kind uses
+    sing = make()
+    for other in (sing, make(), sing.reflected().reflected()):
+        assert sing == other and hash(sing) == hash(other)
+        assert other.to_json() == sing.to_json()
+    assert len({sing, make()}) == 1
+
+
+def test_sets_that_differ_in_a_used_field_are_unequal():
+    assert Singularities.lattice(0.0, 1.0) != Singularities.lattice(0.0, 2.0)
+    assert Singularities.lattice(0.0, 1.0) != Singularities.lattice(0.5, 1.0)
+    assert Singularities.half_line(0.0, 1) != Singularities.half_line(0.0, -1)
+    assert Singularities.isolated(0.0) != Singularities.half_line(0.0, 1)
+    assert (Singularities.lattice_windows(0.0, 1.0, 0.25)
+            != Singularities.lattice_windows(0.0, 1.0, 0.3))
+    assert Singularities.none() != Singularities.isolated()

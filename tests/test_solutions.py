@@ -652,20 +652,25 @@ def test_construct_builds_one_solution(monkeypatch):
 
 def test_construct_solves_the_cubic_only_for_weierstrass_forms(monkeypatch):
     # classify_case reads the case from c1 and lambda gamma, so only the
-    # prepared Weierstrass evaluator of the equianharmonic and general cases
-    # solves the cubic, once per construct
+    # equianharmonic and general cases solve a cubic, their own in h, once
+    # per construct; no construct solves the cubic of the invariants
     import expwave.reduction as reduction
+    import expwave.solutions as solutions
     import expwave.specfun.weierstrass as weierstrass
 
     calls = []
-    solve = weierstrass.solve_weierstrass_cubic
 
-    def counting(*args):
-        calls.append(args)
-        return solve(*args)
+    def counting(solve):
+        def counted(*args):
+            calls.append(solve)
+            return solve(*args)
+        return counted
 
     for owner in (reduction, weierstrass):
-        monkeypatch.setattr(owner, "solve_weierstrass_cubic", counting)
+        monkeypatch.setattr(owner, "solve_weierstrass_cubic",
+                            counting(weierstrass.solve_weierstrass_cubic))
+    monkeypatch.setattr(solutions, "_roots_in_h",
+                        counting(reduction._roots_in_h))
     solved = {CaseLabel.Equianharmonic, CaseLabel.GeneralWeierstrass}
     seen = set()
     for family in (FamilyLabel.Tzitzeica, FamilyLabel.DoddBullough,
@@ -676,7 +681,8 @@ def test_construct_solves_the_cubic_only_for_weierstrass_forms(monkeypatch):
                        -C1_LEMNISCATIC):
                 calls.clear()
                 sol = construct(family, c1, frame)
-                assert len(calls) == (sol.case in solved), (family, frame, c1)
+                assert calls == [reduction._roots_in_h] * (sol.case in solved), (
+                    family, frame, c1)
                 seen.add(sol.case)
     assert seen == solved | {CaseLabel.Degenerate1a, CaseLabel.Degenerate1b,
                              CaseLabel.Lemniscatic}

@@ -8,7 +8,10 @@ which sends them through the sn kind at the Jacobi parameters m = 1 and
 m = 0.  POLES holds the PoleProximityError message,
 distance and limit at one z inside each exclusion radius.  Both tables
 were generated by the evaluator as it stood before its pole test moved
-inline, and must not change.
+inline, and must not change, except the eight cn rows and the cn pole
+row, which moved (by up to 95 ulps of p at z = -12.3) when Cardano's
+cube root became math.cbrt: each row's error against a 40-digit mpmath
+p and p' stays within 4.2e-15 (8.3e-15 before).
 """
 
 import pytest
@@ -55,14 +58,14 @@ PINNED = [
     (4.0, 1.0, False, 5.1, '0x1.9b79f64249c5ap+4', '-0x1.04a302cbf072bp+8'),
     (4.0, 1.0, False, -12.3, '0x1.0dc007e6d0054p+9', '0x1.87983a66df2a2p+14'),
     # cn
-    (1.0, 1.0, False, 0.1, '0x1.9000840229abbp+6', '-0x1.f3ff59d18ff8ap+10'),
-    (1.0, 1.0, False, -0.1, '0x1.9000840229abbp+6', '0x1.f3ff59d18ff8ap+10'),
-    (1.0, 1.0, False, 0.37, '0x1.d3f9c01c50139p+2', '-0x1.3b853e254ad7bp+5'),
-    (1.0, 1.0, False, 0.9, '0x1.4c97c722738d2p+0', '-0x1.45a4daf4ce6a0p+1'),
-    (1.0, 1.0, False, -1.7, '0x1.be370bfac0df9p-1', '-0x1.c31a9e76f3ed1p-1'),
-    (1.0, 1.0, False, 2.3, '0x1.8e74ffd2d2a3bp+1', '0x1.597786ed6b4f6p+3'),
-    (1.0, 1.0, False, 5.1, '0x1.3e9b97ae6864bp+1', '0x1.e83e581dee80bp+2'),
-    (1.0, 1.0, False, -12.3, '0x1.84a8e36e48224p+0', '0x1.b1ad5a4c057d5p+1'),
+    (1.0, 1.0, False, 0.1, '0x1.9000840229ab8p+6', '-0x1.f3ff59d18ff82p+10'),
+    (1.0, 1.0, False, -0.1, '0x1.9000840229ab8p+6', '0x1.f3ff59d18ff82p+10'),
+    (1.0, 1.0, False, 0.37, '0x1.d3f9c01c5013ap+2', '-0x1.3b853e254ad79p+5'),
+    (1.0, 1.0, False, 0.9, '0x1.4c97c722738d2p+0', '-0x1.45a4daf4ce6a2p+1'),
+    (1.0, 1.0, False, -1.7, '0x1.be370bfac0df4p-1', '-0x1.c31a9e76f3ebcp-1'),
+    (1.0, 1.0, False, 2.3, '0x1.8e74ffd2d2a2ep+1', '0x1.597786ed6b4e5p+3'),
+    (1.0, 1.0, False, 5.1, '0x1.3e9b97ae6863cp+1', '0x1.e83e581dee7e9p+2'),
+    (1.0, 1.0, False, -12.3, '0x1.84a8e36e48254p+0', '0x1.b1ad5a4c05834p+1'),
     # (3, -1) forced general: the sn kind at m = 1
     (3.0, -1.0, True, 0.1, '0x1.900188481fb2ep+6', '-0x1.f3fe16d02f09ap+10'),
     (3.0, -1.0, True, -0.1, '0x1.900188481fb2ep+6', '0x1.f3fe16d02f09ap+10'),
@@ -90,7 +93,7 @@ POLES = [
     (3.0, -1.0, False, '0x1.0cf85ea4b0368p-10', 'z within 2.565e-03 of a Weierstrass pole (distance 1.026e-03)', '0x1.0cf85ea4b0368p-10', '0x1.5036764ddc442p-9'),
     (3.0, 1.0, False, '0x1.4876ce93ddb08p+1', 'z within 2.565e-03 of a Weierstrass pole (distance 1.026e-03)', '0x1.0cf85ea4b0000p-10', '0x1.5036764ddc442p-9'),
     (4.0, 1.0, False, '0x1.39e74214247d3p+1', 'z within 2.451e-03 of a Weierstrass pole (distance 9.806e-04)', '0x1.010bfb8f85800p-10', '0x1.414efa7366f64p-9'),
-    (1.0, 1.0, False, '0x1.6f53fb4542bc9p+1', 'z within 2.869e-03 of a Weierstrass pole (distance 1.147e-03)', '0x1.2ccb79845c000p-10', '0x1.77fe57e572e26p-9'),
+    (1.0, 1.0, False, '0x1.6f53fb4542bc9p+1', 'z within 2.869e-03 of a Weierstrass pole (distance 1.147e-03)', '0x1.2ccb79845b800p-10', '0x1.77fe57e572e27p-9'),
     (3.0, -1.0, True, '0x1.a36e2eb1c432dp-12', 'z within 1.000e-03 of a Weierstrass pole (distance 4.000e-04)', '0x1.a36e2eb1c432dp-12', '0x1.0624dd2f1a9fcp-10'),
     (3.0, 1.0, True, '0x1.4876ce93ddb08p+1', 'z within 2.565e-03 of a Weierstrass pole (distance 1.026e-03)', '0x1.0cf85ea4b0000p-10', '0x1.5036764ddc442p-9'),
 ]
