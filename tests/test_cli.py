@@ -778,3 +778,44 @@ def test_cli_robustness_sweep(capsys):
                         assert len(lines) == 1, (argv, err)
                     calls += 1
     assert calls == 2772
+
+
+def test_sample_at_large_c1_is_not_a_constant(capsys):
+    # the Weierstrass form built from p fell into p's degenerate snap band
+    # from |c1| ~ 2.4e4 on, and this printed h = 8.276e-10 and an
+    # ode_residual of 1 on every row with exit 0; built from the roots of
+    # the cubic in h it is even about xi0 and takes a value per row
+    code = main(["sample", "--family", "tzitzeica", "--c1", "3e4",
+                 "--lambda-gamma", "1", "--n", "5"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    h = {float(xi): float(hv) for xi, hv, _, _ in rows}
+    assert sorted(h) == [-10.0, -5.0, 5.0, 10.0]  # xi = 0 is a pole
+    assert h[-10.0] == h[10.0] != h[5.0] == h[-5.0]
+    assert max(float(res) for *_, res in rows) < 1e-3
+    sol = construct(FamilyLabel.Tzitzeica, 3e4, FrameParams.from_lambda_gamma(1.0))
+    # a 60-digit reference reads 30.972260751188825; the phase kappa xi ~
+    # 1.2e3 is rounded to a few eps, so h carries ~1e-12 of it
+    assert h[5.0] == sol.evaluate_h(5.0) == pytest.approx(30.972260751188825,
+                                                          rel=1e-11)
+
+
+@pytest.mark.parametrize("c1", ["3e4", "-3e4", "1e5", "-1e5", "1e6", "-1e6"])
+@pytest.mark.parametrize("family", ["tzitzeica", "dodd-bullough",
+                                    "tzitzeica-dodd-bullough",
+                                    "dodd-bullough-mikhailov"])
+def test_verify_at_large_c1_ends_in_a_verdict_or_one_line(capsys, family, c1):
+    # at |c1| >= 3e4 the forms vary on a scale 1/sqrt(2 |c1|) of the window
+    # and the oracles' differences no longer resolve them, so verify may
+    # report a failing oracle (exit 1); it never passes a wrong h, never
+    # raises, and a refusal is one line
+    code = main(["verify", "--family", family, "--c1", c1,
+                 "--lambda-gamma", "1", "--n", "16"])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code == 3:
+        assert len(err.splitlines()) == 1, err
+        return
+    reports = json.loads(out)
+    assert code == (0 if all(r["pass"] for r in reports) else 1)

@@ -45,8 +45,23 @@ its own).  Its effect is scaled by the phase condition number |h'| |xi -
 xi0| / |h|, with |h'| = 2 |lambda gamma p'| and p'^2 = 4 p^3 - g2 p - g3.
 The value adds at most 4 eps relative to (|2 lambda gamma p| + |c1/3|) /
 |h|: the rounding of p itself and of the final sum, which cancels where h
-crosses 0.  The worst reading is 0.65 of that bound (the general form at
-c1 = 2.5, lambda gamma = 100, 3.37 periods out).
+crosses 0.  The worst reading is 0.55 of that bound (the Equianharmonic
+form at lambda gamma = -0.01, half a period out, k != 0 frame; 0.65 when
+the forms were built from p).
+
+At large |c1| the same forms are checked at lambda gamma = +-1 and c1 =
++-3e4, +-1e6 and +-1e15, with the reference at BIG_DPS = 60 digits, since
+2 lambda gamma p - c1/3 cancels about log10 |c1| of them.  There the cubic
+in h has one root of size |c1| and two of size |c1|^(-1/2), h spends most
+of a period far below |c1|, and the value term above would excuse any
+loss to that cancellation.  The bound is intrinsic instead: the phase
+term, plus 4 eps x |dh/dc1| |c1| / |h|, since c1 reaches the roots
+through a2/a0 = fl(fl(2 c1 r)/r), within 2 eps of 2 c1, and the roots
+come within 2 eps of those of the rounded cubic, plus 4 eps for the
+roots' own rounding and the final sums.  dh/dc1 is a central difference
+of the reference at c1 (1 +- 1e-20).  The worst reading is 0.24 of that
+bound; p built from the invariants returned a constant from |c1| ~ 2.4e4
+on, and misses by 1e-12 relative already at c1 = 10.
 """
 
 import math
@@ -253,3 +268,53 @@ def test_weierstrass_forms_against_mpmath(c1, sign, mag):
                     ref = -h_ref if reflect else h_ref
                     h = sol.evaluate_h(xi)
                     assert float(abs((h - ref) / ref)) <= bound, (fam, frame, xi)
+
+
+BIG_DPS = 60
+#: eps multiples of c1's rounding and of the value's at large |c1|
+P_C1_EPS = 4.0
+P_ROUND_EPS = 4.0
+
+#: (c1, sign of lambda gamma) at the base constants; one real root of the
+#: cubic for c1 > 0, three for c1 < 0
+BIG_C1 = [(c1, s) for c1 in (3e4, -3e4, 1e6, -1e6, 1e15, -1e15)
+          for s in (1.0, -1.0)]
+
+
+def _base_form(c1, lg):
+    """(d -> h, p, g2, g3) of the base form at DPS-digit constants."""
+    r = 1 / lg
+    g2 = c1 * c1 * r * r / 3
+    g3 = -r ** 3 * (27 + 4 * c1 ** 3) / 108
+    p = _weierstrass_reference(g2, g3)
+    return (lambda d: 2 * lg * p(d) - c1 / 3), p, g2, g3
+
+
+@pytest.mark.parametrize("c1, sign", BIG_C1,
+                         ids=[f"{c1:g}-{s:+}" for c1, s in BIG_C1])
+def test_weierstrass_forms_at_large_c1_against_mpmath(c1, sign):
+    sols = [(fam, construct(fam, s * c1,
+                            FrameParams.from_lambda_gamma(s * sign, xi0=0.75)))
+            for fam, s in ((TZ, 1.0), (DB, -1.0), (TDB, -1.0), (DBM, 1.0))]
+    assert {sol.case for _, sol in sols} == {CaseLabel.GeneralWeierstrass}
+    period = sols[0][1].params["period"]
+    with mp.workdps(BIG_DPS):
+        lg, c, step = mp.mpf(sign), mp.mpf(c1), mp.mpf(10) ** -20
+        h, p, g2, g3 = _base_form(c, lg)
+        h_up = _base_form(c * (1 + step), lg)[0]
+        h_down = _base_form(c * (1 - step), lg)[0]
+        for n in (0.05, 0.3, 0.5, 0.55, 3.37):
+            d = _short(n * period)
+            p_ref = p(d)
+            h_ref = 2 * lg * p_ref - c / 3
+            slope = 2 * lg * mp.sqrt(abs(4 * p_ref ** 3 - g2 * p_ref - g3))
+            cond_phase = abs(slope * d / h_ref)
+            cond_c1 = abs((h_up(d) - h_down(d)) / (2 * step * h_ref))
+            bound = EPS * float(P_PHASE_EPS * cond_phase
+                                + P_C1_EPS * cond_c1 + P_ROUND_EPS)
+            for fam, sol in sols:
+                reflect = fam in (TDB, DBM)
+                xi = 0.75 - d if reflect else 0.75 + d
+                ref = -h_ref if reflect else h_ref
+                h_xi = sol.evaluate_h(xi)
+                assert float(abs((h_xi - ref) / ref)) <= bound, (fam, xi)
