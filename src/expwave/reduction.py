@@ -44,7 +44,6 @@ from .specfun.weierstrass import (
 
 C1_MATCH_TOL = 1.0e-12  # user-provided special constants are exact in practice
 
-SQRT3 = math.sqrt(3.0)
 CBRT2 = 2.0 ** (1.0 / 3.0)
 CBRT4 = 4.0 ** (1.0 / 3.0)
 #: c1 singling out the degenerate (repeated-root) cubic case.
@@ -441,35 +440,19 @@ def _roots_in_h(a0: float, a2: float, a3: float) -> CubicRoots:
     a0 != 0): three real ones sorted descending, or the real one and (re,
     |im|) of the conjugate pair.
 
-    x = 1/h solves the depressed cubic x^3 + p x + q = 0 with p = a2/a0
-    and q = a3/a0, which needs no shift, so no root loses digits to one.
-    Three real roots (4 p^3 + 27 q^2 < 0) come from Viete's cosines, the
-    one of least magnitude from the product -q of the other two.  One real
-    root comes from Cardano: u = cbrt(-q/2 - sign(q) sqrt(q^2/4 +
-    p^3/27)), v = -p/(3u) and x = u + v, formed as -q/(u^2 + v^2 + p/3)
-    where u and v have opposite signs (p > 0); the pair is -x/2 +-
-    i sqrt(3) |u - v| / 2.  Constants past the float range come out
-    non-finite; the caller refuses them.
+    x = 1/h solves the depressed cubic x^3 + (a2/a0) x + a3/a0, which is
+    the Weierstrass cubic at g2 = -4 a2/a0 and g3 = -4 a3/a0 and needs no
+    shift, so each root keeps its digits however far apart they lie.
+    Raises OverflowError or DomainError past the float range.
     """
-    p = a2 / a0
-    q = a3 / a0
-    p3 = p / 3.0
-    disc = 0.25 * q * q + p3 * p3 * p3
-    if disc < 0.0:  # three real roots, p < 0
-        amp = 2.0 * math.sqrt(-p3)
-        theta = math.acos(min(1.0, max(-1.0, -4.0 * q / amp ** 3))) / 3.0
-        xs = sorted((amp * math.cos(theta - 2.0 * math.pi * k / 3.0)
-                     for k in range(3)), key=abs)
-        xs[0] = -q / (xs[1] * xs[2])
-        return CubicRoots(real=tuple(sorted((1.0 / x for x in xs),
+    xs = solve_weierstrass_cubic(-4.0 * a2 / a0, -4.0 * a3 / a0)
+    if xs.all_real:
+        return CubicRoots(real=tuple(sorted((1.0 / x for x in xs.real),
                                             reverse=True)))
-    u = math.cbrt(-0.5 * q - math.copysign(math.sqrt(disc), q))
-    v = -p3 / u
-    x = -q / (u * u + v * v + p3) if p > 0.0 else u + v
-    re = -0.5 * x  # the pair x_c = re +- i im, and 1/x_c = conj(x_c)/|x_c|^2
-    im = 0.5 * SQRT3 * abs(u - v)
+    re, im = xs.complex_pair  # 1/(re +- i im) = (re -+ i im)/(re^2 + im^2)
     norm = re * re + im * im
-    return CubicRoots(real=(1.0 / x,), complex_pair=(re / norm, im / norm))
+    return CubicRoots(real=(1.0 / xs.real[0],),
+                      complex_pair=(re / norm, im / norm))
 
 
 def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> EllipticData:

@@ -288,7 +288,10 @@ def _weierstrass_form(family: FamilyLabel, c1: float,
     # scale leaves the discriminant and the degeneracy test without theirs
     if min(abs(frame.r) ** 3, inv.scale) < sys.float_info.min:
         raise range_error(c1, frame.lambda_gamma, "the Weierstrass invariants")
-    roots = _roots_in_h(a0, a2, a3)
+    try:
+        roots = _roots_in_h(a0, a2, a3)
+    except (OverflowError, DomainError):
+        raise range_error(c1, frame.lambda_gamma, "the roots of the cubic") from None
     s = 1.0 if a3 > 0.0 else -1.0
     if roots.all_real:
         h1, h2, h3 = roots.real if s > 0.0 else roots.real[::-1]

@@ -47,6 +47,8 @@ DELTA_REL_TOL = 1.0e-12
 
 _POLE_FRACTION = 1.0e-3
 
+SQRT3 = math.sqrt(3.0)
+
 
 @dataclass(frozen=True)
 class WeierstrassInvariants:
@@ -90,9 +92,14 @@ class CubicRoots:
 def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
     """Roots of s3(t) = 4 t^3 - g2 t - g3.
 
-    Three real roots use the trigonometric (Viete) form, one real root
-    uses Cardano with the Vieta product to dodge cancellation; repeated
-    roots (degenerate invariants) are returned exactly as (e, e, -2e).
+    Three real roots use the trigonometric (Viete) form, with the one of
+    least magnitude taken from the product g3/4 of the other two; one real
+    root uses Cardano, u = cbrt(w) and v = g2/(12 u), with u + v formed as
+    (g3/4)/(u^2 + v^2 - g2/12) where u and v have opposite signs (g2 < 0)
+    and the pair's imaginary part as sqrt(3) |u - v| / 2, so that no root
+    loses digits to a cancellation however far apart the roots lie;
+    repeated roots (degenerate invariants) are returned exactly as (e, e,
+    -2e).
     """
     inv = WeierstrassInvariants(g2, g3)
     pd = -g2 / 4.0  # depressed cubic t^3 + pd t + qd
@@ -111,18 +118,16 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
         theta = math.acos(c3) / 3.0
         roots = sorted(
             (amp * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)),
-            reverse=True,
-        )
-        return CubicRoots(real=tuple(roots))
+            key=abs)
+        roots[0] = -qd / (roots[1] * roots[2])
+        return CubicRoots(real=tuple(sorted(roots, reverse=True)))
     disc = (qd / 2.0) ** 2 + (pd / 3.0) ** 3  # > 0 here
     w = -qd / 2.0 - math.copysign(math.sqrt(disc), qd)
-    u = math.cbrt(w)
-    v = 0.0 if u == 0.0 else -pd / (3.0 * u)
-    e_real = u + v
-    re = -e_real / 2.0
-    im2 = (g3 / (4.0 * e_real)) - re * re if e_real != 0.0 else -pd
-    im = math.sqrt(max(0.0, im2))
-    return CubicRoots(real=(e_real,), complex_pair=(re, im))
+    u = math.cbrt(w)  # w != 0: qd = 0 here only with pd > 0
+    v = -pd / (3.0 * u)
+    e_real = -qd / (u * u + v * v + pd / 3.0) if pd > 0.0 else u + v
+    return CubicRoots(real=(e_real,),
+                      complex_pair=(-0.5 * e_real, 0.5 * SQRT3 * abs(u - v)))
 
 
 class _PreparedWeierstrass:
