@@ -244,12 +244,6 @@ _DEGENERATE = {(CaseLabel.Degenerate1a, 1): (-1.5, math.cosh),
                (CaseLabel.Degenerate1b, -1): (-1.5, math.sin)}
 
 
-def _pole_error(dist: float, limit: float) -> PoleProximityError:
-    return PoleProximityError(
-        f"z within {limit:.3e} of a Weierstrass pole (distance {dist:.3e})",
-        distance=dist, limit=limit)
-
-
 def _weierstrass_form(family: FamilyLabel, c1: float,
                       frame: FrameParams) -> tuple:
     """(evaluator, singularities, params) of the Equianharmonic and general
@@ -281,7 +275,7 @@ def _weierstrass_form(family: FamilyLabel, c1: float,
     1e-3 of a period of a pole the evaluator raises PoleProximityError.
     Refused where r^3 = 1/(lambda gamma)^3 or the invariants' scale
     max(|g2|^3, 27 g3^2) falls below the normal floats, or where the
-    roots or the rate leave the float range.
+    cubic in 1/h or the rate leave the float range.
     """
     a0, _, a2, a3, inv = _cubic(family, frame, c1)
     # below the normal floats, r^3 leaves g3 without its digits and the
@@ -291,53 +285,49 @@ def _weierstrass_form(family: FamilyLabel, c1: float,
     try:
         roots = _roots_in_h(a0, a2, a3)
     except (OverflowError, DomainError):
-        raise range_error(c1, frame.lambda_gamma, "the roots of the cubic") from None
+        raise range_error(c1, frame.lambda_gamma, "the cubic in 1/h") from None
     s = 1.0 if a3 > 0.0 else -1.0
-    if roots.all_real:
+    three = roots.all_real
+    if three:  # h = base + scale cn^2/sn^2
         h1, h2, h3 = roots.real if s > 0.0 else roots.real[::-1]
-        span = h1 - h3
-        mc = (h1 - h2) / span
-        kappa = 0.5 * math.sqrt(abs(a3 * span))
-        quarters = 2.0  # the period is 2 K / kappa
-    else:
+        base = h1
+        scale = h1 - h3
+        mc = (h1 - h2) / scale
+        kappa = 0.5 * math.sqrt(abs(a3 * scale))
+    else:  # h = base + scale cn/(1 - cn)
         h1 = roots.real[0]
         b, a = roots.complex_pair
         d = s * (b - h1)
         big_a = math.hypot(d, a)
         mc = a * a / (2.0 * big_a * (big_a + d)) if d > 0.0 else \
             (big_a - d) / (2.0 * big_a)
-        two_sa = 2.0 * s * big_a
-        h0 = b + two_sa * mc
+        scale = 2.0 * s * big_a
+        base = b + scale * mc
         kappa = math.sqrt(abs(a3) * big_a)
-        quarters = 4.0  # the period is 4 K / kappa
-    if not 0.0 <= mc <= 1.0:  # a root past the float range
-        raise range_error(c1, frame.lambda_gamma, "the roots of the cubic")
     kappa = _rate(kappa, c1, frame)
     jac = _PreparedJacobi(1.0 - mc, mc)
-    period = quarters * jac.k / kappa if mc > 0.0 else math.inf
+    # the period is 2 K / kappa in sn, 4 K / kappa in cn; a double root
+    # (mc = 0) leaves one pole
+    period = (2.0 if three else 4.0) * jac.k / kappa if mc > 0.0 else math.inf
     periodic = period < math.inf
     eps_pole = 1.0e-3 * (period if periodic else 1.0)
     xi0 = frame.xi0
     sncndn = jac.sn_cn_dn
-    if roots.all_real:
-        def h_fn(xi: float, periodic=periodic, period=period) -> float:
-            z = xi - xi0
-            dist = abs(z - period * round(z / period)) if periodic else abs(z)
-            if dist < eps_pole:
-                raise _pole_error(dist, eps_pole)
-            sn, cn, _ = sncndn(kappa * z)
+
+    def h_fn(xi: float) -> float:
+        z = xi - xi0
+        dist = abs(z - period * round(z / period)) if periodic else abs(z)
+        if dist < eps_pole:
+            raise PoleProximityError(
+                f"z within {eps_pole:.3e} of a Weierstrass pole "
+                f"(distance {dist:.3e})", distance=dist, limit=eps_pole)
+        sn, cn, _ = sncndn(kappa * z)
+        if three:
             t = cn / sn
-            return h1 + span * (t * t)
-    else:
-        def h_fn(xi: float, periodic=periodic, period=period) -> float:
-            z = xi - xi0
-            dist = abs(z - period * round(z / period)) if periodic else abs(z)
-            if dist < eps_pole:
-                raise _pole_error(dist, eps_pole)
-            sn, cn, _ = sncndn(kappa * z)
-            if cn >= 0.0:
-                return h0 + two_sa * (cn * (1.0 + cn) / (sn * sn))
-            return h0 + two_sa * (cn / (1.0 - cn))
+            return base + scale * (t * t)
+        if cn >= 0.0:
+            return base + scale * (cn * (1.0 + cn) / (sn * sn))
+        return base + scale * (cn / (1.0 - cn))
     params = {"g2": inv.g2, "g3": inv.g3}
     if periodic:
         params["period"] = period
