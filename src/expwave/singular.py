@@ -131,8 +131,6 @@ class Singularities:
         return (self.kind, *(getattr(self, f) for f in _FIELDS[self.kind]))
 
     def __eq__(self, other) -> bool:
-        if other is self:
-            return True
         if not isinstance(other, Singularities):
             return NotImplemented
         return self._key() == other._key()

@@ -23,9 +23,11 @@ radius (1e-3 of the real-period estimate) raises PoleProximityError so
 verification grids can skip singularities deterministically.
 
 ``prepare_weierstrass`` does the invariant-dependent work once; the
-prepared object's ``eval(z)`` returns p(z) alone and is the per-point
-entry every evaluator calls, and its ``slope(z)`` returns p'(z) for the
-callers that want the derivative (``weierstrass_p`` returns both).
+prepared object's ``eval(z)`` returns p(z) alone and its ``slope(z)``
+returns p'(z) (``weierstrass_p`` returns both).  The closed-form
+solutions do not call them: they are built from the roots of their own
+cubic in h (expwave.solutions), which ``solve_weierstrass_cubic`` solves
+as the Weierstrass cubic in 1/h.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
 class _PreparedWeierstrass:
     """Invariant-dependent data hoisted out of the per-point evaluation.
 
-    ``eval(z)`` returns p(z) and is the one method the evaluators call per
-    point; ``slope(z)`` returns p'(z).  Both apply one pole rule first.
+    ``eval(z)`` returns p(z) and ``slope(z)`` returns p'(z).  Both apply
+    one pole rule first.
     """
 
     __slots__ = ("kind", "scale", "jacobi", "e_off", "coeff", "real_period",

@@ -33,7 +33,10 @@ def _reference(u, m):
 
 def _check(m):
     with mp.workdps(DPS):
-        m_exact = mp.mpf(m)  # the float's exact value, on both sides of 1
+        # the float's exact value on both sides of 1: above it the descent
+        # of 1/m starts from (m - 1)/m, where 1 - fl(1/m) put sn(47;
+        # 1 + 1e-9) 2e-9 off, at the parameter 1/fl(1/m)
+        m_exact = mp.mpf(m)
     for u in U_VALUES:
         sn, cn, dn = jacobi_sn_cn_dn(u, m)
         am = jacobi_am(u, m)
@@ -53,17 +56,6 @@ def test_just_below_one(m):
 @pytest.mark.parametrize("m", [1.0 + 1e-14, 1.0 + 1e-9, 1.0 + 1e-6, 1.0 + 1e-3])
 def test_just_above_one(m):
     _check(m)
-
-
-def test_just_above_one_at_the_exact_parameter():
-    # the descent of 1/m starts from (m - 1)/m; from 1 - fl(1/m) it read
-    # sn(47; 1 + 1e-9) = 0.0082908699, 2e-9 off, exact only for the
-    # parameter 1/fl(1/m)
-    m = 1.0 + 1e-9
-    sn, _, _ = jacobi_sn_cn_dn(47.0, m)
-    ref_sn = _reference(47.0, mp.mpf(m))[0]
-    assert float(ref_sn) == pytest.approx(0.0082908679, abs=1e-10)
-    assert abs(sn - ref_sn) <= 4.0 * EPS * (1.0 + 47.0 * math.sqrt(m))
 
 
 @pytest.mark.parametrize("m", [-1e3, -1e6])
