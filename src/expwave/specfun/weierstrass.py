@@ -77,7 +77,8 @@ class WeierstrassInvariants:
 
 @dataclass(frozen=True)
 class CubicRoots:
-    """Roots of 4 t^3 - g2 t - g3, sorted descending when all real.
+    """Roots of a real cubic (4 t^3 - g2 t - g3, or a cubic family's own
+    cubic in h), sorted descending when all real.
 
     ``real`` holds all real roots; for a conjugate pair ``complex_pair``
     holds (re, |im|) and ``real`` the single real root.
