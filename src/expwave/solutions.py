@@ -402,7 +402,7 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
     """psi-native solutions of psi'' = sin(psi)/(lambda gamma).
 
     c1 = +1 gives the 4 arctan(exp(.)) kink (lambda gamma > 0 only); other
-    c1 the Jacobi-amplitude form psi = 2 am(-+ sqrt((c1-1)/(2 lg)) (xi -
+    c1 the Jacobi-amplitude form psi = 2 am(+- sqrt((c1-1)/(2 lg)) (xi -
     xi0); 2/(1-c1)), real when (c1-1)/(2 lg) >= 0.  Since sin(psi +- pi) =
     -sin(psi), psi(xi; c1, lg) = +-pi + psi(xi; -c1, -lg): the c1 = -1 kink
     (lambda gamma < 0 only) is -pi plus the c1 = +1 kink at (1, -lg), and

@@ -1,13 +1,15 @@
 """Jacobi sn, cn, dn and am against mpmath at the edges of the parameter
 range: m near 1 from both sides, m << 0 and m >> 1.  Each bound is the
-accuracy stated in the jacobi_sn_cn_dn and jacobi_am docstrings."""
+accuracy stated in the jacobi_sn_cn_dn and jacobi_am docstrings.  K(m)
+is checked there too, from mc = 5e-324 to m = -1e6."""
 
 import math
 
 import mpmath as mp
 import pytest
 
-from expwave.specfun import jacobi_am, jacobi_sn_cn_dn
+from expwave.specfun import ellint_k, jacobi_am, jacobi_sn_cn_dn
+from expwave.specfun.elliptic import _PreparedJacobi
 
 EPS = 2.0 ** -52
 DPS = 40
@@ -66,3 +68,39 @@ def test_large_negative(m):
 @pytest.mark.parametrize("m", [1e3, 1e6])
 def test_large_positive(m):
     _check(m)
+
+
+#: K(m) within this many eps, relative; the worst reading is 2.6 eps
+K_EPS = 4.0
+#: digits of the K reference: 1 - mc is exact down to mc = 5e-324
+K_DPS = 360
+
+#: complementary parameters mc = 1 - m: log-spread over [5e-324, 0.1],
+#: spread over [0.1, 1], and 1 - m for m log-spread from -1e-12 to -1e6
+K_RANGES = {
+    "mc-tiny": [5e-324] + [10.0 ** -(1 + 322 * i / 63) for i in range(64)],
+    "mc-unit": [0.1 + 0.9 * i / 24 for i in range(25)],
+    "m-negative": [1.0 + 10.0 ** (-12 + 18 * i / 36) for i in range(37)],
+}
+
+
+@pytest.mark.parametrize("mcs", K_RANGES.values(), ids=K_RANGES.keys())
+def test_complete_integral_against_mpmath(mcs):
+    # the prepared parameter reads mc itself; ellint_k reads m = fl(1 - mc),
+    # which is 1 (and refused) for mc below eps/2
+    worst = 0.0
+    with mp.workdps(K_DPS):
+        for mc in mcs:
+            jac = _PreparedJacobi(1.0 - mc, mc)
+            # the Landen ladder ends within its cap of 16 rungs (12 at
+            # mc = 5e-324), so the AGM and K are converged
+            assert len(jac._ladder) < 16
+            pairs = [(jac.k, mp.ellipk(1 - mp.mpf(mc)))]
+            m = 1.0 - mc
+            if m < 1.0:
+                pairs.append((ellint_k(m), mp.ellipk(mp.mpf(m))))
+            for k, ref in pairs:
+                err = float(abs((k - ref) / ref)) / EPS
+                assert err <= K_EPS, (mc, k)
+                worst = max(worst, err)
+    assert worst <= K_EPS

@@ -1,5 +1,5 @@
-"""The closed forms of the cubic families against the paper's formulas,
-evaluated at 30 digits.
+"""The closed forms of the cubic and Gordon families against the paper's
+formulas, evaluated at 30 digits.
 
 Every oracle is blind to a shift of xi0 and to the reflection xi -> -xi,
 so only reference values check them.  Each form is taken through every
@@ -62,6 +62,40 @@ roots' own rounding and the final sums.  dh/dc1 is a central difference
 of the reference at c1 (1 +- 1e-20).  The worst reading is 0.24 of that
 bound; p built from the invariants returned a constant from |c1| ~ 2.4e4
 on, and misses by 1e-12 relative already at c1 = 10.
+
+The Jacobi forms
+----------------
+The lemniscatic wave h = a (1 - sqrt(3) cn^2(s (xi - xi0) | 1/2)), a =
+4^(-1/3), s = 3^(1/4) / (2^(1/3) sqrt(lambda gamma)) at the base
+constants, is taken through the four cubic families, as the
+Weierstrass forms are.  The sine-Gordon forms are the kinks (c1 = +-1)
+and psi = 2 am(+-sqrt((c1 - 1)/(2 lambda gamma)) (xi - xi0) | 2/(1 -
+c1)) on both sides of m = 1: c1 = 0 (m = 2) and c1 = -3 (m = 1/2) at
+lambda gamma = -1, c1 = 3 (m = -1) at +1, and the pi images of the
+c1 = 0 and 1/2 forms at +1.  The sinh-Gordon forms are the kinks (c1 =
++-1/2) and psi = -+asinh(sc(sqrt((2 c1 + 1)/lambda gamma) (xi - xi0) |
+(2 c1 - 1)/(2 c1 + 1))), a lattice at lambda gamma > 0 (c1 = 1, and c1
+= 0 where the parameter is -1) and bounded at lambda gamma < 0 (c1 =
+-1, -3).  Each is taken at |lambda gamma| = 0.01, 1 and 100, on both
+branches and both frames.  sn, cn and dn come from mpmath.ellipfun
+(for m > 1 through the reciprocal-parameter identities), K from
+mpmath.ellipk, and am is atan2(sn, cn) made continuous.
+
+Each descriptor's period, 2 K / kappa for the lemniscatic wave and for
+the sc lattice, is checked against mpmath.ellipk at the exact
+constants, within 8 eps relative: K within 4 eps (the bound of the
+complete-integral test in test_elliptic_mpmath), kappa within 3 eps,
+and the quotient.  The worst reading is 2.0 eps.  The phase x carries
+the 2 eps of the inverse-square forms, plus the error of the kernel's
+own phase scale, the Landen ladder's AGM and K in am's reduction by 2
+K, a few eps each; the kernel's rounding at each point (sin, exp or
+tan of the phase) acts as an absolute phase error of about an eps, as
+in the 4 eps (1 + |u|) of the jacobi_sn_cn_dn docstring.  So the phase
+term is 8 eps |d value/dx| (1 + |x|).  The value term is 4 eps (|a| +
+|h - a|), relative to |h| for the lemniscatic h with constant a, and
+absolute for psi with its shift a of 0 or +-pi.  The worst reading is
+0.31 of the bound (the sine-Gordon c1 = 0 form at lambda gamma = -1),
+0.16 for the lemniscatic wave.
 """
 
 import math
@@ -318,3 +352,188 @@ def test_weierstrass_forms_at_large_c1_against_mpmath(c1, sign):
                 ref = -h_ref if reflect else h_ref
                 h_xi = sol.evaluate_h(xi)
                 assert float(abs((h_xi - ref) / ref)) <= bound, (fam, xi)
+
+
+#: eps multiples of the Jacobi forms' phase, value and period (see above)
+J_PHASE_EPS = 8.0
+J_VALUE_EPS = 4.0
+PERIOD_EPS = 8.0
+
+SG = FamilyLabel.SineGordon
+SH = FamilyLabel.SinhGordon
+
+
+def _jacobi(u, m):
+    """sn, cn, dn(u | m) at the working precision; m > 1 through the
+    reciprocal-parameter identities (DLMF 22.17.2-4), where ellipfun would
+    take a slow complex path (at m < 0 it returns a zero imaginary part)."""
+    if m > 1:
+        rk = mp.sqrt(m)
+        sn, cn, dn = _jacobi(u * rk, 1 / m)
+        return sn / rk, dn, cn
+    return tuple(mp.re(mp.ellipfun(kind, u, m=m)) for kind in ("sn", "cn", "dn"))
+
+
+def _am(u, m):
+    """am(u | m): atan2(sn, cn), bounded for m > 1 (cn > 0 there); for
+    m < 1 the continuous branch, the multiple of 2 pi nearest the secular
+    part pi u / (2 K) added (am - pi u / (2 K) stays within pi/2)."""
+    sn, cn, _ = _jacobi(u, m)
+    at = mp.atan2(sn, cn)
+    if m > 1:
+        return at
+    drift = mp.pi * u / (2 * mp.ellipk(m))
+    return at + 2 * mp.pi * mp.nint((drift - at) / (2 * mp.pi))
+
+
+def _lemniscatic(lg, d):
+    """(h, its constant term, the phase) of the base lemniscatic wave."""
+    scale = mp.mpf(3) ** (mp.mpf(1) / 4) / (mp.cbrt(2) * mp.sqrt(lg))
+    amp = 1 / mp.cbrt(4)
+    cn = _jacobi(scale * d, mp.mpf(1) / 2)[1]
+    return amp * (1 - mp.sqrt(3) * cn * cn), amp, scale * d
+
+
+def _lemniscatic_period(lg):
+    return 2 * mp.ellipk(mp.mpf(1) / 2) * mp.cbrt(2) * mp.sqrt(lg) \
+        / mp.mpf(3) ** (mp.mpf(1) / 4)
+
+
+#: the lemniscatic wave in each cubic family where it exists: (family, s),
+#: c1 = s C1_LEMNISCATIC at lambda gamma of sign s
+LEMNISCATIC = [(TZ, 1.0), (DB, -1.0), (TDB, -1.0), (DBM, 1.0)]
+
+
+@pytest.mark.parametrize("mag", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("family, s", LEMNISCATIC,
+                         ids=[f.value for f, _ in LEMNISCATIC])
+def test_lemniscatic_forms_against_mpmath(family, s, mag):
+    worst = 0.0
+    for frame in _frames(s * mag):
+        sol = construct(family, s * C1_LEMNISCATIC, frame)
+        assert sol.case is CaseLabel.Lemniscatic
+        period = sol.descriptor()["params"]["period"]
+        reflect = family in (TDB, DBM)
+        with mp.workdps(DPS):
+            lam, k, omega = (mp.mpf(v) for v in (frame.lam, frame.k,
+                                                 frame.omega))
+            base_lg = s * lam * (omega * omega - k * k)
+            ref_period = _lemniscatic_period(base_lg)
+            err = float(abs((period - ref_period) / ref_period))
+            assert err <= PERIOD_EPS * EPS
+            worst = max(worst, err / (PERIOD_EPS * EPS))
+            xi0 = mp.mpf(frame.xi0)
+            for n in (-0.41,) + P_PERIODS:
+                xi = frame.xi0 + _short(n * period)
+                d = xi0 - xi if reflect else xi - xi0
+                h_ref, a, x = _lemniscatic(base_lg, d)
+                dh = mp.diff(lambda t: _lemniscatic(base_lg, t * d)[0], 1)
+                if reflect:
+                    h_ref, a = -h_ref, -a
+                cond_phase = abs(dh * (1 + abs(x)) / (x * h_ref))
+                cond_value = (abs(a) + abs(h_ref - a)) / abs(h_ref)
+                bound = EPS * float(J_PHASE_EPS * cond_phase
+                                    + J_VALUE_EPS * cond_value)
+                err = float(abs((sol.evaluate_h(xi) - h_ref) / h_ref))
+                assert err <= bound, (frame, xi)
+                worst = max(worst, err / bound)
+    assert worst <= 1.0
+
+
+def _sine_gordon(c1, lg, branch, d):
+    """(psi, its shift, the phase) of the paper's sine-Gordon form at
+    (c1, lambda gamma) for the branch; d = xi - xi0."""
+    if c1 == -1:  # the -pi image of the c1 = +1 kink at -lambda gamma
+        psi, _, x = _sine_gordon(mp.mpf(1), -lg, branch, d)
+        return psi - mp.pi, -mp.pi, x
+    if c1 == 1:
+        x = branch * d / mp.sqrt(lg)
+        return 4 * mp.atan(mp.exp(x)), 0, x
+    if (c1 - 1) / lg < 0:  # the pi image of the form at (-c1, -lg)
+        psi, _, x = _sine_gordon(-c1, -lg, branch, d)
+        return psi + mp.pi, mp.pi, x
+    x = branch * mp.sqrt((c1 - 1) / (2 * lg)) * d
+    return 2 * _am(x, 2 / (1 - c1)), 0, x
+
+
+def _sinh_gordon(c1, lg, branch, d):
+    """(psi, 0, the phase) of the paper's sinh-Gordon form; d = xi - xi0."""
+    if c1 == -0.5:
+        x = branch * mp.sqrt(2 / lg) * d
+        return 2 * mp.atanh(mp.exp(x)), 0, x
+    if c1 == 0.5:
+        x = branch * d / mp.sqrt(2 * lg)
+        return 2 * mp.atanh(mp.tan(x)), 0, x
+    x = mp.sqrt((2 * c1 + 1) / lg) * d
+    sn, cn, _ = _jacobi(x, (2 * c1 - 1) / (2 * c1 + 1))
+    return -branch * mp.asinh(sn / cn), 0, x
+
+
+#: (family, c1, lambda gamma at |lambda gamma| = 1, case, parameter m of
+#: the Jacobi functions or None): the sine-Gordon kinks and amplitude forms
+#: on both sides of m = 1, with the pi image of the c1 = 0 form, and the
+#: sinh-Gordon kinks and sc forms, a lattice at lambda gamma > 0 and
+#: bounded at lambda gamma < 0
+GORDON = [
+    (SG, 1.0, 1.0, CaseLabel.KinkC1Plus, None),
+    (SG, -1.0, -1.0, CaseLabel.KinkC1Minus, None),
+    (SG, 0.0, -1.0, CaseLabel.AmplitudeC1Zero, 2.0),
+    (SG, -3.0, -1.0, CaseLabel.AmplitudeGeneric, 0.5),
+    (SG, 0.0, 1.0, CaseLabel.AmplitudeC1Zero, 2.0),
+    (SG, 0.5, 1.0, CaseLabel.AmplitudeGeneric, 4.0 / 3.0),
+    (SG, 3.0, 1.0, CaseLabel.AmplitudeGeneric, -1.0),
+    (SH, -0.5, 1.0, CaseLabel.KinkC1Minus, None),
+    (SH, 0.5, 1.0, CaseLabel.KinkC1Plus, None),
+    (SH, 1.0, 1.0, CaseLabel.AmplitudeGeneric, 1.0 / 3.0),
+    (SH, 0.0, 1.0, CaseLabel.AmplitudeC1Zero, -1.0),
+    (SH, -1.0, -1.0, CaseLabel.AmplitudeGeneric, 3.0),
+    (SH, -3.0, -1.0, CaseLabel.AmplitudeGeneric, 1.4),
+]
+
+#: phases of the Gordon forms; the sinh-Gordon c1 = -1/2 kink is real on
+#: one side of xi0, its c1 = +1/2 kink within pi/4 of each multiple of pi
+G_PHASES = {(SH, -0.5): (-0.05, -0.4, -1.3, -3.7, -12.0),
+            (SH, 0.5): (-0.7, -0.3, 0.05, 0.4, 3.2, 12.0)}
+
+
+@pytest.mark.parametrize("mag", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("family, c1, sign, case, m", GORDON,
+                         ids=[f"{f.value}-{c1}-{s:+}" for f, c1, s, _, _
+                              in GORDON])
+def test_gordon_forms_against_mpmath(family, c1, sign, case, m, mag):
+    form = _sine_gordon if family is SG else _sinh_gordon
+    phases = G_PHASES.get((family, c1), PHASES)
+    worst = 0.0
+    for branch in (1, -1):
+        for frame in _frames(sign * mag):
+            sol = construct(family, c1, frame, branch=branch)
+            assert sol.case is case
+            params = sol.descriptor()["params"]
+            with mp.workdps(DPS):
+                lam, k, omega = (mp.mpf(v) for v in (frame.lam, frame.k,
+                                                     frame.omega))
+                lg = lam * (omega * omega - k * k)
+                xi0 = mp.mpf(frame.xi0)
+                # the phase per unit xi - xi0, signed by the branch
+                rate = form(c1, lg, branch, mp.mpf(1))[2]
+                kappa = abs(rate)
+                if "period" in params and m is not None:
+                    # the sc lattice: poles 2 K / kappa apart
+                    ref_period = 2 * mp.ellipk(m) / kappa
+                    err = float(abs((params["period"] - ref_period)
+                                    / ref_period))
+                    assert err <= PERIOD_EPS * EPS
+                    worst = max(worst, err / (PERIOD_EPS * EPS))
+                for phase in phases:
+                    xi = frame.xi0 + phase / float(rate)
+                    d = mp.mpf(xi) - xi0
+                    psi_ref, shift, x = form(c1, lg, branch, d)
+                    dpsi = mp.diff(lambda t: form(c1, lg, branch, t * d)[0], 1)
+                    cond_phase = abs(dpsi * (1 + abs(x)) / x)
+                    cond_value = abs(shift) + abs(psi_ref - shift)
+                    bound = EPS * float(J_PHASE_EPS * cond_phase
+                                        + J_VALUE_EPS * cond_value)
+                    err = float(abs(sol.evaluate_psi(xi) - psi_ref))
+                    assert err <= bound, (branch, frame, xi)
+                    worst = max(worst, err / bound)
+    assert worst <= 1.0
