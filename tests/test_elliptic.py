@@ -56,6 +56,18 @@ def test_f_reciprocal_parameter_domain():
         ellint_f(2.0, 1.0)  # m = 1 has no quasi-periodic extension
 
 
+def test_k_where_there_is_no_ladder():
+    # pi/2 at m = 0; refused at m >= 1, NaN and -inf (NaN and -inf
+    # returned NaN while K came from carlson_rf)
+    assert ellint_k(0.0) == 0.5 * math.pi
+    assert ellint_k(-0.0) == 0.5 * math.pi
+    for m in (1.0, 1.0 + 1e-15, 2.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="^K\\(m\\) is finite only for m < 1$"):
+            ellint_k(m)
+    with pytest.raises(DomainError, match="^K\\(m\\) requires a finite parameter$"):
+        ellint_k(-math.inf)
+
+
 def test_jacobi_origin_and_degenerate():
     for m in (-1.0, 0.0, 0.5, 1.0, 2.0):
         assert jacobi_sn_cn_dn(0.0, m) == (0.0, 1.0, 1.0)
