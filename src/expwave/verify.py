@@ -607,7 +607,8 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
     of the grid's m kept points, w from ``_steps(distances,
     PDE_HALF_WIDTH)``, 19 evaluations each.  log|h| and h^b are singular
     where h = 0, so an h-native window counts only if all 19 values keep
-    the centre's sign and half its magnitude (a NaN keeps neither).
+    the centre's sign and half its magnitude (a NaN keeps neither).  If
+    no window counts, EmptyGridError names the rule that skipped them.
     """
     desc = traveling_ode(family_params(sol.family), frame)
     pq = (frame.k - frame.omega) * -frame.lam * (frame.k + frame.omega)
@@ -619,6 +620,7 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
     stride = max(1, -(-len(kept) // PDE_WINDOWS))
     centres = kept[stride // 2::stride]
     residuals = []
+    signed = halved = False  # why windows were skipped
     for (x, _), w in zip(centres, _steps([d for _, d in centres],
                                          PDE_HALF_WIDTH)):
         mid, lo, hi = value_of(x), value_of(x - w), value_of(x + w)
@@ -629,7 +631,12 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
         elif (mid != 0.0 and lo / mid >= 0.5 and hi / mid >= 0.5
               and all([a / mid >= 0.5 and b / mid >= 0.5 for a, b in pairs])):
             lhs = log(abs(hi)) - 2.0 * log(abs(mid)) + log(abs(lo))
-        else:
+        else:  # skipped: by the sign rule, or by the half rule alone
+            if mid != 0.0 and all([v / mid > 0.0
+                                   for v in (lo, hi, *sum(pairs, ()))]):
+                halved = True
+            else:
+                signed = True
             continue
         quad = 0.0  # left to right, as on every Python version
         for (_, k), (a, b) in zip(_GL8_KERNEL, pairs):
@@ -637,7 +644,10 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
         rhs = w * w / pq * quad
         residuals.append(abs(lhs - rhs) / max(w * w, abs(rhs)))
     if kept and not residuals:
-        raise EmptyGridError("h is zero or changes sign in every window")
+        rules = [rule for rule, hit in (
+            ("is zero or changes sign", signed),
+            ("drops below half its centre's magnitude", halved)) if hit]
+        raise EmptyGridError(f"h {' or '.join(rules)} in every window")
     return _report("pde_residual", sol, residuals, tol)
 
 

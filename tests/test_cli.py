@@ -561,6 +561,19 @@ def test_verify_notes_skipped_pde_oracle(capsys):
         assert err.splitlines() == grid_notes + more
 
 
+def test_verify_names_the_half_magnitude_skip(capsys):
+    # at c1 = 1e15 h <= -2.2e-8 < 0 throughout, but the period is 2.4e-6,
+    # so h leaves half its centre's magnitude within every Goursat window:
+    # the note names that rule, not a zero or a sign change
+    assert main(["verify", "--family", "dodd-bullough", "--c1", "1e15",
+                 "--lambda-gamma", "1", "--n", "16"]) == 1
+    out, err = capsys.readouterr()
+    assert "pde_residual" not in [r["oracle"] for r in json.loads(out)]
+    assert err.splitlines() == [
+        "note: pde_residual skipped: h drops below half its centre's "
+        "magnitude in every window"]
+
+
 def test_verify_off_domain_interval_exits_3():
     # valid only for xi < 0: no grid point survives, which is an error,
     # not three skipped oracles beside a passing shot

@@ -847,6 +847,24 @@ IMPLICIT = "implicit_residual_check"
 SIGN_CHANGES = "h is zero or changes sign in every window"
 
 
+def test_pde_skip_names_each_rule_that_skipped():
+    # at c1 = 1e15 (period 2.4e-6) h keeps its sign, < 0, but no Goursat
+    # window keeps half the centre's magnitude; flipping h at the kept
+    # points left of 0 skips those windows by the sign rule instead
+    sol = construct(FamilyLabel.DoddBullough, 1e15, FR1)
+    grid = Grid.for_solution(sol, -10.0, 10.0, 16)
+    halved = "h drops below half its centre's magnitude in every window"
+    with pytest.raises(EmptyGridError, match=f"^{halved}$"):
+        pde_residual(sol, sol.frame, grid)
+    left, fn = {x for x in grid.points() if x < 0.0}, sol._fn
+    flipped = dataclasses.replace(
+        sol, _fn=lambda xi: -fn(xi) if xi in left else fn(xi))
+    with pytest.raises(EmptyGridError, match="^h is zero or changes sign or "
+                       "drops below half its centre's magnitude in every "
+                       "window$"):
+        pde_residual(flipped, sol.frame, grid)
+
+
 @pytest.mark.parametrize("make, span, doctor, skipped", [
     (lambda: construct(FamilyLabel.Liouville, 1.0, FR1), (-5.0, 5.0), "flip",
      [("pde_residual", SIGN_CHANGES)]),
