@@ -13,6 +13,7 @@ from expwave.specfun import (
     gauss_2f1,
     prepare_weierstrass,
 )
+from expwave.errors import ConvergenceError
 from expwave.specfun.weierstrass import DELTA_REL_TOL
 
 DPS = 40
@@ -29,13 +30,40 @@ def _relative_error(value, reference):
 
 @pytest.mark.parametrize("a, b, c", CATALOGUED_2F1)
 @pytest.mark.parametrize("x", [-1e12, -1e8, -2e6, -1e5, -1e3, -2.0, -1.0,
-                               -0.5, 0.5, 0.9, 0.99])
+                               -0.5, 0.5, 0.9, 0.99, 0.9999, 0.999999,
+                               1.0 - 1e-9, 1.0 - 1e-12])
 def test_gauss_2f1_against_mpmath(a, b, c, x):
-    # x <= -1e5 is the 1/x connection formula's reach; the series needed
-    # more than 400,000 terms there
+    # x <= -1e5 is the 1/x connection formula's reach, x > 0.75 the 1 - x
+    # formula's; the series needed more than 400,000 terms at both ends
     with mp.workdps(DPS):
         reference = mp.hyp2f1(a, b, c, x)
         assert _relative_error(gauss_2f1(a, b, c, x), reference) <= 2e-14
+
+
+#: parameters whose c - a - b is clear of the integers, c < 0 and a < 0
+#: among them
+NEAR_ONE_2F1 = [(1.3, -0.7, 2.9), (2.2, 1.1, 0.4), (0.3, 0.6, -0.45),
+                (-1.6, 0.8, 1.7)]
+
+
+@pytest.mark.parametrize("a, b, c", NEAR_ONE_2F1)
+@pytest.mark.parametrize("x", [0.8, 0.9, 0.99, 0.9999, 0.999999, 1.0 - 1e-9,
+                               1.0 - 1e-12])
+def test_gauss_2f1_near_one_against_mpmath(a, b, c, x):
+    with mp.workdps(DPS):
+        reference = mp.hyp2f1(a, b, c, x)
+        assert _relative_error(gauss_2f1(a, b, c, x), reference) <= 2e-14
+
+
+def test_gauss_2f1_near_one_with_integral_c_minus_a_minus_b():
+    # c - a - b = 0 is the logarithmic case of the 1 - x formula: the
+    # series serves on, within its promise at 0.99 and out of terms at
+    # 0.999999
+    with mp.workdps(DPS):
+        reference = mp.hyp2f1(0.5, 0.5, 1.0, 0.99)
+    assert _relative_error(gauss_2f1(0.5, 0.5, 1.0, 0.99), reference) <= 2e-14
+    with pytest.raises(ConvergenceError, match="within 400000 terms"):
+        gauss_2f1(0.5, 0.5, 1.0, 0.999999)
 
 
 @pytest.mark.parametrize("a, b, c, x", [
