@@ -18,11 +18,11 @@ Summation stops on a geometric tail bound of 1e-14 max(1, |sum|), tested
 once c + n > 0 (a negative c grows the terms again as c + n passes 0)
 under a ratio bound that holds for every later term; near x = 1 the
 direct series needs ~1/(1-x) terms (ConvergenceError at x = 0.999999
-where the 1 - x formula cannot serve).  A series whose rounding alone (its largest term times 2^-52) exceeds
-1e-14 |sum|, relative at every size of sum, has cancelled its digits
-away and raises ConvergenceError too, unless its prefactor times the sum
-of |terms| rounds to zero.  A Pfaff prefactor beyond the float range
-raises ConvergenceError as well.
+where the 1 - x formula cannot serve).  A series whose rounding alone
+(its largest term times 2^-52) exceeds 1e-14 |sum|, relative at every
+size of sum, has cancelled its digits away and raises ConvergenceError
+too, unless its prefactor times the sum of |terms| rounds to zero.  A
+Pfaff prefactor beyond the float range raises ConvergenceError as well.
 """
 
 from __future__ import annotations
@@ -127,12 +127,6 @@ def _connected(first: tuple, second: tuple) -> float | None:
     return None
 
 
-def _apart(v: float) -> bool:
-    """Whether v is at least _INTEGER_GAP from every integer, so that the
-    Gamma factors of a connection formula stay clear of their poles."""
-    return abs(v - round(v)) >= _INTEGER_GAP
-
-
 def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     """2F1(a, b; c; x) for real parameters, c not a nonpositive integer,
     and real x < 1.  For both catalogued sets, (1/2, 1/3; 4/3) and
@@ -147,7 +141,7 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
         raise DomainError("gauss_2f1 implemented for x < 1 only")
     if x == 0.0:
         return 1.0
-    if x < -2.0 and _apart(b - a):
+    if x < -2.0 and abs(b - a - round(b - a)) >= _INTEGER_GAP:
         # DLMF 15.8.2; where it gives None (parameters ~100s, or the terms
         # cancel), Pfaff serves on
         log = math.log(-x)
@@ -158,9 +152,9 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
              1.0 / x))
         if total is not None:
             return total
-    if x > _ONE_MINUS_X0 and _apart(c - a - b):
-        # DLMF 15.8.4 in 1 - x, exact here; where it gives None the series
-        # serves on
+    if x > _ONE_MINUS_X0 and abs(c - a - b - round(c - a - b)) >= _INTEGER_GAP:
+        # DLMF 15.8.4 in w = 1 - x, exact here; where it gives None the
+        # series serves on
         s, w = c - a - b, 1.0 - x
         total = _connected(
             (0.0, (c, s), (c - a, c - b), a, b, 1.0 - s, w),

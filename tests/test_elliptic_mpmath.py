@@ -70,7 +70,8 @@ def test_large_positive(m):
     _check(m)
 
 
-#: K(m) within this many eps, relative; the worst reading is 2.6 eps
+#: K(m) within this many eps, relative; the worst reading is 2.1 eps (2.4
+#: with K from Carlson's R_F)
 K_EPS = 4.0
 #: digits of the K reference: 1 - mc is exact down to mc = 5e-324
 K_DPS = 360

@@ -85,7 +85,8 @@ Each descriptor's period, 2 K / kappa for the lemniscatic wave and for
 the sc lattice, is checked against mpmath.ellipk at the exact
 constants, within 8 eps relative: K within 4 eps (the bound of the
 complete-integral test in test_elliptic_mpmath), kappa within 3 eps,
-and the quotient.  The worst reading is 2.0 eps.  The phase x carries
+and the quotient.  The worst reading is 1.2 eps (2.0 with K from
+Carlson's R_F).  The phase x carries
 the 2 eps of the inverse-square forms, plus the error of the kernel's
 own phase scale, the Landen ladder's AGM and K in am's reduction by 2
 K, a few eps each; the kernel's rounding at each point (sin, exp or
@@ -95,7 +96,7 @@ term is 8 eps |d value/dx| (1 + |x|).  The value term is 4 eps (|a| +
 |h - a|), relative to |h| for the lemniscatic h with constant a, and
 absolute for psi with its shift a of 0 or +-pi.  The worst reading is
 0.31 of the bound (the sine-Gordon c1 = 0 form at lambda gamma = -1),
-0.16 for the lemniscatic wave.
+0.11 for the lemniscatic wave (0.16 with K from Carlson's R_F).
 """
 
 import math
@@ -471,9 +472,9 @@ def _sinh_gordon(c1, lg, branch, d):
 
 #: (family, c1, lambda gamma at |lambda gamma| = 1, case, parameter m of
 #: the Jacobi functions or None): the sine-Gordon kinks and amplitude forms
-#: on both sides of m = 1, with the pi image of the c1 = 0 form, and the
-#: sinh-Gordon kinks and sc forms, a lattice at lambda gamma > 0 and
-#: bounded at lambda gamma < 0
+#: on both sides of m = 1, with the pi images of the c1 = 0 and 1/2 forms,
+#: and the sinh-Gordon kinks and sc forms, a lattice at lambda gamma > 0
+#: and bounded at lambda gamma < 0
 GORDON = [
     (SG, 1.0, 1.0, CaseLabel.KinkC1Plus, None),
     (SG, -1.0, -1.0, CaseLabel.KinkC1Minus, None),
