@@ -57,14 +57,15 @@ def test_f_reciprocal_parameter_domain():
 
 
 def test_k_where_there_is_no_ladder():
-    # pi/2 at m = 0; refused at m >= 1, NaN and -inf (NaN and -inf
-    # returned NaN while K came from carlson_rf)
+    # pi/2 at m = 0; refused at m >= 1, at NaN and at -inf
     assert ellint_k(0.0) == 0.5 * math.pi
     assert ellint_k(-0.0) == 0.5 * math.pi
     for m in (1.0, 1.0 + 1e-15, 2.0, math.inf, math.nan):
-        with pytest.raises(DomainError, match="^K\\(m\\) is finite only for m < 1$"):
+        with pytest.raises(DomainError,
+                           match=r"^K\(m\) is finite only for m < 1$"):
             ellint_k(m)
-    with pytest.raises(DomainError, match="^K\\(m\\) requires a finite parameter$"):
+    with pytest.raises(DomainError,
+                       match=r"^K\(m\) requires a finite parameter$"):
         ellint_k(-math.inf)
 
 

@@ -372,7 +372,8 @@ def _jacobi(u, m):
         rk = mp.sqrt(m)
         sn, cn, dn = _jacobi(u * rk, 1 / m)
         return sn / rk, dn, cn
-    return tuple(mp.re(mp.ellipfun(kind, u, m=m)) for kind in ("sn", "cn", "dn"))
+    return tuple(mp.re(mp.ellipfun(kind, u, m=m))
+                 for kind in ("sn", "cn", "dn"))
 
 
 def _am(u, m):
