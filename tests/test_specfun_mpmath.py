@@ -167,3 +167,38 @@ def test_weierstrass_p_near_degenerate_against_mpmath(g2, g3, t):
         for s in (0.1, 0.5, 1.0, 1.5, 2.0):
             z = s / math.sqrt(1.5 * abs(t))
             assert _relative_error(prep.eval(z), reference(z)) <= bound, z
+
+
+#: eps = 2**-52, the unit the Weierstrass bounds below are stated in
+EPS = 2.0 ** -52
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.02, 1.0, 50.0, 1e3])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_weierstrass_p_exactly_degenerate_against_mpmath(t, sign):
+    # (3 t^2, -+t^3) has the double root e = t/2: p = e + 3 e csch^2(a z)
+    # for g3 < 0 and -e + 3 e csc^2(a z) for g3 > 0, a = sqrt(3 e).  Each
+    # of p and p' is within 4 eps (1 + kappa) of that 40-digit closed form,
+    # kappa = |z f'/f| the conditioning in z (which bounds the one in e
+    # too, as p(z; e) = e f(sqrt(e) z)); the worst reads 1.7 for p and 1.1
+    # for p' (6.6e-15 and 1.0e-14 relative)
+    g2, g3 = 3.0 * t * t, sign * t ** 3
+    prep = prepare_weierstrass(WeierstrassInvariants(g2, g3))
+    with mp.workdps(DPS):
+        e = mp.mpf(t) / 2
+        a = mp.sqrt(3 * e)
+        for s in (0.1, 0.5, 1.0, 1.5, 2.0, 3.0):
+            z = s / math.sqrt(1.5 * t)
+            az = a * mp.mpf(z)
+            if g3 < 0.0:
+                p = e + 3 * e / mp.sinh(az) ** 2
+                dp = -6 * e * a * mp.cosh(az) / mp.sinh(az) ** 3
+            else:
+                p = -e + 3 * e / mp.sin(az) ** 2
+                dp = -6 * e * a * mp.cos(az) / mp.sin(az) ** 3
+            ddp = 6 * p * p - mp.mpf(g2) / 2
+            kappa_p = float(abs(z * dp / p))
+            kappa_dp = float(abs(z * ddp / dp))
+            assert _relative_error(prep.eval(z), p) <= 4 * EPS * (1 + kappa_p), z
+            assert (_relative_error(prep.slope(z), dp)
+                    <= 4 * EPS * (1 + kappa_dp)), z
