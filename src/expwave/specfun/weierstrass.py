@@ -12,10 +12,11 @@ Jacobi elliptic functions:
       p(z) = e2* + H (1 + cn(2 z sqrt(H); m)) / (1 - cn(...)),
       m = 1/2 - 3 e2* / (4 H)
 
-  discriminant = 0 degenerates to elementary functions:
-      g3 = 0 (g2^3 = 0 too): p(z) = 1/z^2
-      g3 < 0 (e>0):     p(z) = e + 3 e csch^2(z sqrt(3 e)),   e = cbrt(-g3)/2
-      g3 > 0 (e>0):     p(z) = -e + 3 e csc^2(z sqrt(3 e)),   e = cbrt(g3)/2
+  discriminant = 0 (roots snapped to d, d, -2d) takes the first form at
+  m = 1 for g3 < 0 and at m = 0 for g3 > 0, where sn is tanh and sin
+  (DLMF 22.5(ii), 23.6(ii)): with e = |d| that is
+      p(z) = e + 3 e csch^2(z sqrt(3 e))   and   -e + 3 e csc^2(z sqrt(3 e));
+  only g3 = 0 (g2^3 underflowed, or the triple root) is p(z) = 1/z^2.
 
 This is the real branch: p >= e1 between consecutive real poles.  Poles
 lie on the lattice {n * real_period}; evaluation inside the exclusion
@@ -111,7 +112,8 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
         if g2 == 0.0 and g3 == 0.0:
             return CubicRoots(real=(0.0, 0.0, 0.0))
         # the double root, g3 = -8 d^3; the simple root is -2d.  The one
-        # formula for it: prepare_weierstrass and elliptic_data read it here
+        # formula for it: elliptic_data reads it here, and the sn kind of
+        # prepare_weierstrass takes m = 1 or m = 0 from it
         d = -math.cbrt(g3) / 2.0
         roots = sorted((d, d, -2.0 * d), reverse=True)
         return CubicRoots(real=tuple(roots))
@@ -137,15 +139,15 @@ class _PreparedWeierstrass:
     """Invariant-dependent data hoisted out of the per-point evaluation.
 
     ``eval(z)`` returns p(z) and ``slope(z)`` returns p'(z).  Both apply
-    one pole rule first.
+    one pole rule first, whose radius is 1e-3 of the real period, or 1e-3
+    where that is infinite.
     """
 
     __slots__ = ("kind", "scale", "jacobi", "e_off", "coeff", "real_period",
                  "periodic", "eps_pole")
 
     def __init__(self, kind: str, scale: float, jacobi: _PreparedJacobi | None,
-                 e_off: float, coeff: float, real_period: float,
-                 pole_scale: float):
+                 e_off: float, coeff: float, real_period: float):
         self.kind = kind
         self.scale = scale
         self.jacobi = jacobi  # the "sn" and "cn" kinds only
@@ -153,7 +155,7 @@ class _PreparedWeierstrass:
         self.coeff = coeff
         self.real_period = real_period
         self.periodic = math.isfinite(real_period)
-        self.eps_pole = _POLE_FRACTION * pole_scale
+        self.eps_pole = _POLE_FRACTION * (real_period if self.periodic else 1.0)
 
     def _check_pole(self, z: float) -> None:
         """Raise PoleProximityError within eps_pole of a lattice pole."""
@@ -178,18 +180,7 @@ class _PreparedWeierstrass:
         if kind == "cn":  # H-form for one real root
             _, cn, _ = self.jacobi.sn_cn_dn(self.scale * z)
             return self.e_off + self.coeff * (1.0 + cn) / (1.0 - cn)
-        if kind == "rational":
-            return 1.0 / (z * z)
-        e = self.e_off
-        a = self.scale  # sqrt(3 e)
-        if kind == "hyperbolic":
-            try:
-                s = math.sinh(a * z)
-            except OverflowError:  # sinh past the largest float: p -> e
-                return e
-            return e + 3.0 * e * (1.0 / (s * s))
-        s = math.sin(a * z)  # "trigonometric"
-        return -e + 3.0 * e * (1.0 / (s * s))
+        return 1.0 / (z * z)  # "rational"
 
     def slope(self, z: float) -> float:
         """p'(z)."""
@@ -203,73 +194,46 @@ class _PreparedWeierstrass:
             one_m_cn = 1.0 - cn
             return (-2.0 * self.coeff * self.scale * sn * dn
                     / (one_m_cn * one_m_cn))
-        if kind == "rational":
-            return -2.0 / (z * z * z)
-        e = self.e_off
-        a = self.scale  # sqrt(3 e)
-        if kind == "hyperbolic":
-            try:
-                s = math.sinh(a * z)
-                c = math.cosh(a * z)
-            except OverflowError:  # past the largest float: p' -> 0
-                return 0.0
-            return -6.0 * e * a * (1.0 / (s * s)) * (c / s)
-        s = math.sin(a * z)  # "trigonometric"
-        return -6.0 * e * a * (1.0 / (s * s)) * (math.cos(a * z) / s)
+        return -2.0 / (z * z * z)  # "rational"
 
 
-def prepare_weierstrass(inv: WeierstrassInvariants,
-                        force_general: bool = False) -> _PreparedWeierstrass:
+def prepare_weierstrass(inv: WeierstrassInvariants) -> _PreparedWeierstrass:
     """Classify the invariants and precompute root/modulus/period data.
 
-    ``force_general`` bypasses the degenerate closed forms and runs the
-    root-based Jacobi reduction even at (near-)degenerate invariants,
-    where it hits the hyperbolic/trigonometric limits of sn; used to
-    cross-check the two expression routes against each other.
+    Three real roots take the sn kind, the snapped double roots (d, d,
+    -2d) among them: their parameter is exactly m = 1 or m = 0, which
+    _PreparedJacobi evaluates by tanh and sech or sin and cos.  One real
+    root takes the cn kind.  Only degenerate invariants with g3 = 0 take
+    the rational kind.
     """
     g2, g3 = inv.g2, inv.g3
     roots = solve_weierstrass_cubic(g2, g3)
-    if inv.is_degenerate and not force_general:
-        # g3 = 0 here means g2^3 underflowed too: p = 1/z^2 to rounding
-        if g3 == 0.0:
-            return _PreparedWeierstrass(
-                "rational", 0.0, None, 0.0, 0.0, math.inf, 1.0)
-        e = abs(roots.real[1])  # the double root: (d, d, -2d) sorted
-        a = math.sqrt(3.0 * e)
-        if g3 < 0.0:
-            # poles only at z = 0; the companion trigonometric scale pi/a
-            # still sets a sensible exclusion radius
-            return _PreparedWeierstrass(
-                "hyperbolic", a, None, e, 0.0, math.inf, math.pi / a)
-        return _PreparedWeierstrass(
-            "trigonometric", a, None, e, 0.0, math.pi / a, math.pi / a)
+    if g3 == 0.0 and inv.is_degenerate:
+        # g2^3 underflowed too: p = 1/z^2 to rounding
+        return _PreparedWeierstrass("rational", 0.0, None, 0.0, 0.0, math.inf)
     if len(roots.real) == 3:
         e1, e2, e3 = roots.real
         span = e1 - e3
         jac = _PreparedJacobi((e2 - e3) / span)
         scale = math.sqrt(span)
         period = 2.0 * jac.k / scale if jac.m < 1.0 else math.inf
-        return _PreparedWeierstrass(
-            "sn", scale, jac, e3, span, period,
-            period if math.isfinite(period) else 1.0)
+        return _PreparedWeierstrass("sn", scale, jac, e3, span, period)
     e2s = roots.real[0]
     h2 = 3.0 * e2s * e2s - g2 / 4.0
     h = math.sqrt(h2)
     jac = _PreparedJacobi(0.5 - 3.0 * e2s / (4.0 * h))
     scale = 2.0 * math.sqrt(h)
     period = 4.0 * jac.k / scale if jac.m < 1.0 else math.inf
-    return _PreparedWeierstrass(
-        "cn", scale, jac, e2s, h, period,
-        period if math.isfinite(period) else 1.0)
+    return _PreparedWeierstrass("cn", scale, jac, e2s, h, period)
 
 
 def weierstrass_p(z: float, inv: WeierstrassInvariants) -> tuple[float, float]:
     """Weierstrass p(z) and its derivative p'(z) on the real axis.
 
-    p is within 2e-14 relative of a 40-digit mpmath reference wherever
-    the Jacobi reduction runs (worst read 7.6e-15).  Inside the snap band
-    |delta| <= DELTA_REL_TOL * max(|g2|^3, 27 g3^2) the elementary
-    degenerate form stands in for the true function and misses it by up
+    p is within 2e-14 relative of a 40-digit mpmath reference outside
+    the snap band (worst read 7.6e-15).  Inside the snap band
+    |delta| <= DELTA_REL_TOL * max(|g2|^3, 27 g3^2) the double-root
+    function stands in for the true function and misses it by up
     to |delta| / (2 max(...)) + 2e-14 for |z| sqrt(3 e) <= 2, e the double
     root: 3.5e-13 read at the band edge, at the far end of that range.
     Farther out the miss grows as the true lattice's distant pole nears.
