@@ -10,7 +10,9 @@ Jacobi elliptic functions:
   discriminant < 0 (one real root e2*, conjugate pair):
       H^2 = 3 e2*^2 - g2/4,
       p(z) = e2* + H (1 + cn(2 z sqrt(H); m)) / (1 - cn(...)),
-      m = 1/2 - 3 e2* / (4 H)
+      m = 1/2 - 3 e2* / (4 H),
+  with the quotient taken as (1 + cn)^2/sn^2 for cn >= 0 and as
+  sn^2/(1 - cn)^2 for cn < 0, so that neither 1 - cn nor 1 + cn cancels
 
   discriminant = 0 (roots snapped to d, d, -2d) takes the first form at
   m = 1 for g3 < 0 and at m = 0 for g3 > 0, where sn is tanh and sin
@@ -155,7 +157,8 @@ class _PreparedWeierstrass:
         self.coeff = coeff
         self.real_period = real_period
         self.periodic = math.isfinite(real_period)
-        self.eps_pole = _POLE_FRACTION * (real_period if self.periodic else 1.0)
+        self.eps_pole = _POLE_FRACTION * (
+            real_period if self.periodic else 1.0)
 
     def _check_pole(self, z: float) -> None:
         """Raise PoleProximityError within eps_pole of a lattice pole."""
@@ -178,8 +181,13 @@ class _PreparedWeierstrass:
             sn, _, _ = self.jacobi.sn_cn_dn(self.scale * z)
             return self.e_off + self.coeff / (sn * sn)
         if kind == "cn":  # H-form for one real root
-            _, cn, _ = self.jacobi.sn_cn_dn(self.scale * z)
-            return self.e_off + self.coeff * (1.0 + cn) / (1.0 - cn)
+            sn, cn, _ = self.jacobi.sn_cn_dn(self.scale * z)
+            # (1 + cn)/(1 - cn) as the quotient that does not cancel
+            if cn >= 0.0:
+                q = 1.0 + cn
+                return self.e_off + self.coeff * (q * q / (sn * sn))
+            q = 1.0 - cn
+            return self.e_off + self.coeff * (sn * sn / (q * q))
         return 1.0 / (z * z)  # "rational"
 
     def slope(self, z: float) -> float:
@@ -191,9 +199,13 @@ class _PreparedWeierstrass:
             return -2.0 * self.coeff * self.scale * cn * dn / (sn ** 3)
         if kind == "cn":  # H-form for one real root
             sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
-            one_m_cn = 1.0 - cn
-            return (-2.0 * self.coeff * self.scale * sn * dn
-                    / (one_m_cn * one_m_cn))
+            # sn/(1 - cn)^2 as the quotient that does not cancel
+            if cn >= 0.0:
+                q = 1.0 + cn
+                return (-2.0 * self.coeff * self.scale * dn * (q * q)
+                        / (sn * sn * sn))
+            q = 1.0 - cn
+            return -2.0 * self.coeff * self.scale * sn * dn / (q * q)
         return -2.0 / (z * z * z)  # "rational"
 
 
@@ -230,12 +242,17 @@ def prepare_weierstrass(inv: WeierstrassInvariants) -> _PreparedWeierstrass:
 def weierstrass_p(z: float, inv: WeierstrassInvariants) -> tuple[float, float]:
     """Weierstrass p(z) and its derivative p'(z) on the real axis.
 
-    p is within 2e-14 relative of a 40-digit mpmath reference outside
-    the snap band (worst read 7.6e-15).  Inside the snap band
-    |delta| <= DELTA_REL_TOL * max(|g2|^3, 27 g3^2) the double-root
-    function stands in for the true function and misses it by up
-    to |delta| / (2 max(...)) + 2e-14 for |z| sqrt(3 e) <= 2, e the double
-    root: 3.5e-13 read at the band edge, at the far end of that range.
+    Outside the snap band, where the Jacobi parameter m is at most 0.99,
+    p and p' are each within 8 eps (1 + kappa) relative of a 40-digit
+    mpmath reference, eps = 2**-52 and kappa = |z f'/f| the conditioning
+    of f = p or p' in z: over 2,400 random points the worst read 5.7 for
+    p and 6.3 for p'.  Nearer m = 1, next to the snap band, 1 - m cancels
+    and the error grows: 452 eps (1 + kappa) read for p' at m = 0.9995.
+    Inside the snap band |delta| <= DELTA_REL_TOL * max(|g2|^3, 27 g3^2)
+    the double-root function stands in for the true function and misses
+    it by up to |delta| / (2 max(...)) + 2e-14 for |z| sqrt(3 e) <= 2, e
+    the double root: 3.5e-13 read at the band edge, at the far end of
+    that range.
     Farther out the miss grows as the true lattice's distant pole nears.
     Raises PoleProximityError inside the exclusion radius of a lattice
     pole.

@@ -199,6 +199,31 @@ def test_weierstrass_p_exactly_degenerate_against_mpmath(t, sign):
             ddp = 6 * p * p - mp.mpf(g2) / 2
             kappa_p = float(abs(z * dp / p))
             kappa_dp = float(abs(z * ddp / dp))
-            assert _relative_error(prep.eval(z), p) <= 4 * EPS * (1 + kappa_p), z
+            assert (_relative_error(prep.eval(z), p)
+                    <= 4 * EPS * (1 + kappa_p)), z
             assert (_relative_error(prep.slope(z), dp)
                     <= 4 * EPS * (1 + kappa_dp)), z
+
+
+@pytest.mark.parametrize("g2, g3, f", [
+    # cn = -1 at half the real period, where (1 + cn)/(1 - cn) rounded at
+    # the size of H rather than of p: 7.6e-12 off, now 3.8e-18
+    (-430.2786530651617, -0.0327824860079701, 0.5),
+    # cn near 1, where 1 - cn cancelled in p': 1.8e-12 off, now 3.3e-16
+    (1.0, 1.0, 0.0015),
+])
+def test_weierstrass_cn_kind_near_cn_pm1_against_mpmath(g2, g3, f):
+    # the one-real-root kind within 8 eps (1 + kappa) of p and of p',
+    # kappa = |z f'/f| for f = p and p'
+    prep = prepare_weierstrass(WeierstrassInvariants(g2, g3))
+    assert prep.kind == "cn"
+    z = f * prep.real_period
+    with mp.workdps(DPS):
+        reference = _weierstrass_reference(g2, g3)
+        p = reference(z)
+        dp = mp.diff(reference, z)
+        ddp = 6 * p * p - mp.mpf(g2) / 2
+        kappa_p = float(abs(z * dp / p))
+        kappa_dp = float(abs(z * ddp / dp))
+        assert _relative_error(prep.eval(z), p) <= 8 * EPS * (1 + kappa_p)
+        assert _relative_error(prep.slope(z), dp) <= 8 * EPS * (1 + kappa_dp)
