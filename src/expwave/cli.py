@@ -356,11 +356,22 @@ def _sample_rows(sol: Solution, grid: Grid) -> list[str]:
     return rows
 
 
+def _grid(sol: Solution | None, cfg: JobConfig) -> Grid:
+    """Grid.for_solution over the configured window, or the figures'
+    [-10, 10] without a solution; a window Grid refuses exits 2."""
+    try:
+        if sol is None:
+            return Grid(-10.0, 10.0, cfg.n)
+        return Grid.for_solution(sol, cfg.xi_min, cfg.xi_max, cfg.n)
+    except ValueError as e:
+        raise ConfigError(str(e))
+
+
 def cmd_sample(cfg: JobConfig) -> int:
     sol = _construct(cfg)
     if cfg.n < 2:
         raise ConfigError("sample needs n >= 2")
-    grid = Grid.for_solution(sol, cfg.xi_min, cfg.xi_max, cfg.n)
+    grid = _grid(sol, cfg)
     rows = _sample_rows(sol, grid)
     _emit("\n".join(rows) + "\n", cfg.output)
     return EXIT_OK
@@ -370,7 +381,7 @@ def cmd_verify(cfg: JobConfig) -> int:
     sol = _construct(cfg)
     if cfg.n < 16:
         raise ConfigError("verify needs n >= 16")
-    grid = Grid.for_solution(sol, cfg.xi_min, cfg.xi_max, cfg.n)
+    grid = _grid(sol, cfg)
     reports, skipped = battery(
         sol, grid, **{key: getattr(cfg, key) for key in _TOLERANCES})
     for oracle, reason in skipped:
@@ -414,7 +425,7 @@ def cmd_figures(cfg: JobConfig) -> int:
     if n < 2:
         raise ConfigError("figures needs n >= 2")
     outdir = cfg.output or "figures"
-    xs = Grid(-10.0, 10.0, n).points()
+    xs = _grid(None, cfg).points()
     sidecar: dict = {}
     for name, fam, curves in _FIGURES:
         built = []

@@ -80,7 +80,10 @@ PDE_HALF_WIDTH = 0.125
 @dataclass(frozen=True)
 class Grid:
     """The n equispaced points of [xi_min, xi_max] that
-    ``singularities.keeps(xi, pad)`` accepts, strictly increasing."""
+    ``singularities.keeps(xi, pad)`` accepts, strictly increasing.
+
+    A window whose step is not above 2 ulp of the largest of |xi_min|,
+    |xi_max| and the width is refused, as its points would repeat."""
 
     xi_min: float
     xi_max: float
@@ -99,6 +102,14 @@ class Grid:
             raise ValueError("grid needs n >= 2")
         if not self.xi_min < self.xi_max:
             raise ValueError("grid needs xi_min < xi_max")
+        width = self.xi_max - self.xi_min
+        step = width / (self.n - 1)
+        scale = max(abs(self.xi_min), abs(self.xi_max), width)
+        if not step > 2.0 * math.ulp(scale):
+            raise ValueError(
+                f"[{self.xi_min!r}, {self.xi_max!r}] cannot hold n = "
+                f"{self.n} distinct points: the step {step!r} is not above "
+                f"2 ulp of {scale!r}")
 
     def _cleared(self) -> list[tuple[float, float]]:
         memo = self._kept

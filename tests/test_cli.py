@@ -354,6 +354,34 @@ def test_bad_numeric_input_exits_2(capsys, tmp_path, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    # five copies of the row at xi = 0 were printed
+    (["sample", "--family", "liouville", "--c1", "1", "--lambda-gamma", "1",
+      "--xi-min", "0", "--xi-max", "5e-324", "--n", "5"],
+     "[0.0, 5e-324] cannot hold n = 5 distinct points: the step 0.0 "
+     "is not above 2 ulp of 5e-324"),
+    # xi = 1e16 was printed twice
+    (["sample", "--family", "liouville", "--c1", "1", "--lambda-gamma", "1",
+      "--xi-min", "1e16", "--xi-max", "1.0000000000000004e16", "--n", "5"],
+     "[1e+16, 1.0000000000000004e+16] cannot hold n = 5 distinct "
+     "points: the step 1.0 is not above 2 ulp of 1.0000000000000004e+16"),
+    # points_used read 16 for one point
+    (["verify", "--family", "sine-gordon", "--c1", "1", "--lambda-gamma",
+      "1", "--xi-min", "0", "--xi-max", "5e-324", "--n", "16"],
+     "[0.0, 5e-324] cannot hold n = 16 distinct points: the step 0.0 "
+     "is not above 2 ulp of 5e-324"),
+    (["figures", "--n", str(10 ** 17)],
+     "[-10.0, 10.0] cannot hold n = 100000000000000000 distinct "
+     "points: the step 2e-16 is not above 2 ulp of 20.0"),
+], ids=["sample-5e-324", "sample-1e16", "verify-5e-324", "figures"])
+def test_window_without_distinct_points_exits_2(capsys, tmp_path, argv,
+                                                 message):
+    assert main([*argv, "--output", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "out").exists()
+    assert err.splitlines() == ["config error: " + message]
+
+
 @pytest.mark.parametrize("args,flag,value,plain", [
     (["solve", "--family", "sine-gordon", "--lambda-gamma", "-1"],
      "--c1", "-1e-1", "-0.1"),

@@ -79,6 +79,18 @@ def test_grid_basics():
         ode_residual(sol, FR1, g)
 
 
+def test_grid_refuses_a_step_within_2_ulp():
+    # the step must exceed 2 ulp of max(|xi_min|, |xi_max|, width)
+    for xi_min, xi_max, n in [(0.0, 5e-324, 5), (1e16, 1e16 + 4.0, 5),
+                              (-1e16 - 4.0, -1e16, 5), (1e16, 1e16 + 8.0, 3),
+                              (-1e308, 1e308, 3)]:
+        with pytest.raises(ValueError, match="cannot hold n = "):
+            Grid(xi_min, xi_max, n)
+    # just above: every point is distinct
+    pts = Grid(1e16, 1e16 + 10.0, 3).points()
+    assert all(a < b for a, b in zip(pts, pts[1:])), pts
+
+
 def test_grid_measures_each_point_once(monkeypatch):
     # points() hands out a fresh list of the kept points
     g = Grid(0.0, 1.0, 101, Singularities.isolated(0.5), 0.2)
