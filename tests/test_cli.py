@@ -458,10 +458,10 @@ def test_exit_code_and_message(capsys, tmp_path, argv, code, message):
 
 
 def test_weierstrass_route_past_sinh_overflow(capsys):
-    # at c1 = -3/2 the general Weierstrass form runs the p kernel's
-    # hyperbolic form, whose sinh overflows on this window; it prints the
-    # limit h = 1, as the elementary csch^2 companion of the same function
-    # does
+    # at c1 = -3/2 the general Weierstrass form, built from the roots of
+    # its own cubic in h, meets its double root: sn runs at m = 1, where
+    # cosh overflows on this window; it prints the limit h = 1, as the
+    # elementary csch^2 companion of the same function does
     argv = ["sample", "--family", "tzitzeica", "--c1", "-1.5",
             "--lambda-gamma", "1", "--xi-min", "900", "--xi-max", "1000",
             "--n", "5"]
