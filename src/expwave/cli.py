@@ -356,13 +356,10 @@ def _sample_rows(sol: Solution, grid: Grid) -> list[str]:
     return rows
 
 
-def _grid(sol: Solution | None, cfg: JobConfig) -> Grid:
-    """Grid.for_solution over the configured window, or the figures'
-    [-10, 10] without a solution; a window Grid refuses exits 2."""
+def _grid(make, *args) -> Grid:
+    """make(*args), a Grid; a window that Grid refuses exits 2."""
     try:
-        if sol is None:
-            return Grid(-10.0, 10.0, cfg.n)
-        return Grid.for_solution(sol, cfg.xi_min, cfg.xi_max, cfg.n)
+        return make(*args)
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -371,7 +368,7 @@ def cmd_sample(cfg: JobConfig) -> int:
     sol = _construct(cfg)
     if cfg.n < 2:
         raise ConfigError("sample needs n >= 2")
-    grid = _grid(sol, cfg)
+    grid = _grid(Grid.for_solution, sol, cfg.xi_min, cfg.xi_max, cfg.n)
     rows = _sample_rows(sol, grid)
     _emit("\n".join(rows) + "\n", cfg.output)
     return EXIT_OK
@@ -381,7 +378,7 @@ def cmd_verify(cfg: JobConfig) -> int:
     sol = _construct(cfg)
     if cfg.n < 16:
         raise ConfigError("verify needs n >= 16")
-    grid = _grid(sol, cfg)
+    grid = _grid(Grid.for_solution, sol, cfg.xi_min, cfg.xi_max, cfg.n)
     reports, skipped = battery(
         sol, grid, **{key: getattr(cfg, key) for key in _TOLERANCES})
     for oracle, reason in skipped:
@@ -425,7 +422,7 @@ def cmd_figures(cfg: JobConfig) -> int:
     if n < 2:
         raise ConfigError("figures needs n >= 2")
     outdir = cfg.output or "figures"
-    xs = _grid(None, cfg).points()
+    xs = _grid(Grid, -10.0, 10.0, n).points()
     sidecar: dict = {}
     for name, fam, curves in _FIGURES:
         built = []
