@@ -176,7 +176,7 @@ EPS = 2.0 ** -52
 @pytest.mark.parametrize("t", [1e-3, 0.02, 1.0, 50.0, 1e3])
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_weierstrass_p_exactly_degenerate_against_mpmath(t, sign):
-    # (3 t^2, -+t^3) has the double root e = t/2: p = e + 3 e csch^2(a z)
+    # (3 t^2, +-t^3) has the double root e = t/2: p = e + 3 e csch^2(a z)
     # for g3 < 0 and -e + 3 e csc^2(a z) for g3 > 0, a = sqrt(3 e).  Each
     # of p and p' is within 4 eps (1 + kappa) of that 40-digit closed form,
     # kappa = |z f'/f| the conditioning in z (which bounds the one in e
