@@ -4,7 +4,8 @@
 ``solve`` for every figure curve and six Dodd-Bullough, TDB and DBM
 images of the Tzitzeica curves, each on a ``--lambda-gamma`` frame
 (k = 0) and on a k != 0 frame with the same lambda*gamma, plus eleven
-``verify`` runs, whose stderr (one note per skipped oracle) it holds too.
+``verify`` runs, whose stderr (one note per skipped oracle) it holds too,
+and four records off |lambda gamma| = 1 and xi0 = 0 (OFF_UNIT).
 ``golden/figures_n101`` holds the directory written by
 ``figures --n 101``.  Rewrite both, only when a change of output is
 intended, with
@@ -69,6 +70,20 @@ VERIFY = [
 ]
 
 
+#: sample and verify records at |lambda gamma| != 1 and xi0 != 0, where
+#: the digits depend on how lambda gamma enters the closed forms
+OFF_UNIT = [
+    ["sample", "--family", "tzitzeica", "--c1", "1.0", "--lambda-gamma",
+     "-0.37", "--xi0", "0.6", "--n", "101"],
+    ["sample", "--family", "dodd-bullough-mikhailov", "--c1", "1.0",
+     "--lambda-gamma", "2.9", "--xi0", "-0.6", "--n", "101"],
+    ["verify", "--family", "sine-gordon", "--c1", "-3.0", "--lambda-gamma",
+     "-2.9", "--xi0", "0.6", "--n", "101"],
+    ["verify", "--family", "sinh-gordon", "--c1", "-1.0", "--lambda-gamma",
+     "-0.37", "--xi0", "0.6", "--n", "101"],
+]
+
+
 def _frames(lg: float) -> list[list[str]]:
     # lam * (omega^2 - k^2) = (lg / 3) * 3 == lg exactly for lg = +/-1
     return [["--lambda-gamma", repr(lg)],
@@ -87,7 +102,7 @@ def golden_argvs() -> list[list[str]]:
             argvs.append(["sample"] + case + ["--n", "101"])
             argvs.append(["solve"] + case)
     argvs += [["verify"] + args + ["--n", "101"] for args in VERIFY]
-    return argvs
+    return argvs + OFF_UNIT
 
 
 def run_main(argv: list[str]) -> dict:
