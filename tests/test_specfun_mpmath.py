@@ -213,6 +213,20 @@ def test_weierstrass_p_exactly_degenerate_against_mpmath(t, sign):
     (1.0, 1.0, 0.0015),
 ])
 def test_weierstrass_cn_kind_near_cn_pm1_against_mpmath(g2, g3, f):
+    _assert_cn_kind_within_8_eps(g2, g3, f)
+
+
+@pytest.mark.parametrize("g2, g3, f", [
+    # m = 0.99948: mc formed as 1 - m read 2.5e-13 off, and p' 1.2e-13
+    # (438 eps (1 + kappa)); from root differences and the exact
+    # discriminant it reads 6.9e-16 off, and p' 0.35 eps (1 + kappa)
+    (0.23881342012263204, -0.023092317634600353, 0.25),
+])
+def test_weierstrass_cn_kind_next_to_the_snap_band_against_mpmath(g2, g3, f):
+    _assert_cn_kind_within_8_eps(g2, g3, f)
+
+
+def _assert_cn_kind_within_8_eps(g2, g3, f):
     # the one-real-root kind within 8 eps (1 + kappa) of p and of p',
     # kappa = |z f'/f| for f = p and p'
     prep = prepare_weierstrass(WeierstrassInvariants(g2, g3))
