@@ -411,16 +411,16 @@ def range_error(c1: float, lambda_gamma: float, what: str) -> DomainError:
 
 
 def _cubic(family: FamilyLabel, frame: FrameParams, c1: float) -> tuple:
-    """(a0, a1, a2, a3, inv) of the cubic (h')^2 = a3 h^3 + ... + a0, inv
-    its Weierstrass invariants: the one place the cubic families' g2 and
-    g3 are computed, in r = 1/(lambda gamma), and range-checked.
-    Invariants or a discriminant past the float range raise DomainError
-    naming c1 and lambda gamma."""
+    """(a0, a1, a2, a3, inv, at) of the cubic (h')^2 = a3 h^3 + ... + a0 at
+    r = sign(lambda gamma), whose roots in h are those at every |r|: the
+    one place the cubic families' g2 and g3 are computed.  inv holds them,
+    ``at`` (r^2 g2, |r|^3 g3) at r itself (DLMF 23.10.17; inf past the
+    float range).  inv past it (|c1| > ~1e154) raises DomainError."""
     if family not in CUBIC_FAMILIES:
         raise UnsupportedFamilyError(
             f"{family.name} does not reduce to the cubic elliptic equation")
     params = family_params(family)
-    r = frame.r
+    r = math.copysign(1.0, frame.r)
     a2 = 2.0 * c1 * r
     a1 = 0.0
     a3 = 2.0 * r * params.alpha  # all cubic families have a = 1
@@ -432,7 +432,8 @@ def _cubic(family: FamilyLabel, frame: FrameParams, c1: float) -> tuple:
     except (OverflowError, DomainError):
         raise range_error(c1, frame.lambda_gamma,
                           "the Weierstrass invariants") from None
-    return a0, a1, a2, a3, inv
+    lg = abs(frame.lambda_gamma)
+    return a0, a1, a2, a3, inv, (inv.g2 / lg / lg, inv.g3 / lg / lg / lg)
 
 
 def _roots_in_h(a0: float, a2: float, a3: float) -> CubicRoots:
@@ -456,12 +457,16 @@ def _roots_in_h(a0: float, a2: float, a3: float) -> CubicRoots:
 
 
 def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> EllipticData:
-    """Coefficients, germs g2/g3, discriminant and cubic roots for the
-    cubic families.
-
-    The Gordon families bypass the cubic route entirely and are rejected.
-    """
-    a0, a1, a2, a3, inv = _cubic(family, frame, c1)
+    """Coefficients, germs g2/g3, discriminant and cubic roots of a cubic
+    family at the frame's own r, refused past the float range; the Gordon
+    families bypass the cubic route entirely and are rejected."""
+    *coefficients, _, at = _cubic(family, frame, c1)
+    a0, a1, a2, a3 = (a * abs(frame.r) for a in coefficients)
+    try:
+        inv = WeierstrassInvariants(*at)
+    except (OverflowError, DomainError):
+        raise range_error(c1, frame.lambda_gamma,
+                          "the Weierstrass invariants") from None
     g2, g3 = inv.g2, inv.g3
     roots = solve_weierstrass_cubic(g2, g3)
     repeated = None
@@ -481,12 +486,12 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLab
     the native variable, r = 1/(lambda gamma) in the family's own frame, so
     always for Liouville and the cubic families.  c1 within C1_MATCH_TOL of
     a special value counts as that value.  A cubic case is read from c1 and
-    the sign of lambda gamma, both at the base (Tzitzeica) constants; the
-    Weierstrass invariants only bound the range (``_cubic`` refuses them
-    past the float range).  Liouville's case is read from the signs of c1
-    and lambda gamma.  Raises SignDomainError where no real solution exists,
-    DomainError where none is catalogued (sinh-Gordon, lambda gamma > 0,
-    c1 < -1/2)."""
+    the sign of lambda gamma, both at the base (Tzitzeica) constants; no
+    lambda gamma bounds its range, only a c1 whose invariants leave the
+    float range (``_cubic`` refuses it).  Liouville's case is read from the
+    signs of c1 and lambda gamma.  Raises SignDomainError where no real
+    solution exists, DomainError where none is catalogued (sinh-Gordon,
+    lambda gamma > 0, c1 < -1/2)."""
     if family is FamilyLabel.Liouville:
         if abs(c1) <= C1_MATCH_TOL:
             return CaseLabel.LiouvilleRational
@@ -494,7 +499,7 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLab
                 if (c1 > 0.0) == (frame.lambda_gamma > 0.0)
                 else CaseLabel.LiouvillePeriodic)
     if family in CUBIC_FAMILIES:
-        _cubic(family, frame, c1)  # only the range check
+        _cubic(family, frame, c1)  # only the range check of c1
         # the case is read from the base (Tzitzeica) constants
         flip = -1.0 if family in SIGN_MAPPED_FAMILIES else 1.0
         base_c1, base_lg = flip * c1, flip * frame.lambda_gamma

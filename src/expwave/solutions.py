@@ -9,7 +9,9 @@ Liouville's forms and the degenerate cubic ones share one evaluator,
 ``_inverse_square``.  Cubic-family solutions live in h (the field); the
 Gordon families are native in psi = log h, where the equations stay
 real, and expose h = e^psi.  Every ``+/-`` in a closed form is an
-explicit ``branch`` argument defaulting to +1.
+explicit ``branch`` argument defaulting to +1.  Each form is built at
+lambda gamma = sign(lambda gamma), and ``_rate`` alone applies the length
+scale sqrt(|lambda gamma|).
 
 Dodd-Bullough reads the base cubic forms at (-c1, -lambda gamma) and the
 two reflection families wrap their parent's evaluator literally as
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,7 +37,6 @@ from .errors import (
 from .reduction import (
     CBRT2,
     GORDON_FAMILIES,
-    SIGN_MAPPED_FAMILIES,
     CaseLabel,
     FamilyLabel,
     FrameParams,
@@ -133,6 +133,9 @@ class Solution:
         if self.bounded is not None:
             d["bounded"] = self.bounded
         if self.params:
+            if not all(map(math.isfinite, self.params.values())):  # g2, g3
+                raise range_error(self.c1, self.lambda_gamma,
+                                  "the Weierstrass invariants")
             d["params"] = {k: v for k, v in sorted(self.params.items())}
         return d
 
@@ -169,8 +172,10 @@ def _resolve_case(family: FamilyLabel, frame: FrameParams, c1: float,
 
 
 def _rate(kappa: float, c1: float, frame: FrameParams) -> float:
-    """kappa, refused where it is 0 or inf: a lattice period pi/kappa would
-    divide by 0 or read 0, and an evaluator would be constant or NaN."""
+    """kappa / sqrt(|lambda gamma|), kappa the rate at sign(lambda gamma);
+    refused where it is 0 or inf: a lattice period pi/kappa would divide
+    by 0 or read 0, and an evaluator would be constant or NaN."""
+    kappa *= 1.0 / math.sqrt(abs(frame.lambda_gamma))
     if 0.0 < kappa < math.inf:
         return kappa
     raise range_error(c1, frame.lambda_gamma, "the rate kappa")
@@ -218,14 +223,15 @@ def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
                branch: int, case: CaseLabel) -> tuple:
     """Single-exponential solutions: -c1 sech^2 pulse for c1/(2 lambda
     gamma) positive, -c1 sec^2 wave for negative, and the double-pole
-    rational 2 lambda gamma / (xi - xi0)^2 at c1 = 0, each even in xi - xi0
-    (so both branches agree); a = -0.0 keeps every signed zero."""
-    lg = frame.lambda_gamma
+    rational 2 lambda gamma / (xi - xi0)^2, the rate-1 form 2 sign(lambda
+    gamma) / (s (xi - xi0))^2, at c1 = 0; each even in xi - xi0 (so both
+    branches agree); a = -0.0 keeps every signed zero."""
     if case is CaseLabel.LiouvilleRational:
-        b, f, kappa = 2.0 * lg, operator.pos, 1.0
+        b, f, kappa = math.copysign(2.0, frame.lambda_gamma), operator.pos, 1.0
     else:
         b, f = -c1, math.cosh if case is CaseLabel.LiouvilleSoliton else math.cos
-        kappa = _rate(math.sqrt(abs(c1 / (2.0 * lg))), c1, frame)
+        kappa = math.sqrt(abs(c1 / 2.0))
+    kappa = _rate(kappa, c1, frame)
     return (*_inverse_square(-0.0, b, f, kappa, frame.xi0), None)
 
 
@@ -273,15 +279,10 @@ def _weierstrass_form(family: FamilyLabel, c1: float,
     not cancel near the poles.  mc is formed from the root differences,
     where 1 - m would lose the digits of a small mc.  Within
     1e-3 of a period of a pole the evaluator raises PoleProximityError.
-    Refused where r^3 = 1/(lambda gamma)^3 or the invariants' scale
-    max(|g2|^3, 27 g3^2) falls below the normal floats, or where the
-    cubic in 1/h or the rate leave the float range.
+    Built from ``_cubic`` at sign(lambda gamma); refused where the cubic
+    in 1/h or the rate leave the float range.
     """
-    a0, _, a2, a3, inv = _cubic(family, frame, c1)
-    # below the normal floats, r^3 leaves g3 without its digits and the
-    # scale leaves the discriminant and the degeneracy test without theirs
-    if min(abs(frame.r) ** 3, inv.scale) < sys.float_info.min:
-        raise range_error(c1, frame.lambda_gamma, "the Weierstrass invariants")
+    a0, _, a2, a3, _, at = _cubic(family, frame, c1)
     try:
         roots = _roots_in_h(a0, a2, a3)
     except (OverflowError, DomainError):
@@ -328,7 +329,7 @@ def _weierstrass_form(family: FamilyLabel, c1: float,
         if cn >= 0.0:
             return base + scale * (cn * (1.0 + cn) / (sn * sn))
         return base + scale * (cn / (1.0 - cn))
-    params = {"g2": inv.g2, "g3": inv.g3}
+    params = dict(zip(("g2", "g3"), at))
     if periodic:
         params["period"] = period
         return h_fn, Singularities.lattice(xi0, period), params
@@ -359,20 +360,17 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
     """
     if case in (CaseLabel.Equianharmonic, CaseLabel.GeneralWeierstrass):
         return (*_weierstrass_form(family, c1, frame), None)
-    base_c1, lg = c1, frame.lambda_gamma
-    if family in SIGN_MAPPED_FAMILIES:
-        base_c1, lg = -c1, -lg
     reflect = family in _REFLECTED
     xi0 = -frame.xi0 if reflect else frame.xi0
     bounded = None
 
     if case in (CaseLabel.Degenerate1a, CaseLabel.Degenerate1b):
-        kappa = _rate(0.5 * math.sqrt(3.0 / abs(lg)), c1, frame)
+        kappa = _rate(0.5 * math.sqrt(3.0), c1, frame)
         h_fn, sing, params = _inverse_square(
             1.0, *_DEGENERATE[case, branch], kappa, xi0)
 
     else:  # Lemniscatic
-        scale = 3.0 ** 0.25 / (CBRT2 * math.sqrt(lg))
+        scale = _rate(3.0 ** 0.25 / CBRT2, c1, frame)
         # cn parameter 1/2 = (sqrt(2)/2)^2: modulus-convention sources
         # quote sqrt(2)/2, squared here per the package-wide convention
         amp = 1.0 / (4.0 ** (1.0 / 3.0))
@@ -420,10 +418,10 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
     else:
         shift = 0.0
     # the shifted forms read their image constants
-    base_c1, lg = (-c1, -lg) if shift else (c1, lg)
+    base_c1 = -c1 if shift else c1
 
     if case in (CaseLabel.KinkC1Plus, CaseLabel.KinkC1Minus):
-        kappa = _rate(1.0 / math.sqrt(lg), c1, frame)
+        kappa = _rate(1.0, c1, frame)
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
             try:
                 return 4.0 * math.atan(math.exp(s * k * (xi - xi0)))
@@ -432,8 +430,7 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
         params = {"kappa": kappa}
         bounded = True
     else:
-        kappa = _rate(math.sqrt((base_c1 - 1.0) / (2.0 * lg)), c1,
-                      frame)
+        kappa = _rate(math.sqrt(abs((base_c1 - 1.0) / 2.0)), c1, frame)
         # read in the F(phi; m) parameter convention; under it this form
         # solves the first integral identically (the residual oracles
         # would expose a squared-modulus misreading instantly)
@@ -469,13 +466,12 @@ def _sinh_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
     real when (2 c1 + 1)/lambda gamma > 0: blow-up lattice for lambda
     gamma > 0, bounded periodic for lambda gamma < 0 (c1 < -1/2).
     """
-    lg = frame.lambda_gamma
     xi0 = frame.xi0
     bounded = None
     params: dict = {}
 
     if case is CaseLabel.KinkC1Minus:
-        kappa = _rate(math.sqrt(2.0 / lg), c1, frame)
+        kappa = _rate(math.sqrt(2.0), c1, frame)
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
             e = math.exp(s * k * (xi - xi0))
             if e >= 1.0:
@@ -485,7 +481,7 @@ def _sinh_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
         sing = Singularities.half_line(xi0, valid_side=-branch)
         params = {"kappa": kappa}
     elif case is CaseLabel.KinkC1Plus:
-        kappa = _rate(1.0 / math.sqrt(2.0 * lg), c1, frame)
+        kappa = _rate(1.0 / math.sqrt(2.0), c1, frame)
         period = math.pi / kappa
         def psi_fn(xi: float, k=kappa, s=branch) -> float:
             t = math.tan(s * k * (xi - xi0))
@@ -495,7 +491,7 @@ def _sinh_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
         sing = Singularities.lattice_windows(xi0, period, 0.25 * period)
         params = {"kappa": kappa, "period": period}
     else:
-        kappa = _rate(math.sqrt((2.0 * c1 + 1.0) / lg), c1, frame)
+        kappa = _rate(math.sqrt(abs(2.0 * c1 + 1.0)), c1, frame)
         m1 = (2.0 * c1 - 1.0) / (2.0 * c1 + 1.0)
         jac = _PreparedJacobi(m1)
         def psi_fn(xi: float, k=kappa, s=branch, sncndn=jac.sn_cn_dn) -> float:
@@ -505,7 +501,7 @@ def _sinh_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
             return -s * math.asinh(sn / cn)
         params = {"kappa": kappa, "modulus_parameter": 2.0 / (2.0 * c1 + 1.0),
                   "sc_parameter": m1}
-        if lg > 0.0:
+        if frame.lambda_gamma > 0.0:
             # m1 < 1: cn vanishes at odd multiples of K, psi blows up there
             k_quarter = jac.k / kappa
             sing = Singularities.lattice(xi0 + k_quarter, 2.0 * k_quarter)
@@ -594,9 +590,8 @@ def construct(family: FamilyLabel, c1: float, frame: FrameParams,
 
     ``case`` None takes the classified case; a requested one must match it
     (or be GeneralWeierstrass for a cubic family).  ``branch`` is +-1.  A
-    rate kappa of 0 or inf, or Weierstrass invariants past the float range
-    (r^3 or their scale below the normal floats), raise DomainError naming
-    c1 and lambda gamma.
+    rate of 0 or inf, or a c1 whose Weierstrass invariants leave the float
+    range, raise DomainError naming c1 and lambda gamma.
     """
     builder = _BUILDERS.get(family)
     if builder is None:

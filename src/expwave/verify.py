@@ -117,6 +117,9 @@ class Grid:
             step = (self.xi_max - self.xi_min) / (self.n - 1)
             lattice = [self.xi_min + i * step for i in range(self.n)]
             sing, pad = self.singularities, self.pad
+            if sing.period <= FD_MIN_STEP:  # no stencil reads such a lattice
+                raise DomainError(f"the period {sing.period:.3e} is not above "
+                                  f"the smallest stencil step {FD_MIN_STEP:g}")
             if sing.kind == "none":
                 # clearance is inf at every point
                 memo.append([(x, math.inf) for x in lattice]

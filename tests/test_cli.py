@@ -131,9 +131,9 @@ def test_sample_values():
     assert len(lines) == 4
     first = lines[1].split(",")
     assert float(first[0]) == 1.0
-    assert float(first[1]) == 1.0
-    # psi = log h = 0 here
-    assert float(first[2]) == 0.0
+    # h = 1 and psi = log h = 0 here, to the rounding of s = 1/sqrt(0.5)
+    assert float(first[1]) == pytest.approx(1.0, rel=4.5e-16, abs=0.0)
+    assert float(first[2]) == pytest.approx(0.0, abs=4.5e-16)
     assert float(first[3]) <= 1e-8
 
 
@@ -421,29 +421,45 @@ def test_negative_value_in_exponent_form(capsys, args, flag, value, plain):
       "1"], 3, "error: no catalogued closed form for sinh-Gordon with "
      "lambda gamma > 0 and c1 < -1/2"),
     # kappa overflows: the lattice period would read 0
+    (["sample", "--family", "sinh-gordon", "--c1", "1e308", "--lambda-gamma",
+      "1", "--n", "5"], 3, "error: c1=1e+308 and lambda gamma=1.0 put the "
+     "rate kappa past the float range"),
+    # the rate is finite (it overflowed while lambda gamma entered each rate
+    # formula), but the lattice is finer than the stencil's smallest step,
+    # so that no grid point's phase, and no oracle, can resolve it
     (["sample", "--family", "liouville", "--c1", "-1e300", "--lambda-gamma",
-      "1e-150", "--n", "5"], 3, "error: c1=-1e+300 and lambda gamma=1e-150 "
-     "put the rate kappa past the float range"),
+      "1e-150", "--n", "5"], 3, "error: the period 4.443e-225 is not above "
+     "the smallest stencil step 1e-06"),
     (["verify", "--family", "sinh-gordon", "--c1", "1e15", "--lambda-gamma",
-      "1e-300", "--n", "16"], 3, "error: c1=1000000000000000.0 and lambda "
-     "gamma=1e-300 put the rate kappa past the float range"),
+      "1e-300", "--n", "16"], 3, "error: the period 8.343e-157 is not above "
+     "the smallest stencil step 1e-06"),
+    # the sec^2 lattice of period 4.4e-75 (its residual overflowed before
+    # the period was refused)
+    (["verify", "--family", "liouville", "--c1", "-1e150", "--lambda-gamma",
+      "1", "--n", "101"], 3, "error: the period 4.443e-75 is not above the "
+     "smallest stencil step 1e-06"),
     # h h'' overflows at the pulse's peak: a NaN residual is refused, not
     # printed (sample) or passed over by max() (verify)
-    (["verify", "--family", "liouville", "--c1", "-1e150", "--lambda-gamma",
-      "1", "--n", "101"], 3, "error: c1=-1e+150 and lambda gamma=1.0 put "
-     "the ode_residual residual past the float range"),
     (["verify", "--family", "liouville", "--c1", "1e150", "--lambda-gamma",
       "1"], 3, "error: c1=1e+150 and lambda gamma=1.0 put the ode_residual "
      "residual past the float range"),
     (["sample", "--family", "liouville", "--c1", "1e300", "--lambda-gamma",
       "1", "--n", "5"], 3, "error: c1=1e+300 and lambda gamma=1.0 put the "
      "ode_residual residual past the float range"),
-    # the scale of the p invariants underflows: refused, where the p kernel
-    # named a pole radius of 1e25 and no input
+    # built at lambda gamma = 1 and read at eta = xi / sqrt(1e55): the
+    # window lies within 5% of a period (2.2e28) of the pole at 0 (it was
+    # refused while the invariants were taken at 1e55 itself)
     (["sample", "--family", "tzitzeica", "--c1", "1", "--lambda-gamma",
       "1e55", "--xi-min", "1", "--xi-max", "2", "--n", "3"], 3,
-     "error: c1=1.0 and lambda gamma=1e+55 put the Weierstrass invariants "
-     "past the float range"),
+     "error: ode_residual: exclusions removed every grid point"),
+    # g2 and g3 at lambda gamma = 1e-300 are past the float range, and JSON
+    # has no inf: solve and classify refuse to print them
+    (["solve", "--family", "tzitzeica", "--c1", "1", "--lambda-gamma",
+      "1e-300"], 3, "error: c1=1.0 and lambda gamma=1e-300 put the "
+     "Weierstrass invariants past the float range"),
+    (["classify", "--family", "tzitzeica", "--c1", "1", "--lambda-gamma",
+      "1e-60"], 3, "error: c1=1.0 and lambda gamma=1e-60 put the "
+     "Weierstrass invariants past the float range"),
     # h = e^psi overflows inside an ordinary window at lambda gamma < 0
     (["sample", "--family", "sine-gordon", "--c1", "-3", "--lambda-gamma",
       "-1", "--xi-min", "0", "--xi-max", "1000", "--n", "3"], 3,

@@ -409,41 +409,44 @@ _RANGE = ("DomainError: c1={c1} and lambda gamma={lg} put the Weierstrass "
 #: SWEEP_C1 for (family, lambda gamma): the case name, or the exception
 #: type and message; generated while classify_case solved the cubic, except
 #: c1 = 1e40 at lambda gamma = +-1, which is GeneralWeierstrass since the
-#: case is read from c1 (the invariants fell in the degenerate snap band)
+#: case is read from c1 (the invariants fell in the degenerate snap band),
+#: and the rows at lambda gamma = 1e-200 and -1e-250, which read as the
+#: rows at +-1 since the invariants are taken at sign(lambda gamma) (they
+#: were refused while they were taken at lambda gamma itself)
 SWEEP_C1 = (1e60, -1e60, 1e40, 3e102, 1e-320, -1.5, 0.0)
 SWEEP_CASES = {
     ('Tzitzeica', 1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
         _RANGE, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
     ('Tzitzeica', -1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
         _RANGE, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
-    ('Tzitzeica', 1e-200): (_RANGE, _RANGE, _RANGE, _RANGE,
-        _RANGE, _RANGE, _RANGE),
-    ('Tzitzeica', -1e-250): (_RANGE, _RANGE, _RANGE, _RANGE,
-        _RANGE, _RANGE, _RANGE),
+    ('Tzitzeica', 1e-200): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
+    ('Tzitzeica', -1e-250): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
     ('DoddBullough', 1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
         _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
     ('DoddBullough', -1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
         _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
-    ('DoddBullough', 1e-200): (_RANGE, _RANGE, _RANGE, _RANGE,
-        _RANGE, _RANGE, _RANGE),
-    ('DoddBullough', -1e-250): (_RANGE, _RANGE, _RANGE, _RANGE,
-        _RANGE, _RANGE, _RANGE),
+    ('DoddBullough', 1e-200): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('DoddBullough', -1e-250): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
     ('TzitzeicaDoddBullough', 1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
         _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
     ('TzitzeicaDoddBullough', -1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
         _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
-    ('TzitzeicaDoddBullough', 1e-200): (_RANGE, _RANGE, _RANGE,
-        _RANGE, _RANGE, _RANGE, _RANGE),
-    ('TzitzeicaDoddBullough', -1e-250): (_RANGE, _RANGE, _RANGE,
-        _RANGE, _RANGE, _RANGE, _RANGE),
+    ('TzitzeicaDoddBullough', 1e-200): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
+    ('TzitzeicaDoddBullough', -1e-250): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'GeneralWeierstrass', 'Equianharmonic'),
     ('DoddBulloughMikhailov', 1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
         _RANGE, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
     ('DoddBulloughMikhailov', -1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
         _RANGE, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
-    ('DoddBulloughMikhailov', 1e-200): (_RANGE, _RANGE, _RANGE,
-        _RANGE, _RANGE, _RANGE, _RANGE),
-    ('DoddBulloughMikhailov', -1e-250): (_RANGE, _RANGE, _RANGE,
-        _RANGE, _RANGE, _RANGE, _RANGE),
+    ('DoddBulloughMikhailov', 1e-200): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'Degenerate1a', 'Equianharmonic'),
+    ('DoddBulloughMikhailov', -1e-250): (_RANGE, _RANGE, 'GeneralWeierstrass',
+        _RANGE, 'Equianharmonic', 'Degenerate1b', 'Equianharmonic'),
 }
 
 

@@ -71,14 +71,15 @@ FORMS = (
 )
 
 #: |lambda gamma| of each row
-MAGNITUDES = (0.01, 0.37, 2.9, 100.0)
+MAGNITUDES = (0.01, 0.37, 2.9, 100.0,
+              1e-300, 1e-150, 1e-60, 1e60, 1e150, 1e300)
 
 #: eta targets, distances from xi0 at |lambda gamma| = 1
 ETAS = (-2.6, -0.9, 0.05, 0.4, 1.3, 3.7, 12.0)
 
 
-def _frames(lg: float) -> list[FrameParams]:
-    root = math.sqrt(abs(lg))
+def _frames(lg: float, length: float = 1.0) -> list[FrameParams]:
+    root = math.sqrt(abs(lg)) * length
     return [FrameParams.from_lambda_gamma(lg, xi0=0.7 * root),
             FrameParams(lam=lg / 3.0, k=1.0, omega=2.0, xi0=-1.9 * root)]
 
@@ -93,9 +94,11 @@ def _const_size(family, c1: float) -> float:
     return math.pi if family in GORDON_FAMILIES else 1.0 + abs(c1)
 
 
-def scale_readings(family, c1: float, frame: FrameParams, branch: int):
+def scale_readings(family, c1: float, frame: FrameParams, branch: int,
+                   length: float = 1.0):
     """(xi, reading) at each kept point: |v(xi) - v_sigma(eta)| over the
-    bound in the module docstring."""
+    bound in the module docstring, with eta at ``length`` times ETAS and
+    (length + |eta|) in place of (1 + |eta|)."""
     lg = frame.lambda_gamma
     sol = construct(family, c1, frame, branch=branch)
     unit = construct(family, c1,
@@ -109,15 +112,15 @@ def scale_readings(family, c1: float, frame: FrameParams, branch: int):
     size = _const_size(family, c1)
     readings = []
     for target in ETAS:
-        xi = frame.xi0 + root * target
+        xi = frame.xi0 + root * (length * target)
         eta = (xi - frame.xi0) / root
-        step = 1e-6 * (1.0 + abs(eta))
+        step = 1e-6 * (length + abs(eta))
         if not (sing.keeps(eta, pad) and sing.keeps(eta - step, pad)
                 and sing.keeps(eta + step, pad)):
             continue
         v, u = value(xi), unit_value(eta)
         slope = (unit_value(eta + step) - unit_value(eta - step)) / (2 * step)
-        bound = EPS * (PHASE_EPS * abs(slope) * (1.0 + abs(eta))
+        bound = EPS * (PHASE_EPS * abs(slope) * (length + abs(eta))
                        + VALUE_EPS * (abs(u) + size))
         readings.append((xi, abs(v - u) / bound))
     return readings
@@ -131,6 +134,41 @@ def test_form_at_lambda_gamma_is_the_sigma_form_at_eta(family, c1, sigma,
     for frame in _frames(sigma * mag):
         for branch in (1, -1):
             readings = scale_readings(family, c1, frame, branch)
+            assert len(readings) >= 2, (frame, branch)
+            for xi, reading in readings:
+                assert reading <= 1.0, (frame, branch, xi, reading)
+
+
+#: (family, c1, lambda gamma) refused while each form carried lambda gamma
+#: through its own constants: a rate kappa that overflowed or underflowed
+#: although kappa_1 / sqrt(|lambda gamma|) is finite, r^3 or the scale of
+#: the Weierstrass invariants below the normal floats, and invariants past
+#: the float range at small |lambda gamma|
+FORMER_REFUSALS = [
+    (LV, -1e300, 1e-150), (LV, -3e4, 3e-308), (LV, 1e300, 1e-150),
+    (SH, 1e15, 1e-300), (SH, -0.5, 1e-308), (SG, 1e300, 1e-300),
+    (LV, 1.0, 1.7e308), (LV, -1.0, -1.7e308), (SH, 0.5, 1.7e308),
+    (SG, 3.0, 1.7e308),
+    (TZ, 0.0, 1e200), (TZ, 1.0, -3.6e102), (DB, 0.0, -1e300),
+    (TDB, 0.5, 1e300), (DBM, -2.0, -1e250), (TZ, 0.0, 1e55), (TZ, 1.0, 1e55),
+    (TZ, 0.0, 1e100), (TZ, 1.0, -1e100), (DBM, -0.5, 1e55),
+] + [(fam, c1, lg) for fam in (TZ, DB, TDB, DBM)
+     for c1 in (1e40, 1e-320, -1.5, 0.0) for lg in (1e-200, -1e-250)]
+
+
+@pytest.mark.parametrize("family, c1, lg", FORMER_REFUSALS,
+                         ids=[f"{f.value}-{c1:g}-{lg:g}"
+                              for f, c1, lg in FORMER_REFUSALS])
+def test_formerly_refused_input_is_the_sigma_form_at_eta(family, c1, lg):
+    # at |c1| = 1e40 or 1e300 the form varies on a length far below 1:
+    # 1/kappa_1, or a period over pi, of the sigma form
+    params = construct(family, c1, FrameParams.from_lambda_gamma(
+        math.copysign(1.0, lg))).params
+    length = min(1.0, params["period"] / math.pi if "period" in params
+                 else 1.0 / params.get("kappa", 1.0))
+    for frame in _frames(lg, length):
+        for branch in (1, -1):
+            readings = scale_readings(family, c1, frame, branch, length)
             assert len(readings) >= 2, (frame, branch)
             for xi, reading in readings:
                 assert reading <= 1.0, (frame, branch, xi, reading)

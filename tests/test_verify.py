@@ -91,6 +91,19 @@ def test_grid_refuses_a_step_within_2_ulp():
     assert all(a < b for a, b in zip(pts, pts[1:])), pts
 
 
+def test_grid_refuses_a_lattice_finer_than_the_smallest_step():
+    # at a period of FD_MIN_STEP or less neither a grid point's phase nor a
+    # stencil resolves the lattice (the sec^2 form at c1 = -1e300, lambda
+    # gamma = 1e-150 has period 4.4e-225): refused before any point is kept
+    for period in (FD_MIN_STEP, 4.4e-225):
+        g = Grid(0.0, 1.0, 16, Singularities.lattice(0.3, period),
+                 0.05 * period)
+        with pytest.raises(DomainError, match="^the period .* is not above "
+                                              "the smallest stencil step"):
+            g.points()
+    assert Grid(0.0, 1.0, 16, Singularities.lattice(0.3, 2e-6), 1e-7).points()
+
+
 def test_grid_measures_each_point_once(monkeypatch):
     # points() hands out a fresh list of the kept points
     g = Grid(0.0, 1.0, 101, Singularities.isolated(0.5), 0.2)
