@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ..errors import DomainError, PoleProximityError
 from .carlson import carlson_rf
@@ -71,7 +70,6 @@ class WeierstrassInvariants:
 
     @property
     def is_degenerate(self) -> bool:
-        """|delta| within DELTA_REL_TOL of max(|g2|^3, 27 g3^2)."""
         return abs(self.delta) <= DELTA_REL_TOL * max(abs(self.g2) ** 3,
                                                       27.0 * self.g3 ** 2)
 
@@ -217,8 +215,8 @@ def prepare_weierstrass(inv: WeierstrassInvariants) -> _PreparedWeierstrass:
     the rational kind.  Each kind hands _PreparedJacobi its mc = 1 - m
     formed without that cancellation: (e1 - e2)/(e1 - e3) for sn, and
     for cn (2 H + 3 e2*)/(4 H) where e2* >= 0, a^2/(H (2 H - 3 e2*))
-    where e2* < 0, with a the pair's imaginary part and H^2 = 9 e2*^2/4 +
-    a^2.
+    where e2* < 0, with a the pair's imaginary part, H^2 = 9 e2*^2/4 +
+    a^2, and a^2 = -delta/(64 H^4) from the exact discriminant.
     """
     g2, g3 = inv.g2, inv.g3
     roots = solve_weierstrass_cubic(g2, g3)
@@ -238,11 +236,14 @@ def prepare_weierstrass(inv: WeierstrassInvariants) -> _PreparedWeierstrass:
     if e2s >= 0.0:
         mc = (2.0 * h + 3.0 * e2s) / (4.0 * h)
     else:
-        # a^2 / (H (2 H - 3 e2*)), where 2 H + 3 e2* cancels; a^2 = -delta /
-        # (64 H^4) in exact arithmetic, as the solver's a cancels too
-        hq = Fraction(h)
-        delta = Fraction(g2) ** 3 - 27 * Fraction(g3) ** 2
-        mc = float(-delta / (64 * hq ** 5 * (2 * hq - 3 * Fraction(e2s))))
+        # a^2 / (H (2 H - 3 e2*)), where 2 H + 3 e2* cancels, with a^2 =
+        # -delta / (64 H^4), as the solver's a cancels too: in integers,
+        # the floats' exact ratios, rounded once by the division
+        (n2, d2), (n3, d3) = g2.as_integer_ratio(), g3.as_integer_ratio()
+        (nh, dh), (ne, de) = h.as_integer_ratio(), e2s.as_integer_ratio()
+        mc = ((27 * n3 * n3 * d2 ** 3 - n2 ** 3 * d3 * d3) * dh ** 6 * de
+              / (64 * (d2 * d3) ** 2 * d2 * nh ** 5
+                 * (2 * nh * de - 3 * ne * dh)))
     jac = _PreparedJacobi(0.5 - 3.0 * e2s / (4.0 * h), mc)
     scale = 2.0 * math.sqrt(h)
     period = 4.0 * jac.k / scale if mc > 0.0 else math.inf
