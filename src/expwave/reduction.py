@@ -412,10 +412,10 @@ def range_error(c1: float, lambda_gamma: float, what: str) -> DomainError:
 
 def _cubic(family: FamilyLabel, frame: FrameParams, c1: float) -> tuple:
     """(a0, a1, a2, a3, inv, at) of the cubic (h')^2 = a3 h^3 + ... + a0 at
-    r = sign(lambda gamma), whose roots in h are those at every |r|: the
-    one place the cubic families' g2 and g3 are computed.  inv holds them,
-    ``at`` (r^2 g2, |r|^3 g3) at r itself (DLMF 23.10.17; inf past the
-    float range).  inv past it (|c1| > ~1e154) raises DomainError."""
+    r = sign(lambda gamma), whose roots in h hold at every |r|; inv its
+    invariants, ``at`` (r^2 g2, |r|^3 g3) those at r itself (DLMF 23.10.17,
+    inf past the float range).  The one place g2 and g3 are computed; inv
+    past the float range (from |c1| ~ 4e51) raises ``range_error``."""
     if family not in CUBIC_FAMILIES:
         raise UnsupportedFamilyError(
             f"{family.name} does not reduce to the cubic elliptic equation")
@@ -457,11 +457,11 @@ def _roots_in_h(a0: float, a2: float, a3: float) -> CubicRoots:
 
 
 def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> EllipticData:
-    """Coefficients, germs g2/g3, discriminant and cubic roots of a cubic
-    family at the frame's own r, refused past the float range; the Gordon
-    families bypass the cubic route entirely and are rejected."""
-    *coefficients, _, at = _cubic(family, frame, c1)
-    a0, a1, a2, a3 = (a * abs(frame.r) for a in coefficients)
+    """The cubic's coefficients, g2/g3, discriminant and roots at the
+    frame's own r, refused past the float range and for Gordon families."""
+    a0, a1, a2, a3, _, at = _cubic(family, frame, c1)
+    r = abs(frame.r)
+    a0, a1, a2, a3 = a0 * r, a1 * r, a2 * r, a3 * r
     try:
         inv = WeierstrassInvariants(*at)
     except (OverflowError, DomainError):

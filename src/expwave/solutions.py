@@ -133,7 +133,7 @@ class Solution:
         if self.bounded is not None:
             d["bounded"] = self.bounded
         if self.params:
-            if not all(map(math.isfinite, self.params.values())):  # g2, g3
+            if not all(map(math.isfinite, self.params.values())):  # JSON
                 raise range_error(self.c1, self.lambda_gamma,
                                   "the Weierstrass invariants")
             d["params"] = {k: v for k, v in sorted(self.params.items())}
@@ -172,10 +172,10 @@ def _resolve_case(family: FamilyLabel, frame: FrameParams, c1: float,
 
 
 def _rate(kappa: float, c1: float, frame: FrameParams) -> float:
-    """kappa / sqrt(|lambda gamma|), kappa the rate at sign(lambda gamma);
+    """kappa / sqrt(|lambda gamma|), from kappa at sign(lambda gamma);
     refused where it is 0 or inf: a lattice period pi/kappa would divide
     by 0 or read 0, and an evaluator would be constant or NaN."""
-    kappa *= 1.0 / math.sqrt(abs(frame.lambda_gamma))
+    kappa /= math.sqrt(abs(frame.lambda_gamma))
     if 0.0 < kappa < math.inf:
         return kappa
     raise range_error(c1, frame.lambda_gamma, "the rate kappa")
@@ -279,8 +279,9 @@ def _weierstrass_form(family: FamilyLabel, c1: float,
     not cancel near the poles.  mc is formed from the root differences,
     where 1 - m would lose the digits of a small mc.  Within
     1e-3 of a period of a pole the evaluator raises PoleProximityError.
-    Built from ``_cubic`` at sign(lambda gamma); refused where the cubic
-    in 1/h or the rate leave the float range.
+    Built from ``_cubic`` at sign(lambda gamma): |lambda gamma| enters by
+    ``_rate`` and the params g2 and g3 alone.  Refused where the cubic in
+    1/h or the rate leave the float range.
     """
     a0, _, a2, a3, _, at = _cubic(family, frame, c1)
     try:
