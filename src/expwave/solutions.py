@@ -222,10 +222,9 @@ def _inverse_square(a: float, b: float, f: Callable[[float], float],
 def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
                branch: int, case: CaseLabel) -> tuple:
     """Single-exponential solutions: -c1 sech^2 pulse for c1/(2 lambda
-    gamma) positive, -c1 sec^2 wave for negative, and the double-pole
-    rational 2 lambda gamma / (xi - xi0)^2, the rate-1 form 2 sign(lambda
-    gamma) / (s (xi - xi0))^2, at c1 = 0; each even in xi - xi0 (so both
-    branches agree); a = -0.0 keeps every signed zero."""
+    gamma) > 0, -c1 sec^2 wave for < 0, and at c1 = 0 the double pole 2
+    lambda gamma / (xi - xi0)^2 = 2 sign(lambda gamma) / (s (xi - xi0))^2;
+    each even in xi - xi0 (both branches agree); a = -0.0 keeps zeros."""
     if case is CaseLabel.LiouvilleRational:
         b, f, kappa = math.copysign(2.0, frame.lambda_gamma), operator.pos, 1.0
     else:
