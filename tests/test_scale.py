@@ -9,7 +9,9 @@ sqrt(|lambda gamma|).  Each catalogued form is checked so, in h for the
 cubic families and Liouville and in psi for the Gordon families, through
 every family that builds it and on both branches, with xi0 != 0 on a
 lambda gamma frame and on a k != 0 frame (lambda = lambda gamma / 3,
-omega = 2, k = 1), at |lambda gamma| from 0.01 to 100.
+omega = 2, k = 1), at |lambda gamma| from 0.01 to 100 and from 1e-300 to
+1e300, and at the inputs refused while lambda gamma entered each form's
+own constants (FORMER_REFUSALS).
 
 The two values are built from the same constants, so they differ by
 rounding alone.  The phase, kappa (xi - xi0) on one side and kappa_1 eta
