@@ -133,7 +133,8 @@ class Solution:
         if self.bounded is not None:
             d["bounded"] = self.bounded
         if self.params:
-            if not all(map(math.isfinite, self.params.values())):  # JSON
+            if not all(map(math.isfinite, self.params.values())):
+                # only g2 and g3 can be inf, and JSON has no inf
                 raise range_error(self.c1, self.lambda_gamma,
                                   "the Weierstrass invariants")
             d["params"] = {k: v for k, v in sorted(self.params.items())}
@@ -172,9 +173,8 @@ def _resolve_case(family: FamilyLabel, frame: FrameParams, c1: float,
 
 
 def _rate(kappa: float, c1: float, frame: FrameParams) -> float:
-    """kappa / sqrt(|lambda gamma|), from kappa at sign(lambda gamma);
-    refused where it is 0 or inf: a lattice period pi/kappa would divide
-    by 0 or read 0, and an evaluator would be constant or NaN."""
+    """kappa / sqrt(|lambda gamma|) from the rate kappa at sign(lambda gamma),
+    refused at 0 or inf: a period pi/kappa would divide by 0 or read 0."""
     kappa /= math.sqrt(abs(frame.lambda_gamma))
     if 0.0 < kappa < math.inf:
         return kappa
