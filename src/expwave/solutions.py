@@ -276,8 +276,10 @@ def _weierstrass_form(family: FamilyLabel, c1: float,
     ... or h1 + ... would subtract numbers of the roots' size.  cn / (1 -
     cn) is taken as cn (1 + cn) / sn^2 where cn >= 0, so that 1 - cn does
     not cancel near the poles.  mc is formed from the root differences,
-    where 1 - m would lose the digits of a small mc.  Within
-    1e-3 of a period of a pole the evaluator raises PoleProximityError.
+    where 1 - m would lose the digits of a small mc.  Within 1e-3 of a
+    period of a pole, or of sqrt(|lambda gamma|) where a double root leaves
+    no period (1e-3 in eta either way), the evaluator raises
+    PoleProximityError.
     Built from ``_cubic`` at sign(lambda gamma): |lambda gamma| enters by
     ``_rate`` and the params g2 and g3 alone.  Refused where the cubic in
     1/h or the rate leave the float range.
@@ -311,7 +313,8 @@ def _weierstrass_form(family: FamilyLabel, c1: float,
     # (mc = 0) leaves one pole
     period = (2.0 if three else 4.0) * jac.k / kappa if mc > 0.0 else math.inf
     periodic = period < math.inf
-    eps_pole = 1.0e-3 * (period if periodic else 1.0)
+    eps_pole = 1.0e-3 * (period if periodic
+                         else math.sqrt(abs(frame.lambda_gamma)))
     xi0 = frame.xi0
     sncndn = jac.sn_cn_dn
 

@@ -37,6 +37,7 @@ import pytest
 from expwave.reduction import (
     C1_LEMNISCATIC,
     GORDON_FAMILIES,
+    CaseLabel,
     FamilyLabel,
     FrameParams,
 )
@@ -97,15 +98,16 @@ def _const_size(family, c1: float) -> float:
 
 
 def scale_readings(family, c1: float, frame: FrameParams, branch: int,
-                   length: float = 1.0):
+                   length: float = 1.0, case: CaseLabel | None = None):
     """(xi, reading) at each kept point: |v(xi) - v_sigma(eta)| over the
     bound in the module docstring, with eta at ``length`` times ETAS and
-    (length + |eta|) in place of (1 + |eta|)."""
+    (length + |eta|) in place of (1 + |eta|); both forms are built as
+    ``case`` (the classified one when None)."""
     lg = frame.lambda_gamma
-    sol = construct(family, c1, frame, branch=branch)
+    sol = construct(family, c1, frame, branch=branch, case=case)
     unit = construct(family, c1,
                      FrameParams.from_lambda_gamma(math.copysign(1.0, lg)),
-                     branch=branch)
+                     branch=branch, case=case)
     assert sol.case is unit.case
     value, unit_value = _value(sol), _value(unit)
     sing = unit.singularities
@@ -136,6 +138,30 @@ def test_form_at_lambda_gamma_is_the_sigma_form_at_eta(family, c1, sigma,
     for frame in _frames(sigma * mag):
         for branch in (1, -1):
             readings = scale_readings(family, c1, frame, branch)
+            assert len(readings) >= 2, (frame, branch)
+            for xi, reading in readings:
+                assert reading <= 1.0, (frame, branch, xi, reading)
+
+
+#: (family, c1, sigma): each family's degenerate c1 built as the general
+#: Weierstrass form; on the aperiodic side (a double root, no period) its
+#: pole radius must scale with the form as well
+FORCED_WEIERSTRASS = [(fam, f * -1.5, f * s)
+                      for fam, f in ((TZ, 1.0), (DB, -1.0), (TDB, -1.0),
+                                     (DBM, 1.0))
+                      for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("mag", MAGNITUDES)
+@pytest.mark.parametrize("family, c1, sigma", FORCED_WEIERSTRASS,
+                         ids=[f"{f.value}-{c1:g}-{s:+}"
+                              for f, c1, s in FORCED_WEIERSTRASS])
+def test_forced_weierstrass_form_is_the_sigma_form_at_eta(family, c1, sigma,
+                                                          mag):
+    for frame in _frames(sigma * mag):
+        for branch in (1, -1):
+            readings = scale_readings(family, c1, frame, branch,
+                                      case=CaseLabel.GeneralWeierstrass)
             assert len(readings) >= 2, (frame, branch)
             for xi, reading in readings:
                 assert reading <= 1.0, (frame, branch, xi, reading)
