@@ -458,24 +458,34 @@ def _roots_in_h(a0: float, a2: float, a3: float) -> CubicRoots:
 
 def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> EllipticData:
     """The cubic's coefficients, g2/g3, discriminant and roots at the
-    frame's own r, refused past the float range and for Gordon families."""
-    a0, a1, a2, a3, _, at = _cubic(family, frame, c1)
+    frame's own r, refused past the float range and for Gordon families.
+
+    Degeneracy, roots and discriminant are read at sign(r) and scaled by
+    |r| (DLMF 23.10.17), as g2^3 and g3^2 taken at r itself underflow at
+    large |lambda gamma|; where |r|^6 delta underflows it prints as a zero
+    with the sign of the true delta."""
+    a0, a1, a2, a3, inv, at = _cubic(family, frame, c1)
     r = abs(frame.r)
     a0, a1, a2, a3 = a0 * r, a1 * r, a2 * r, a3 * r
     try:
-        inv = WeierstrassInvariants(*at)
+        WeierstrassInvariants(*at)  # g2^3 or g3^2 past the float range
     except (OverflowError, DomainError):
         raise range_error(c1, frame.lambda_gamma,
                           "the Weierstrass invariants") from None
-    g2, g3 = inv.g2, inv.g3
-    roots = solve_weierstrass_cubic(g2, g3)
+    unit = solve_weierstrass_cubic(inv.g2, inv.g3)
+    roots = CubicRoots(
+        real=tuple(t * r for t in unit.real),
+        complex_pair=None if unit.all_real
+        else tuple(t * r for t in unit.complex_pair))
     repeated = None
-    if inv.is_degenerate and not (g2 == 0.0 and g3 == 0.0):
+    if inv.is_degenerate and not (inv.g2 == 0.0 and inv.g3 == 0.0):
         # double root magnitude: the roots are (d, d, -2d), sorted
         repeated = abs(roots.real[1])
     return EllipticData(
         family=family, c1=c1, r=frame.r,
-        a0=a0, a1=a1, a2=a2, a3=a3, p=a2, g2=g2, g3=g3, delta=inv.delta,
+        a0=a0, a1=a1, a2=a2, a3=a3, p=a2, g2=at[0], g3=at[1],
+        # left to right, so no product passes |r|^6 delta (0 stays 0)
+        delta=inv.delta * r * r * r * r * r * r,
         roots=roots, repeated_root=repeated,
     )
 

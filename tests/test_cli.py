@@ -194,6 +194,20 @@ def _stdout_json(capsys, argv):
     return json.loads(capsys.readouterr().out)
 
 
+def test_classify_reads_degeneracy_at_unit_scale(capsys):
+    # at lambda gamma = 1e55 g2^3 and g3^2 underflow, so a discriminant
+    # taken there reads 0; the case is the general one with one real root,
+    # and delta keeps the sign of the true discriminant
+    data = _stdout_json(capsys, ["classify", "--family", "tzitzeica", "--c1",
+                                 "1", "--lambda-gamma", "1e55"])
+    assert data["case"] == "GeneralWeierstrass"
+    data = data["elliptic_data"]
+    assert len(data["roots_real"]) == 1
+    assert len(data["roots_complex_pair"]) == 2
+    assert "repeated_root" not in data
+    assert math.copysign(1.0, data["delta"]) == -1.0
+
+
 def test_solve_prints_the_classify_invariants(capsys):
     # one owner of g2 and g3: solve's params equal classify's elliptic
     # data bit for bit, in both frame forms and at special and random c1
