@@ -248,26 +248,53 @@ def test_sign_map_duality(x, pair):
     assert db.evaluate_h(x) == tz.evaluate_h(x)
 
 
+#: (reflection, parent, c1, lambda gamma) of each form that is even in xi -
+#: xi0: the four degenerate cells (Degenerate1a, then 1b) and the
+#: lemniscatic wave; the reflection is a sign on its constants
+EVEN_REFLECTIONS = [
+    (FamilyLabel.TzitzeicaDoddBullough, FamilyLabel.DoddBullough, 1.5, -0.37),
+    (FamilyLabel.TzitzeicaDoddBullough, FamilyLabel.DoddBullough, 1.5, 2.9),
+    (FamilyLabel.TzitzeicaDoddBullough, FamilyLabel.DoddBullough,
+     -C1_LEMNISCATIC, -2.9),
+    (FamilyLabel.DoddBulloughMikhailov, FamilyLabel.Tzitzeica, -1.5, 2.9),
+    (FamilyLabel.DoddBulloughMikhailov, FamilyLabel.Tzitzeica, -1.5, -0.37),
+    (FamilyLabel.DoddBulloughMikhailov, FamilyLabel.Tzitzeica,
+     C1_LEMNISCATIC, 0.37),
+]
+
+
 def test_reflection_dualities():
-    for c1, lg in [(1.5, -1.0), (1.0, -2.0)]:
+    # h(xi) = -h_parent(-xi) with the parent at -xi0, bit for bit
+    cases = set()
+    for family, parent, c1, lg in EVEN_REFLECTIONS:
+        for xi0 in (0.0, 0.6, -1.3):
+            for branch in (1, -1):
+                sol = construct(family, c1, FrameParams.from_lambda_gamma(
+                    lg, xi0=xi0), branch=branch)
+                par = construct(parent, c1, FrameParams.from_lambda_gamma(
+                    lg, xi0=-xi0), branch=branch)
+                cases.add((family, sol.case, branch))
+                for i in range(100):
+                    x = -5.0 + 0.1 * i + 0.013
+                    if par.singularities.distance(-x) < 1e-3:
+                        continue
+                    assert sol.evaluate_h(x) == -par.evaluate_h(-x), (
+                        family, c1, lg, xi0, branch, x)
+    assert len(cases) == 12
+    # the Weierstrass forms solve their own cubics
+    for family, parent, c1, lg in [
+            (FamilyLabel.TzitzeicaDoddBullough, FamilyLabel.DoddBullough,
+             1.0, -2.0),
+            (FamilyLabel.DoddBulloughMikhailov, FamilyLabel.Tzitzeica,
+             1.0, 1.0)]:
         frame = FrameParams.from_lambda_gamma(lg)
-        tdb = construct(FamilyLabel.TzitzeicaDoddBullough, c1, frame)
-        db = construct(FamilyLabel.DoddBullough, c1, frame)
+        sol = construct(family, c1, frame)
+        par = construct(parent, c1, frame)
         for i in range(100):
             x = -5.0 + 0.1 * i + 0.013
-            if db.singularities.distance(-x) < 1e-3:
+            if par.singularities.distance(-x) < 1e-3:
                 continue
-            assert tdb.evaluate_h(x) == pytest.approx(-db.evaluate_h(-x),
-                                                      abs=1e-12)
-    for c1, lg in [(-1.5, 1.0), (1.0, 1.0)]:
-        frame = FrameParams.from_lambda_gamma(lg)
-        dbm = construct(FamilyLabel.DoddBulloughMikhailov, c1, frame)
-        tz = construct(FamilyLabel.Tzitzeica, c1, frame)
-        for i in range(100):
-            x = -5.0 + 0.1 * i + 0.013
-            if tz.singularities.distance(-x) < 1e-3:
-                continue
-            assert dbm.evaluate_h(x) == pytest.approx(-tz.evaluate_h(-x),
+            assert sol.evaluate_h(x) == pytest.approx(-par.evaluate_h(-x),
                                                       abs=1e-12)
 
 
