@@ -109,23 +109,12 @@ class Singularities:
         ``pad`` from the singular set."""
         return self.clearance(xi) > pad
 
-    # the sampling rule is ``keeps`` alone; perfbench/tracer.py still wraps
-    # a class attribute of this name, so it stays bound until ROADMAP item 1
-    # drops the binding and the tracer's entry together
+    # the sampling rule is ``keeps`` alone, and no form reflects a singular
+    # set; perfbench/tracer.py still wraps class attributes of these names,
+    # so they stay bound until ROADMAP item 1 drops the bindings and the
+    # tracer's entries together
     exclusions = None
-
-    def reflected(self) -> "Singularities":
-        """Image under xi -> -xi (used by the reflection-map families)."""
-        if self.kind == "none":
-            return self
-        if self.kind in ("isolated",):
-            return Singularities.isolated(*(-p for p in self.points))
-        if self.kind == "half_line":
-            return Singularities.half_line(-self.points[0], -self.valid_side)
-        if self.kind == "lattice":
-            return Singularities.lattice(-self.offset, self.period)
-        return Singularities.lattice_windows(-self.offset, self.period,
-                                             self.half_width)
+    reflected = None
 
     def _key(self) -> tuple:
         return (self.kind, *(getattr(self, f) for f in _FIELDS[self.kind]))

@@ -13,11 +13,13 @@ explicit ``branch`` argument defaulting to +1.  Each form is built at
 lambda gamma = sign(lambda gamma), and ``_rate`` alone applies the length
 scale sqrt(|lambda gamma|).
 
-Dodd-Bullough reads the base cubic forms at (-c1, -lambda gamma) and the
-two reflection families wrap their parent's evaluator literally as
-h(xi) = -h_parent(-xi), so the catalogued dualities hold bit-exactly;
-the Weierstrass forms are the exception, each built from the roots of
-its family's own cubic.
+Dodd-Bullough reads the base cubic forms at (-c1, -lambda gamma).  The
+two reflection families, h(xi) = -h_parent(-xi), take their parent's
+degenerate and lemniscatic forms, which are even in xi - xi0, with the
+constants negated, so those dualities hold bit-exactly; the Weierstrass
+forms are each built from the roots of their family's own cubic.  No
+evaluator wraps another; a sine-Gordon pi shift is one add inside its
+form's closure.
 """
 
 from __future__ import annotations
@@ -238,7 +240,7 @@ def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
 # Tzitzeica and its sign/reflection variants
 # ---------------------------------------------------------------------------
 
-# the variants h(xi) = -h_parent(-xi); the parent is read at -xi0
+# the variants h(xi) = -h_parent(-xi), whose forms are even in xi - xi0
 _REFLECTED = (FamilyLabel.TzitzeicaDoddBullough,
               FamilyLabel.DoddBulloughMikhailov)
 
@@ -359,39 +361,36 @@ def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
     h(xi) = -h_parent(-xi) with the same c1 and lambda gamma:
     TzitzeicaDoddBullough reflects the DoddBullough solutions and
     DoddBulloughMikhailov the Tzitzeica ones.  The case is the variant's
-    own, and the parent's evaluator, built at -xi0, is wrapped in place.
+    own; its degenerate and lemniscatic forms are even in xi - xi0, so it
+    is the parent's form with its constants negated, at the same xi0.
     """
     if case in (CaseLabel.Equianharmonic, CaseLabel.GeneralWeierstrass):
         return (*_weierstrass_form(family, c1, frame), None)
-    reflect = family in _REFLECTED
-    xi0 = -frame.xi0 if reflect else frame.xi0
-    bounded = None
+    sign = -1.0 if family in _REFLECTED else 1.0
+    xi0 = frame.xi0
 
     if case in (CaseLabel.Degenerate1a, CaseLabel.Degenerate1b):
+        b, f = _DEGENERATE[case, branch]
         kappa = _rate(0.5 * math.sqrt(3.0), c1, frame)
-        h_fn, sing, params = _inverse_square(
-            1.0, *_DEGENERATE[case, branch], kappa, xi0)
+        h_fn, sing, params = _inverse_square(sign, sign * b, f, kappa, xi0)
+        if sign < 0.0 and f is math.cos:
+            # the same lattice, named from the pole left of xi0, as the
+            # image of the parent's xi0 + P/2 under xi -> -xi
+            sing = Singularities.lattice(xi0 - 0.5 * sing.period, sing.period)
+        return h_fn, sing, params, None
 
-    else:  # Lemniscatic
-        scale = _rate(3.0 ** 0.25 / CBRT2, c1, frame)
-        # cn parameter 1/2 = (sqrt(2)/2)^2: modulus-convention sources
-        # quote sqrt(2)/2, squared here per the package-wide convention
-        amp = 1.0 / (4.0 ** (1.0 / 3.0))
-        jac = _PreparedJacobi(0.5)
-        def h_fn(xi: float, s=scale, a=amp, sncndn=jac.sn_cn_dn) -> float:
-            _, cn, _ = sncndn(s * (xi - xi0))
-            return a * (1.0 - SQRT3 * cn * cn)
-        sing = Singularities.none()
-        bounded = True
-        params = {"scale": scale, "modulus_parameter": 0.5,
-                  "period": 2.0 * jac.k / scale}
-
-    if reflect:  # the cubic parents are h-native
-        parent_h = h_fn
-        def h_fn(xi: float) -> float:
-            return -parent_h(-xi)
-        sing = sing.reflected()
-    return h_fn, sing, params, bounded
+    # Lemniscatic
+    scale = _rate(3.0 ** 0.25 / CBRT2, c1, frame)
+    # cn parameter 1/2 = (sqrt(2)/2)^2: modulus-convention sources
+    # quote sqrt(2)/2, squared here per the package-wide convention
+    amp = sign / (4.0 ** (1.0 / 3.0))
+    jac = _PreparedJacobi(0.5)
+    def h_fn(xi: float, s=scale, a=amp, sncndn=jac.sn_cn_dn) -> float:
+        _, cn, _ = sncndn(s * (xi - xi0))
+        return a * (1.0 - SQRT3 * cn * cn)
+    params = {"scale": scale, "modulus_parameter": 0.5,
+              "period": 2.0 * jac.k / scale}
+    return h_fn, Singularities.none(), params, True
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +407,10 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
     -sin(psi), psi(xi; c1, lg) = +-pi + psi(xi; -c1, -lg): the c1 = -1 kink
     (lambda gamma < 0 only) is -pi plus the c1 = +1 kink at (1, -lg), and
     the amplitude form where it is not real is pi plus the form at (-c1,
-    -lg).  The amplitude solution is bounded and periodic exactly when the
-    parameter exceeds 1 (the superunitary regime, -1 < c1 < 1); otherwise
-    it is monotone unbounded.
+    -lg), each shift added in the image form's own closure (-0.0 where
+    there is none).  The amplitude solution is bounded and periodic exactly
+    when the parameter exceeds 1 (the superunitary regime, -1 < c1 < 1);
+    otherwise it is monotone unbounded.
     """
     lg = frame.lambda_gamma
     xi0 = frame.xi0
@@ -419,17 +419,17 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
     elif case is not CaseLabel.KinkC1Plus and lg > 0.0 and c1 < 1.0:
         shift = math.pi
     else:
-        shift = 0.0
+        shift = -0.0  # x + -0.0 is x, signed zeros included
     # the shifted forms read their image constants
     base_c1 = -c1 if shift else c1
 
     if case in (CaseLabel.KinkC1Plus, CaseLabel.KinkC1Minus):
         kappa = _rate(1.0, c1, frame)
-        def psi_fn(xi: float, k=kappa, s=branch) -> float:
+        def psi_fn(xi: float, k=kappa, s=branch, sh=shift) -> float:
             try:
-                return 4.0 * math.atan(math.exp(s * k * (xi - xi0)))
+                return sh + 4.0 * math.atan(math.exp(s * k * (xi - xi0)))
             except OverflowError:  # exp past the largest float
-                return 4.0 * math.atan(math.inf)
+                return sh + 4.0 * math.atan(math.inf)
         params = {"kappa": kappa}
         bounded = True
     else:
@@ -438,15 +438,11 @@ def _sine_gordon(family: FamilyLabel, c1: float, frame: FrameParams,
         # solves the first integral identically (the residual oracles
         # would expose a squared-modulus misreading instantly)
         m = 2.0 / (1.0 - base_c1)
-        def psi_fn(xi: float, k=kappa, s=branch,
+        def psi_fn(xi: float, k=kappa, s=branch, sh=shift,
                    am=_PreparedJacobi(m).am) -> float:
-            return 2.0 * am(s * k * (xi - xi0))
+            return sh + 2.0 * am(s * k * (xi - xi0))
         bounded = m > 1.0
         params = {"kappa": kappa, "modulus_parameter": m}
-    if shift:
-        image_psi = psi_fn
-        def psi_fn(xi: float, sh=shift) -> float:
-            return sh + image_psi(xi)
     return psi_fn, Singularities.none(), params, bounded
 
 
