@@ -263,8 +263,19 @@ EVEN_REFLECTIONS = [
 ]
 
 
+def _mirrored(sing) -> dict:
+    # the singular set's JSON under xi -> -xi
+    d = sing.to_json()
+    if "points" in d:
+        d["points"] = [-p for p in d["points"]]
+    if "offset" in d:
+        d["offset"] = -d["offset"]
+    return d
+
+
 def test_reflection_dualities():
-    # h(xi) = -h_parent(-xi) with the parent at -xi0, bit for bit
+    # h(xi) = -h_parent(-xi) with the parent at -xi0, bit for bit, and the
+    # singular set the parent's mirror image, lattice offsets included
     cases = set()
     for family, parent, c1, lg in EVEN_REFLECTIONS:
         for xi0 in (0.0, 0.6, -1.3):
@@ -274,6 +285,8 @@ def test_reflection_dualities():
                 par = construct(parent, c1, FrameParams.from_lambda_gamma(
                     lg, xi0=-xi0), branch=branch)
                 cases.add((family, sol.case, branch))
+                assert sol.singularities.to_json() == _mirrored(
+                    par.singularities), (family, c1, lg, xi0, branch)
                 for i in range(100):
                     x = -5.0 + 0.1 * i + 0.013
                     if par.singularities.distance(-x) < 1e-3:
@@ -368,6 +381,8 @@ def test_sine_amplitude_pi_shift():
         assert (sol.c1, sol.frame) == (c1, frame)
         for x in XS:
             assert sol.evaluate_psi(x) == math.pi + image.evaluate_psi(x)
+        # the unshifted image adds -0.0, which keeps its -0.0 at xi0
+        assert math.copysign(1.0, image.evaluate_psi(0.3)) == -1.0
         rebuilt = from_descriptor(json.loads(json.dumps(sol.descriptor())))
         assert [rebuilt.evaluate_psi(x) for x in XS] == \
             [sol.evaluate_psi(x) for x in XS]
