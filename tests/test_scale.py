@@ -7,7 +7,8 @@ homogeneity (DLMF 23.10.17).  So the solution at (c1, lambda gamma, xi0,
 branch) is the one at (c1, sigma, 0, branch) read at eta = (xi - xi0) /
 sqrt(|lambda gamma|).  Each catalogued form is checked so, in h for the
 cubic families and Liouville and in psi for the Gordon families, through
-every family that builds it and on both branches, with xi0 != 0 on a
+every family that builds it (the degenerate c1 also as the general
+Weierstrass form) and on both branches, with xi0 != 0 on a
 lambda gamma frame and on a k != 0 frame (lambda = lambda gamma / 3,
 omega = 2, k = 1), at |lambda gamma| from 0.01 to 100 and from 1e-300 to
 1e300, and at the inputs refused while lambda gamma entered each form's
@@ -130,38 +131,26 @@ def scale_readings(family, c1: float, frame: FrameParams, branch: int,
     return readings
 
 
+#: (family, c1, sigma, case): FORMS at their classified case, then each
+#: family's degenerate c1 built as the general Weierstrass form, whose pole
+#: radius on the aperiodic side (a double root, no period) must scale with
+#: the form as well
+ROWS = [(*form, None) for form in FORMS] + [
+    (fam, f * -1.5, f * s, CaseLabel.GeneralWeierstrass)
+    for fam, f in ((TZ, 1.0), (DB, -1.0), (TDB, -1.0), (DBM, 1.0))
+    for s in (1.0, -1.0)]
+
+
 @pytest.mark.parametrize("mag", MAGNITUDES)
-@pytest.mark.parametrize("family, c1, sigma", FORMS,
-                         ids=[f"{f.value}-{c1:.6g}-{s:+}" for f, c1, s in FORMS])
+@pytest.mark.parametrize("family, c1, sigma, case", ROWS,
+                         ids=[f"{f.value}-{c1:.6g}-{s:+}"
+                              + (f"-{case.name}" if case else "")
+                              for f, c1, s, case in ROWS])
 def test_form_at_lambda_gamma_is_the_sigma_form_at_eta(family, c1, sigma,
-                                                       mag):
+                                                       case, mag):
     for frame in _frames(sigma * mag):
         for branch in (1, -1):
-            readings = scale_readings(family, c1, frame, branch)
-            assert len(readings) >= 2, (frame, branch)
-            for xi, reading in readings:
-                assert reading <= 1.0, (frame, branch, xi, reading)
-
-
-#: (family, c1, sigma): each family's degenerate c1 built as the general
-#: Weierstrass form; on the aperiodic side (a double root, no period) its
-#: pole radius must scale with the form as well
-FORCED_WEIERSTRASS = [(fam, f * -1.5, f * s)
-                      for fam, f in ((TZ, 1.0), (DB, -1.0), (TDB, -1.0),
-                                     (DBM, 1.0))
-                      for s in (1.0, -1.0)]
-
-
-@pytest.mark.parametrize("mag", MAGNITUDES)
-@pytest.mark.parametrize("family, c1, sigma", FORCED_WEIERSTRASS,
-                         ids=[f"{f.value}-{c1:g}-{s:+}"
-                              for f, c1, s in FORCED_WEIERSTRASS])
-def test_forced_weierstrass_form_is_the_sigma_form_at_eta(family, c1, sigma,
-                                                          mag):
-    for frame in _frames(sigma * mag):
-        for branch in (1, -1):
-            readings = scale_readings(family, c1, frame, branch,
-                                      case=CaseLabel.GeneralWeierstrass)
+            readings = scale_readings(family, c1, frame, branch, case=case)
             assert len(readings) >= 2, (frame, branch)
             for xi, reading in readings:
                 assert reading <= 1.0, (frame, branch, xi, reading)
