@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from expwave.errors import (
     CaseMismatchError,
     DomainError,
+    PoleProximityError,
     SignDomainError,
     UnsupportedFamilyError,
 )
@@ -569,6 +570,45 @@ def test_poles_where_the_square_underflows(family, c1, frame, branch,
         with pytest.raises(DomainError) as err:
             sol.evaluate_h(xi)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("family, c1, lg", [
+    # periodic: one real root at either sign of a3, and three real roots
+    # (the degenerate c1 at Degenerate1b, m = 0)
+    (FamilyLabel.Tzitzeica, 1.0, 0.37),
+    (FamilyLabel.Tzitzeica, 1.0, -2.5),
+    (FamilyLabel.Tzitzeica, -1.5, -2.5),
+    # aperiodic: each family's Degenerate1a c1, a double root and one pole
+    (FamilyLabel.Tzitzeica, -1.5, 0.37),
+    (FamilyLabel.DoddBullough, 1.5, -2.5),
+    (FamilyLabel.TzitzeicaDoddBullough, 1.5, -2.5),
+    (FamilyLabel.DoddBulloughMikhailov, -1.5, 0.37),
+])
+def test_weierstrass_forms_refuse_points_near_a_pole(family, c1, lg):
+    # the exclusion radius is 1e-3 of the period, or 1e-3 sqrt(|lambda
+    # gamma|) where a double root leaves one pole; inside it evaluate_h
+    # raises PoleProximityError with the distance and that radius, and
+    # twice the radius out it returns a finite value
+    xi0 = 0.6
+    sol = construct(family, c1, FrameParams.from_lambda_gamma(lg, xi0),
+                    case=CaseLabel.GeneralWeierstrass)
+    period = sol.params.get("period")
+    if period is None:
+        assert sol.singularities.kind == "isolated"
+        radius, poles = 1e-3 * math.sqrt(abs(lg)), [xi0]
+    else:
+        assert sol.singularities.kind == "lattice"
+        radius, poles = 1e-3 * period, [xi0 + n * period for n in (-2, 0, 3)]
+    for pole in poles:
+        for side in (-1.0, 1.0):
+            with pytest.raises(PoleProximityError) as err:
+                sol.evaluate_h(pole + side * 0.5 * radius)
+            assert err.value.limit == pytest.approx(radius, rel=1e-15)
+            assert err.value.distance == pytest.approx(0.5 * radius, rel=1e-9)
+            assert str(err.value) == (
+                f"z within {err.value.limit:.3e} of a Weierstrass pole "
+                f"(distance {err.value.distance:.3e})")
+            assert math.isfinite(sol.evaluate_h(pole + side * 2.0 * radius))
 
 
 def test_construct_classifies_once(monkeypatch):
