@@ -444,7 +444,6 @@ def _roots_in_h(a0: float, a2: float, a3: float) -> CubicRoots:
     x = 1/h solves the depressed cubic x^3 + (a2/a0) x + a3/a0, which is
     the Weierstrass cubic at g2 = -4 a2/a0 and g3 = -4 a3/a0 and needs no
     shift, so each root keeps its digits however far apart they lie.
-    Raises OverflowError or DomainError past the float range.
     """
     xs = solve_weierstrass_cubic(-4.0 * a2 / a0, -4.0 * a3 / a0)
     if xs.all_real:

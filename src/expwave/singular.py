@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 #: the fields each kind uses, in the order ``to_json`` writes them; the
-#: unused ones keep their defaults (NaN for the floats)
+#: unused ones keep their defaults, which compare equal
 _FIELDS = {
     "none": (),
     "isolated": ("points",),
@@ -34,17 +34,18 @@ _FIELDS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Singularities:
-    """One singular set.  Two are equal, and hash alike, when their kind
-    and the fields that kind uses are equal; the NaN defaults of the
-    unused fields take no part."""
+    """One singular set.  The fields its kind does not use keep their
+    defaults (no points, offset 0, an infinite period, half-width 0), so
+    two are equal, and hash alike, when their kind and the fields that
+    kind uses are equal."""
 
     kind: str = "none"
     points: tuple[float, ...] = ()
-    offset: float = math.nan
-    period: float = math.nan
-    half_width: float = math.nan
+    offset: float = 0.0
+    period: float = math.inf
+    half_width: float = 0.0
     valid_side: int = 0  # half_line: +1 valid for xi > point, -1 for xi < point
 
     @classmethod
@@ -115,17 +116,6 @@ class Singularities:
     # tracer's entries together
     exclusions = None
     reflected = None
-
-    def _key(self) -> tuple:
-        return (self.kind, *(getattr(self, f) for f in _FIELDS[self.kind]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Singularities):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def to_json(self) -> dict:
         d: dict = {"kind": self.kind}

@@ -32,7 +32,6 @@ from typing import Callable
 from .errors import (
     CaseMismatchError,
     DomainError,
-    PoleProximityError,
     SignDomainError,
     UnsupportedFamilyError,
 )
@@ -50,7 +49,7 @@ from .reduction import (
 from .singular import Singularities
 from .specfun.elliptic import _PreparedJacobi, ellint_k, jacobi_am, jacobi_sn_cn_dn
 from .specfun.hypergeometric import gauss_2f1
-from .specfun.weierstrass import prepare_weierstrass
+from .specfun.weierstrass import _root_form, prepare_weierstrass
 
 # ellint_k, jacobi_am and jacobi_sn_cn_dn are no longer called here (each
 # evaluator holds a _PreparedJacobi), nor is prepare_weierstrass (the
@@ -255,90 +254,26 @@ def _weierstrass_form(family: FamilyLabel, c1: float,
                       frame: FrameParams) -> tuple:
     """(evaluator, singularities, params) of the Equianharmonic and general
     Weierstrass forms of a cubic family, from the roots of its own cubic
-    (h')^2 = a3 h^3 + a2 h^2 + a0 (Byrd and Friedman, Handbook of Elliptic
-    Integrals, 1971, the 230-series; DLMF 22.13).  This is h = (4/a3)
-    p(xi - xi0; g2, g3) - a2/(3 a3), which is lg (2 p - c1/(3 lg)) at the
-    base constants, for each family alike; its real branch runs from a
-    turning root out to the poles xi0 + n period.  With s = sign(a3):
-
-      three real roots, s h1 > s h2 > s h3:
-          h = h3 + (h1 - h3) / sn^2(kappa (xi - xi0) | m)
-            = h1 + (h1 - h3) cn^2/sn^2,
-          kappa = sqrt(a3 (h1 - h3)) / 2, mc = (h1 - h2)/(h1 - h3);
-      one real root h1 and the pair b +- i a, d = s (b - h1),
-      A = sqrt(d^2 + a^2):
-          h = h1 + s A (1 + cn(kappa (xi - xi0) | m)) / (1 - cn(...))
-            = h0 + 2 s A cn / (1 - cn),  h0 = b + 2 s A mc = h1 + s A,
-          kappa = sqrt(|a3| A), mc = (A - d)/(2 A) = a^2 / (2 A (A + d)).
-
-    The second forms are the ones evaluated, as they cancel less.  At
-    large |c1| the roots are far apart, and h lingers near a value much
-    smaller than they are (h1 in the first form, h0, where cn = 0, in the
-    second); each form keeps that value to its own rounding, where h3 +
-    ... or h1 + ... would subtract numbers of the roots' size.  cn / (1 -
-    cn) is taken as cn (1 + cn) / sn^2 where cn >= 0, so that 1 - cn does
-    not cancel near the poles.  mc is formed from the root differences,
-    where 1 - m would lose the digits of a small mc.  Within 1e-3 of a
-    period of a pole, or of sqrt(|lambda gamma|) where a double root leaves
-    no period (1e-3 in eta either way), the evaluator raises
-    PoleProximityError.
+    (h')^2 = a3 h^3 + a2 h^2 + a0: h = (4/a3) p(xi - xi0; g2, g3) - a2/(3
+    a3), which is lg (2 p - c1/(3 lg)) at the base constants, for each
+    family alike.  Its real branch runs from a turning root out to the
+    poles xi0 + n period; ``specfun.weierstrass._root_form`` builds it and
+    states the formulas.  Within 1e-3 of a period of a pole, or of
+    sqrt(|lambda gamma|) where a double root leaves no period (1e-3 in eta
+    either way), the evaluator raises PoleProximityError.
     Built from ``_cubic`` at sign(lambda gamma): |lambda gamma| enters by
-    ``_rate`` and the params g2 and g3 alone.  Refused where the cubic in
-    1/h or the rate leave the float range.
+    ``_rate`` and the params g2 and g3 alone.
     """
     a0, _, a2, a3, _, at = _cubic(family, frame, c1)
-    try:
-        roots = _roots_in_h(a0, a2, a3)
-    except (OverflowError, DomainError):
-        raise range_error(c1, frame.lambda_gamma, "the cubic in 1/h") from None
-    s = 1.0 if a3 > 0.0 else -1.0
-    three = roots.all_real
-    if three:  # h = base + scale cn^2/sn^2
-        h1, h2, h3 = roots.real if s > 0.0 else roots.real[::-1]
-        base = h1
-        scale = h1 - h3
-        mc = (h1 - h2) / scale
-        kappa = 0.5 * math.sqrt(abs(a3 * scale))
-    else:  # h = base + scale cn/(1 - cn)
-        h1 = roots.real[0]
-        b, a = roots.complex_pair
-        d = s * (b - h1)
-        big_a = math.hypot(d, a)
-        mc = a * a / (2.0 * big_a * (big_a + d)) if d > 0.0 else \
-            (big_a - d) / (2.0 * big_a)
-        scale = 2.0 * s * big_a
-        base = b + scale * mc
-        kappa = math.sqrt(abs(a3) * big_a)
-    kappa = _rate(kappa, c1, frame)
-    jac = _PreparedJacobi(1.0 - mc, mc)
-    # the period is 2 K / kappa in sn, 4 K / kappa in cn; a double root
-    # (mc = 0) leaves one pole
-    period = (2.0 if three else 4.0) * jac.k / kappa if mc > 0.0 else math.inf
-    periodic = period < math.inf
-    eps_pole = 1.0e-3 * (period if periodic
-                         else math.sqrt(abs(frame.lambda_gamma)))
-    xi0 = frame.xi0
-    sncndn = jac.sn_cn_dn
-
-    def h_fn(xi: float) -> float:
-        z = xi - xi0
-        dist = abs(z - period * round(z / period)) if periodic else abs(z)
-        if dist < eps_pole:
-            raise PoleProximityError(
-                f"z within {eps_pole:.3e} of a Weierstrass pole "
-                f"(distance {dist:.3e})", distance=dist, limit=eps_pole)
-        sn, cn, _ = sncndn(kappa * z)
-        if three:
-            t = cn / sn
-            return base + scale * (t * t)
-        if cn >= 0.0:
-            return base + scale * (cn * (1.0 + cn) / (sn * sn))
-        return base + scale * (cn / (1.0 - cn))
+    form = _root_form(a3, _roots_in_h(a0, a2, a3), frame.xi0,
+                      lambda kappa: _rate(kappa, c1, frame),
+                      math.sqrt(abs(frame.lambda_gamma)))
     params = dict(zip(("g2", "g3"), at))
-    if periodic:
-        params["period"] = period
-        return h_fn, Singularities.lattice(xi0, period), params
-    return h_fn, Singularities.isolated(xi0), params
+    if form.periodic:
+        params["period"] = form.real_period
+        return (form.value, Singularities.lattice(frame.xi0, form.real_period),
+                params)
+    return form.value, Singularities.isolated(frame.xi0), params
 
 
 def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,

@@ -1,42 +1,37 @@
 """Weierstrass p-function on the real axis, from invariants (g2, g3).
 
-The evaluator solves the cubic 4 t^3 - g2 t - g3 = 0 and reduces p to
-Jacobi elliptic functions:
+One builder, ``_root_form``, turns the roots of a cubic (h')^2 = a3 (h -
+h1)(h - h2)(h - h3) into its real solution by Jacobi elliptic functions;
+its docstring states the formulas.  ``prepare_weierstrass`` solves 4 t^3
+- g2 t - g3 = 0 and hands the roots over with a3 = 4: three real roots
+(discriminant > 0) take the sn kind, one real root (discriminant < 0) the
+cn kind.  The closed-form solutions (expwave.solutions) hand over the
+roots of their own cubic in h, which ``solve_weierstrass_cubic`` solves as
+the Weierstrass cubic in 1/h, and evaluate the builder's ``value``
+closure; they do not call ``eval``.
 
-  discriminant > 0 (three real roots e1 >= e2 >= e3):
-      p(z) = e3 + (e1 - e3) / sn^2(z sqrt(e1 - e3); m),
-      m = (e2 - e3)/(e1 - e3)
-
-  discriminant < 0 (one real root e2*, conjugate pair):
-      H^2 = 3 e2*^2 - g2/4,
-      p(z) = e2* + H (1 + cn(2 z sqrt(H); m)) / (1 - cn(...)),
-      m = 1/2 - 3 e2* / (4 H),
-  with the quotient taken as (1 + cn)^2/sn^2 for cn >= 0 and as
-  sn^2/(1 - cn)^2 for cn < 0, so that neither 1 - cn nor 1 + cn cancels
-
-  discriminant = 0 (roots snapped to d, d, -2d) takes the first form at
-  m = 1 for g3 < 0 and at m = 0 for g3 > 0, where sn is tanh and sin
-  (DLMF 22.5(ii), 23.6(ii)): with e = |d| that is
-      p(z) = e + 3 e csch^2(z sqrt(3 e))   and   -e + 3 e csc^2(z sqrt(3 e));
-  only g3 = 0 (g2^3 underflowed, or the triple root) is p(z) = 1/z^2.
+Discriminant = 0 (roots snapped to d, d, -2d) takes the sn kind at m = 1
+for g3 < 0 and at m = 0 for g3 > 0, where sn is tanh and sin (DLMF
+22.5(ii), 23.6(ii)): with e = |d| that is
+    p(z) = e + 3 e csch^2(z sqrt(3 e))   and   -e + 3 e csc^2(z sqrt(3 e));
+only g3 = 0 (g2^3 underflowed, or the triple root) is p(z) = 1/z^2.
 
 This is the real branch: p >= e1 between consecutive real poles.  Poles
 lie on the lattice {n * real_period}; evaluation inside the exclusion
-radius (1e-3 of the real-period estimate) raises PoleProximityError so
-verification grids can skip singularities deterministically.
+radius (1e-3 of the real period, or 1e-3 where there is none) raises
+PoleProximityError so verification grids can skip singularities
+deterministically.
 
 ``prepare_weierstrass`` does the invariant-dependent work once; the
 prepared object's ``eval(z)`` returns p(z) alone and its ``slope(z)``
-returns p'(z) (``weierstrass_p`` returns both).  The closed-form
-solutions do not call them: they are built from the roots of their own
-cubic in h (expwave.solutions), which ``solve_weierstrass_cubic`` solves
-as the Weierstrass cubic in 1/h.
+returns p'(z) (``weierstrass_p`` returns both).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..errors import DomainError, PoleProximityError
 from .carlson import carlson_rf
@@ -133,28 +128,37 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
                       complex_pair=(-0.5 * e_real, 0.5 * SQRT3 * abs(u - v)))
 
 
-class _PreparedWeierstrass:
-    """Invariant-dependent data hoisted out of the per-point evaluation.
+def _pole_error(distance: float, limit: float) -> PoleProximityError:
+    return PoleProximityError(
+        f"z within {limit:.3e} of a Weierstrass pole (distance {distance:.3e})",
+        distance=distance, limit=limit)
 
-    ``eval(z)`` returns p(z) and ``slope(z)`` returns p'(z).  Both apply
-    one pole rule first, whose radius is 1e-3 of the real period, or 1e-3
-    where that is infinite.
+
+class _PreparedWeierstrass:
+    """A prepared root form (see ``_root_form``), or p = 1/z^2.
+
+    ``eval(x)`` returns the form's value and ``slope(x)`` its derivative:
+    p(z) and p'(z) for ``prepare_weierstrass``.  ``value`` is the closure
+    that ``eval`` calls for the sn and cn kinds.  Every point first passes
+    one pole rule, whose radius ``eps_pole`` is 1e-3 of the real period,
+    or 1e-3 of the caller's length where that is infinite.
     """
 
-    __slots__ = ("kind", "scale", "jacobi", "e_off", "coeff", "real_period",
-                 "periodic", "eps_pole")
+    __slots__ = ("kind", "jacobi", "scale", "amp", "origin", "real_period",
+                 "periodic", "eps_pole", "value")
 
-    def __init__(self, kind: str, scale: float, jacobi: _PreparedJacobi | None,
-                 e_off: float, coeff: float, real_period: float):
+    def __init__(self, kind: str, jacobi: _PreparedJacobi | None, scale: float,
+                 amp: float, origin: float, real_period: float, length: float):
         self.kind = kind
-        self.scale = scale
         self.jacobi = jacobi  # the "sn" and "cn" kinds only
-        self.e_off = e_off
-        self.coeff = coeff
+        self.scale = scale  # the rate kappa
+        self.amp = amp
+        self.origin = origin
         self.real_period = real_period
         self.periodic = math.isfinite(real_period)
         self.eps_pole = _POLE_FRACTION * (
-            real_period if self.periodic else 1.0)
+            real_period if self.periodic else length)
+        self.value = None  # set by _root_form
 
     def _check_pole(self, z: float) -> None:
         """Raise PoleProximityError within eps_pole of a lattice pole."""
@@ -163,91 +167,145 @@ class _PreparedWeierstrass:
             period = self.real_period
             d = abs(z - period * round(z / period))
         if d < self.eps_pole:
-            raise PoleProximityError(
-                f"z within {self.eps_pole:.3e} of a Weierstrass pole (distance {d:.3e})",
-                distance=d,
-                limit=self.eps_pole,
-            )
+            raise _pole_error(d, self.eps_pole)
 
     def eval(self, z: float) -> float:
-        """p(z)."""
-        self._check_pole(z)
-        kind = self.kind
-        if kind == "sn":
-            sn, _, _ = self.jacobi.sn_cn_dn(self.scale * z)
-            return self.e_off + self.coeff / (sn * sn)
-        if kind == "cn":  # H-form for one real root
-            sn, cn, _ = self.jacobi.sn_cn_dn(self.scale * z)
-            # (1 + cn)/(1 - cn) as the quotient that does not cancel
-            if cn >= 0.0:
-                q = 1.0 + cn
-                return self.e_off + self.coeff * (q * q / (sn * sn))
-            q = 1.0 - cn
-            return self.e_off + self.coeff * (sn * sn / (q * q))
-        return 1.0 / (z * z)  # "rational"
+        """The form's value: p(z)."""
+        if self.kind == "rational":
+            self._check_pole(z)
+            return 1.0 / (z * z)
+        return self.value(z)
 
     def slope(self, z: float) -> float:
-        """p'(z)."""
+        """The form's derivative: p'(z)."""
+        z -= self.origin
         self._check_pole(z)
         kind = self.kind
+        if kind == "rational":
+            return -2.0 / (z * z * z)
+        sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
         if kind == "sn":
-            sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
-            return -2.0 * self.coeff * self.scale * cn * dn / (sn ** 3)
-        if kind == "cn":  # H-form for one real root
-            sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
-            # sn/(1 - cn)^2 as the quotient that does not cancel
-            if cn >= 0.0:
-                q = 1.0 + cn
-                return (-2.0 * self.coeff * self.scale * dn * (q * q)
-                        / (sn * sn * sn))
-            q = 1.0 - cn
-            return -2.0 * self.coeff * self.scale * sn * dn / (q * q)
-        return -2.0 / (z * z * z)  # "rational"
+            return -2.0 * self.amp * self.scale * cn * dn / (sn ** 3)
+        # sn/(1 - cn)^2 as the quotient that does not cancel
+        if cn >= 0.0:
+            q = 1.0 + cn
+            return (-2.0 * self.amp * self.scale * dn * (q * q)
+                    / (sn * sn * sn))
+        q = 1.0 - cn
+        return -2.0 * self.amp * self.scale * sn * dn / (q * q)
+
+
+def _root_form(a3: float, roots: CubicRoots, origin: float,
+               rate: Callable[[float], float],
+               length: float) -> _PreparedWeierstrass:
+    """The real solution of (h')^2 = a3 (h - h1)(h - h2)(h - h3) with its
+    poles at origin + n period, from the cubic's roots (Byrd and Friedman,
+    Handbook of Elliptic Integrals, 1971, the 230-series; DLMF 22.13).
+    The caller supplies the origin, the map ``rate`` from the rate below
+    to the one used (which may refuse it) and the length that sets the
+    pole radius where there is no period.  With s = sign(a3) and u =
+    kappa (x - origin):
+
+      three real roots, s h1 >= s h2 >= s h3 (the "sn" kind):
+          h = h3 + (h1 - h3) / sn^2(u | m) = h1 + (h1 - h3) cn^2/sn^2,
+          kappa = sqrt(a3 (h1 - h3)) / 2,  mc = (h1 - h2)/(h1 - h3),
+          period 2 K(m) / kappa;
+      one real root h1 and the pair b +- i a (the "cn" kind), d = s (b -
+      h1), A = sqrt(d^2 + a^2):
+          h = h1 + s A (1 + cn(u | m)) / (1 - cn)
+            = h0 + 2 s A cn / (1 - cn),  h0 = b + 2 s A mc = h1 + s A,
+          kappa = sqrt(|a3| A),  mc = (A - d)/(2 A) = a^2 / (2 A (A + d)),
+          period 4 K(m) / kappa.
+
+    Each value is an anchor plus a term of the sign of s: h1 for three
+    real roots, and for one real root whichever of h1 (where cn = -1)
+    and h0 (where cn = 0) is smaller in magnitude.  Far-apart roots leave
+    h near a value much smaller than they are, and that anchor keeps it to
+    its own rounding, with no value cancelling by more than a factor 2.
+    The quotient is taken as (1 + cn)^2/sn^2 or cn (1 + cn)/sn^2 for cn >=
+    0 and as sn^2/(1 - cn)^2 or cn/(1 - cn) for cn < 0, so that neither 1
+    - cn nor 1 + cn cancels.  mc is formed from the root differences (its
+    second form where d > 0), where 1 - m would lose the digits of a small
+    mc; mc = 0, a double root, leaves one pole and an infinite period.
+    """
+    s = 1.0 if a3 > 0.0 else -1.0
+    three = roots.all_real
+    if three:
+        h1, h2, h3 = roots.real if s > 0.0 else roots.real[::-1]
+        amp = h1 - h3
+        mc = (h1 - h2) / amp
+        kappa = rate(0.5 * math.sqrt(abs(a3 * amp)))
+        base, coeff, at_h1 = h1, amp, True
+    else:
+        h1 = roots.real[0]
+        b, a = roots.complex_pair
+        d = s * (b - h1)
+        big_a = math.hypot(d, a)
+        mc = a * a / (2.0 * big_a * (big_a + d)) if d > 0.0 else \
+            (big_a - d) / (2.0 * big_a)
+        amp = s * big_a
+        kappa = rate(math.sqrt(abs(a3) * big_a))
+        h0 = b + 2.0 * amp * mc
+        at_h1 = abs(h1) <= abs(h0)
+        base, coeff = (h1, amp) if at_h1 else (h0, 2.0 * amp)
+    jac = _PreparedJacobi(1.0 - mc, mc)
+    period = (2.0 if three else 4.0) * jac.k / kappa if mc > 0.0 else math.inf
+    form = _PreparedWeierstrass("sn" if three else "cn", jac, kappa, amp,
+                                origin, period, length)
+    periodic = form.periodic
+    radius = form.eps_pole
+    sncndn = jac.sn_cn_dn
+
+    def value(x: float) -> float:
+        z = x - origin
+        dist = abs(z - period * round(z / period)) if periodic else abs(z)
+        if dist < radius:
+            raise _pole_error(dist, radius)
+        sn, cn, _ = sncndn(kappa * z)
+        if three:
+            t = cn / sn
+            return base + coeff * (t * t)
+        if cn >= 0.0:
+            q = 1.0 + cn
+            return base + coeff * ((q if at_h1 else cn) * q / (sn * sn))
+        q = 1.0 - cn
+        if at_h1:
+            return base + coeff * (sn * sn / (q * q))
+        return base + coeff * (cn / q)
+    form.value = value
+    return form
 
 
 def prepare_weierstrass(inv: WeierstrassInvariants) -> _PreparedWeierstrass:
-    """Classify the invariants and precompute root/modulus/period data.
+    """Classify the invariants and prepare p as the root form of
+    (p')^2 = 4 (p - e1)(p - e2)(p - e3) at the origin.
 
     Three real roots take the sn kind, the snapped double roots (d, d,
     -2d) among them: their parameter is exactly m = 1 or m = 0, which
     _PreparedJacobi evaluates by tanh and sech or sin and cos.  One real
-    root takes the cn kind.  Only degenerate invariants with g3 = 0 take
-    the rational kind.  Each kind hands _PreparedJacobi its mc = 1 - m
-    formed without that cancellation: (e1 - e2)/(e1 - e3) for sn, and
-    for cn (2 H + 3 e2*)/(4 H) where e2* >= 0, a^2/(H (2 H - 3 e2*))
-    where e2* < 0, with a the pair's imaginary part, H^2 = 9 e2*^2/4 +
-    a^2, and a^2 = -delta/(64 H^4) from the exact discriminant.
+    root e2* takes the cn kind, with the pair's imaginary part a read from
+    the exact discriminant where e2* < 0, a^2 = -delta/(64 H^4), H^2 = 9
+    e2*^2/4 + a^2: there mc = a^2/(2 H (H + d)) needs the digits of a
+    small a, which the solver's a loses next to the snap band.  Only
+    degenerate invariants with g3 = 0 take the rational kind.
     """
     g2, g3 = inv.g2, inv.g3
     roots = solve_weierstrass_cubic(g2, g3)
     if g3 == 0.0 and inv.is_degenerate:
         # g2^3 underflowed too: p = 1/z^2 to rounding
-        return _PreparedWeierstrass("rational", 0.0, None, 0.0, 0.0, math.inf)
-    if len(roots.real) == 3:
-        e1, e2, e3 = roots.real
-        span = e1 - e3
-        mc = (e1 - e2) / span
-        jac = _PreparedJacobi((e2 - e3) / span, mc)
-        scale = math.sqrt(span)
-        period = 2.0 * jac.k / scale if mc > 0.0 else math.inf
-        return _PreparedWeierstrass("sn", scale, jac, e3, span, period)
+        return _PreparedWeierstrass("rational", None, 0.0, 0.0, 0.0,
+                                    math.inf, 1.0)
     e2s = roots.real[0]
-    h = math.hypot(1.5 * e2s, roots.complex_pair[1])
-    if e2s >= 0.0:
-        mc = (2.0 * h + 3.0 * e2s) / (4.0 * h)
-    else:
-        # a^2 / (H (2 H - 3 e2*)), where 2 H + 3 e2* cancels, with a^2 =
-        # -delta / (64 H^4), as the solver's a cancels too: in integers,
-        # the floats' exact ratios, rounded once by the division
+    if not roots.all_real and e2s < 0.0:
+        # a^2 = -delta/(64 H^4) in integers, from the floats' exact
+        # ratios, rounded once by the division
+        re, a = roots.complex_pair
         (n2, d2), (n3, d3) = g2.as_integer_ratio(), g3.as_integer_ratio()
-        (nh, dh), (ne, de) = h.as_integer_ratio(), e2s.as_integer_ratio()
-        mc = ((27 * n3 * n3 * d2 ** 3 - n2 ** 3 * d3 * d3) * dh ** 6 * de
-              / (64 * (d2 * d3) ** 2 * d2 * nh ** 5
-                 * (2 * nh * de - 3 * ne * dh)))
-    jac = _PreparedJacobi(0.5 - 3.0 * e2s / (4.0 * h), mc)
-    scale = 2.0 * math.sqrt(h)
-    period = 4.0 * jac.k / scale if mc > 0.0 else math.inf
-    return _PreparedWeierstrass("cn", scale, jac, e2s, h, period)
+        nh, dh = math.hypot(1.5 * e2s, a).as_integer_ratio()
+        a = math.sqrt((27 * n3 * n3 * d2 ** 3 - n2 ** 3 * d3 * d3) * dh ** 4
+                      / (64 * d2 ** 3 * d3 * d3 * nh ** 4))
+        roots = CubicRoots(real=roots.real, complex_pair=(re, a))
+    return _root_form(4.0, roots, 0.0, lambda kappa: kappa, 1.0)
 
 
 def weierstrass_p(z: float, inv: WeierstrassInvariants) -> tuple[float, float]:
