@@ -141,7 +141,7 @@ class _PreparedWeierstrass:
     p(z) and p'(z) for ``prepare_weierstrass``.  ``value`` is the closure
     that ``eval`` calls for the sn and cn kinds.  Every point first passes
     one pole rule, whose radius ``eps_pole`` is 1e-3 of the real period,
-    or 1e-3 of the caller's length where that is infinite.
+    or 1e-3 of the caller's length where the period is infinite.
     """
 
     __slots__ = ("kind", "jacobi", "scale", "amp", "origin", "real_period",
@@ -152,7 +152,7 @@ class _PreparedWeierstrass:
         self.kind = kind
         self.jacobi = jacobi  # the "sn" and "cn" kinds only
         self.scale = scale  # the rate kappa
-        self.amp = amp
+        self.amp = amp  # h1 - h3 (sn) or s A (cn)
         self.origin = origin
         self.real_period = real_period
         self.periodic = math.isfinite(real_period)
