@@ -671,6 +671,19 @@ def test_verify_shoots_within_budget_near_lambda_gamma_half():
     assert reports["shoot_and_compare"]["max_residual"] <= 1e-7
 
 
+@pytest.mark.parametrize("args", [
+    # the exp kink at small lambda gamma: its shooting window amplifies
+    # errors by about e^(5 sqrt(2/lambda gamma)) ~ 3e8
+    ["--family", "sinh-gordon", "--c1", "-0.5", "--lambda-gamma",
+     "0.13145345140087247", "--branch", "-1", "--xi0", "-1.969473482026236"],
+])
+def test_verify_shoots_an_amplifying_window(capsys, args):
+    assert main(["verify", *args]) == 0
+    reports = {r["oracle"]: r for r in json.loads(capsys.readouterr().out)}
+    assert all(r["pass"] for r in reports.values())
+    assert reports["shoot_and_compare"]["max_residual"] <= 1e-8
+
+
 @pytest.mark.parametrize("kind,args", [
     ("isolated", ["--family", "liouville", "--c1", "0"]),
     ("isolated", ["--family", "tzitzeica", "--c1", "-1.5", "--branch", "-1"]),
