@@ -620,10 +620,12 @@ def test_verify_notes_skipped_pde_oracle(capsys):
 
 
 def test_verify_names_the_half_magnitude_skip(capsys):
-    # at c1 = 1e15 h <= -2.2e-8 < 0 throughout, but the period is 2.4e-6,
-    # so h leaves half its centre's magnitude within every Goursat window:
-    # the note names that rule, not a zero or a sign change
-    assert main(["verify", "--family", "dodd-bullough", "--c1", "1e15",
+    # at c1 = 3e12 h < 0 throughout, but the period is 3.7e-5, so h leaves
+    # half its centre's magnitude within every Goursat window: the note
+    # names that rule, not a zero or a sign change.  (At c1 = 1e15 the
+    # shooting oracle now refuses a start that its stencil cannot read,
+    # before the PDE oracle runs.)
+    assert main(["verify", "--family", "dodd-bullough", "--c1", "3e12",
                  "--lambda-gamma", "1", "--n", "16"]) == 1
     out, err = capsys.readouterr()
     assert "pde_residual" not in [r["oracle"] for r in json.loads(out)]
@@ -676,12 +678,34 @@ def test_verify_shoots_within_budget_near_lambda_gamma_half():
     # errors by about e^(5 sqrt(2/lambda gamma)) ~ 3e8
     ["--family", "sinh-gordon", "--c1", "-0.5", "--lambda-gamma",
      "0.13145345140087247", "--branch", "-1", "--xi0", "-1.969473482026236"],
+    # the Liouville soliton at kappa = 2.64, about e^13.2 ~ 5e5 over the
+    # span of 5, which unsegmented read 1.2e-3
+    ["--family", "liouville", "--c1", "-2.854", "--lambda-gamma", "-0.205",
+     "--branch", "-1", "--xi0", "-0.2253"],
 ])
 def test_verify_shoots_an_amplifying_window(capsys, args):
     assert main(["verify", *args]) == 0
     reports = {r["oracle"]: r for r in json.loads(capsys.readouterr().out)}
     assert all(r["pass"] for r in reports.values())
     assert reports["shoot_and_compare"]["max_residual"] <= 1e-8
+
+
+def test_verify_shoots_past_a_blow_up_of_the_unsegmented_trajectory(capsys):
+    # the Liouville soliton at kappa = 5.62 amplifies by about e^28 over
+    # the span of 5, and unsegmented its trajectory collapsed the step (exit
+    # 3).  Shooting now passes; the ODE and first-integral oracles still
+    # fail this correct form in the small-|lambda gamma| band, which the
+    # Taylor jets of ROADMAP item 3 are to mend
+    assert main(["verify", "--family", "liouville", "--c1", "-1.712",
+                 "--lambda-gamma", "-0.0271", "--xi0", "-1.037"]) == 1
+    out, err = capsys.readouterr()
+    reports = {r["oracle"]: r for r in json.loads(out)}
+    assert sorted(o for o, r in reports.items() if not r["pass"]) == [
+        "first_integral_residual", "ode_residual"]
+    assert reports["shoot_and_compare"]["max_residual"] <= 1e-8
+    assert err.splitlines() == [
+        "note: pde_residual skipped: h drops below half its centre's "
+        "magnitude in every window"]
 
 
 @pytest.mark.parametrize("kind,args", [

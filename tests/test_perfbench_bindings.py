@@ -67,9 +67,11 @@ def test_traced_bindings_are_called(monkeypatch):
     # evaluation budget: one Goursat window per kept point of the 16-point
     # grid, 19 evaluations each
     assert t.evals["pde_residual"] == 19 * 16
-    # twelve right-hand-side calls per attempted step, 51 attempted steps:
-    # a shooting kernel that takes one step more or fewer fails here
-    assert t.shoot_rhs == 12 * 51
+    # twelve right-hand-side calls per attempted step and two per accepted
+    # step for the growth rate, 28 steps and none rejected, and two for the
+    # rate at the start by each of the start check and the kernel: a
+    # shooting kernel that takes one step more or fewer fails here
+    assert t.shoot_rhs == 12 * 28 + 2 * 28 + 2 * 2
     # the general Weierstrass case likewise
     try:
         t.attach()

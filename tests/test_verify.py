@@ -42,8 +42,10 @@ from expwave.verify import (
     PDE_HALF_WIDTH,
     PDE_WINDOWS,
     RK_MAX_STEPS,
+    SHOOT_MAX_GAIN,
     Grid,
     _acceleration,
+    _growth_rate,
     _implicit_grid,
     _report,
     _jet_table,
@@ -374,8 +376,7 @@ def test_shoot_blowup_underflow():
     q = first_integral(gen, FR1, 1.0)
     d0 = math.sqrt(2.0 * FR1.r * q.g(1.0))
     with pytest.raises(StepSizeUnderflowError) as err:
-        rk_integrate(_acceleration(q, False), 0.0, [1.0, d0], 10.0,
-                     sample_times=[10.0])
+        rk_integrate(_acceleration(q, False), 0.0, [1.0, d0], 10.0)
     assert 0.0 < err.value.span_reached < 2.0
 
 
@@ -417,29 +418,52 @@ def test_rk_gives_up_after_the_step_limit(monkeypatch):
     assert 0.0 < err.value.span_reached < 10.0
 
 
-def test_rk_sample_time_at_start():
-    # a sample time at t0 returns the initial state untouched, in order
-    def f(y):
-        return -y
+def test_rk_returns_every_accepted_step():
+    # forward and backward, one entry per accepted step in the direction of
+    # integration, the last at t_end; an empty span takes no step
+    for t_end in (1.0, -1.0):
+        path = rk_integrate(lambda y: -y, 0.0, [1.0, 0.0], t_end)
+        times = [t for t, _ in path]
+        assert len(times) > 3
+        assert all((b - a) * t_end > 0.0 for a, b in zip([0.0] + times, times))
+        assert times[-1] == pytest.approx(t_end, abs=1e-14)
+        assert all(y == pytest.approx(math.cos(t), abs=1e-9)
+                   for t, (y, _) in path)
+    assert rk_integrate(lambda y: -y, 1.0, [2.0, 3.0], 1.0) == []
 
-    path = rk_integrate(f, 0.0, [1.0, 0.0], 1.0, sample_times=[1.0, 0.0])
-    assert path[0] == (0.0, [1.0, 0.0])
-    assert path[1][0] == 1.0
-    assert path[1][1][0] == pytest.approx(math.cos(1.0), abs=1e-9)
-    back = rk_integrate(f, 1.0, [2.0, 3.0], 0.0, sample_times=[1.0])
-    assert back == [(1.0, [2.0, 3.0])]
+
+def test_rk_restarts_where_the_amplification_passes_the_bound():
+    # y'' = y amplifies at the rate 1, so a segment's amplification is
+    # e^(its length): each ends at its first accepted step more than
+    # ln SHOOT_MAX_GAIN ~ 7.7 from its start, which the path keeps as
+    # integrated, and the next restarts there from the exact state
+    restarts = []
+
+    def exact(t):
+        restarts.append(t)
+        return [math.exp(-t), -math.exp(-t)]
+
+    path = rk_integrate(lambda y: y, 0.0, [1.0, -1.0], 20.0, restart=exact)
+    times = [0.0] + [t for t, _ in path]
+    bound = math.log(SHOOT_MAX_GAIN)
+    assert len(restarts) == 2
+    for start, end in zip([0.0] + restarts, restarts):
+        i = times.index(end)
+        assert times[i - 1] - start <= bound < end - start
+    assert times[-1] - restarts[-1] <= bound
+    assert max(abs(y - math.exp(-t)) for t, (y, _) in path) < 1e-10
 
 
-@pytest.mark.parametrize("t_end, times", [
-    (1.0, [0.5, 3.0]), (1.0, [-0.5]), (-1.0, [-0.5, -3.0]), (-1.0, [0.5])])
-def test_rk_rejects_sample_times_outside_the_span(t_end, times):
-    # on either side of [t0, t_end], in either direction
-    with pytest.raises(ValueError, match="between t0 and t_end"):
-        rk_integrate(lambda y: -y, 0.0, [1.0, 0.0], t_end, sample_times=times)
-    # within the 1e-12 allowance a time just past t_end is accepted
-    path = rk_integrate(lambda y: -y, 0.0, [1.0, 0.0], t_end,
-                        sample_times=[t_end * (1.0 + 1e-13)])
-    assert len(path) == 1
+def test_rk_refuses_a_segment_past_the_bound_in_one_step():
+    # far below atol the first step, 1e-2, is accepted at the rate 1e3, an
+    # amplification of e^10 within one step: a restart there would make no
+    # progress, so the kernel gives up with one line
+    with pytest.raises(StepSizeUnderflowError,
+                       match="^step amplification past 2200 within one step"
+                       ) as err:
+        rk_integrate(lambda y: 1e6 * y, 0.0, [1e-30, 0.0], 1.0,
+                     restart=lambda t: pytest.fail("restarted"))
+    assert err.value.span_reached == 1e-2
 
 
 def _dop853_nodes():
@@ -512,68 +536,88 @@ def _reference_rk_step(f, y, h):
 
 
 def _reference_rk_integrate(acc, t0, y0, t_end, rtol=1.0e-10, atol=1.0e-10,
-                            sample_times=None):
-    # the generic driver around _reference_rk_step, for y' = (y[1], acc(y[0]))
+                            restart=None):
+    # the generic driver around _reference_rk_step, for y' = (y[1], acc(y[0])),
+    # with rk_integrate's segments: the amplification summed by the
+    # trapezoid rule over accepted steps, a restart from the first step
+    # past SHOOT_MAX_GAIN, and a refusal when that is a segment's first
     def f(y):
         return [y[1], acc(y[0])]
 
+    def first_step(t):
+        return direction * min(1e-2, abs(t_end - t) / 10.0 + 1e-12)
+
     direction = 1.0 if t_end >= t0 else -1.0
-    targets = (sorted(sample_times, reverse=direction < 0.0)
-               if sample_times else [t_end])
     out = []
     t, y = t0, list(y0)
-    h = direction * min(1e-2, abs(t_end - t0) / 10.0 + 1e-12)
+    h = first_step(t0)
     attempts = 0
-    for target in targets:
-        while (target - t) * direction > 1e-14 * max(1.0, abs(target)):
-            if attempts == RK_MAX_STEPS:
-                raise StepSizeUnderflowError("step limit",
-                                             span_reached=t - t0)
-            attempts += 1
-            if abs(h) > abs(target - t):
-                h = target - t
-            try:
-                k, y_new, err5, err3 = _reference_rk_step(f, y, h)
-                scale = [atol + rtol * max(abs(y[c]), abs(y_new[c]))
-                         for c in range(len(y))]
-                e5 = _left_sum((err5[c] / scale[c]) ** 2
-                               for c in range(len(y)))
-                e3 = _left_sum((err3[c] / scale[c]) ** 2
-                               for c in range(len(y)))
-                finite = all(map(math.isfinite,
-                                 [*(s for stage in k for s in stage), *y_new,
-                                  e5, e3]))
-            except (OverflowError, ValueError):
-                finite = False
-            if not finite:
-                h *= 0.1
+    if restart is not None:
+        rate, gain, fresh = _growth_rate(acc, y[0]), 0.0, True
+    while (t_end - t) * direction > 1e-14 * max(1.0, abs(t_end)):
+        if attempts == RK_MAX_STEPS:
+            raise StepSizeUnderflowError("step limit", span_reached=t - t0)
+        attempts += 1
+        if abs(h) > abs(t_end - t):
+            h = t_end - t
+        try:
+            k, y_new, err5, err3 = _reference_rk_step(f, y, h)
+            scale = [atol + rtol * max(abs(y[c]), abs(y_new[c]))
+                     for c in range(len(y))]
+            e5 = _left_sum((err5[c] / scale[c]) ** 2 for c in range(len(y)))
+            e3 = _left_sum((err3[c] / scale[c]) ** 2 for c in range(len(y)))
+            finite = all(map(math.isfinite,
+                             [*(s for stage in k for s in stage), *y_new,
+                              e5, e3]))
+        except (OverflowError, ValueError):
+            finite = False
+        if not finite:
+            h *= 0.1
+        else:
+            enorm = e5 / math.sqrt(len(y) * (e5 + 0.01 * e3)) if e5 else 0.0
+            if enorm <= 1.0:
+                t += h
+                y = y_new
+                out.append((t, list(y)))
+                if restart is not None:
+                    rate_new = _growth_rate(acc, y[0])
+                    gain += 0.5 * abs(h) * (rate + rate_new)
+                    if gain > math.log(SHOOT_MAX_GAIN):
+                        if fresh:
+                            raise StepSizeUnderflowError(
+                                "step amplification", span_reached=t - t0)
+                        y, h = list(restart(t)), first_step(t)
+                        rate, gain, fresh = _growth_rate(acc, y[0]), 0.0, True
+                        continue
+                    rate, fresh = rate_new, False
+                h *= 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.125)
             else:
-                enorm = e5 / math.sqrt(len(y) * (e5 + 0.01 * e3)) if e5 else 0.0
-                if enorm <= 1.0:
-                    t += h
-                    y = y_new
-                    h *= 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.125)
-                else:
-                    h *= max(0.1, 0.9 * enorm ** -0.125)
-            if abs(h) < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflowError("step underflow",
-                                             span_reached=t - t0)
-        out.append((t, list(y)))
+                h *= max(0.1, 0.9 * enorm ** -0.125)
+        if abs(h) < 1e-14 * max(1.0, abs(t)):
+            raise StepSizeUnderflowError("step underflow", span_reached=t - t0)
     return out
 
 
 def _counted_run(integrate, acc, *args, **kwargs):
-    # (samples or the span reached at underflow, acceleration calls)
-    calls = [0]
+    # (path or the span reached at underflow, acceleration calls, restarts)
+    calls, restarts = [0], [0]
 
     def counted(y):
         calls[0] += 1
         return acc(y)
 
+    if kwargs.get("restart"):
+        restart = kwargs["restart"]
+
+        def counted_restart(t):
+            restarts[0] += 1
+            return restart(t)
+
+        kwargs = {**kwargs, "restart": counted_restart}
     try:
-        return integrate(counted, *args, **kwargs), calls[0]
+        return integrate(counted, *args, **kwargs), calls[0], restarts[0]
     except StepSizeUnderflowError as err:
-        return ("underflow", err.span_reached), calls[0]
+        return ("underflow", err.span_reached), calls[0], restarts[0]
 
 
 def _shoot_calls(monkeypatch, family, c1, lg, branch):
@@ -596,13 +640,19 @@ def _shoot_calls(monkeypatch, family, c1, lg, branch):
     return sol, span, args, kwargs
 
 
-@pytest.mark.parametrize("family, c1, lg, branch, psi_native, forward", [
-    (FamilyLabel.Tzitzeica, 1.0, 1.0, 1, False, True),  # Weierstrass
-    (FamilyLabel.SinhGordon, -0.5, 1.0, -1, True, False),  # half-line kink
-    (FamilyLabel.SineGordon, 0.0, -1.0, 1, True, True),  # amplitude
-])
+@pytest.mark.parametrize(
+    "family, c1, lg, branch, psi_native, forward, steps, calls, restarts", [
+        # Weierstrass, half-line kink, amplitude
+        (FamilyLabel.Tzitzeica, 1.0, 1.0, 1, False, True, 29, 420, 0),
+        (FamilyLabel.SinhGordon, -0.5, 1.0, -1, True, False, 28, 394, 0),
+        (FamilyLabel.SineGordon, 0.0, -1.0, 1, True, True, 36, 542, 0),
+        # the half-line kink at a small lambda gamma, in three segments
+        (FamilyLabel.SinhGordon, -0.5, 0.13145345140087247, -1, True, False,
+         34, 542, 2),
+    ])
 def test_two_state_kernel_matches_list_stepper_bit_for_bit(
-        monkeypatch, family, c1, lg, branch, psi_native, forward):
+        monkeypatch, family, c1, lg, branch, psi_native, forward, steps,
+        calls, restarts):
     sol, span, args, kwargs = _shoot_calls(monkeypatch, family, c1, lg,
                                            branch)
     assert sol.psi_native is psi_native
@@ -611,20 +661,20 @@ def test_two_state_kernel_matches_list_stepper_bit_for_bit(
         assert span == -5.0
     got = _counted_run(rk_integrate, *args, **kwargs)
     want = _counted_run(_reference_rk_integrate, *args, **kwargs)
-    # same samples to the bit and the same accepted and rejected steps; each
-    # of the 50 sample times ends a step of twelve acceleration calls
+    # the same path to the bit, segment by segment, and the same accepted
+    # and rejected steps: twelve acceleration calls an attempted step and
+    # two for the growth rate at each accepted step and each segment start
     assert got == want
-    assert len(got[0]) == 50 and got[1] > 600
+    assert (len(got[0]), got[1], got[2]) == (steps, calls, restarts)
 
 
 def test_two_state_kernel_matches_list_stepper_at_blowup():
     gen = EquationParams(1.0, 1.0, 2.0, -1.0)
     q = first_integral(gen, FR1, 1.0)
     y0 = [1.0, math.sqrt(2.0 * FR1.r * q.g(1.0))]
-    got = _counted_run(rk_integrate, _acceleration(q, False), 0.0, y0, 10.0,
-                       sample_times=[10.0])
+    got = _counted_run(rk_integrate, _acceleration(q, False), 0.0, y0, 10.0)
     want = _counted_run(_reference_rk_integrate, _acceleration(q, False), 0.0,
-                        y0, 10.0, sample_times=[10.0])
+                        y0, 10.0)
     assert got[0][0] == "underflow"
     assert got == want
 
@@ -650,8 +700,7 @@ def test_conservation_drift():
     q = first_integral(gen, FR1, 1.0)
     f = _acceleration(q, False)
     d0 = -math.sqrt(2.0 * FR1.r * q.g(1.0))
-    path = rk_integrate(f, 0.0, [1.0, d0], 1.5, rtol=1e-12, atol=1e-12,
-                        sample_times=[0.075 * i for i in range(1, 21)])
+    path = rk_integrate(f, 0.0, [1.0, d0], 1.5, rtol=1e-12, atol=1e-12)
     drift = max(abs(conserved_c1(gen, FR1, y[0], y[1]) - 1.0) for _, y in path)
     assert drift <= 1e-8
     # nonsingular span-10 drift: companion trajectory started from an exact
@@ -661,8 +710,7 @@ def test_conservation_drift():
     fs = _acceleration(qs, False)
     h0 = 3.0
     d0 = -math.sqrt(2.0 * FR1.r * h0 * h0 * qs.g(h0))
-    path = rk_integrate(fs, 0.0, [h0, d0], 10.0, rtol=1e-12, atol=1e-12,
-                        sample_times=[0.5 * i for i in range(1, 21)])
+    path = rk_integrate(fs, 0.0, [h0, d0], 10.0, rtol=1e-12, atol=1e-12)
     drift = max(abs(conserved_c1(params, FR1, y[0], y[1]) + 1.5)
                 for _, y in path)
     assert drift <= 1e-8
