@@ -380,12 +380,9 @@ def test_shoot_blowup_underflow():
     assert 0.0 < err.value.span_reached < 2.0
 
 
-@pytest.mark.parametrize("failure", [ValueError, OverflowError, math.nan,
-                                     math.inf])
-def test_rk_rejects_a_step_whose_stage_fails(failure):
-    # y'' = -1 from (1, -1) reaches the edge y = 0 at t = sqrt 3 - 1, past
-    # which every stage raises or reads non-finite: each such step is
-    # rejected, and the step collapses at the edge
+def _failing_past_the_edge(failure):
+    # y'' = -1 while y >= 0; below, the acceleration raises ``failure`` or,
+    # given a float, returns it
     def acc(y):
         if y >= 0.0:
             return -1.0
@@ -393,8 +390,17 @@ def test_rk_rejects_a_step_whose_stage_fails(failure):
             return failure
         raise failure("past the edge")
 
+    return acc
+
+
+@pytest.mark.parametrize("failure", [ValueError, OverflowError, math.nan,
+                                     math.inf])
+def test_rk_rejects_a_step_whose_stage_fails(failure):
+    # y'' = -1 from (1, -1) reaches the edge y = 0 at t = sqrt 3 - 1, past
+    # which every stage raises or reads non-finite: each such step is
+    # rejected, and the step collapses at the edge
     with pytest.raises(StepSizeUnderflowError) as err:
-        rk_integrate(acc, 0.0, [1.0, -1.0], 2.0)
+        rk_integrate(_failing_past_the_edge(failure), 0.0, [1.0, -1.0], 2.0)
     assert err.value.span_reached == pytest.approx(math.sqrt(3.0) - 1.0,
                                                    abs=1e-12)
 
@@ -668,15 +674,41 @@ def test_two_state_kernel_matches_list_stepper_bit_for_bit(
     assert (len(got[0]), got[1], got[2]) == (steps, calls, restarts)
 
 
-def test_two_state_kernel_matches_list_stepper_at_blowup():
-    gen = EquationParams(1.0, 1.0, 2.0, -1.0)
-    q = first_integral(gen, FR1, 1.0)
-    y0 = [1.0, math.sqrt(2.0 * FR1.r * q.g(1.0))]
-    got = _counted_run(rk_integrate, _acceleration(q, False), 0.0, y0, 10.0)
-    want = _counted_run(_reference_rk_integrate, _acceleration(q, False), 0.0,
-                        y0, 10.0)
+def _generic_blowup():
+    # the generic trajectory of test_shoot_blowup_underflow
+    q = first_integral(EquationParams(1.0, 1.0, 2.0, -1.0), FR1, 1.0)
+    return (_acceleration(q, False), 0.0,
+            [1.0, math.sqrt(2.0 * FR1.r * q.g(1.0))], 10.0)
+
+
+@pytest.mark.parametrize("args, step_limit, span, calls", [
+    pytest.param(_generic_blowup(), None, None, 3660, id="blowup"),
+    # the stage failures of test_rk_rejects_a_step_whose_stage_fails
+    *(pytest.param((_failing_past_the_edge(failure), 0.0, [1.0, -1.0], 2.0),
+                   None, math.sqrt(3.0) - 1.0, calls,
+                   id=getattr(failure, "__name__", str(failure)))
+      for failure, calls in [(ValueError, 570), (OverflowError, 570),
+                             (math.nan, 756), (math.inf, 756)]),
+    # the oscillator of test_rk_gives_up_after_the_step_limit
+    pytest.param((lambda y: -1e6 * y, 0.0, [1.0, 0.0], 10.0), 40, None,
+                 12 * 40, id="step-limit"),
+])
+def test_two_state_kernel_matches_list_stepper_at_blowup(
+        monkeypatch, args, step_limit, span, calls):
+    # where the kernel gives up, it has made the reference stepper's
+    # acceleration calls, in its order, and stopped at the same one
+    import expwave.verify as verify
+
+    if step_limit is not None:
+        monkeypatch.setattr(verify, "RK_MAX_STEPS", step_limit)
+        monkeypatch.setitem(globals(), "RK_MAX_STEPS", step_limit)
+    got = _counted_run(rk_integrate, *args)
+    want = _counted_run(_reference_rk_integrate, *args)
     assert got[0][0] == "underflow"
     assert got == want
+    if span is not None:
+        assert got[0][1] == pytest.approx(span, abs=1e-12)
+    assert got[1] == calls
 
 
 @pytest.mark.parametrize("branch", [1, -1])
