@@ -310,8 +310,8 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
 
 # DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10; the literals of
 # Hairer's dop853.f as SciPy's dop853_coefficients.py prints them): the 12
-# stages of the eighth-order step, rows of the stage matrix with their zeros.
-# y'' = acc(y) is autonomous, so the nodes c_i are never needed
+# stages of the eighth-order step, rows of the stage matrix with their zeros,
+# dropped once, at import.  y'' = acc(y) is autonomous: no node c_i is needed
 _DOP_A = (
     (),
     (5.26001519587677318785587544488e-2,),
@@ -367,6 +367,11 @@ _DOP_E3 = tuple(b - bhh for b, bhh in zip(_DOP_B, (
     0.733846688281611857341361741547, 0.0, 0.0,
     0.220588235294117647058823529412e-1)))
 
+# the nonzero (j, a) of each row of _DOP_A and of _DOP_B, _DOP_E5, _DOP_E3
+_DOP_STAGES, _DOP_WEIGHTS = (
+    tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in rows)
+    for rows in (_DOP_A, (_DOP_B, _DOP_E5, _DOP_E3)))
+
 # attempted steps per rk_integrate call, over all its segments, before it
 # gives up; a shoot of the battery that finishes took at most 815 over the
 # census of ROADMAP item 2 (|lambda gamma| in [0.01, 100])
@@ -421,19 +426,6 @@ def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
     carries the span reached.
     """
     direction = 1.0 if t_end >= t0 else -1.0
-    # stage matrix entries a{i}_{j}, zeros dropped
-    ((), (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3),
-     (a5_0, _, _, a5_3, a5_4), (a6_0, _, _, a6_3, a6_4, a6_5),
-     (a7_0, _, _, a7_3, a7_4, a7_5, a7_6),
-     (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
-     (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
-     (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
-     (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9,
-      a11_10)) = _DOP_A
-    b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11 = _DOP_B
-    e0, _, _, _, _, e5, e6, e7, e8, e9, e10, e11 = _DOP_E5
-    d0, _, _, _, _, d5, d6, d7, d8, d9, d10, d11 = _DOP_E3
-    isfinite, sqrt = math.isfinite, math.sqrt
     out = []
     t = t0
     y, v = y0
@@ -455,109 +447,40 @@ def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
         if abs(h) > abs(t_end - t):
             h = t_end - t
         try:
-            # stage i: value y_i, slope v_i, acceleration k_i;
-            # c{i}_{j} = h a{i}_{j}
-            k0 = acc(y)
-            c1_0 = h * a1_0
-            y1 = y + c1_0 * v
-            v1 = v + c1_0 * k0
-            k1 = acc(y1)
-            c2_0, c2_1 = h * a2_0, h * a2_1
-            y2 = y + c2_0 * v + c2_1 * v1
-            v2 = v + c2_0 * k0 + c2_1 * k1
-            k2 = acc(y2)
-            c3_0, c3_2 = h * a3_0, h * a3_2
-            y3 = y + c3_0 * v + c3_2 * v2
-            v3 = v + c3_0 * k0 + c3_2 * k2
-            k3 = acc(y3)
-            c4_0, c4_2, c4_3 = h * a4_0, h * a4_2, h * a4_3
-            y4 = y + c4_0 * v + c4_2 * v2 + c4_3 * v3
-            v4 = v + c4_0 * k0 + c4_2 * k2 + c4_3 * k3
-            k4 = acc(y4)
-            c5_0, c5_3, c5_4 = h * a5_0, h * a5_3, h * a5_4
-            y5 = y + c5_0 * v + c5_3 * v3 + c5_4 * v4
-            v5 = v + c5_0 * k0 + c5_3 * k3 + c5_4 * k4
-            k5 = acc(y5)
-            c6_0, c6_3, c6_4, c6_5 = h * a6_0, h * a6_3, h * a6_4, h * a6_5
-            y6 = y + c6_0 * v + c6_3 * v3 + c6_4 * v4 + c6_5 * v5
-            v6 = v + c6_0 * k0 + c6_3 * k3 + c6_4 * k4 + c6_5 * k5
-            k6 = acc(y6)
-            c7_0, c7_3, c7_4, c7_5, c7_6 = (h * a7_0, h * a7_3, h * a7_4,
-                                            h * a7_5, h * a7_6)
-            y7 = (y + c7_0 * v + c7_3 * v3 + c7_4 * v4 + c7_5 * v5
-                  + c7_6 * v6)
-            v7 = (v + c7_0 * k0 + c7_3 * k3 + c7_4 * k4 + c7_5 * k5
-                  + c7_6 * k6)
-            k7 = acc(y7)
-            c8_0, c8_3, c8_4, c8_5, c8_6, c8_7 = (
-                h * a8_0, h * a8_3, h * a8_4, h * a8_5, h * a8_6,
-                h * a8_7)
-            y8 = (y + c8_0 * v + c8_3 * v3 + c8_4 * v4 + c8_5 * v5
-                  + c8_6 * v6 + c8_7 * v7)
-            v8 = (v + c8_0 * k0 + c8_3 * k3 + c8_4 * k4 + c8_5 * k5
-                  + c8_6 * k6 + c8_7 * k7)
-            k8 = acc(y8)
-            c9_0, c9_3, c9_4, c9_5, c9_6, c9_7, c9_8 = (
-                h * a9_0, h * a9_3, h * a9_4, h * a9_5, h * a9_6,
-                h * a9_7, h * a9_8)
-            y9 = (y + c9_0 * v + c9_3 * v3 + c9_4 * v4 + c9_5 * v5
-                  + c9_6 * v6 + c9_7 * v7 + c9_8 * v8)
-            v9 = (v + c9_0 * k0 + c9_3 * k3 + c9_4 * k4 + c9_5 * k5
-                  + c9_6 * k6 + c9_7 * k7 + c9_8 * k8)
-            k9 = acc(y9)
-            c10_0, c10_3, c10_4, c10_5, c10_6, c10_7, c10_8, c10_9 = (
-                h * a10_0, h * a10_3, h * a10_4, h * a10_5, h * a10_6,
-                h * a10_7, h * a10_8, h * a10_9)
-            y10 = (y + c10_0 * v + c10_3 * v3 + c10_4 * v4 + c10_5 * v5
-                   + c10_6 * v6 + c10_7 * v7 + c10_8 * v8 + c10_9 * v9)
-            v10 = (v + c10_0 * k0 + c10_3 * k3 + c10_4 * k4 + c10_5 * k5
-                   + c10_6 * k6 + c10_7 * k7 + c10_8 * k8 + c10_9 * k9)
-            k10 = acc(y10)
-            (c11_0, c11_3, c11_4, c11_5, c11_6, c11_7, c11_8, c11_9,
-             c11_10) = (h * a11_0, h * a11_3, h * a11_4, h * a11_5,
-                        h * a11_6, h * a11_7, h * a11_8, h * a11_9,
-                        h * a11_10)
-            y11 = (y + c11_0 * v + c11_3 * v3 + c11_4 * v4 + c11_5 * v5
-                   + c11_6 * v6 + c11_7 * v7 + c11_8 * v8 + c11_9 * v9
-                   + c11_10 * v10)
-            v11 = (v + c11_0 * k0 + c11_3 * k3 + c11_4 * k4 + c11_5 * k5
-                   + c11_6 * k6 + c11_7 * k7 + c11_8 * k8 + c11_9 * k9
-                   + c11_10 * k10)
-            k11 = acc(y11)
-            # every operation is the one the generic stepper on a list
-            # state in tests/test_verify.py makes, in its order: each
-            # sum runs left to right from 0.0 over the nonzero weights
-            y_new = y + h * (0.0 + b0 * v + b5 * v5 + b6 * v6 + b7 * v7
-                             + b8 * v8 + b9 * v9 + b10 * v10 + b11 * v11)
-            v_new = v + h * (0.0 + b0 * k0 + b5 * k5 + b6 * k6 + b7 * k7
-                             + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11)
+            # the operations of the list-state stepper in tests/test_verify.py
+            # in its order: stage i adds (h a_ij) v_j to y, (h a_ij) k_j to v
+            vs, ks, total = [], [], 0.0
+            for row in _DOP_STAGES:
+                yi, vi = y, v
+                for j, a in row:
+                    c = h * a
+                    yi += c * vs[j]
+                    vi += c * ks[j]
+                vs.append(vi)
+                ks.append(acc(yi))
+                total += ks[-1]
+            sums = []
+            for weights in _DOP_WEIGHTS:
+                wy = wv = 0.0
+                for j, w in weights:
+                    wy += w * vs[j]
+                    wv += w * ks[j]
+                sums += h * wy, h * wv
+            dy, dv, e5y, e5v, e3y, e3v = sums
+            y_new, v_new = y + dy, v + dv
             sy = atol + rtol * max(abs(y), abs(y_new))
             sv = atol + rtol * max(abs(v), abs(v_new))
-            e5_sq = (0.0
-                     + (h * (0.0 + e0 * v + e5 * v5 + e6 * v6 + e7 * v7
-                             + e8 * v8 + e9 * v9 + e10 * v10 + e11 * v11)
-                        / sy) ** 2
-                     + (h * (0.0 + e0 * k0 + e5 * k5 + e6 * k6 + e7 * k7
-                             + e8 * k8 + e9 * k9 + e10 * k10 + e11 * k11)
-                        / sv) ** 2)
-            e3_sq = (0.0
-                     + (h * (0.0 + d0 * v + d5 * v5 + d6 * v6 + d7 * v7
-                             + d8 * v8 + d9 * v9 + d10 * v10 + d11 * v11)
-                        / sy) ** 2
-                     + (h * (0.0 + d0 * k0 + d5 * k5 + d6 * k6 + d7 * k7
-                             + d8 * k8 + d9 * k9 + d10 * k10 + d11 * k11)
-                        / sv) ** 2)
+            e5_sq = 0.0 + (e5y / sy) ** 2 + (e5v / sv) ** 2
+            e3_sq = 0.0 + (e3y / sy) ** 2 + (e3v / sv) ** 2
             # a sum is finite exactly when every term is, unless the sum
             # itself overflows, which rejects the step as well
-            finite = isfinite(k0 + k1 + k2 + k3 + k4 + k5 + k6 + k7 + k8
-                              + k9 + k10 + k11 + y_new + v_new + e5_sq
-                              + e3_sq)
+            finite = math.isfinite(total + y_new + v_new + e5_sq + e3_sq)
         except (OverflowError, ValueError):
             finite = False
         if not finite:
             h *= 0.1
         else:
-            enorm = (e5_sq / sqrt(2.0 * (e5_sq + 0.01 * e3_sq))
+            enorm = (e5_sq / math.sqrt(2.0 * (e5_sq + 0.01 * e3_sq))
                      if e5_sq else 0.0)
             if enorm <= 1.0:
                 t += h
