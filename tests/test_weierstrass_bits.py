@@ -28,6 +28,13 @@ families use, in place of e3 + (e1 - e3)/sn^2: each carries its error
 against a 40-digit mpmath p in eps (1 + kappa), kappa = |z p'/p|, and in
 parentheses the error before (worst 1.46 now, 1.42 before).  No p', cn,
 rational or pole row moved.
+
+The eight (1, -1) rows and their pole row were added later, generated
+the same way by the evaluator as it stood then: that pair's root e1 < 0
+takes the cn kind's other anchor, h0 = e1 + A, where (1, 1) takes h1,
+and its z cover both signs of cn (cn < 0 at -1.7 and 2.3).  Each row's
+error against a 40-digit mpmath p and p' is within 1.9 eps (1 + kappa).
+The pole rows are checked on ``slope`` as well as on ``eval``.
 """
 
 import pytest
@@ -64,6 +71,15 @@ PINNED = [
     (1.0, 1.0, 2.3, '0x1.8e74ffd2d2a2ep+1', '0x1.597786ed6b4e4p+3'),
     (1.0, 1.0, 5.1, '0x1.3e9b97ae6863cp+1', '0x1.e83e581dee7e8p+2'),
     (1.0, 1.0, -12.3, '0x1.84a8e36e48254p+0', '0x1.b1ad5a4c05834p+1'),
+    # (1, -1), the root e1 < 0: the cn kind anchored at h0 = e1 + A
+    (1.0, -1.0, 0.1, '0x1.90008222d0260p+6', '-0x1.f3ff5e7ff02d6p+10'),
+    (1.0, -1.0, -0.1, '0x1.90008222d0260p+6', '0x1.f3ff5e7ff02d6p+10'),
+    (1.0, -1.0, 0.37, '0x1.d3e3cfd1466ffp+2', '-0x1.3ba2e5abc1f81p+5'),
+    (1.0, -1.0, 0.9, '0x1.407ccbb192a36p+0', '-0x1.60c9794d31ca2p+1'),
+    (1.0, -1.0, -1.7, '0x1.959b517218b36p-3', '0x1.d34d89cf7d066p-1'),  # cn < 0
+    (1.0, -1.0, 2.3, '-0x1.ab720029f86d6p-2', '-0x1.0fb56287f73ecp+0'),  # cn < 0
+    (1.0, -1.0, 5.1, '0x1.99112be38f460p+1', '0x1.6a8e07bd114b4p+3'),
+    (1.0, -1.0, -12.3, '0x1.0f0522e5737dbp+0', '0x1.1520e0fc0ac7cp+1'),
     # (3, -1), the double root 1/2: the sn kind at m = 1
     (3.0, -1.0, 0.1, '0x1.900188481fb30p+6', '-0x1.f3fe16d02f09ap+10'),  # 0.51 (0.09)
     (3.0, -1.0, -0.1, '0x1.900188481fb30p+6', '0x1.f3fe16d02f09ap+10'),  # 0.51 (0.09)
@@ -90,6 +106,7 @@ POLES = [
     (0.0, 0.0, '0x1.a36e2eb1c432dp-12', 'z within 1.000e-03 of a Weierstrass pole (distance 4.000e-04)', '0x1.a36e2eb1c432dp-12', '0x1.0624dd2f1a9fcp-10'),
     (4.0, 1.0, '0x1.39e74214247d3p+1', 'z within 2.451e-03 of a Weierstrass pole (distance 9.806e-04)', '0x1.010bfb8f85000p-10', '0x1.414efa7366f65p-9'),
     (1.0, 1.0, '0x1.6f53fb4542bc9p+1', 'z within 2.869e-03 of a Weierstrass pole (distance 1.147e-03)', '0x1.2ccb79845c000p-10', '0x1.77fe57e572e26p-9'),
+    (1.0, -1.0, '0x1.6a69f15f348d2p+2', 'z within 5.660e-03 of a Weierstrass pole (distance 2.264e-03)', '0x1.28c54d2d1a800p-9', '0x1.72f6a0786130fp-8'),
     (3.0, -1.0, '0x1.a36e2eb1c432dp-12', 'z within 1.000e-03 of a Weierstrass pole (distance 4.000e-04)', '0x1.a36e2eb1c432dp-12', '0x1.0624dd2f1a9fcp-10'),
     (3.0, 1.0, '0x1.4876ce93ddb08p+1', 'z within 2.565e-03 of a Weierstrass pole (distance 1.026e-03)', '0x1.0cf85ea4b0000p-10', '0x1.5036764ddc442p-9'),
 ]
@@ -98,6 +115,7 @@ KINDS = {
     (0.0, 0.0): "rational",
     (4.0, 1.0): "sn",
     (1.0, 1.0): "cn",
+    (1.0, -1.0): "cn",
     (3.0, -1.0): "sn",
     (3.0, 1.0): "sn",
 }
@@ -116,8 +134,9 @@ def test_eval_matches_pinned_bits(g2, g3):
 @pytest.mark.parametrize("g2, g3, z, message, distance, limit", POLES)
 def test_pole_error_matches_pinned(g2, g3, z, message, distance, limit):
     prep = prepare_weierstrass(WeierstrassInvariants(g2, g3))
-    with pytest.raises(PoleProximityError) as err:
-        prep.eval(float.fromhex(z))
-    assert str(err.value) == message
-    assert err.value.distance.hex() == distance
-    assert err.value.limit.hex() == limit
+    for method in (prep.eval, prep.slope):
+        with pytest.raises(PoleProximityError) as err:
+            method(float.fromhex(z))
+        assert str(err.value) == message
+        assert err.value.distance.hex() == distance
+        assert err.value.limit.hex() == limit
