@@ -366,8 +366,6 @@ def _grid(make, *args) -> Grid:
 
 def cmd_sample(cfg: JobConfig) -> int:
     sol = _construct(cfg)
-    if cfg.n < 2:
-        raise ConfigError("sample needs n >= 2")
     grid = _grid(Grid.for_solution, sol, cfg.xi_min, cfg.xi_max, cfg.n)
     rows = _sample_rows(sol, grid)
     _emit("\n".join(rows) + "\n", cfg.output)
@@ -418,11 +416,8 @@ _FIGURES = [
 
 
 def cmd_figures(cfg: JobConfig) -> int:
-    n = cfg.n
-    if n < 2:
-        raise ConfigError("figures needs n >= 2")
     outdir = cfg.output or "figures"
-    xs = _grid(Grid, -10.0, 10.0, n).points()
+    xs = _grid(Grid, -10.0, 10.0, cfg.n).points()
     sidecar: dict = {}
     for name, fam, curves in _FIGURES:
         built = []

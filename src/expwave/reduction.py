@@ -52,6 +52,16 @@ C1_DEGENERATE = -1.5
 C1_LEMNISCATIC = -3.0 / CBRT4
 
 
+def _parse_label(labels, text: str, noun: str):
+    """The member of the enum ``labels`` that ``text`` names by value or by
+    name, in any case and with '_' or ' ' for '-'."""
+    t = text.strip().lower().replace("_", "-").replace(" ", "-")
+    for label in labels:
+        if t in (label.value, label.name.lower()):
+            return label
+    raise InvalidParamsError(f"unknown {noun} {text!r}")
+
+
 class FamilyLabel(enum.Enum):
     Liouville = "liouville"
     Tzitzeica = "tzitzeica"
@@ -64,11 +74,7 @@ class FamilyLabel(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "FamilyLabel":
-        t = text.strip().lower().replace("_", "-").replace(" ", "-")
-        for fam in cls:
-            if t in (fam.value, fam.name.lower()):
-                return fam
-        raise InvalidParamsError(f"unknown family {text!r}")
+        return _parse_label(cls, text, "family")
 
 
 #: Families whose first integral is a cubic in h (the Weierstrass route).
@@ -104,11 +110,7 @@ class CaseLabel(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "CaseLabel":
-        t = text.strip().lower().replace("_", "-").replace(" ", "-")
-        for c in cls:
-            if t in (c.value, c.name.lower()):
-                return c
-        raise InvalidParamsError(f"unknown case {text!r}")
+        return _parse_label(cls, text, "case")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Weierstrass p-function on the real axis, from invariants (g2, g3).
 
 One builder, ``_root_form``, turns the roots of a cubic (h')^2 = a3 (h -
-h1)(h - h2)(h - h3) into its real solution by Jacobi elliptic functions;
-its docstring states the formulas.  ``prepare_weierstrass`` solves 4 t^3
-- g2 t - g3 = 0 and hands the roots over with a3 = 4: three real roots
-(discriminant > 0) take the sn kind, one real root (discriminant < 0) the
-cn kind.  The closed-form solutions (expwave.solutions) hand over the
-roots of their own cubic in h, which ``solve_weierstrass_cubic`` solves as
-the Weierstrass cubic in 1/h, and evaluate the builder's ``value``
-closure; they do not call ``eval``.
+h1)(h - h2)(h - h3) into its real solution by Jacobi elliptic functions:
+it writes each kind's value and slope as two closures over the same
+constants, and its docstring states the formulas.  ``prepare_weierstrass``
+solves 4 t^3 - g2 t - g3 = 0 and hands the roots over with a3 = 4: three
+real roots (discriminant > 0) take the sn kind, one real root
+(discriminant < 0) the cn kind.  The closed-form solutions
+(expwave.solutions) hand over the roots of their own cubic in h, which
+``solve_weierstrass_cubic`` solves as the Weierstrass cubic in 1/h, and
+evaluate the builder's ``value`` closure; they do not call ``eval``.
 
 Discriminant = 0 (roots snapped to d, d, -2d) takes the sn kind at m = 1
 for g3 < 0 and at m = 0 for g3 > 0, where sn is tanh and sin (DLMF
@@ -23,8 +24,9 @@ PoleProximityError so verification grids can skip singularities
 deterministically.
 
 ``prepare_weierstrass`` does the invariant-dependent work once; the
-prepared object's ``eval(z)`` returns p(z) alone and its ``slope(z)``
-returns p'(z) (``weierstrass_p`` returns both).
+prepared object only holds the builder's closures, which its ``eval(z)``
+and ``slope(z)`` call for p(z) and p'(z) (``weierstrass_p`` returns
+both); ``_rational_form`` writes the pair for p = 1/z^2.
 """
 
 from __future__ import annotations
@@ -134,65 +136,60 @@ def _pole_error(distance: float, limit: float) -> PoleProximityError:
         distance=distance, limit=limit)
 
 
+def _refuse_pole(z: float, period: float, radius: float) -> None:
+    """Raise PoleProximityError within radius of a pole n period, or of
+    the one pole 0 where the period is infinite: the rule that the root
+    forms' ``value`` inlines, as the families call it at every point, for
+    the slopes and the rational kind, which no sample evaluates."""
+    dist = (abs(z - period * round(z / period)) if math.isfinite(period)
+            else abs(z))
+    if dist < radius:
+        raise _pole_error(dist, radius)
+
+
 class _PreparedWeierstrass:
     """A prepared root form (see ``_root_form``), or p = 1/z^2.
 
-    ``eval(x)`` returns the form's value and ``slope(x)`` its derivative:
-    p(z) and p'(z) for ``prepare_weierstrass``.  ``value`` is the closure
-    that ``eval`` calls for the sn and cn kinds.  Every point first passes
-    one pole rule, whose radius ``eps_pole`` is 1e-3 of the real period,
-    or 1e-3 of the caller's length where the period is infinite.
+    ``value`` and ``derivative`` are its builder's closures, which
+    ``eval(x)`` and ``slope(x)`` call: p(z) and p'(z) for
+    ``prepare_weierstrass``.  Every point first passes one pole rule, whose
+    radius ``eps_pole`` is 1e-3 of the real period, or 1e-3 of the
+    caller's length where the period is infinite.
     """
 
-    __slots__ = ("kind", "jacobi", "scale", "amp", "origin", "real_period",
-                 "periodic", "eps_pole", "value")
+    __slots__ = ("kind", "real_period", "periodic", "eps_pole", "value",
+                 "derivative")
 
-    def __init__(self, kind: str, jacobi: _PreparedJacobi | None, scale: float,
-                 amp: float, origin: float, real_period: float, length: float):
+    def __init__(self, kind: str, real_period: float, eps_pole: float,
+                 value: Callable[[float], float],
+                 derivative: Callable[[float], float]):
         self.kind = kind
-        self.jacobi = jacobi  # the "sn" and "cn" kinds only
-        self.scale = scale  # the rate kappa
-        self.amp = amp  # h1 - h3 (sn) or s A (cn)
-        self.origin = origin
         self.real_period = real_period
         self.periodic = math.isfinite(real_period)
-        self.eps_pole = _POLE_FRACTION * (
-            real_period if self.periodic else length)
-        self.value = None  # set by _root_form
-
-    def _check_pole(self, z: float) -> None:
-        """Raise PoleProximityError within eps_pole of a lattice pole."""
-        d = abs(z)  # the distance to the nearest pole
-        if self.periodic:
-            period = self.real_period
-            d = abs(z - period * round(z / period))
-        if d < self.eps_pole:
-            raise _pole_error(d, self.eps_pole)
+        self.eps_pole = eps_pole
+        self.value = value
+        self.derivative = derivative
 
     def eval(self, z: float) -> float:
         """The form's value: p(z)."""
-        if self.kind == "rational":
-            self._check_pole(z)
-            return 1.0 / (z * z)
         return self.value(z)
 
     def slope(self, z: float) -> float:
         """The form's derivative: p'(z)."""
-        z -= self.origin
-        self._check_pole(z)
-        kind = self.kind
-        if kind == "rational":
-            return -2.0 / (z * z * z)
-        sn, cn, dn = self.jacobi.sn_cn_dn(self.scale * z)
-        if kind == "sn":
-            return -2.0 * self.amp * self.scale * cn * dn / (sn ** 3)
-        # sn/(1 - cn)^2 as the quotient that does not cancel
-        if cn >= 0.0:
-            q = 1.0 + cn
-            return (-2.0 * self.amp * self.scale * dn * (q * q)
-                    / (sn * sn * sn))
-        q = 1.0 - cn
-        return -2.0 * self.amp * self.scale * sn * dn / (q * q)
+        return self.derivative(z)
+
+
+def _rational_form() -> _PreparedWeierstrass:
+    """p = 1/z^2 and p' = -2/z^3, with the one pole 0 and radius 1e-3."""
+    def value(z: float) -> float:
+        _refuse_pole(z, math.inf, _POLE_FRACTION)
+        return 1.0 / (z * z)
+
+    def derivative(z: float) -> float:
+        _refuse_pole(z, math.inf, _POLE_FRACTION)
+        return -2.0 / (z * z * z)
+    return _PreparedWeierstrass("rational", math.inf, _POLE_FRACTION, value,
+                                derivative)
 
 
 def _root_form(a3: float, roots: CubicRoots, origin: float,
@@ -227,6 +224,11 @@ def _root_form(a3: float, roots: CubicRoots, origin: float,
     - cn nor 1 + cn cancels.  mc is formed from the root differences (its
     second form where d > 0), where 1 - m would lose the digits of a small
     mc; mc = 0, a double root, leaves one pole and an infinite period.
+
+    The form holds two closures over these constants: ``value``, h, and
+    ``derivative``, h' = -2 (h1 - h3) kappa cn dn/sn^3 for three real
+    roots and -2 s A kappa sn dn/(1 - cn)^2 for one, taken as dn (1 +
+    cn)^2/sn^3 for cn >= 0.
     """
     s = 1.0 if a3 > 0.0 else -1.0
     three = roots.all_real
@@ -250,10 +252,8 @@ def _root_form(a3: float, roots: CubicRoots, origin: float,
         base, coeff = (h1, amp) if at_h1 else (h0, 2.0 * amp)
     jac = _PreparedJacobi(1.0 - mc, mc)
     period = (2.0 if three else 4.0) * jac.k / kappa if mc > 0.0 else math.inf
-    form = _PreparedWeierstrass("sn" if three else "cn", jac, kappa, amp,
-                                origin, period, length)
-    periodic = form.periodic
-    radius = form.eps_pole
+    periodic = math.isfinite(period)
+    radius = _POLE_FRACTION * (period if periodic else length)
     sncndn = jac.sn_cn_dn
 
     def value(x: float) -> float:
@@ -272,8 +272,20 @@ def _root_form(a3: float, roots: CubicRoots, origin: float,
         if at_h1:
             return base + coeff * (sn * sn / (q * q))
         return base + coeff * (cn / q)
-    form.value = value
-    return form
+
+    def derivative(x: float) -> float:
+        z = x - origin
+        _refuse_pole(z, period, radius)
+        sn, cn, dn = sncndn(kappa * z)
+        if three:
+            return -2.0 * amp * kappa * cn * dn / (sn ** 3)
+        if cn >= 0.0:
+            q = 1.0 + cn
+            return -2.0 * amp * kappa * dn * (q * q) / (sn * sn * sn)
+        q = 1.0 - cn
+        return -2.0 * amp * kappa * sn * dn / (q * q)
+    return _PreparedWeierstrass("sn" if three else "cn", period, radius, value,
+                                derivative)
 
 
 def prepare_weierstrass(inv: WeierstrassInvariants) -> _PreparedWeierstrass:
@@ -293,8 +305,7 @@ def prepare_weierstrass(inv: WeierstrassInvariants) -> _PreparedWeierstrass:
     roots = solve_weierstrass_cubic(g2, g3)
     if g3 == 0.0 and inv.is_degenerate:
         # g2^3 underflowed too: p = 1/z^2 to rounding
-        return _PreparedWeierstrass("rational", None, 0.0, 0.0, 0.0,
-                                    math.inf, 1.0)
+        return _rational_form()
     e2s = roots.real[0]
     if not roots.all_real and e2s < 0.0:
         # a^2 = -delta/(64 H^4) in integers, from the floats' exact

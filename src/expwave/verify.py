@@ -396,6 +396,12 @@ def _growth_rate(acc, y: float) -> float:
     return 0.0 if slope <= 0.0 else math.inf  # NaN
 
 
+def _start_rate(acc, state: list[float]) -> float:
+    """The growth rate at a segment's start state: its third entry where
+    the caller measured it, else :func:`_growth_rate` at its value."""
+    return state[2] if len(state) > 2 else _growth_rate(acc, state[0])
+
+
 def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
                  rtol: float = 1.0e-10, atol: float = 1.0e-10,
                  restart=None):
@@ -415,10 +421,13 @@ def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
     *Introduction to Numerical Analysis*, 7.3.5): a segment ends at the
     first accepted step where its estimated amplification exp(int
     :func:`_growth_rate` dt), by the trapezoid rule over its accepted
-    steps (two more acc calls a step and two at each start), passes
-    SHOOT_MAX_GAIN, and the next starts there from ``restart(t)``, with the
-    first step's size rule, as the first did from y0.  The state at that
-    step is returned as integrated.
+    steps (two more acc calls a step, and two at each start whose state
+    does not carry its rate), passes SHOOT_MAX_GAIN, and the next starts
+    there from ``restart(t)``, with the first step's size rule, as the
+    first did from y0.  The state at that step is returned as integrated.
+    A start state, y0 or a ``restart`` value, may carry the rate at y as a
+    third entry, [y, y', rate]: :func:`shoot_and_compare` measures it for
+    its own start check and hands it over.
 
     Raises StepSizeUnderflowError when the controller collapses, typically
     against a blow-up, when a segment's first accepted step already passes
@@ -428,7 +437,7 @@ def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
     direction = 1.0 if t_end >= t0 else -1.0
     out = []
     t = t0
-    y, v = y0
+    y, v = y0[:2]
 
     def first_step(t):
         return direction * min(1e-2, abs(t_end - t) / 10.0 + 1e-12)
@@ -437,7 +446,7 @@ def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
     attempts = 0
     if restart is not None:
         max_log_gain = math.log(SHOOT_MAX_GAIN)
-        rate, log_gain, fresh = _growth_rate(acc, y), 0.0, True
+        rate, log_gain, fresh = _start_rate(acc, y0), 0.0, True
     while (t_end - t) * direction > 1e-14 * max(1.0, abs(t_end)):
         if attempts == RK_MAX_STEPS:
             raise StepSizeUnderflowError(
@@ -496,9 +505,10 @@ def rk_integrate(acc, t0: float, y0: list[float], t_end: float,
                                 f"within one step at t={t}",
                                 span_reached=t - t0)
                         # the next segment starts as the first did
-                        y, v = restart(t)
+                        y0 = restart(t)
+                        y, v = y0[:2]
                         h = first_step(t)
-                        rate, log_gain, fresh = _growth_rate(acc, y), 0.0, True
+                        rate, log_gain, fresh = _start_rate(acc, y0), 0.0, True
                         continue
                     rate, fresh = rate_new, False
                 h *= (5.0 if enorm == 0.0
@@ -568,12 +578,13 @@ def shoot_and_compare(quad: QuadratureDescriptor, sol: Solution,
     def start(xi):
         (step,) = _steps([distance(xi)], FD_BASE_STEP)
         (_, value, slope, _), = _jet_table(evaluate, [xi], [step])
-        if _growth_rate(acc, value) * step > math.log(SHOOT_MAX_GAIN):
+        rate = _growth_rate(acc, value)
+        if rate * step > math.log(SHOOT_MAX_GAIN):
             raise StepSizeUnderflowError(
                 f"step {step:g} of the start stencil at xi={xi} amplifies "
                 f"past {SHOOT_MAX_GAIN:g}: the start cannot be read",
                 span_reached=xi - xi_start)
-        return [value, slope]
+        return [value, slope, rate]
 
     path = rk_integrate(acc, xi_start, start(xi_start), xi_start + span,
                         rtol=SHOOT_RK_TOL, atol=SHOOT_RK_TOL, restart=start)

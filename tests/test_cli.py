@@ -343,6 +343,9 @@ def _main_with_config(argv, tmp_path):
      "--k", "0", "--omega", "1e-200"],
     # below verify's minimum grid size, no longer raised silently to 16
     ["verify", *SG_KINK, "--lambda-gamma", "1", "--n", "3"],
+    # one point is no grid: Grid refuses it for sample and figures alike
+    ["sample", *SG_KINK, "--lambda-gamma", "1", "--n", "1"],
+    ["figures", "--n", "1"],
     # finite ends whose width xi_max - xi_min overflows
     ["sample", *SG_KINK, "--lambda-gamma", "1", "--n", "3",
      "--xi-min", "-1e308", "--xi-max", "1e308"],

@@ -550,3 +550,18 @@ def test_conserved_constant(h, dh, lg):
     dh_exact = math.sqrt(max(0.0, 2.0 * frame.r * h * h * q.g(h)))
     c1 = conserved_c1(params, frame, h, dh_exact)
     assert c1 == pytest.approx(0.7, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("labels, noun", [(FamilyLabel, "family"),
+                                          (CaseLabel, "case")])
+def test_label_parse_spellings_and_refusal(labels, noun):
+    # each label by its value or its name, in any case, with '_' or ' '
+    # for '-' and surrounding blanks; anything else names no label
+    for label in labels:
+        for text in (label.value, label.name, label.name.upper(),
+                     f"  {label.value.replace('-', '_')} ",
+                     label.value.replace("-", " ").title()):
+            assert labels.parse(text) is label, text
+    with pytest.raises(InvalidParamsError) as err:
+        labels.parse("No Such-Label")
+    assert str(err.value) == f"unknown {noun} 'No Such-Label'"
