@@ -312,6 +312,320 @@ def test_reflection_dualities():
                                                       abs=1e-12)
 
 
+#: (family, c1, lambda gamma, branch, xi0, case, float.hex of h at XS,
+#: params as float.hex, singular-set JSON) of every degenerate and
+#: lemniscatic form of the four cubic families, as the hand-written
+#: constants built them before the forms read their family's own cubic
+DOUBLE_ROOT_PINS = [
+    ('Tzitzeica', -1.5, 1.0, 1, 0.0, 'Degenerate1a',
+     ['0x1.fffd7654f6ad0p-1', '0x1.a5976232e90fcp-1', '-0x1.557b68a53b068p-2',
+      '-0x1.9cd02ec4324f8p-2', '0x1.4b52394d07538p-2', '0x1.deba40fc8b09cp-1',
+      '0x1.fffaed18c6d45p-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "none"}'),
+    ('Tzitzeica', -1.5, 1.0, 1, 0.6, 'Degenerate1a',
+     ['0x1.ffff1a31ac4e8p-1', '0x1.deba40fc8b09cp-1', '0x1.de7b603f03204p-3',
+      '-0x1.9cd02ec4324f8p-2', '-0x1.00844e6b49f50p-2', '0x1.a5976232e90fcp-1',
+      '0x1.fff1a808c66a7p-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "none"}'),
+    ('Tzitzeica', -1.5, 1.0, -1, 0.0, 'Degenerate1a',
+     ['0x1.000144d697733p+0', '0x1.333c5c6f1a7d9p+0', '0x1.a060766784cb8p+3',
+      '0x1.6ba993a71ca1ap+4', '0x1.1db3fbc568554p+1', '0x1.1163bce8ecf11p+0',
+      '0x1.00028977e704bp+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "isolated", "points": [0.0]}'),
+    ('Tzitzeica', -1.5, 1.0, -1, 0.6, 'Degenerate1a',
+     ['0x1.000072e74c3a9p+0', '0x1.1163bce8ecf11p+0', '0x1.489102da44c93p+1',
+      '0x1.6ba993a71ca1ap+4', '0x1.1095254d9f18cp+3', '0x1.333c5c6f1a7d9p+0',
+      '0x1.00072c1de7a4dp+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "isolated", "points": [0.6]}'),
+    ('Tzitzeica', -1.5, -1.0, 1, 0.0, 'Degenerate1b',
+     ['-0x1.012847efd3150p-1', '-0x1.c9818715c1ddcp+5', '-0x1.641145d77defcp-1',
+      '-0x1.3643e921b4c12p-1', '-0x1.bba60ead64b08p+1', '-0x1.6490c1ede1906p+1',
+      '-0x1.4d839499692eap-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 1.8137993642342178, "period": 3.6275987284684357}'),
+    ('Tzitzeica', -1.5, -1.0, 1, 0.6, 'Degenerate1b',
+     ['-0x1.15e09462f96e8p+0', '-0x1.6490c1ede1906p+1', '-0x1.497228ddfa443p+1',
+      '-0x1.3643e921b4c12p-1', '-0x1.a41e4ed3feb5cp-1', '-0x1.c9818715c1ddcp+5',
+      '-0x1.2302dc76865adp+1'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 2.413799364234218, "period": 3.6275987284684357}'),
+    ('Tzitzeica', -1.5, -1.0, -1, 0.0, 'Degenerate1b',
+     ['-0x1.f1f08f629f8dbp+9', '-0x1.1452592a562eap-1', '-0x1.8064355a7e03ap+3',
+      '-0x1.5baa2b5599902p+4', '-0x1.42335ae4ca5bcp+0', '-0x1.7c0150f85dcc0p+0',
+      '-0x1.eb942504b45f4p+3'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 0.0, "period": 3.6275987284684357}'),
+    ('Tzitzeica', -1.5, -1.0, -1, 0.6, 'Degenerate1b',
+     ['-0x1.15f614ceeb7d6p+2', '-0x1.7c0150f85dcc0p+0', '-0x1.95c06098b7d48p+0',
+      '-0x1.5baa2b5599902p+4', '-0x1.e13c96be37fdap+2', '-0x1.1452592a562eap-1',
+      '-0x1.c4c6e6e954230p+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 0.6, "period": 3.6275987284684357}'),
+    ('Tzitzeica', -1.88988157484231, 1.0, 1, 0.0, 'Lemniscatic',
+     ['-0x1.a87332178cc42p-2', '0x1.331ba99266661p-1', '-0x1.25150baef9b09p-2',
+      '-0x1.6fb172180112ep-2', '0x1.72c73854a74efp-2', '0x1.e2cc985276d34p-3',
+      '-0x1.a892eadfb2b54p-2'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('Tzitzeica', -1.88988157484231, 1.0, 1, 0.6, 'Lemniscatic',
+     ['0x1.7f7a73086d0c5p-4', '0x1.e2cc985276d34p-3', '0x1.1ebde83b16357p-2',
+      '-0x1.6fb172180112ep-2', '-0x1.99d00ee731bd1p-3', '0x1.331ba99266661p-1',
+      '0x1.7e6892acff6b2p-4'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('Tzitzeica', -1.88988157484231, 1.0, -1, 0.0, 'Lemniscatic',
+     ['-0x1.a87332178cc42p-2', '0x1.331ba99266661p-1', '-0x1.25150baef9b09p-2',
+      '-0x1.6fb172180112ep-2', '0x1.72c73854a74efp-2', '0x1.e2cc985276d34p-3',
+      '-0x1.a892eadfb2b54p-2'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('Tzitzeica', -1.88988157484231, 1.0, -1, 0.6, 'Lemniscatic',
+     ['0x1.7f7a73086d0c5p-4', '0x1.e2cc985276d34p-3', '0x1.1ebde83b16357p-2',
+      '-0x1.6fb172180112ep-2', '-0x1.99d00ee731bd1p-3', '0x1.331ba99266661p-1',
+      '0x1.7e6892acff6b2p-4'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('DoddBullough', 1.5, 1.0, 1, 0.0, 'Degenerate1b',
+     ['-0x1.012847efd3150p-1', '-0x1.c9818715c1ddcp+5', '-0x1.641145d77defcp-1',
+      '-0x1.3643e921b4c12p-1', '-0x1.bba60ead64b08p+1', '-0x1.6490c1ede1906p+1',
+      '-0x1.4d839499692eap-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 1.8137993642342178, "period": 3.6275987284684357}'),
+    ('DoddBullough', 1.5, 1.0, 1, 0.6, 'Degenerate1b',
+     ['-0x1.15e09462f96e8p+0', '-0x1.6490c1ede1906p+1', '-0x1.497228ddfa443p+1',
+      '-0x1.3643e921b4c12p-1', '-0x1.a41e4ed3feb5cp-1', '-0x1.c9818715c1ddcp+5',
+      '-0x1.2302dc76865adp+1'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 2.413799364234218, "period": 3.6275987284684357}'),
+    ('DoddBullough', 1.5, 1.0, -1, 0.0, 'Degenerate1b',
+     ['-0x1.f1f08f629f8dbp+9', '-0x1.1452592a562eap-1', '-0x1.8064355a7e03ap+3',
+      '-0x1.5baa2b5599902p+4', '-0x1.42335ae4ca5bcp+0', '-0x1.7c0150f85dcc0p+0',
+      '-0x1.eb942504b45f4p+3'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 0.0, "period": 3.6275987284684357}'),
+    ('DoddBullough', 1.5, 1.0, -1, 0.6, 'Degenerate1b',
+     ['-0x1.15f614ceeb7d6p+2', '-0x1.7c0150f85dcc0p+0', '-0x1.95c06098b7d48p+0',
+      '-0x1.5baa2b5599902p+4', '-0x1.e13c96be37fdap+2', '-0x1.1452592a562eap-1',
+      '-0x1.c4c6e6e954230p+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 0.6, "period": 3.6275987284684357}'),
+    ('DoddBullough', 1.5, -1.0, 1, 0.0, 'Degenerate1a',
+     ['0x1.fffd7654f6ad0p-1', '0x1.a5976232e90fcp-1', '-0x1.557b68a53b068p-2',
+      '-0x1.9cd02ec4324f8p-2', '0x1.4b52394d07538p-2', '0x1.deba40fc8b09cp-1',
+      '0x1.fffaed18c6d45p-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "none"}'),
+    ('DoddBullough', 1.5, -1.0, 1, 0.6, 'Degenerate1a',
+     ['0x1.ffff1a31ac4e8p-1', '0x1.deba40fc8b09cp-1', '0x1.de7b603f03204p-3',
+      '-0x1.9cd02ec4324f8p-2', '-0x1.00844e6b49f50p-2', '0x1.a5976232e90fcp-1',
+      '0x1.fff1a808c66a7p-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "none"}'),
+    ('DoddBullough', 1.5, -1.0, -1, 0.0, 'Degenerate1a',
+     ['0x1.000144d697733p+0', '0x1.333c5c6f1a7d9p+0', '0x1.a060766784cb8p+3',
+      '0x1.6ba993a71ca1ap+4', '0x1.1db3fbc568554p+1', '0x1.1163bce8ecf11p+0',
+      '0x1.00028977e704bp+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "isolated", "points": [0.0]}'),
+    ('DoddBullough', 1.5, -1.0, -1, 0.6, 'Degenerate1a',
+     ['0x1.000072e74c3a9p+0', '0x1.1163bce8ecf11p+0', '0x1.489102da44c93p+1',
+      '0x1.6ba993a71ca1ap+4', '0x1.1095254d9f18cp+3', '0x1.333c5c6f1a7d9p+0',
+      '0x1.00072c1de7a4dp+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "isolated", "points": [0.6]}'),
+    ('DoddBullough', 1.88988157484231, -1.0, 1, 0.0, 'Lemniscatic',
+     ['-0x1.a87332178cc42p-2', '0x1.331ba99266661p-1', '-0x1.25150baef9b09p-2',
+      '-0x1.6fb172180112ep-2', '0x1.72c73854a74efp-2', '0x1.e2cc985276d34p-3',
+      '-0x1.a892eadfb2b54p-2'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('DoddBullough', 1.88988157484231, -1.0, 1, 0.6, 'Lemniscatic',
+     ['0x1.7f7a73086d0c5p-4', '0x1.e2cc985276d34p-3', '0x1.1ebde83b16357p-2',
+      '-0x1.6fb172180112ep-2', '-0x1.99d00ee731bd1p-3', '0x1.331ba99266661p-1',
+      '0x1.7e6892acff6b2p-4'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('DoddBullough', 1.88988157484231, -1.0, -1, 0.0, 'Lemniscatic',
+     ['-0x1.a87332178cc42p-2', '0x1.331ba99266661p-1', '-0x1.25150baef9b09p-2',
+      '-0x1.6fb172180112ep-2', '0x1.72c73854a74efp-2', '0x1.e2cc985276d34p-3',
+      '-0x1.a892eadfb2b54p-2'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('DoddBullough', 1.88988157484231, -1.0, -1, 0.6, 'Lemniscatic',
+     ['0x1.7f7a73086d0c5p-4', '0x1.e2cc985276d34p-3', '0x1.1ebde83b16357p-2',
+      '-0x1.6fb172180112ep-2', '-0x1.99d00ee731bd1p-3', '0x1.331ba99266661p-1',
+      '0x1.7e6892acff6b2p-4'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('TzitzeicaDoddBullough', 1.5, 1.0, 1, 0.0, 'Degenerate1b',
+     ['0x1.012847efd3150p-1', '0x1.c9818715c1ddcp+5', '0x1.641145d77defcp-1',
+      '0x1.3643e921b4c12p-1', '0x1.bba60ead64b08p+1', '0x1.6490c1ede1906p+1',
+      '0x1.4d839499692eap-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": -1.8137993642342178, "period": 3.6275987284684357}'),
+    ('TzitzeicaDoddBullough', 1.5, 1.0, 1, 0.6, 'Degenerate1b',
+     ['0x1.15e09462f96e8p+0', '0x1.6490c1ede1906p+1', '0x1.497228ddfa443p+1',
+      '0x1.3643e921b4c12p-1', '0x1.a41e4ed3feb5cp-1', '0x1.c9818715c1ddcp+5',
+      '0x1.2302dc76865adp+1'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": -1.2137993642342177, "period": 3.6275987284684357}'),
+    ('TzitzeicaDoddBullough', 1.5, 1.0, -1, 0.0, 'Degenerate1b',
+     ['0x1.f1f08f629f8dbp+9', '0x1.1452592a562eap-1', '0x1.8064355a7e03ap+3',
+      '0x1.5baa2b5599902p+4', '0x1.42335ae4ca5bcp+0', '0x1.7c0150f85dcc0p+0',
+      '0x1.eb942504b45f4p+3'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 0.0, "period": 3.6275987284684357}'),
+    ('TzitzeicaDoddBullough', 1.5, 1.0, -1, 0.6, 'Degenerate1b',
+     ['0x1.15f614ceeb7d6p+2', '0x1.7c0150f85dcc0p+0', '0x1.95c06098b7d48p+0',
+      '0x1.5baa2b5599902p+4', '0x1.e13c96be37fdap+2', '0x1.1452592a562eap-1',
+      '0x1.c4c6e6e954230p+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 0.6, "period": 3.6275987284684357}'),
+    ('TzitzeicaDoddBullough', 1.5, -1.0, 1, 0.0, 'Degenerate1a',
+     ['-0x1.fffd7654f6ad0p-1', '-0x1.a5976232e90fcp-1', '0x1.557b68a53b068p-2',
+      '0x1.9cd02ec4324f8p-2', '-0x1.4b52394d07538p-2', '-0x1.deba40fc8b09cp-1',
+      '-0x1.fffaed18c6d45p-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "none"}'),
+    ('TzitzeicaDoddBullough', 1.5, -1.0, 1, 0.6, 'Degenerate1a',
+     ['-0x1.ffff1a31ac4e8p-1', '-0x1.deba40fc8b09cp-1', '-0x1.de7b603f03204p-3',
+      '0x1.9cd02ec4324f8p-2', '0x1.00844e6b49f50p-2', '-0x1.a5976232e90fcp-1',
+      '-0x1.fff1a808c66a7p-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "none"}'),
+    ('TzitzeicaDoddBullough', 1.5, -1.0, -1, 0.0, 'Degenerate1a',
+     ['-0x1.000144d697733p+0', '-0x1.333c5c6f1a7d9p+0', '-0x1.a060766784cb8p+3',
+      '-0x1.6ba993a71ca1ap+4', '-0x1.1db3fbc568554p+1', '-0x1.1163bce8ecf11p+0',
+      '-0x1.00028977e704bp+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "isolated", "points": [0.0]}'),
+    ('TzitzeicaDoddBullough', 1.5, -1.0, -1, 0.6, 'Degenerate1a',
+     ['-0x1.000072e74c3a9p+0', '-0x1.1163bce8ecf11p+0', '-0x1.489102da44c93p+1',
+      '-0x1.6ba993a71ca1ap+4', '-0x1.1095254d9f18cp+3', '-0x1.333c5c6f1a7d9p+0',
+      '-0x1.00072c1de7a4dp+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "isolated", "points": [0.6]}'),
+    ('TzitzeicaDoddBullough', 1.88988157484231, -1.0, 1, 0.0, 'Lemniscatic',
+     ['0x1.a87332178cc42p-2', '-0x1.331ba99266661p-1', '0x1.25150baef9b09p-2',
+      '0x1.6fb172180112ep-2', '-0x1.72c73854a74efp-2', '-0x1.e2cc985276d34p-3',
+      '0x1.a892eadfb2b54p-2'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('TzitzeicaDoddBullough', 1.88988157484231, -1.0, 1, 0.6, 'Lemniscatic',
+     ['-0x1.7f7a73086d0c5p-4', '-0x1.e2cc985276d34p-3', '-0x1.1ebde83b16357p-2',
+      '0x1.6fb172180112ep-2', '0x1.99d00ee731bd1p-3', '-0x1.331ba99266661p-1',
+      '-0x1.7e6892acff6b2p-4'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('TzitzeicaDoddBullough', 1.88988157484231, -1.0, -1, 0.0, 'Lemniscatic',
+     ['0x1.a87332178cc42p-2', '-0x1.331ba99266661p-1', '0x1.25150baef9b09p-2',
+      '0x1.6fb172180112ep-2', '-0x1.72c73854a74efp-2', '-0x1.e2cc985276d34p-3',
+      '0x1.a892eadfb2b54p-2'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('TzitzeicaDoddBullough', 1.88988157484231, -1.0, -1, 0.6, 'Lemniscatic',
+     ['-0x1.7f7a73086d0c5p-4', '-0x1.e2cc985276d34p-3', '-0x1.1ebde83b16357p-2',
+      '0x1.6fb172180112ep-2', '0x1.99d00ee731bd1p-3', '-0x1.331ba99266661p-1',
+      '-0x1.7e6892acff6b2p-4'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('DoddBulloughMikhailov', -1.5, 1.0, 1, 0.0, 'Degenerate1a',
+     ['-0x1.fffd7654f6ad0p-1', '-0x1.a5976232e90fcp-1', '0x1.557b68a53b068p-2',
+      '0x1.9cd02ec4324f8p-2', '-0x1.4b52394d07538p-2', '-0x1.deba40fc8b09cp-1',
+      '-0x1.fffaed18c6d45p-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "none"}'),
+    ('DoddBulloughMikhailov', -1.5, 1.0, 1, 0.6, 'Degenerate1a',
+     ['-0x1.ffff1a31ac4e8p-1', '-0x1.deba40fc8b09cp-1', '-0x1.de7b603f03204p-3',
+      '0x1.9cd02ec4324f8p-2', '0x1.00844e6b49f50p-2', '-0x1.a5976232e90fcp-1',
+      '-0x1.fff1a808c66a7p-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "none"}'),
+    ('DoddBulloughMikhailov', -1.5, 1.0, -1, 0.0, 'Degenerate1a',
+     ['-0x1.000144d697733p+0', '-0x1.333c5c6f1a7d9p+0', '-0x1.a060766784cb8p+3',
+      '-0x1.6ba993a71ca1ap+4', '-0x1.1db3fbc568554p+1', '-0x1.1163bce8ecf11p+0',
+      '-0x1.00028977e704bp+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "isolated", "points": [0.0]}'),
+    ('DoddBulloughMikhailov', -1.5, 1.0, -1, 0.6, 'Degenerate1a',
+     ['-0x1.000072e74c3a9p+0', '-0x1.1163bce8ecf11p+0', '-0x1.489102da44c93p+1',
+      '-0x1.6ba993a71ca1ap+4', '-0x1.1095254d9f18cp+3', '-0x1.333c5c6f1a7d9p+0',
+      '-0x1.00072c1de7a4dp+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1"}',
+     '{"kind": "isolated", "points": [0.6]}'),
+    ('DoddBulloughMikhailov', -1.5, -1.0, 1, 0.0, 'Degenerate1b',
+     ['0x1.012847efd3150p-1', '0x1.c9818715c1ddcp+5', '0x1.641145d77defcp-1',
+      '0x1.3643e921b4c12p-1', '0x1.bba60ead64b08p+1', '0x1.6490c1ede1906p+1',
+      '0x1.4d839499692eap-1'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": -1.8137993642342178, "period": 3.6275987284684357}'),
+    ('DoddBulloughMikhailov', -1.5, -1.0, 1, 0.6, 'Degenerate1b',
+     ['0x1.15e09462f96e8p+0', '0x1.6490c1ede1906p+1', '0x1.497228ddfa443p+1',
+      '0x1.3643e921b4c12p-1', '0x1.a41e4ed3feb5cp-1', '0x1.c9818715c1ddcp+5',
+      '0x1.2302dc76865adp+1'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": -1.2137993642342177, "period": 3.6275987284684357}'),
+    ('DoddBulloughMikhailov', -1.5, -1.0, -1, 0.0, 'Degenerate1b',
+     ['0x1.f1f08f629f8dbp+9', '0x1.1452592a562eap-1', '0x1.8064355a7e03ap+3',
+      '0x1.5baa2b5599902p+4', '0x1.42335ae4ca5bcp+0', '0x1.7c0150f85dcc0p+0',
+      '0x1.eb942504b45f4p+3'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 0.0, "period": 3.6275987284684357}'),
+    ('DoddBulloughMikhailov', -1.5, -1.0, -1, 0.6, 'Degenerate1b',
+     ['0x1.15f614ceeb7d6p+2', '0x1.7c0150f85dcc0p+0', '0x1.95c06098b7d48p+0',
+      '0x1.5baa2b5599902p+4', '0x1.e13c96be37fdap+2', '0x1.1452592a562eap-1',
+      '0x1.c4c6e6e954230p+0'],
+     '{"kappa": "0x1.bb67ae8584caap-1", "period": "0x1.d05527b6e43d2p+1"}',
+     '{"kind": "lattice", "offset": 0.6, "period": 3.6275987284684357}'),
+    ('DoddBulloughMikhailov', -1.88988157484231, 1.0, 1, 0.0, 'Lemniscatic',
+     ['0x1.a87332178cc42p-2', '-0x1.331ba99266661p-1', '0x1.25150baef9b09p-2',
+      '0x1.6fb172180112ep-2', '-0x1.72c73854a74efp-2', '-0x1.e2cc985276d34p-3',
+      '0x1.a892eadfb2b54p-2'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('DoddBulloughMikhailov', -1.88988157484231, 1.0, 1, 0.6, 'Lemniscatic',
+     ['-0x1.7f7a73086d0c5p-4', '-0x1.e2cc985276d34p-3', '-0x1.1ebde83b16357p-2',
+      '0x1.6fb172180112ep-2', '0x1.99d00ee731bd1p-3', '-0x1.331ba99266661p-1',
+      '-0x1.7e6892acff6b2p-4'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('DoddBulloughMikhailov', -1.88988157484231, 1.0, -1, 0.0, 'Lemniscatic',
+     ['0x1.a87332178cc42p-2', '-0x1.331ba99266661p-1', '0x1.25150baef9b09p-2',
+      '0x1.6fb172180112ep-2', '-0x1.72c73854a74efp-2', '-0x1.e2cc985276d34p-3',
+      '0x1.a892eadfb2b54p-2'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+    ('DoddBulloughMikhailov', -1.88988157484231, 1.0, -1, 0.6, 'Lemniscatic',
+     ['-0x1.7f7a73086d0c5p-4', '-0x1.e2cc985276d34p-3', '-0x1.1ebde83b16357p-2',
+      '0x1.6fb172180112ep-2', '0x1.99d00ee731bd1p-3', '-0x1.331ba99266661p-1',
+      '-0x1.7e6892acff6b2p-4'],
+     '{"modulus_parameter": "0x1.0000000000000p-1", "period": "0x1.c66439d6a605fp+1", "scale": "0x1.0b68d9a365ccep+0"}',
+     '{"kind": "none"}'),
+]
+
+
+def test_double_root_and_lemniscatic_forms_match_pinned_bits():
+    seen = set()
+    for (family, c1, lg, branch, xi0, case, hs, params,
+         singular) in DOUBLE_ROOT_PINS:
+        sol = construct(FamilyLabel[family], c1,
+                        FrameParams.from_lambda_gamma(lg, xi0=xi0),
+                        branch=branch)
+        key = (family, c1, lg, branch, xi0)
+        assert sol.case.name == case, key
+        assert [sol.evaluate_h(x).hex() for x in XS] == hs, key
+        assert json.dumps({k: v.hex() for k, v in sorted(
+            sol.params.items())}) == params, key
+        assert json.dumps(sol.singularities.to_json(),
+                          sort_keys=True) == singular, key
+        seen.add((family, case))
+    assert len(DOUBLE_ROOT_PINS) == 48 and len(seen) == 12
+
+
 def test_dbm_quadrature_polynomial_map():
     # the h -> -h map sends the reflected variant's radicand onto the
     # base family's: G_dbm(h) = G_base(-h)
