@@ -138,18 +138,15 @@ class _PreparedJacobi:
         return math.tanh(u), sech, sech
 
     def am(self, u: float) -> float:
-        """jacobi_am(u, m) for this m."""
+        """jacobi_am(u, m) for this m: for m >= 1, atan2(sn, cn) of this
+        sn_cn_dn (tanh and sech at m = 1, sn/sqrt(m) and dn of 1/m above)."""
         if not (self._ladder and u - u == 0.0):
-            m = self.m
-            if not (math.isfinite(u) and math.isfinite(m)):
+            if not (math.isfinite(u) and math.isfinite(self.m)):
                 raise DomainError("jacobi_am requires finite arguments")
-            if m == 0.0:
+            if self.m == 0.0:
                 return u
-            if m == 1.0:
-                return math.asin(math.tanh(u))  # gudermannian
-            rk = self._rk  # m > 1
-            sn, _, dn = self._inner.sn_cn_dn(u * rk)
-            return math.atan2(sn / rk, dn)
+            sn, cn, _ = self.sn_cn_dn(u)
+            return math.atan2(sn, cn)
         k = self._k
         n = round(u / (2.0 * k))
         ur = u - 2.0 * n * k
@@ -225,8 +222,9 @@ def jacobi_am(u: float, m: float) -> float:
     """Jacobi amplitude am(u; m), the inverse of F on the principal domain.
 
     For m < 1 the continuous unwrapped branch is returned, using
-    am(u + 2K) = am(u) + pi.  For m > 1 the amplitude is bounded and
-    periodic: am(u; m) = atan2(sn(u; m), cn(u; m)), where cn(u; m) > 0.
+    am(u + 2K) = am(u) + pi.  For m >= 1 the amplitude is bounded:
+    am(u; m) = atan2(sn(u; m), cn(u; m)), where cn(u; m) > 0; periodic for
+    m > 1, and at m = 1 the gudermannian atan2(tanh u, sech u).
 
     Accuracy as for sn and cn in jacobi_sn_cn_dn.
     """

@@ -70,6 +70,21 @@ def test_large_positive(m):
     _check(m)
 
 
+
+@pytest.mark.parametrize("u", [s * u for u in (10.0, 15.0, 18.0, 20.0, 25.0,
+                                               40.0, 1e4) for s in (1.0, -1.0)])
+def test_amplitude_at_one_is_the_gudermannian(u):
+    # sn and cn are tanh and sech at m = 1 (DLMF 22.5(ii)), so am(u; 1) is
+    # gd(u) = 2 atan(e^u) - pi/2, which tends to +-pi/2 like 2 e^-|u|:
+    # asin(tanh u) read that tail off the rounding of tanh u to 1 (4.1e-9
+    # off at u = 20), atan2(sn, cn) reads it off sech u; 1e4 is past
+    # cosh's overflow, where sech saturates to 0
+    with mp.workdps(DPS):
+        ref = 2 * mp.atan(mp.exp(mp.mpf(u))) - mp.pi / 2
+    bound = 4.0 * EPS * (1.0 + abs(u))
+    assert abs(jacobi_am(u, 1.0) - ref) <= bound
+    assert abs(_PreparedJacobi(1.0).am(u) - ref) <= bound
+
 #: K(m) within this many eps, relative; the worst reading is 2.1 eps (2.4
 #: with K from Carlson's R_F)
 K_EPS = 4.0
