@@ -13,13 +13,15 @@ explicit ``branch`` argument defaulting to +1.  Each form is built at
 lambda gamma = sign(lambda gamma), and ``_rate`` alone applies the length
 scale sqrt(|lambda gamma|).
 
-Dodd-Bullough reads the base cubic forms at (-c1, -lambda gamma).  The
-two reflection families, h(xi) = -h_parent(-xi), take their parent's
-degenerate and lemniscatic forms, which are even in xi - xi0, with the
-constants negated, so those dualities hold bit-exactly; the Weierstrass
-forms are each built from the roots of their family's own cubic.  No
-evaluator wraps another; a sine-Gordon pi shift is one add inside its
-form's closure.
+Every cubic-family form takes its constants from its family's own cubic
+(``reduction._cubic``): the degenerate forms from its double and simple
+roots, the lemniscatic amplitude as -a2/(3 a3), the Weierstrass forms
+from its roots.  So Dodd-Bullough (the base cubic at (-c1, -lambda
+gamma)) and the two reflection families, h(xi) = -h_parent(-xi), need no
+table: their degenerate and lemniscatic forms, even in xi - xi0, come
+out as the parent's with the constants negated, and those dualities hold
+bit-exactly.  No evaluator wraps another; a sine-Gordon pi shift is one
+add inside its form's closure.
 """
 
 from __future__ import annotations
@@ -239,17 +241,6 @@ def _liouville(family: FamilyLabel, c1: float, frame: FrameParams,
 # Tzitzeica and its sign/reflection variants
 # ---------------------------------------------------------------------------
 
-# the variants h(xi) = -h_parent(-xi), whose forms are even in xi - xi0
-_REFLECTED = (FamilyLabel.TzitzeicaDoddBullough,
-              FamilyLabel.DoddBulloughMikhailov)
-
-#: (b, f) of each degenerate form h = 1 + b / f(kappa (xi - xi0))^2
-_DEGENERATE = {(CaseLabel.Degenerate1a, 1): (-1.5, math.cosh),
-               (CaseLabel.Degenerate1a, -1): (1.5, math.sinh),
-               (CaseLabel.Degenerate1b, 1): (-1.5, math.cos),
-               (CaseLabel.Degenerate1b, -1): (-1.5, math.sin)}
-
-
 def _weierstrass_form(family: FamilyLabel, c1: float,
                       frame: FrameParams) -> tuple:
     """(evaluator, singularities, params) of the Equianharmonic and general
@@ -279,53 +270,64 @@ def _weierstrass_form(family: FamilyLabel, c1: float,
 def _tzitzeica(family: FamilyLabel, c1: float, frame: FrameParams,
                branch: int, case: CaseLabel) -> tuple:
     """Cubic-route solutions of the h - 1/h^2 source (Tzitzeica) and of
-    its sign and reflection variants.
+    its sign and reflection variants, each read from its family's own
+    cubic (h')^2 = a3 h^3 + a2 h^2 + a0 (``_cubic``, at its own c1).
 
     Case map (branch selects the companion form where one exists):
       Degenerate1a   c1 = -3/2, lambda gamma > 0: +1 dark soliton
                      1 - (3/2) sech^2, -1 singular soliton 1 + (3/2) csch^2
       Degenerate1b   c1 = -3/2, lambda gamma < 0: +1 1 - (3/2) sec^2,
-                     -1 1 - (3/2) csc^2 (all by _inverse_square)
+                     -1 1 - (3/2) csc^2
       Lemniscatic    c1 = -3/cbrt(4), lambda gamma > 0: bounded cnoidal wave
       Equianharmonic (c1 = 0) and GeneralWeierstrass:
                      h = lg (2 p(xi - xi0; g2, g3) - c1/(3 lg)), built by
-                     _weierstrass_form for every family from its own cubic
+                     _weierstrass_form
 
-    DoddBullough (the -h + 1/h^2 source) reads these base forms at
-    (-c1, -lambda gamma).  The two reflection variants are
-    h(xi) = -h_parent(-xi) with the same c1 and lambda gamma:
-    TzitzeicaDoddBullough reflects the DoddBullough solutions and
-    DoddBulloughMikhailov the Tzitzeica ones.  The case is the variant's
-    own; its degenerate and lemniscatic forms are even in xi - xi0, so it
-    is the parent's form with its constants negated, at the same xi0.
+    (c1 and lambda gamma at the base constants: DoddBullough, the -h +
+    1/h^2 source, and its reflection TzitzeicaDoddBullough have the base
+    cubic at (-c1, -lambda gamma).)  A degenerate cubic is
+    a3 (h - d)^2 (h - e), with simple root e = a2/(3 a3) and double root
+    d = -2 e.  Its forms are h = d + b / f(kappa (xi - xi0))^2 by
+    _inverse_square, with kappa = sqrt(|a3 (d - e)|)/2.  Where
+    a3 (d - e) > 0 (the parameter m = 1), f is cosh with b = e - d, or
+    sinh with b = d - e for branch -1; otherwise f is cos, or sin for
+    branch -1, with b = e - d.  The lemniscatic amplitude is -e.  The
+    reflections h(xi) = -h_parent(-xi) have d, e and the amplitude
+    negated, so their forms, even in xi - xi0, are their parents' negated
+    at the same xi0, bit for bit.
     """
     if case in (CaseLabel.Equianharmonic, CaseLabel.GeneralWeierstrass):
         return (*_weierstrass_form(family, c1, frame), None)
-    sign = -1.0 if family in _REFLECTED else 1.0
+    _, _, a2, a3, _, _ = _cubic(family, frame, c1)
+    e = a2 / (3.0 * a3)
     xi0 = frame.xi0
 
-    if case in (CaseLabel.Degenerate1a, CaseLabel.Degenerate1b):
-        b, f = _DEGENERATE[case, branch]
-        kappa = _rate(0.5 * math.sqrt(3.0), c1, frame)
-        h_fn, sing, params = _inverse_square(sign, sign * b, f, kappa, xi0)
-        if sign < 0.0 and f is math.cos:
-            # the same lattice, named from the pole left of xi0, as the
-            # image of the parent's xi0 + P/2 under xi -> -xi
-            sing = Singularities.lattice(xi0 - 0.5 * sing.period, sing.period)
-        return h_fn, sing, params, None
+    if case is CaseLabel.Lemniscatic:
+        scale = _rate(3.0 ** 0.25 / CBRT2, c1, frame)
+        # cn parameter 1/2 = (sqrt(2)/2)^2: modulus-convention sources
+        # quote sqrt(2)/2, squared here per the package-wide convention
+        jac = _PreparedJacobi(0.5)
+        def h_fn(xi: float, s=scale, a=-e, sncndn=jac.sn_cn_dn) -> float:
+            _, cn, _ = sncndn(s * (xi - xi0))
+            return a * (1.0 - SQRT3 * cn * cn)
+        params = {"scale": scale, "modulus_parameter": 0.5,
+                  "period": 2.0 * jac.k / scale}
+        return h_fn, Singularities.none(), params, True
 
-    # Lemniscatic
-    scale = _rate(3.0 ** 0.25 / CBRT2, c1, frame)
-    # cn parameter 1/2 = (sqrt(2)/2)^2: modulus-convention sources
-    # quote sqrt(2)/2, squared here per the package-wide convention
-    amp = sign / (4.0 ** (1.0 / 3.0))
-    jac = _PreparedJacobi(0.5)
-    def h_fn(xi: float, s=scale, a=amp, sncndn=jac.sn_cn_dn) -> float:
-        _, cn, _ = sncndn(s * (xi - xi0))
-        return a * (1.0 - SQRT3 * cn * cn)
-    params = {"scale": scale, "modulus_parameter": 0.5,
-              "period": 2.0 * jac.k / scale}
-    return h_fn, Singularities.none(), params, True
+    d = -2.0 * e
+    q = a3 * (d - e)
+    if q > 0.0:
+        b, f = (d - e, math.sinh) if branch < 0 else (e - d, math.cosh)
+    else:
+        b, f = e - d, math.sin if branch < 0 else math.cos
+    kappa = _rate(0.5 * math.sqrt(abs(q)), c1, frame)
+    h_fn, sing, params = _inverse_square(d, b, f, kappa, xi0)
+    if f is math.cos:
+        # named from the pole on d's side of xi0: a reflection's lattice is
+        # the mirror image of its parent's, xi0 + P/2 going to xi0 - P/2
+        sing = Singularities.lattice(
+            xi0 + math.copysign(0.5, d) * sing.period, sing.period)
+    return h_fn, sing, params, None
 
 
 # ---------------------------------------------------------------------------
