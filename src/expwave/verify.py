@@ -615,9 +615,10 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
     derivative (Evans, *PDE*, 2.4; Courant-Hilbert II, ch. V).
 
     With z = u - lambda v, t = u + lambda v, xi = k z - omega t = p u + q v:
-    p = k - omega, q = -lambda (k + omega).  With L = psi, S = source_psi
-    (psi-native) or L = log|h|, S = source, the rectangle with corners at
-    xi = x - w, x, x, x + w gives L(x+w) - 2 L(x) + L(x-w) =
+    p = k - omega, q = -lambda (k + omega), so pq = lambda (omega^2 - k^2)
+    = lambda gamma, read as ``frame.lambda_gamma``.  With L = psi, S =
+    source_psi (psi-native) or L = log|h|, S = source, the rectangle with
+    corners at xi = x - w, x, x, x + w gives L(x+w) - 2 L(x) + L(x-w) =
     (w^2/pq) int_0^1 (1 - t) [S(x+wt) + S(x-wt)] dt, by ``_GL8`` here.
     Residual: |lhs - rhs| / max(w^2, |rhs|), on every ceil(m/PDE_WINDOWS)-th
     of the grid's m kept points, w from ``_steps(distances,
@@ -627,7 +628,7 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
     no window counts, EmptyGridError names the rule that skipped them.
     """
     desc = traveling_ode(family_params(sol.family), frame)
-    pq = (frame.k - frame.omega) * -frame.lam * (frame.k + frame.omega)
+    pq = frame.lambda_gamma
     psi_native = sol.psi_native
     value_of = _native_evaluator(sol)
     source = desc.source_psi if psi_native else desc.source
