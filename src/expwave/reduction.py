@@ -39,6 +39,7 @@ from .errors import (
 from .specfun.weierstrass import (
     CubicRoots,
     WeierstrassInvariants,
+    _double_root,
     solve_weierstrass_cubic,
 )
 
@@ -412,12 +413,23 @@ def range_error(c1: float, lambda_gamma: float, what: str) -> DomainError:
                        "past the float range")
 
 
+#: (family, frame, c1, result) of the latest ``_cubic``
+_last_cubic = (None, None, None, None)
+
+
 def _cubic(family: FamilyLabel, frame: FrameParams, c1: float) -> tuple:
     """(a0, a1, a2, a3, inv, at) of the cubic (h')^2 = a3 h^3 + ... + a0 at
     r = sign(lambda gamma), whose roots in h hold at every |r|; inv its
     invariants, ``at`` (r^2 g2, |r|^3 g3) those at r itself (DLMF 23.10.17,
     inf past the float range).  The one place g2 and g3 are computed; inv
-    past the float range (from |c1| ~ 4e51) raises ``range_error``."""
+    past the float range (from |c1| ~ 4e51) raises ``range_error``.  A call
+    with the very objects of the latest one returns its result, so that
+    ``construct`` computes the cubic once, in ``classify_case``, for its
+    builder too."""
+    global _last_cubic
+    last_family, last_frame, last_c1, result = _last_cubic
+    if last_family is family and last_frame is frame and last_c1 is c1:
+        return result
     if family not in CUBIC_FAMILIES:
         raise UnsupportedFamilyError(
             f"{family.name} does not reduce to the cubic elliptic equation")
@@ -435,7 +447,9 @@ def _cubic(family: FamilyLabel, frame: FrameParams, c1: float) -> tuple:
         raise range_error(c1, frame.lambda_gamma,
                           "the Weierstrass invariants") from None
     lg = abs(frame.lambda_gamma)
-    return a0, a1, a2, a3, inv, (inv.g2 / lg / lg, inv.g3 / lg / lg / lg)
+    result = a0, a1, a2, a3, inv, (inv.g2 / lg / lg, inv.g3 / lg / lg / lg)
+    _last_cubic = family, frame, c1, result
+    return result
 
 
 def _roots_in_h(a0: float, a2: float, a3: float) -> CubicRoots:
@@ -461,10 +475,13 @@ def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> Ellipti
     """The cubic's coefficients, g2/g3, discriminant and roots at the
     frame's own r, refused past the float range and for Gordon families.
 
-    Degeneracy, roots and discriminant are read at sign(r) and scaled by
-    |r| (DLMF 23.10.17), as g2^3 and g3^2 taken at r itself underflow at
-    large |lambda gamma|; where |r|^6 delta underflows it prints as a zero
-    with the sign of the true delta."""
+    Roots and discriminant are read at sign(r) and scaled by |r| (DLMF
+    23.10.17), as g2^3 and g3^2 taken at r itself underflow at large
+    |lambda gamma|; where |r|^6 delta underflows it prints as a zero with
+    the sign of the exact delta.  The double root is read from the roots,
+    which come out as (d, d, -2d) exactly where delta is 0, and for
+    Liouville from a0 = 0: its cubic h^2 (a3 h + a2) has the double root h
+    = 0, which its rounded g2 and g3 do not keep exactly."""
     a0, a1, a2, a3, inv, at = _cubic(family, frame, c1)
     r = abs(frame.r)
     a0, a1, a2, a3 = a0 * r, a1 * r, a2 * r, a3 * r
@@ -473,21 +490,16 @@ def elliptic_data(family: FamilyLabel, frame: FrameParams, c1: float) -> Ellipti
     except (OverflowError, DomainError):
         raise range_error(c1, frame.lambda_gamma,
                           "the Weierstrass invariants") from None
-    unit = solve_weierstrass_cubic(inv.g2, inv.g3)
-    roots = CubicRoots(
-        real=tuple(t * r for t in unit.real),
-        complex_pair=None if unit.all_real
-        else tuple(t * r for t in unit.complex_pair))
-    repeated = None
-    if inv.is_degenerate and not (inv.g2 == 0.0 and inv.g3 == 0.0):
-        # double root magnitude: the roots are (d, d, -2d), sorted
-        repeated = abs(roots.real[1])
+    unit = (solve_weierstrass_cubic(inv.g2, inv.g3) if a0
+            else _double_root(inv.g3))
     return EllipticData(
         family=family, c1=c1, r=frame.r,
         a0=a0, a1=a1, a2=a2, a3=a3, p=a2, g2=at[0], g3=at[1],
         # left to right, so no product passes |r|^6 delta (0 stays 0)
-        delta=inv.delta * r * r * r * r * r * r,
-        roots=roots, repeated_root=repeated,
+        delta=inv.delta * r * r * r * r * r * r, roots=unit.scaled(r),
+        # the root that appears exactly twice
+        repeated_root=next((abs(t) * r for t in unit.real
+                            if unit.real.count(t) == 2), None),
     )
 
 
@@ -510,7 +522,7 @@ def classify_case(family: FamilyLabel, frame: FrameParams, c1: float) -> CaseLab
                 if (c1 > 0.0) == (frame.lambda_gamma > 0.0)
                 else CaseLabel.LiouvillePeriodic)
     if family in CUBIC_FAMILIES:
-        _cubic(family, frame, c1)  # only the range check of c1
+        _cubic(family, frame, c1)  # the range check of c1
         # the case is read from the base (Tzitzeica) constants
         flip = -1.0 if family in SIGN_MAPPED_FAMILIES else 1.0
         base_c1, base_lg = flip * c1, flip * frame.lambda_gamma

@@ -22,16 +22,6 @@ from .weierstrass import (
     prepare_weierstrass,
 )
 
-__all__ = [
-    "carlson_rf",
-    "ellint_f",
-    "ellint_k",
-    "jacobi_am",
-    "jacobi_sn_cn_dn",
-    "gauss_2f1",
-    "WeierstrassInvariants",
-    "CubicRoots",
-    "solve_weierstrass_cubic",
-    "weierstrass_p",
-    "prepare_weierstrass",
-]
+__all__ = ["carlson_rf", "ellint_f", "ellint_k", "jacobi_am", "jacobi_sn_cn_dn",
+           "gauss_2f1", "WeierstrassInvariants", "CubicRoots",
+           "solve_weierstrass_cubic", "weierstrass_p", "prepare_weierstrass"]

@@ -11,11 +11,15 @@ real roots (discriminant > 0) take the sn kind, one real root
 ``solve_weierstrass_cubic`` solves as the Weierstrass cubic in 1/h, and
 evaluate the builder's ``value`` closure; they do not call ``eval``.
 
-Discriminant = 0 (roots snapped to d, d, -2d) takes the sn kind at m = 1
-for g3 < 0 and at m = 0 for g3 > 0, where sn is tanh and sin (DLMF
-22.5(ii), 23.6(ii)): with e = |d| that is
+The discriminant Delta = g2^3 - 27 g3^2 is taken exactly, in integers
+from the floats' ratios (``_discriminant``), and its sign alone decides:
+the invariants are degenerate exactly where Delta = 0, with no tolerance
+band, and any other pair, however near degenerate, takes the Jacobi
+reduction of its own roots.  Delta = 0 has the roots d, d, -2d and takes
+the sn kind at m = 1 for g3 < 0 and at m = 0 for g3 > 0, where sn is tanh
+and sin (DLMF 22.5(ii), 23.6(ii)): with e = |d| that is
     p(z) = e + 3 e csch^2(z sqrt(3 e))   and   -e + 3 e csc^2(z sqrt(3 e));
-only g3 = 0 (g2^3 underflowed, or the triple root) is p(z) = 1/z^2.
+only g2 = g3 = 0, the triple root, is p(z) = 1/z^2.
 
 This is the real branch: p >= e1 between consecutive real poles.  Poles
 lie on the lattice {n * real_period}; evaluation inside the exclusion
@@ -32,7 +36,7 @@ both); ``_rational_form`` writes the pair for p = 1/z^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import DomainError, PoleProximityError
@@ -43,32 +47,44 @@ from .elliptic import _PreparedJacobi, jacobi_sn_cn_dn
 # Landen ladder live in _PreparedJacobi); they stay bound only because
 # perfbench/tracer.py wraps them by these names.
 
-# |delta| below this times max(|g2|^3, 27 g3^2) classifies as degenerate;
-# the case split is discontinuous, so a scaled tolerance is required.
-DELTA_REL_TOL = 1.0e-12
-
 _POLE_FRACTION = 1.0e-3
 
 SQRT3 = math.sqrt(3.0)
 
 
+def _discriminant(g2: float, g3: float) -> tuple[int, int]:
+    """g2^3 - 27 g3^2 of two floats exactly, as integers (num, den), den >
+    0, from their integer ratios: num is 0 exactly at a repeated root and
+    has the discriminant's sign, and num / den rounds it once."""
+    (n2, d2), (n3, d3) = g2.as_integer_ratio(), g3.as_integer_ratio()
+    return n2 ** 3 * d3 * d3 - 27 * n3 * n3 * d2 ** 3, d2 ** 3 * d3 * d3
+
+
 @dataclass(frozen=True)
 class WeierstrassInvariants:
-    """Invariant pair (g2, g3) with the modular discriminant attached."""
+    """Invariant pair (g2, g3), refused where |g2|^3 + 27 g3^2 leaves the
+    float range.  ``delta`` is the modular discriminant g2^3 - 27 g3^2,
+    exact and rounded once, and the invariants are degenerate (a repeated
+    root) exactly where it is 0."""
 
     g2: float
     g3: float
-    delta: float = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.g2) and math.isfinite(self.g3)):
             raise DomainError("invariants must be finite")
-        object.__setattr__(self, "delta", self.g2 ** 3 - 27.0 * self.g3 ** 2)
+        # |g2| ** 3 raises OverflowError itself past the float range
+        if abs(self.g2) ** 3 + 27.0 * self.g3 * self.g3 == math.inf:
+            raise OverflowError("|g2|^3 + 27 g3^2 past the float range")
+
+    @property
+    def delta(self) -> float:
+        num, den = _discriminant(self.g2, self.g3)
+        return num / den
 
     @property
     def is_degenerate(self) -> bool:
-        return abs(self.delta) <= DELTA_REL_TOL * max(abs(self.g2) ** 3,
-                                                      27.0 * self.g3 ** 2)
+        return _discriminant(self.g2, self.g3)[0] == 0
 
 
 @dataclass(frozen=True)
@@ -87,41 +103,57 @@ class CubicRoots:
     def all_real(self) -> bool:
         return self.complex_pair is None
 
+    def scaled(self, s: float) -> "CubicRoots":
+        """The roots times s > 0."""
+        return CubicRoots(tuple(t * s for t in self.real), self.complex_pair
+                          and tuple(t * s for t in self.complex_pair))
+
+
+def _double_root(g3: float) -> CubicRoots:
+    """(d, d, -2d) sorted, with d = -cbrt(g3)/2: the roots of 4 t^3 - g2 t
+    - g3 where g2^3 = 27 g3^2, as g3 = -8 d^3; at g3 = +-0 the triple root
+    reads +0.0, as 0.0 - x is +0.0 where x is a zero of either sign."""
+    d = 0.0 - math.cbrt(g3) / 2.0
+    return CubicRoots(real=tuple(sorted((d, d, 0.0 - 2.0 * d), reverse=True)))
+
 
 def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
-    """Roots of s3(t) = 4 t^3 - g2 t - g3.
+    """Roots of s3(t) = 4 t^3 - g2 t - g3, classified by the sign of the
+    exact discriminant Delta = g2^3 - 27 g3^2 = 16 prod (ei - ej)^2 (DLMF
+    23.3(i)).
 
-    Three real roots use the trigonometric (Viete) form, with the one of
-    least magnitude taken from the product g3/4 of the other two; one real
-    root uses Cardano, u = cbrt(w) and v = g2/(12 u), with u + v formed as
-    (g3/4)/(u^2 + v^2 - g2/12) where u and v have opposite signs (g2 < 0)
-    and the pair's imaginary part as sqrt(3) |u - v| / 2, so that no root
-    loses digits to a cancellation however far apart the roots lie;
-    repeated roots (degenerate invariants) are returned exactly as (e, e,
-    -2e).
+    Delta = 0 returns the repeated roots exactly, as (d, d, -2d).  Delta >
+    0, three real roots: e3, the one of largest magnitude, from the
+    trigonometric (Viete) form, where it is well conditioned; the other
+    two from their sum -e3 and their gap sqrt(Delta) / (g3/e3 + 8 e3^2),
+    the larger as -e3/2 - sign(e3) gap/2 and the smaller from the product
+    g3/4 of all three, so that they keep their digits as they merge.
+    Delta < 0, one real root: Cardano, u = cbrt(w) and v = g2/(12 u), with
+    u + v formed as (g3/4)/(u^2 + v^2 - g2/12) where u and v have opposite
+    signs (g2 < 0) and the pair's imaginary part as sqrt(3) |u - v| / 2, so
+    that no root loses digits to a cancellation however far apart the
+    roots lie.  Where Delta lies near or below the subnormal floats, so
+    that sqrt(Delta) would underflow, the cubic is solved at (2^(4k) g2,
+    2^(6k) g3), whose roots are these times 2^(2k) exactly.
     """
-    inv = WeierstrassInvariants(g2, g3)
-    pd = -g2 / 4.0  # depressed cubic t^3 + pd t + qd
-    qd = -g3 / 4.0
-    if inv.is_degenerate:
-        if g2 == 0.0 and g3 == 0.0:
-            return CubicRoots(real=(0.0, 0.0, 0.0))
-        # the double root, g3 = -8 d^3; the simple root is -2d.  The one
-        # formula for it: elliptic_data reads it here, and the sn kind of
-        # prepare_weierstrass takes m = 1 or m = 0 from it
-        d = -math.cbrt(g3) / 2.0
-        roots = sorted((d, d, -2.0 * d), reverse=True)
-        return CubicRoots(real=tuple(roots))
-    if inv.delta > 0.0:
+    WeierstrassInvariants(g2, g3)  # finite and in range
+    num, den = _discriminant(g2, g3)
+    if num == 0:
+        return _double_root(g3)
+    k = (den.bit_length() - num.bit_length()) // 12  # -log2 |Delta| / 12
+    if k > 83:  # |Delta| below about 2^-1007, near the subnormals
+        return solve_weierstrass_cubic(math.ldexp(g2, 4 * k), math.ldexp(
+            g3, 6 * k)).scaled(2.0 ** (-2 * k))
+    pd, qd = -g2 / 4.0, -g3 / 4.0  # depressed cubic t^3 + pd t + qd
+    if num > 0:
         amp = 2.0 * math.sqrt(-pd / 3.0)
         c3 = min(1.0, max(-1.0, -4.0 * qd / amp ** 3))
-        theta = math.acos(c3) / 3.0
-        roots = sorted(
-            (amp * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)),
-            key=abs)
-        roots[0] = -qd / (roots[1] * roots[2])
-        return CubicRoots(real=tuple(sorted(roots, reverse=True)))
-    disc = (qd / 2.0) ** 2 + (pd / 3.0) ** 3  # > 0 here
+        e3 = math.copysign(amp * math.cos(math.acos(abs(c3)) / 3.0), c3)
+        big = -0.5 * e3 - math.copysign(
+            0.5 * math.sqrt(num / den) / (g3 / e3 + 8.0 * e3 * e3), e3)
+        return CubicRoots(real=tuple(sorted(
+            (e3, big, g3 / (4.0 * e3 * big)), reverse=True)))
+    disc = -num / (1728 * den)  # (qd/2)^2 + (pd/3)^3 > 0, rounded once
     w = -qd / 2.0 - math.copysign(math.sqrt(disc), qd)
     u = math.cbrt(w)  # w != 0: qd = 0 here only with pd > 0
     v = -pd / (3.0 * u)
@@ -292,53 +324,48 @@ def prepare_weierstrass(inv: WeierstrassInvariants) -> _PreparedWeierstrass:
     """Classify the invariants and prepare p as the root form of
     (p')^2 = 4 (p - e1)(p - e2)(p - e3) at the origin.
 
-    Three real roots take the sn kind, the snapped double roots (d, d,
-    -2d) among them: their parameter is exactly m = 1 or m = 0, which
-    _PreparedJacobi evaluates by tanh and sech or sin and cos.  One real
-    root e2* takes the cn kind, with the pair's imaginary part a read from
-    the exact discriminant where e2* < 0, a^2 = -delta/(64 H^4), H^2 = 9
-    e2*^2/4 + a^2: there mc = a^2/(2 H (H + d)) needs the digits of a
-    small a, which the solver's a loses next to the snap band.  Only
-    degenerate invariants with g3 = 0 take the rational kind.
+    Three real roots take the sn kind, the double roots (d, d, -2d) of
+    exactly degenerate invariants among them: their parameter is exactly m
+    = 1 or m = 0, which _PreparedJacobi evaluates by tanh and sech or sin
+    and cos.  One real root e2* takes the cn kind, with the pair's
+    imaginary part a read from the exact discriminant where e2* < 0, a^2 =
+    -delta/(64 H^4), H^2 = 9 e2*^2/4 + a^2: there mc = a^2/(2 H (H + d))
+    needs the digits of a small a, which the solver's a = sqrt(3) |u - v|/2
+    loses to the cancellation of u - v.  Only g2 = g3 = 0, the triple root,
+    takes the rational kind.
     """
     g2, g3 = inv.g2, inv.g3
-    roots = solve_weierstrass_cubic(g2, g3)
-    if g3 == 0.0 and inv.is_degenerate:
-        # g2^3 underflowed too: p = 1/z^2 to rounding
+    if g2 == 0.0 and g3 == 0.0:
         return _rational_form()
-    e2s = roots.real[0]
-    if not roots.all_real and e2s < 0.0:
-        # a^2 = -delta/(64 H^4) in integers, from the floats' exact
-        # ratios, rounded once by the division
-        re, a = roots.complex_pair
-        (n2, d2), (n3, d3) = g2.as_integer_ratio(), g3.as_integer_ratio()
-        nh, dh = math.hypot(1.5 * e2s, a).as_integer_ratio()
-        a = math.sqrt((27 * n3 * n3 * d2 ** 3 - n2 ** 3 * d3 * d3) * dh ** 4
-                      / (64 * d2 ** 3 * d3 * d3 * nh ** 4))
-        roots = CubicRoots(real=roots.real, complex_pair=(re, a))
+    roots = solve_weierstrass_cubic(g2, g3)
+    if not roots.all_real and roots.real[0] < 0.0:
+        # a^2 = -delta/(64 H^4) in integers, rounded once by the division
+        (re, a), (num, den) = roots.complex_pair, _discriminant(g2, g3)
+        nh, dh = math.hypot(1.5 * roots.real[0], a).as_integer_ratio()
+        roots = CubicRoots(roots.real, (re, math.sqrt(
+            -num * dh ** 4 / (64 * den * nh ** 4))))
     return _root_form(4.0, roots, 0.0, lambda kappa: kappa, 1.0)
 
 
 def weierstrass_p(z: float, inv: WeierstrassInvariants) -> tuple[float, float]:
     """Weierstrass p(z) and its derivative p'(z) on the real axis.
 
-    Outside the snap band, where the Jacobi parameter m is at most 0.99,
-    p and p' are each within 8 eps (1 + kappa) relative of a 40-digit
-    mpmath reference, eps = 2**-52 and kappa = |z f'/f| the conditioning
-    of f = p or p' in z: over 2,400 points of 480 random pairs the worst
-    read 4.0 for p and 2.9 for p'.  Nearer m = 1, next to the snap band,
-    the cn kind stays within 10 eps (1 + kappa), its mc taken from the
-    exact discriminant: 9.9 read for p at m = 1 - 1.1e-13 over 240 pairs
-    drawn there.  The sn kind there inherits the error of its two nearest
-    roots, which the trigonometric solution of the cubic loses as they
-    merge: 2.1e5 eps (1 + kappa) read for p and 7.6e9 for p' at m = 1 -
-    1.1e-6.
-    Inside the snap band |delta| <= DELTA_REL_TOL * max(|g2|^3, 27 g3^2)
-    the double-root function stands in for the true function and misses
-    it by up to |delta| / (2 max(...)) + 2e-14 for |z| sqrt(3 e) <= 2, e
-    the double root: 3.5e-13 read at the band edge, at the far end of
-    that range.
-    Farther out the miss grows as the true lattice's distant pole nears.
+    Where the Jacobi parameter m is at most 0.99, p and p' are each within
+    8 eps (1 + kappa) relative of a 40-digit mpmath reference, eps = 2**-52
+    and kappa = |z f'/f| the conditioning of f = p or p' in z: over 2,400
+    points of 480 random pairs in [-3, 3]^2 the worst read 2.3 for p and
+    2.4 for p'.  Degeneracy is exact: only delta = 0 takes the double-root
+    function, and pairs whose delta is down to 2e-14 of max(|g2|^3, 27
+    g3^2) read at most 1.7e-15 relative for p.  Nearer m = 1 the cn kind
+    stays within 8 eps (1 + kappa), its mc taken from the exact
+    discriminant: 2.2 read for p and 2.3 for p' over 240 pairs with
+    delta/g2^3 from -1e-14 to -1e-4 (m up to 1 - 9e-15).  The sn kind
+    there reads its roots to an ulp or so, but takes mc = (e1 - e2)/(e1 -
+    e3) from their rounded difference: at (33.42277849631853,
+    -37.186212269301954), m = 1 - 1.1e-6, p is within 0.84 eps (1 +
+    kappa) on (0, P/2], and past P/2 reads 1.8e4, p' 3.0e4 anywhere; over
+    240 pairs with delta/g2^3 from 1e-14 to 1e-4 the worst read 8.1e5 for
+    p and 1.3e6 for p', at m = 1 - 6.0e-8.
     Raises PoleProximityError inside the exclusion radius of a lattice
     pole.
     """

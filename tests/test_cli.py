@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,42 @@ def test_classify_reads_degeneracy_at_unit_scale(capsys):
     assert len(data["roots_complex_pair"]) == 2
     assert "repeated_root" not in data
     assert math.copysign(1.0, data["delta"]) == -1.0
+
+
+@pytest.mark.parametrize("c1, im", [
+    # im: the pair's |imaginary part| from a 60-digit mpmath solve of the
+    # printed invariants; the solver's sqrt(3) |u - v| / 2 reads it 3.8e-10
+    # and 4.5e-8 off, relative, as u - v cancels
+    ("3e4", 0.00204124145231929),
+    ("1e15", 99229.2403800813),
+])
+def test_classify_prints_the_complex_pair_by_the_exact_discriminant(
+        capsys, c1, im):
+    # delta / g2^3 is -5.0e-13 and -1.1e-18 here, once
+    # inside the old relative snap band of 1e-12, which printed three real
+    # roots and a repeated root here; the exact delta is negative, one
+    # real root and a complex pair, and delta prints it rounded once
+    data = _stdout_json(capsys, ["classify", "--family", "tzitzeica", "--c1",
+                                 c1, "--lambda-gamma", "1"])["elliptic_data"]
+    assert "repeated_root" not in data
+    assert len(data["roots_real"]) == 1
+    assert data["roots_complex_pair"][1] == pytest.approx(im, rel=1e-7)
+    g2, g3 = Fraction(data["g2"]), Fraction(data["g3"])
+    assert data["delta"] == float(g2 ** 3 - 27 * g3 ** 2) < 0.0
+
+
+@pytest.mark.parametrize("c1, lg", [("1", "1"), ("-1", "1"),
+                                    ("1.133591881540744",
+                                     "-1.5909158551647078")])
+def test_classify_reads_the_liouville_double_root_from_a0(capsys, c1, lg):
+    # the cubic h^2 (a3 h + a2) has the double root h = 0, but its rounded
+    # invariants have a nonzero exact delta (-2.06e-18 at c1 = +-1): the
+    # double root is read from a0 = 0, and no complex pair is printed
+    data = _stdout_json(capsys, ["classify", "--family", "liouville", "--c1",
+                                 c1, "--lambda-gamma", lg])["elliptic_data"]
+    assert "roots_complex_pair" not in data
+    real = data["roots_real"]
+    assert real.count(real[1]) == 2 and abs(real[1]) == data["repeated_root"]
 
 
 def test_solve_prints_the_classify_invariants(capsys):

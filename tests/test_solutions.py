@@ -1041,3 +1041,35 @@ def test_construct_solves_the_cubic_only_for_weierstrass_forms(monkeypatch):
                 seen.add(sol.case)
     assert seen == solved | {CaseLabel.Degenerate1a, CaseLabel.Degenerate1b,
                              CaseLabel.Lemniscatic}
+
+
+def test_construct_computes_the_cubic_once(monkeypatch):
+    # classify_case computes the family's cubic for its range check of c1,
+    # and the builder reads the same one: _cubic's body, which makes the
+    # invariants, runs once per construct, for every cubic-family case
+    import expwave.reduction as reduction
+
+    made = []
+    invariants = reduction.WeierstrassInvariants
+
+    def counting(*args):
+        made.append(args)
+        return invariants(*args)
+
+    monkeypatch.setattr(reduction, "WeierstrassInvariants", counting)
+    seen = set()
+    for family in (FamilyLabel.Tzitzeica, FamilyLabel.DoddBullough,
+                   FamilyLabel.TzitzeicaDoddBullough,
+                   FamilyLabel.DoddBulloughMikhailov):
+        for lg in (1.0, -1.0, 0.37):
+            for c1 in (0.0, 1.0, -1.0, 1.5, -1.5, C1_LEMNISCATIC,
+                       -C1_LEMNISCATIC):
+                for case in (None, CaseLabel.GeneralWeierstrass):
+                    made.clear()
+                    sol = construct(family, c1, FrameParams.from_lambda_gamma(
+                        lg), case=case)
+                    assert len(made) == 1, (family, lg, c1, case)
+                    seen.add(sol.case)
+    assert seen == {CaseLabel.Degenerate1a, CaseLabel.Degenerate1b,
+                    CaseLabel.Lemniscatic, CaseLabel.Equianharmonic,
+                    CaseLabel.GeneralWeierstrass}

@@ -12,9 +12,9 @@ from expwave.specfun import (
     carlson_rf,
     gauss_2f1,
     prepare_weierstrass,
+    solve_weierstrass_cubic,
 )
 from expwave.errors import ConvergenceError
-from expwave.specfun.weierstrass import DELTA_REL_TOL
 
 DPS = 40
 
@@ -104,9 +104,8 @@ def test_carlson_rf_against_mpmath(x, y, z):
 CATALOGUED_P = [(0.0, -0.25), (0.0, 0.25), (1.0 / 3.0, -31.0 / 108.0),
                 (1.0 / 3.0, 31.0 / 108.0)]
 
-#: targets for Delta / max(|g2|^3, 27 g3^2), on both sides of the snap
-#: band |Delta| <= DELTA_REL_TOL * scale where the elementary degenerate
-#: forms stand in
+#: targets for Delta / max(|g2|^3, 27 g3^2), down to 2e-14, where the
+#: old relative snap band of 1e-12 took the elementary degenerate forms
 DELTA_RATIOS = (2e-14, 1e-13, 5e-13, 9.9e-13, 1.1e-12, 1e-11, 1e-8, 1e-4,
                 0.1, 1.0)
 
@@ -152,15 +151,12 @@ def test_weierstrass_p_catalogued_against_mpmath(g2, g3):
 
 @pytest.mark.parametrize("g2, g3, t", list(_band_invariants()))
 def test_weierstrass_p_near_degenerate_against_mpmath(g2, g3, t):
-    # 2e-14 wherever the Jacobi reduction runs; inside the snap band the
-    # elementary form misses the true function by up to |Delta|/scale / 2
-    # for |z| sqrt(3 e) <= 2, e = |t|/2 the double root of the band's base
+    # 2e-14 at every row: none is exactly degenerate, so the Jacobi
+    # reduction runs on all of them, for |z| sqrt(3 e) <= 2, e = |t|/2 the
+    # double root of the rows' base
     inv = WeierstrassInvariants(g2, g3)
-    ratio = abs(inv.delta) / max(abs(g2) ** 3, 27.0 * g3 * g3)
+    assert not inv.is_degenerate
     bound = 2e-14
-    if inv.is_degenerate:
-        assert ratio <= DELTA_REL_TOL
-        bound += 0.5 * ratio
     prep = prepare_weierstrass(inv)
     with mp.workdps(DPS):
         reference = _weierstrass_reference(g2, g3)
@@ -181,16 +177,25 @@ def test_weierstrass_p_exactly_degenerate_against_mpmath(t, sign):
     # of p and p' is within 4 eps (1 + kappa) of that 40-digit closed form,
     # kappa = |z f'/f| the conditioning in z (which bounds the one in e
     # too, as p(z; e) = e f(sqrt(e) z)); the worst reads 1.7 for p and 1.1
-    # for p' (6.6e-15 and 1.0e-14 relative)
+    # for p' (6.6e-15 and 1.0e-14 relative).  At t = 1e-3 and 0.02 the
+    # floats (3 t^2, +-t^3) are rounded off the degenerate pair, so the
+    # reference there is mpmath's p of those floats, which the closed form
+    # misses by up to 7.4 eps
     g2, g3 = 3.0 * t * t, sign * t ** 3
-    prep = prepare_weierstrass(WeierstrassInvariants(g2, g3))
+    inv = WeierstrassInvariants(g2, g3)
+    prep = prepare_weierstrass(inv)
     with mp.workdps(DPS):
         e = mp.mpf(t) / 2
         a = mp.sqrt(3 * e)
+        reference = None if inv.is_degenerate else \
+            _weierstrass_reference(g2, g3)
         for s in (0.1, 0.5, 1.0, 1.5, 2.0, 3.0):
             z = s / math.sqrt(1.5 * t)
             az = a * mp.mpf(z)
-            if g3 < 0.0:
+            if reference is not None:
+                p = reference(z)
+                dp = mp.diff(reference, z)
+            elif g3 < 0.0:
                 p = e + 3 * e / mp.sinh(az) ** 2
                 dp = -6 * e * a * mp.cosh(az) / mp.sinh(az) ** 3
             else:
@@ -203,6 +208,42 @@ def test_weierstrass_p_exactly_degenerate_against_mpmath(t, sign):
                     <= 4 * EPS * (1 + kappa_p)), z
             assert (_relative_error(prep.slope(z), dp)
                     <= 4 * EPS * (1 + kappa_dp)), z
+
+
+#: three real roots, the two nearer 5.7e-6 apart (m = 1 - 1.1e-6)
+NEAR_DOUBLE = (33.42277849631853, -37.186212269301954)
+
+
+def test_near_double_root_keeps_its_digits():
+    # e1 and e2 come from their sum -e3 and the exact discriminant, not
+    # from the trigonometric form, which read e1 3.6e5 ulps off here
+    e1 = solve_weierstrass_cubic(*NEAR_DOUBLE).real[0]
+    assert abs(e1 - 1.66890413972216546) <= math.ulp(e1)
+
+
+@pytest.mark.parametrize("f", [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.5,
+                               0.55, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98])
+def test_weierstrass_p_near_a_double_root_against_mpmath(f):
+    # at z = f P: p within 8 eps (1 + kappa) on (0, P/2] (0.84 read; 2.1e5
+    # with the trigonometric roots).  Past P/2 p, and p' anywhere, inherit
+    # mc = (e1 - e2)/(e1 - e3) from the rounded roots, whose difference
+    # loses their digits: the worst readings, 1.83e4 for p and 2.98e4 for
+    # p' (1.3e10 with the trigonometric roots), are pinned here until the
+    # exact gap reaches mc
+    g2, g3 = NEAR_DOUBLE
+    prep = prepare_weierstrass(WeierstrassInvariants(g2, g3))
+    z = f * prep.real_period
+    with mp.workdps(DPS):
+        reference = _weierstrass_reference(g2, g3)
+        p = reference(z)
+        dp = mp.diff(reference, z)
+        ddp = 6 * p * p - mp.mpf(g2) / 2
+        kappa_p = float(abs(z * dp / p))
+        kappa_dp = float(abs(z * ddp / dp))
+        bound_p = 8.0 if f <= 0.5 else 2e4
+        assert (_relative_error(prep.eval(z), p)
+                <= bound_p * EPS * (1 + kappa_p))
+        assert _relative_error(prep.slope(z), dp) <= 3e4 * EPS * (1 + kappa_dp)
 
 
 @pytest.mark.parametrize("g2, g3, f", [

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from expwave.errors import DomainError, PoleProximityError
@@ -12,6 +13,7 @@ from expwave.specfun import (
 )
 from expwave.singular import Singularities
 from expwave.verify import Grid, VerificationReport
+from test_specfun_mpmath import _relative_error, _weierstrass_reference
 
 #: the p-equation residual bound of the two helpers below
 WP_TOL = 1.0e-10
@@ -63,6 +65,18 @@ def test_invariants_delta_consistency():
     inv = WeierstrassInvariants(1.0, 1.0)
     assert inv.delta == pytest.approx(-26.0, abs=1e-13)
     assert not inv.is_degenerate
+
+
+def test_invariants_past_the_float_range_are_refused():
+    # 27 g3^2 overflows to inf without raising, which once read delta as
+    # -inf and the invariants as degenerate: solve returned three real
+    # roots (1.44e51 and -7.2e50 twice) at (1, 3e153), where the cubic has
+    # one.  They are refused as an overflowing g2^3 is
+    for g2, g3 in ((1.0, 3e153), (1.0, -3e153), (1e103, 1.0)):
+        with pytest.raises(OverflowError):
+            WeierstrassInvariants(g2, g3)
+        with pytest.raises(OverflowError):
+            solve_weierstrass_cubic(g2, g3)
 
 
 def test_cubic_roots_identities():
@@ -140,15 +154,40 @@ def test_ode_residual_random():
 
 
 def test_zero_g3_with_underflowed_discriminant_is_rational():
-    # g2^3 underflows to 0, so the invariants snap to degenerate with
-    # g3 = +-0 and a double root e = 0 that no scale can be taken from;
-    # p is 1/z^2 + g2 z^2/20 + ..., which is 1/z^2 to rounding
-    for g2 in (1e-300, -1e-300, 1e-120):
+    # g2^3 underflows, but the exact discriminant g2^3 keeps its sign: the
+    # invariants are not degenerate, and only g2 = g3 = 0 is p = 1/z^2.
+    # g2 > 0 has the three roots 0 and +-sqrt(g2)/2, g2 < 0 the one root 0
+    # and the pair +-i sqrt(-g2)/2, which the solver finds at a power-of-two
+    # rescale, as sqrt(Delta) itself underflows.  Their real periods are
+    # 3.7e30 to 5.2e75, so z = 2 lies inside the pole radius (1e-3 of the
+    # period): p and p' are checked at fractions of the period instead,
+    # against mpmath's p(z; g2, g3) = t^2 p(t z; g2/t^4, g3/t^6), t^4 = |g2|
+    # (its root finder needs roots near 1), within 8 eps (1 + kappa)
+    eps = 2.0 ** -52
+    for g2, kind in ((1e-300, "sn"), (-1e-300, "cn"), (1e-120, "sn")):
         for g3 in (0.0, -0.0):
             inv = WeierstrassInvariants(g2, g3)
-            assert prepare_weierstrass(inv).kind == "rational"
-            assert weierstrass_p(2.0, inv) == (0.25, -0.25)
-    # g2^3 still normal: not degenerate, the Jacobi reduction runs
+            assert not inv.is_degenerate
+            prep = prepare_weierstrass(inv)
+            assert prep.kind == kind
+            with mp.workdps(40):
+                t = mp.mpf(abs(g2)) ** 0.25
+                base = _weierstrass_reference(g2 / t ** 4, g3 / t ** 6)
+                for f in (0.1, 0.3):
+                    z = f * prep.real_period
+                    p = t * t * base(t * z)
+                    dp = t ** 3 * mp.diff(base, t * z)
+                    ddp = 6 * p * p - mp.mpf(g2) / 2
+                    kappa_p = float(abs(z * dp / p))
+                    kappa_dp = float(abs(z * ddp / dp))
+                    assert (_relative_error(prep.eval(z), p)
+                            <= 8 * eps * (1 + kappa_p)), (g2, g3, f)
+                    assert (_relative_error(prep.slope(z), dp)
+                            <= 8 * eps * (1 + kappa_dp)), (g2, g3, f)
+    assert prepare_weierstrass(WeierstrassInvariants(0.0, -0.0)).kind == \
+        "rational"
+    assert weierstrass_p(2.0, WeierstrassInvariants(0.0, 0.0)) == (0.25, -0.25)
+    # g2^3 still normal: the Jacobi reduction runs
     assert prepare_weierstrass(WeierstrassInvariants(1e-100, 0.0)).kind == "sn"
 
 
