@@ -15,7 +15,10 @@ The discriminant Delta = g2^3 - 27 g3^2 is taken exactly, in integers
 from the floats' ratios (``_discriminant``), and its sign alone decides:
 the invariants are degenerate exactly where Delta = 0, with no tolerance
 band, and any other pair, however near degenerate, takes the Jacobi
-reduction of its own roots.  Delta = 0 has the roots d, d, -2d and takes
+reduction of its own roots.  The solver also reads the complex pair's
+imaginary part from it, and is the one place that forms a pair: p, the
+cubic families' own cubics and ``reduction.elliptic_data`` all take it
+from there.  Delta = 0 has the roots d, d, -2d and takes
 the sn kind at m = 1 for g3 < 0 and at m = 0 for g3 > 0, where sn is tanh
 and sin (DLMF 22.5(ii), 23.6(ii)): with e = |d| that is
     p(z) = e + 3 e csch^2(z sqrt(3 e))   and   -e + 3 e csc^2(z sqrt(3 e));
@@ -128,13 +131,17 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
     two from their sum -e3 and their gap sqrt(Delta) / (g3/e3 + 8 e3^2),
     the larger as -e3/2 - sign(e3) gap/2 and the smaller from the product
     g3/4 of all three, so that they keep their digits as they merge.
-    Delta < 0, one real root: Cardano, u = cbrt(w) and v = g2/(12 u), with
-    u + v formed as (g3/4)/(u^2 + v^2 - g2/12) where u and v have opposite
-    signs (g2 < 0) and the pair's imaginary part as sqrt(3) |u - v| / 2, so
-    that no root loses digits to a cancellation however far apart the
-    roots lie.  Where Delta lies near or below the subnormal floats, so
-    that sqrt(Delta) would underflow, the cubic is solved at (2^(4k) g2,
-    2^(6k) g3), whose roots are these times 2^(2k) exactly.
+    Delta < 0, one real root e and the pair -e/2 +- i a: Cardano, u =
+    cbrt(w) and v = g2/(12 u), with e = u + v formed as (g3/4)/(u^2 + v^2
+    - g2/12) where u and v have opposite signs (g2 < 0), so that e loses no
+    digits however far apart the roots lie.  a comes from Delta = -64 a^2
+    H^4, H^2 = 9 e^2/4 + a^2 (DLMF 23.3(i)), as a^2 = -Delta/(64 H^4) in
+    integers, rounded once, with H from e and Cardano's sqrt(3) |u - v| /
+    2: that estimate cancels only as the pair nears the real axis, where
+    H, near 3 |e|/2, hardly depends on it.  Where Delta lies near or below
+    the subnormal floats, so that sqrt(Delta) would underflow, the cubic is
+    solved at (2^(4k) g2, 2^(6k) g3), whose roots are these times 2^(2k)
+    exactly.
     """
     WeierstrassInvariants(g2, g3)  # finite and in range
     num, den = _discriminant(g2, g3)
@@ -158,8 +165,10 @@ def solve_weierstrass_cubic(g2: float, g3: float) -> CubicRoots:
     u = math.cbrt(w)  # w != 0: qd = 0 here only with pd > 0
     v = -pd / (3.0 * u)
     e_real = -qd / (u * u + v * v + pd / 3.0) if pd > 0.0 else u + v
-    return CubicRoots(real=(e_real,),
-                      complex_pair=(-0.5 * e_real, 0.5 * SQRT3 * abs(u - v)))
+    # a^2 = -Delta/(64 H^4) in integers, rounded once by the division
+    nh, dh = math.hypot(1.5 * e_real, SQRT3 * (u - v) / 2).as_integer_ratio()
+    return CubicRoots(real=(e_real,), complex_pair=(-0.5 * e_real, math.sqrt(
+        -num * dh ** 4 / (64 * den * nh ** 4))))
 
 
 def _pole_error(distance: float, limit: float) -> PoleProximityError:
@@ -327,24 +336,17 @@ def prepare_weierstrass(inv: WeierstrassInvariants) -> _PreparedWeierstrass:
     Three real roots take the sn kind, the double roots (d, d, -2d) of
     exactly degenerate invariants among them: their parameter is exactly m
     = 1 or m = 0, which _PreparedJacobi evaluates by tanh and sech or sin
-    and cos.  One real root e2* takes the cn kind, with the pair's
-    imaginary part a read from the exact discriminant where e2* < 0, a^2 =
-    -delta/(64 H^4), H^2 = 9 e2*^2/4 + a^2: there mc = a^2/(2 H (H + d))
-    needs the digits of a small a, which the solver's a = sqrt(3) |u - v|/2
-    loses to the cancellation of u - v.  Only g2 = g3 = 0, the triple root,
-    takes the rational kind.
+    and cos.  One real root takes the cn kind, with the pair as the solver
+    returns it: where the real root is negative, mc = a^2/(2 H (H + d))
+    needs the digits of a small imaginary part a, which the solver reads
+    from the exact discriminant.  Only g2 = g3 = 0, the triple root, takes
+    the rational kind.
     """
     g2, g3 = inv.g2, inv.g3
     if g2 == 0.0 and g3 == 0.0:
         return _rational_form()
-    roots = solve_weierstrass_cubic(g2, g3)
-    if not roots.all_real and roots.real[0] < 0.0:
-        # a^2 = -delta/(64 H^4) in integers, rounded once by the division
-        (re, a), (num, den) = roots.complex_pair, _discriminant(g2, g3)
-        nh, dh = math.hypot(1.5 * roots.real[0], a).as_integer_ratio()
-        roots = CubicRoots(roots.real, (re, math.sqrt(
-            -num * dh ** 4 / (64 * den * nh ** 4))))
-    return _root_form(4.0, roots, 0.0, lambda kappa: kappa, 1.0)
+    return _root_form(4.0, solve_weierstrass_cubic(g2, g3), 0.0,
+                      lambda kappa: kappa, 1.0)
 
 
 def weierstrass_p(z: float, inv: WeierstrassInvariants) -> tuple[float, float]:

@@ -210,11 +210,13 @@ def test_classify_reads_degeneracy_at_unit_scale(capsys):
 
 
 @pytest.mark.parametrize("c1, im", [
-    # im: the pair's |imaginary part| from a 60-digit mpmath solve of the
-    # printed invariants; the solver's sqrt(3) |u - v| / 2 reads it 3.8e-10
-    # and 4.5e-8 off, relative, as u - v cancels
-    ("3e4", 0.00204124145231929),
-    ("1e15", 99229.2403800813),
+    # im: the pair's |imaginary part| to 20 digits, from a 60-digit mpmath
+    # solve of the printed invariants.  The solver reads it from the exact
+    # delta, a^2 = -delta/(64 H^4), within 2 eps (0.96 and 0.27 read);
+    # sqrt(3) |u - v| / 2 read it 3.8e-10 and 4.5e-8 off, relative, as u -
+    # v cancels
+    ("3e4", "0.0020412414523192914564"),
+    ("1e15", "99229.24038008125224"),
 ])
 def test_classify_prints_the_complex_pair_by_the_exact_discriminant(
         capsys, c1, im):
@@ -226,7 +228,9 @@ def test_classify_prints_the_complex_pair_by_the_exact_discriminant(
                                  c1, "--lambda-gamma", "1"])["elliptic_data"]
     assert "repeated_root" not in data
     assert len(data["roots_real"]) == 1
-    assert data["roots_complex_pair"][1] == pytest.approx(im, rel=1e-7)
+    im = Fraction(im)
+    assert abs(Fraction(data["roots_complex_pair"][1]) - im) <= \
+        2 * Fraction(2) ** -52 * im
     g2, g3 = Fraction(data["g2"]), Fraction(data["g3"])
     assert data["delta"] == float(g2 ** 3 - 27 * g3 ** 2) < 0.0
 

@@ -414,10 +414,11 @@ _RANGE = ("DomainError: c1={c1} and lambda gamma={lg} put the Weierstrass "
 #: SWEEP_C1 for (family, lambda gamma): the case name, or the exception
 #: type and message; generated while classify_case solved the cubic, except
 #: c1 = 1e40 at lambda gamma = +-1, which is GeneralWeierstrass since the
-#: case is read from c1 (the invariants fell in the degenerate snap band),
-#: and the rows at lambda gamma = 1e-200 and -1e-250, which read as the
-#: rows at +-1 since the invariants are taken at sign(lambda gamma) (they
-#: were refused while they were taken at lambda gamma itself)
+#: case is read from c1 (its rounded invariants are near degenerate, delta
+#: / g2^3 = -3.4e-16, and the case does not depend on how near), and the
+#: rows at lambda gamma = 1e-200 and -1e-250, which read as the rows at +-1
+#: since the invariants are taken at sign(lambda gamma) (they were refused
+#: while they were taken at lambda gamma itself)
 SWEEP_C1 = (1e60, -1e60, 1e40, 3e102, 1e-320, -1.5, 0.0)
 SWEEP_CASES = {
     ('Tzitzeica', 1.0): (_RANGE, _RANGE, 'GeneralWeierstrass',
@@ -470,10 +471,12 @@ def test_classify_case_sweep_of_cubic_families():
 
 
 def test_cubic_case_is_read_from_c1():
-    # from |c1| ~ 2.4e4 on the invariants fall in the p kernel's relative
-    # degenerate snap band at every lambda gamma; the case still follows c1
-    # and the sign of the base lambda gamma, and the c1 = 0 invariants that
-    # underflow to (0, 0) still read as equianharmonic
+    # at large |c1| the rounded invariants are near degenerate at every
+    # lambda gamma (delta / g2^3 = -+5.0e-13 at c1 = +-3e4, -1.1e-18 at
+    # +-1e15), and which side of 0 delta falls on is a matter of rounding;
+    # the case follows c1 and the sign of the base lambda gamma, not delta,
+    # and the c1 = 0 invariants that underflow to (0, 0) still read as
+    # equianharmonic
     for family in CUBIC_FAMILIES - {FamilyLabel.Liouville}:
         flip = -1.0 if family in SIGN_MAPPED_FAMILIES else 1.0
         for lg in (1.0, -1.0, 1e-3, -1e3):

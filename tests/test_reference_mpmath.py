@@ -49,6 +49,18 @@ crosses 0.  The worst reading is 0.55 of that bound (the Equianharmonic
 form at lambda gamma = -0.01, half a period out, k != 0 frame; 0.65 when
 the forms were built from p).
 
+The same bound holds next to the repeated root c1 = -3/2, at base c1 =
+-1.5 + 1e-6, + 1e-9 and + 1e-12 and lambda gamma = +-1 (built as the
+general form on request, as the last c1 classifies as degenerate), where
+the cubic has one real root and a complex pair whose imaginary part
+shrinks like sqrt(c1 + 3/2).  The worst reading is 0.48 of it (c1 = -1.5
++ 1e-6, lambda gamma = 1);
+it was 25.7, 224 and 1.05e3 at lambda gamma = 1 while the solver took
+that part as sqrt(3) |u - v| / 2, which cancels.  The other side, c1 =
+-1.5 - 1e-6, - 1e-9 and - 1e-12, has three real roots, and the sn kind
+forms its parameter from their rounded difference: at lambda gamma = 1
+it reads 8.56, 143 and 4.13e3 times the bound, and is not held to it.
+
 At large |c1| the same forms are checked at lambda gamma = +-1 and c1 =
 +-3e4, +-1e6 and +-1e15, with the reference at BIG_DPS = 60 digits, since
 2 lambda gamma p - c1/3 cancels about log10 |c1| of them.  There the cubic
@@ -264,17 +276,17 @@ def _short(x: float) -> float:
     return math.ldexp(round(math.ldexp(m, 30)), e - 30)
 
 
-@pytest.mark.parametrize("mag", [0.01, 0.37, 4.2, 100.0])
-@pytest.mark.parametrize("c1, sign", P_FORMS,
-                         ids=[f"{c1}-{s:+}" for c1, s in P_FORMS])
-def test_weierstrass_forms_against_mpmath(c1, sign, mag):
-    base_lg = sign * mag
+def _weierstrass_readings(c1, base_lg, case=None):
+    """(error, bound, where) at each point of the four families'
+    Weierstrass forms at base (c1, lambda gamma), built as ``case`` (None:
+    the classified one): the relative error of h, the bound above, and
+    (family, frame, xi)."""
     for frame_at in (lambda lg: FrameParams.from_lambda_gamma(lg, xi0=0.75),
                      lambda lg: FrameParams(lam=lg / 3.0, k=1.0, omega=2.0,
                                             xi0=-1.875)):
         # the four families at the same base constants: the sign-mapped ones
         # at (-c1, -lambda gamma), the reflected ones read at xi0 - (xi - xi0)
-        sols = [(fam, construct(fam, s * c1, frame_at(s * base_lg)))
+        sols = [(fam, construct(fam, s * c1, frame_at(s * base_lg), case=case))
                 for fam, s in ((TZ, 1.0), (DB, -1.0), (TDB, -1.0), (DBM, 1.0))]
         frame = sols[0][1].frame
         period = sols[0][1].params["period"]
@@ -302,7 +314,30 @@ def test_weierstrass_forms_against_mpmath(c1, sign, mag):
                     xi = xi0 - d if reflect else xi0 + d
                     ref = -h_ref if reflect else h_ref
                     h = sol.evaluate_h(xi)
-                    assert float(abs((h - ref) / ref)) <= bound, (fam, frame, xi)
+                    yield float(abs((h - ref) / ref)), bound, (fam, frame, xi)
+
+
+@pytest.mark.parametrize("mag", [0.01, 0.37, 4.2, 100.0])
+@pytest.mark.parametrize("c1, sign", P_FORMS,
+                         ids=[f"{c1}-{s:+}" for c1, s in P_FORMS])
+def test_weierstrass_forms_against_mpmath(c1, sign, mag):
+    for error, bound, where in _weierstrass_readings(c1, sign * mag):
+        assert error <= bound, where
+
+
+#: base c1 just above the repeated root c1 = -3/2, where the cubic has one
+#: real root and a complex pair near the real axis; -1.5 + 1e-12 classifies
+#: as degenerate, so every row is built as the general form on request
+NEAR_DOUBLE_C1 = [(-1.5 + delta, s) for delta in (1e-6, 1e-9, 1e-12)
+                  for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("c1, sign", NEAR_DOUBLE_C1,
+                         ids=[f"{c1!r}-{s:+}" for c1, s in NEAR_DOUBLE_C1])
+def test_weierstrass_forms_next_to_the_double_root_against_mpmath(c1, sign):
+    for error, bound, where in _weierstrass_readings(
+            c1, sign, case=CaseLabel.GeneralWeierstrass):
+        assert error <= bound, where
 
 
 BIG_DPS = 60

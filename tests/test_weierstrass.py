@@ -107,6 +107,26 @@ def test_cubic_roots_identities():
     assert solve_weierstrass_cubic(0.0, 0.0).real == (0.0, 0.0, 0.0)
 
 
+def test_one_discriminant_forms_the_complex_pair(monkeypatch):
+    # the solver forms every complex pair from the one exact discriminant it
+    # holds, and prepare_weierstrass takes the roots as they come: one
+    # _discriminant call per prepared function, of either sign of e1
+    import expwave.specfun.weierstrass as weierstrass
+
+    calls = []
+    exact = weierstrass._discriminant
+
+    def counting(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(weierstrass, "_discriminant", counting)
+    for g2, g3 in ((1.0, 1.0), (1.0, -1.0), (0.0, 1.0), (-2.0, 0.0)):
+        calls.clear()
+        assert prepare_weierstrass(WeierstrassInvariants(g2, g3)).kind == "cn"
+        assert calls == [(g2, g3)], (g2, g3)
+
+
 def test_laurent_leading():
     inv = WeierstrassInvariants(5.0, 1.0)
     for z in (0.005, 0.01, 0.02):
