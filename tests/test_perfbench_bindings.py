@@ -1,10 +1,15 @@
 """The traced benchmark run rebinds package names from outside; every name
 it wraps must exist and still be called, and detaching must put every
-original back."""
+original back.  Each workload's first seed-1 cycle must print the pinned
+output bits."""
 
 import contextlib
+import hashlib
 import io
+import random
 from pathlib import Path
+
+import pytest
 
 from expwave.reduction import FamilyLabel, FrameParams
 
@@ -122,3 +127,30 @@ def test_verify_mix_checker_passes_both_frames(monkeypatch):
                           1.0, 2.0)):
         outcome = wl.check(spec, wl.run(spec))
         assert outcome.passed and not outcome.wrong, (spec["argv"], outcome.note)
+
+
+#: run.py's first_cycle_sha256 at seed 1: the sha256 of the output digests
+#: of each workload's first cycle, as CI's fixed-work step prints it
+FIRST_CYCLE_SHA256 = {
+    "verify-mix":
+        "f40a0c1c3c087d0c995b4180f255f2a05db43aef0df988a8a38382ceefc0797c",
+    "sample-dense":
+        "291c7316a1db66f05175b950305ecaabf02f0cdb612289ec94dc74eb0cd8e742",
+    "construct-churn":
+        "554dfcf564ca93bdcb1415e2c699dd92a23db66486d7597ff88ad322acdc7605",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_CYCLE_SHA256))
+def test_first_cycle_output_is_bit_for_bit(monkeypatch, name):
+    # every op of the first seed-1 cycle, run and checked as the benchmark
+    # does, passes and prints exactly the bits it printed when the digest
+    # was pinned; a change meant to move output names its new digest
+    workloads = _workloads(monkeypatch)
+    w, rng = workloads.make(name), random.Random(1)
+    first = hashlib.sha256()
+    for spec in w.cycle(rng):
+        outcome = w.check(spec, w.run(spec))
+        assert outcome.passed and not outcome.wrong, (spec, outcome.note)
+        first.update(outcome.digest)
+    assert first.hexdigest() == FIRST_CYCLE_SHA256[name]
