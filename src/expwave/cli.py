@@ -415,6 +415,14 @@ _FIGURES = [
 ]
 
 
+def _figure_cell(sol: Solution, x: float) -> str:
+    """The value at x, or an empty cell where the evaluator refuses x."""
+    try:
+        return _fmt(sol.evaluate_psi(x) if sol.psi_native else sol.evaluate_h(x))
+    except ExpwaveError:
+        return ""
+
+
 def cmd_figures(cfg: JobConfig) -> int:
     outdir = cfg.output or "figures"
     xs = _grid(Grid, -10.0, 10.0, cfg.n).points()
@@ -430,21 +438,13 @@ def cmd_figures(cfg: JobConfig) -> int:
             meta.append({"branch": branch, "c1": c1, "case": sol.case.name,
                          "curve": label, "lambda_gamma": lg, "xi0": 0.0})
         rows = ["xi," + ",".join(label for label, _ in built)]
-        for x in xs:
-            cells = [_fmt(x)]
-            for label, sol in built:
-                sing = sol.singularities
-                if not sing.keeps(x, sing.default_pad()):
-                    cells.append("")
-                    continue
-                try:
-                    val = (sol.evaluate_psi(x) if sol.psi_native
-                           else sol.evaluate_h(x))
-                except ExpwaveError:
-                    cells.append("")
-                    continue
-                cells.append(_fmt(val))
-            rows.append(",".join(cells))
+        columns = []
+        for _, sol in built:
+            sing = sol.singularities
+            pad = sing.default_pad()
+            columns.append([_figure_cell(sol, x) if d > pad else ""
+                            for x, d in zip(xs, sing.clearances(xs))])
+        rows += map(",".join, zip(map(_fmt, xs), *columns))
         _atomic_write(os.path.join(outdir, name + ".csv"), "\n".join(rows) + "\n")
         sidecar[name] = meta
     _atomic_write(os.path.join(outdir, "figures_params.json"),
@@ -505,6 +505,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ExpwaveError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError:  # every list a command builds grows with --n
+        print("config error: out of memory; a smaller --n needs less",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

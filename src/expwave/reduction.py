@@ -281,6 +281,27 @@ class OdeDescriptor:
         return (self.alpha * math.exp(self.a * psi)
                 + self.beta * math.exp(self.b * psi))
 
+    def sources(self, hs: list[float]) -> list[float]:
+        """``source`` at each h, bit for bit: the direct path inline, the
+        scalar method where it takes ``_real_pow`` or the imaginary pair."""
+        source = self.source
+        if self.imaginary_pair:
+            return [source(h) for h in hs]
+        alpha, beta, a, b = self.alpha, self.beta, self.a, self.b
+        integral = self.integral
+        return [alpha * h ** a + beta * h ** b
+                if h > 0.0 or (integral and h != 0.0) else source(h)
+                for h in hs]
+
+    def sources_psi(self, psis: list[float]) -> list[float]:
+        """``source_psi`` at each psi, bit for bit."""
+        alpha, beta, a, b = self.alpha, self.beta, self.a, self.b
+        if self.imaginary_pair:
+            sin = math.sin
+            return [-alpha * sin(a * psi) - beta * sin(b * psi) for psi in psis]
+        exp = math.exp
+        return [alpha * exp(a * psi) + beta * exp(b * psi) for psi in psis]
+
     def f(self, h: float) -> float:
         return self.r * h * h * self.source(h)
 
@@ -324,6 +345,22 @@ class QuadratureDescriptor:
                 h ** self.b if direct else _real_pow(h, self.b))
         return total
 
+    def gs(self, hs: list[float]) -> list[float]:
+        """``g`` at each h, bit for bit: the direct path inline, the scalar
+        method where it takes ``_real_pow`` or the imaginary pair."""
+        g = self.g
+        if self.imaginary_pair:
+            return [g(h) for h in hs]
+        c1, alpha_a, beta_b, a, b = (
+            self.c1, self.alpha_a, self.beta_b, self.a, self.b)
+        integral = self.integral
+        if self.beta != 0.0:
+            return [c1 + alpha_a * h ** a + beta_b * h ** b
+                    if h > 0.0 or (integral and h != 0.0) else g(h)
+                    for h in hs]
+        return [c1 + alpha_a * h ** a
+                if h > 0.0 or (integral and h != 0.0) else g(h) for h in hs]
+
     def g_prime(self, h: float) -> float:
         if self.imaginary_pair:
             raise UnsupportedFamilyError("g_prime is h-space only")
@@ -345,6 +382,20 @@ class QuadratureDescriptor:
         if self.beta != 0.0:
             total += self.beta_b * math.exp(self.b * psi)
         return total
+
+    def gs_psi(self, psis: list[float]) -> list[float]:
+        """``g_psi`` at each psi, bit for bit."""
+        c1, alpha_a, beta_b, a, b = (
+            self.c1, self.alpha_a, self.beta_b, self.a, self.b)
+        if self.imaginary_pair:
+            cos = math.cos
+            return [c1 + alpha_a * cos(a * psi) + beta_b * cos(b * psi)
+                    for psi in psis]
+        exp = math.exp
+        if self.beta != 0.0:
+            return [c1 + alpha_a * exp(a * psi) + beta_b * exp(b * psi)
+                    for psi in psis]
+        return [c1 + alpha_a * exp(a * psi) for psi in psis]
 
     # dG_psi/dpsi equals the ODE source written in psi
     g_psi_prime = OdeDescriptor.source_psi

@@ -1,11 +1,12 @@
 """Deterministic descriptions of where a closed-form solution blows up
 or stops being real-valued.
 
-Every Solution carries one of these, and ``keeps`` is the one test of
-which xi may be sampled: it compares ``clearance`` with a pad, point by
-point, and no list of excluded intervals is built.  So verification
-grids, CSV emission and figures skip singular neighbourhoods without
-probing for overflow.
+Every Solution carries one of these, and ``clearances`` is the one
+measure of which xi may be sampled: one pass over a list of xi gives each
+one's distance to the singular set where it is valid, else -inf, and a
+point is kept where that exceeds a pad.  No list of excluded intervals is
+built.  So verification grids, CSV emission and figures skip singular
+neighbourhoods without probing for overflow.
 Kinds:
 
   none             finite everywhere
@@ -101,19 +102,35 @@ class Singularities:
             return local < self.half_width
         return True
 
-    def clearance(self, xi: float) -> float:
-        """Distance to the singular set where xi is valid, else -inf."""
-        return self.distance(xi) if self.is_valid(xi) else -math.inf
+    def clearances(self, xs: list[float]) -> list[float]:
+        """``distance(x) if is_valid(x) else -inf`` for each x, bit for bit,
+        in one pass per kind: a point may be sampled where its clearance
+        exceeds the pad."""
+        kind = self.kind
+        if kind == "lattice":
+            o, p = self.offset, self.period
+            return [abs((u := x - o) - p * round(u / p)) for x in xs]
+        if kind == "none":
+            return [math.inf] * len(xs)
+        if kind == "lattice_windows":
+            o, p, hw = self.offset, self.period, self.half_width
+            return [min(abs(local - hw), abs(local + hw))
+                    if abs(local := (u := x - o) - round(u / p) * p) < hw
+                    else -math.inf for x in xs]
+        points = self.points
+        if kind == "half_line":
+            (p0,), side = points, self.valid_side
+            return [abs(x - p0) if (x - p0) * side > 0.0 else -math.inf
+                    for x in xs]
+        if len(points) == 1:  # isolated
+            (p0,) = points
+            return [abs(x - p0) for x in xs]
+        return [min(abs(x - p) for p in points) for x in xs]
 
-    def keeps(self, xi: float, pad: float) -> bool:
-        """True where xi may be sampled: on the valid side and farther than
-        ``pad`` from the singular set."""
-        return self.clearance(xi) > pad
-
-    # the sampling rule is ``keeps`` alone, and no form reflects a singular
-    # set; perfbench/tracer.py still wraps class attributes of these names,
-    # so they stay bound until ROADMAP item 1 drops the bindings and the
-    # tracer's entries together
+    # the sampling rule is ``clearances`` alone, and no form reflects a
+    # singular set; perfbench/tracer.py still wraps class attributes of
+    # these names, so they stay bound until ROADMAP item 1 drops the
+    # bindings and the tracer's entries together
     exclusions = None
     reflected = None
 

@@ -80,8 +80,9 @@ PDE_HALF_WIDTH = 0.125
 
 @dataclass(frozen=True)
 class Grid:
-    """The n equispaced points of [xi_min, xi_max] that
-    ``singularities.keeps(xi, pad)`` accepts, strictly increasing.
+    """The n equispaced points of [xi_min, xi_max] whose clearance, from
+    one ``singularities.clearances`` pass over the lattice, exceeds ``pad``,
+    strictly increasing.
 
     A window whose step is not above 2 ulp of the largest of |xi_min|,
     |xi_max| and the width is refused, as its points would repeat."""
@@ -121,14 +122,8 @@ class Grid:
             if sing.period <= FD_MIN_STEP:  # no stencil reads such a lattice
                 raise DomainError(f"the period {sing.period:.3e} is not above "
                                   f"the smallest stencil step {FD_MIN_STEP:g}")
-            if sing.kind == "none":
-                # clearance is inf at every point
-                memo.append([(x, math.inf) for x in lattice]
-                            if math.inf > pad else [])
-            else:
-                clearance = sing.clearance
-                memo.append([(x, d) for x in lattice
-                             if (d := clearance(x)) > pad])
+            memo.append([(x, d) for x, d in zip(lattice, sing.clearances(lattice))
+                         if d > pad])
         return memo[0]
 
     def _distances(self, sing: Singularities) -> list[tuple[float, float]]:
@@ -200,7 +195,7 @@ def _report(oracle: str, sol: Solution, residuals: list[float],
     if not residuals:
         raise EmptyGridError(f"{oracle}: exclusions removed every grid point")
     # fixed-order compensated sum keeps the reduction deterministic
-    rms = math.sqrt(math.fsum(r * r for r in residuals) / len(residuals))
+    rms = math.sqrt(math.fsum([r * r for r in residuals]) / len(residuals))
     if not math.isfinite(rms):  # max() drops a NaN unless first; JSON has none
         raise range_error(sol.c1, sol.lambda_gamma, f"the {oracle} residual")
     return VerificationReport(oracle, max(residuals), rms, len(residuals), tol)
@@ -253,14 +248,21 @@ def ode_residuals(sol: Solution, frame: FrameParams,
     if not table:
         raise EmptyGridError("ode_residual: exclusions removed every grid point")
     desc = traveling_ode(family_params(sol.family), frame)
+    r = desc.r
+    values = [val for _, val, _, _ in table]
+    # max(1, scale) written out, as it costs more than the arithmetic as a
+    # call; miss / 1.0 is miss
+    residuals = []
     if sol.psi_native:
-        rhs_psi = desc.rhs_psi
-        residuals = [abs(d2 - (rhs := rhs_psi(val))) / max(1.0, abs(rhs))
-                     for _, val, _, d2 in table]
+        for (_, _, _, d2), s in zip(table, desc.sources_psi(values)):
+            rhs = r * s
+            miss, scale = abs(d2 - rhs), abs(rhs)
+            residuals.append(miss / scale if scale > 1.0 else miss)
     else:
-        f = desc.f
-        residuals = [abs(val * d2 - d1 * d1 - (fh := f(val))) / max(1.0, abs(fh))
-                     for _, val, d1, d2 in table]
+        for (_, val, d1, d2), s in zip(table, desc.sources(values)):
+            fh = r * val * val * s
+            miss, scale = abs(val * d2 - d1 * d1 - fh), abs(fh)
+            residuals.append(miss / scale if scale > 1.0 else miss)
     if all(map(math.isfinite, residuals)):
         return residuals
     raise range_error(sol.c1, sol.lambda_gamma, "the ode_residual residual")
@@ -293,14 +295,17 @@ def first_integral_residual(sol: Solution, frame: FrameParams, c1: float,
     quad = first_integral(family_params(sol.family), frame, c1)
     two_r = 2.0 * frame.r
     table = _nonvanishing_jets(sol, grid)
+    values = [val for _, val, _, _ in table]
     if sol.psi_native:
-        g_psi = quad.g_psi
-        rhss = [two_r * g_psi(val) for _, val, _, _ in table]
+        rhss = [two_r * g for g in quad.gs_psi(values)]
     else:
-        g = quad.g
-        rhss = [two_r * val * val * g(val) for _, val, _, _ in table]
-    residuals = [abs(d1 * d1 - rhs) / max(1.0, d1 * d1, abs(rhs))
-                 for (_, _, d1, _), rhs in zip(table, rhss)]
+        rhss = [two_r * val * val * g for val, g in zip(values, quad.gs(values))]
+    residuals = []
+    for (_, _, d1, _), rhs in zip(table, rhss):
+        # max(1.0, sq, scale) written out, comparison for comparison
+        sq, scale = d1 * d1, abs(rhs)
+        top = sq if sq > 1.0 else 1.0
+        residuals.append(abs(sq - rhs) / (scale if scale > top else top))
     return _report("first_integral_residual", sol, residuals, tol)
 
 
@@ -631,7 +636,7 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
     pq = frame.lambda_gamma
     psi_native = sol.psi_native
     value_of = _native_evaluator(sol)
-    source = desc.source_psi if psi_native else desc.source
+    sources = desc.sources_psi if psi_native else desc.sources
     log = math.log
     kept = grid._distances(sol.singularities)
     stride = max(1, -(-len(kept) // PDE_WINDOWS))
@@ -655,9 +660,10 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
             else:
                 signed = True
             continue
+        s = sources([v for pair in pairs for v in pair])
         quad = 0.0  # left to right, as on every Python version
-        for (_, k), (a, b) in zip(_GL8_KERNEL, pairs):
-            quad += k * (source(a) + source(b))
+        for (_, k), sa, sb in zip(_GL8_KERNEL, s[::2], s[1::2]):
+            quad += k * (sa + sb)
         rhs = w * w / pq * quad
         residuals.append(abs(lhs - rhs) / max(w * w, abs(rhs)))
     if kept and not residuals:

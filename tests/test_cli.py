@@ -95,6 +95,27 @@ def test_sample_into_closed_pipe_prints_no_traceback():
     assert code == 0
 
 
+def test_n_too_large_for_memory_is_one_line_exit_2():
+    # the lattice of 1e9 points does not fit a 300 MB address space: one
+    # stderr line and the config exit code, not a MemoryError traceback
+    resource = pytest.importorskip("resource")
+    limit = 300 * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "expwave", "sample", "--family", "liouville",
+         "--c1", "1", "--lambda-gamma", "1", "--n", "1000000000"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=cap, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: out of memory")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 class _ClosedStdout:
     """A stdout whose reader has gone: every write raises BrokenPipeError.
     Its descriptor is a temporary file's, which _emit may repoint."""
@@ -841,8 +862,8 @@ def test_figures_and_sample_share_one_grid(capsys, tmp_path):
 
 
 def test_sampling_needs_no_exclusion_intervals(monkeypatch, capsys, tmp_path):
-    # Singularities.keeps is the one sampling rule: nothing that samples xi
-    # builds the interval list
+    # Singularities.clearances is the one sampling rule: nothing that
+    # samples xi builds the interval list
     def refuse(*args):
         raise AssertionError("exclusions called")
 

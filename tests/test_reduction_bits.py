@@ -7,8 +7,12 @@ at each psi of PSIS, for the seven catalogued families at lambda gamma =
 the exception type and message at h = 0 with a negative exponent and at
 h < 0 with a non-integral exponent.  Both tables were generated by the
 descriptors as they stood while they re-read the equation parameters on
-every call, and must not change.
+every call, and must not change.  The table forms (``sources``,
+``sources_psi``, ``gs``, ``gs_psi``) must equal their scalar methods element
+by element, exceptions included.
 """
+
+import math
 
 import pytest
 
@@ -386,6 +390,32 @@ def test_descriptor_bits(family, method):
     xs = HS if method in H_METHODS else PSIS
     fn = getattr(desc, method)
     assert tuple(_outcome(fn, x) for x in xs) == PINNED[family, method]
+
+
+#: each table form and the scalar method it equals element by element
+TABLES = {"sources": "source", "sources_psi": "source_psi", "gs": "g",
+          "gs_psi": "g_psi"}
+#: added to HS and PSIS: signed zeros, negatives, NaN, infinities, 1e+-300
+EDGES = (0.0, -0.0, -0.7, -1e-300, -1e300, 1e-300, 1e300, math.nan,
+         math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("family", sorted(
+    {f for f, _ in PINNED}) + ["generic"])
+def test_table_forms_equal_the_scalar_methods(family, table):
+    params = (EquationParams(1.0, 1.0, 1.5, -1.0) if family == "generic"
+              else family_params(FamilyLabel[family]))
+    scalar = TABLES[table]
+    desc = _descriptors(params)[OWNER[scalar]]
+    fn, xs = getattr(desc, table), (HS if scalar in H_METHODS else PSIS) + EDGES
+    expected = [_outcome(getattr(desc, scalar), x, True) for x in xs]
+    # element by element, where the scalar raises the table raises the same
+    assert [_outcome(lambda x: fn([x])[0], x, True) for x in xs] == expected
+    # and in one call over every element that does not raise
+    passing = [(x, e) for x, e in zip(xs, expected) if ":" not in e]
+    assert [v.hex() for v in fn([x for x, _ in passing])] == [
+        e for _, e in passing]
 
 
 def test_generic_exceptions():

@@ -120,8 +120,8 @@ def scale_readings(family, c1: float, frame: FrameParams, branch: int,
         xi = frame.xi0 + root * (length * target)
         eta = (xi - frame.xi0) / root
         step = 1e-6 * (length + abs(eta))
-        if not (sing.keeps(eta, pad) and sing.keeps(eta - step, pad)
-                and sing.keeps(eta + step, pad)):
+        if not all(d > pad for d in sing.clearances([eta - step, eta,
+                                                     eta + step])):
             continue
         v, u = value(xi), unit_value(eta)
         slope = (unit_value(eta + step) - unit_value(eta - step)) / (2 * step)

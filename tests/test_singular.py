@@ -57,6 +57,10 @@ def test_distance_matches_per_kind_reference_bit_for_bit(sing, xi, n, k):
     for x in xs:
         assert sing.distance(x).hex() == _reference_distance(sing, x).hex(), (
             sing, x)
+    # the one-pass table is the per-point rule at every x
+    assert [d.hex() for d in sing.clearances(xs)] == [
+        (sing.distance(x) if sing.is_valid(x) else -math.inf).hex()
+        for x in xs], (sing, xs)
 
 
 KINDS = [

@@ -119,30 +119,33 @@ def test_grid_measures_each_point_once(monkeypatch):
     sol = construct(FamilyLabel.Tzitzeica, 1.0, FR1)
     assert Grid(-5.0, 5.0, 64).jets(sol) == \
         Grid(-5.0, 5.0, 64, sol.singularities).jets(sol)
-    # one verify on a lattice solution measures each grid point once
+    # one verify on a lattice solution measures the grid in one clearances
+    # call, each of its points once
     calls = []
-    clearance = Singularities.clearance
+    clearances = Singularities.clearances
 
-    def counting(self, xi):
-        calls.append(xi)
-        return clearance(self, xi)
+    def counting(self, xs):
+        calls.append(list(xs))
+        return clearances(self, xs)
 
-    monkeypatch.setattr(Singularities, "clearance", counting)
+    monkeypatch.setattr(Singularities, "clearances", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["verify", "--family", "tzitzeica", "--c1", "1.0",
                          "--lambda-gamma", "1", "--n", "64"])
     assert code == 0
-    assert len(calls) == len(set(calls)) == 64
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(calls[0])) == 64
 
 
 def test_grid_on_an_empty_singular_set_measures_nothing(monkeypatch):
-    # every lattice point is kept at clearance inf, as clearance() reads
-    # there, without a call per point
+    # every lattice point is kept at clearance inf, as distance() reads
+    # there, without a per-point measurement
     def refuse(self, xi):
-        raise AssertionError("clearance called on an empty singular set")
+        raise AssertionError("per-point rule called on an empty singular set")
 
     lattice = [-1.0 + i * (2.0 / 8) for i in range(9)]
-    monkeypatch.setattr(Singularities, "clearance", refuse)
+    monkeypatch.setattr(Singularities, "distance", refuse)
+    monkeypatch.setattr(Singularities, "is_valid", refuse)
     assert Grid(-1.0, 1.0, 9).points() == lattice
     assert Grid(-1.0, 1.0, 9, pad=0.5).points() == lattice
     assert Grid(-1.0, 1.0, 9)._cleared() == [(x, math.inf) for x in lattice]
