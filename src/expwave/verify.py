@@ -25,9 +25,11 @@ Each oracle makes one pass over a table, not a call per point:
 table (the Richardson formula), :func:`ode_residuals` turns that table
 into ODE residuals for both ``ode_residual`` and ``sample``, and
 ``pde_residual`` reads its window widths from :func:`_steps` in one call.
-Every value comes from ``Solution.evaluate_h``/``evaluate_psi``, one call
-per abscissa, so per-point work is the evaluations and the arithmetic of
-the formulas.
+The grid measures its lattice in one ``Singularities.clearances`` call, and
+the oracles read the equation terms from the descriptors' table forms
+(``sources``, ``gs`` and their psi forms).  Every value comes from
+``Solution.evaluate_h``/``evaluate_psi``, one call per abscissa, so
+per-point work is the evaluations and the arithmetic of the formulas.
 
 :func:`battery` owns the choice of oracles: which run for a solution, the
 shooting span and the implicit check's window, and the one rule that
@@ -122,8 +124,8 @@ class Grid:
             if sing.period <= FD_MIN_STEP:  # no stencil reads such a lattice
                 raise DomainError(f"the period {sing.period:.3e} is not above "
                                   f"the smallest stencil step {FD_MIN_STEP:g}")
-            memo.append([(x, d) for x, d in zip(lattice, sing.clearances(lattice))
-                         if d > pad])
+            kept = zip(lattice, sing.clearances(lattice))
+            memo.append([(x, d) for x, d in kept if d > pad])
         return memo[0]
 
     def _distances(self, sing: Singularities) -> list[tuple[float, float]]:
@@ -250,8 +252,8 @@ def ode_residuals(sol: Solution, frame: FrameParams,
     desc = traveling_ode(family_params(sol.family), frame)
     r = desc.r
     values = [val for _, val, _, _ in table]
-    # max(1, scale) written out, as it costs more than the arithmetic as a
-    # call; miss / 1.0 is miss
+    # each residual is miss / max(1, scale) with the max written out, as the
+    # builtin call costs more than the arithmetic; miss / 1.0 is miss
     residuals = []
     if sol.psi_native:
         for (_, _, _, d2), s in zip(table, desc.sources_psi(values)):
