@@ -26,10 +26,11 @@ table (the Richardson formula), :func:`ode_residuals` turns that table
 into ODE residuals for both ``ode_residual`` and ``sample``, and
 ``pde_residual`` reads its window widths from :func:`_steps` in one call.
 The grid measures its lattice in one ``Singularities.clearances`` call, and
-the oracles read the equation terms from the descriptors' table forms
-(``sources``, ``gs`` and their psi forms).  Every value comes from
-``Solution.evaluate_h``/``evaluate_psi``, one call per abscissa, so
-per-point work is the evaluations and the arithmetic of the formulas.
+the ODE and first-integral oracles read the equation terms from the
+descriptors' table forms (``sources``, ``gs`` and their psi forms).  Every
+value comes from ``Solution.evaluate_h``/``evaluate_psi``, one call per
+abscissa, so per-point work is the evaluations and the arithmetic of the
+formulas.
 
 :func:`battery` owns the choice of oracles: which run for a solution, the
 shooting span and the implicit check's window, and the one rule that
@@ -638,7 +639,7 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
     pq = frame.lambda_gamma
     psi_native = sol.psi_native
     value_of = _native_evaluator(sol)
-    sources = desc.sources_psi if psi_native else desc.sources
+    source = desc.source_psi if psi_native else desc.source
     log = math.log
     kept = grid._distances(sol.singularities)
     stride = max(1, -(-len(kept) // PDE_WINDOWS))
@@ -662,10 +663,9 @@ def pde_residual(sol: Solution, frame: FrameParams, grid: Grid,
             else:
                 signed = True
             continue
-        s = sources([v for pair in pairs for v in pair])
         quad = 0.0  # left to right, as on every Python version
-        for (_, k), sa, sb in zip(_GL8_KERNEL, s[::2], s[1::2]):
-            quad += k * (sa + sb)
+        for (_, k), (a, b) in zip(_GL8_KERNEL, pairs):
+            quad += k * (source(a) + source(b))
         rhs = w * w / pq * quad
         residuals.append(abs(lhs - rhs) / max(w * w, abs(rhs)))
     if kept and not residuals:

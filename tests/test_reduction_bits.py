@@ -400,12 +400,18 @@ EDGES = (0.0, -0.0, -0.7, -1e-300, -1e300, 1e-300, 1e300, math.nan,
          math.inf, -math.inf)
 
 
+#: beside the catalogued tuples: non-integral exponents, and an imaginary
+#: pair whose two terms differ (sine-Gordon's are mirror images)
+GENERIC_PARAMS = {"generic": EquationParams(1.0, 1.0, 1.5, -1.0),
+                  "generic-imaginary": EquationParams(-0.5, 0.3, 1.0, -2.0,
+                                                      imaginary_pair=True)}
+
+
 @pytest.mark.parametrize("table", sorted(TABLES))
 @pytest.mark.parametrize("family", sorted(
-    {f for f, _ in PINNED}) + ["generic"])
+    {f for f, _ in PINNED}) + sorted(GENERIC_PARAMS))
 def test_table_forms_equal_the_scalar_methods(family, table):
-    params = (EquationParams(1.0, 1.0, 1.5, -1.0) if family == "generic"
-              else family_params(FamilyLabel[family]))
+    params = GENERIC_PARAMS.get(family) or family_params(FamilyLabel[family])
     scalar = TABLES[table]
     desc = _descriptors(params)[OWNER[scalar]]
     fn, xs = getattr(desc, table), (HS if scalar in H_METHODS else PSIS) + EDGES
